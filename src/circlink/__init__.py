@@ -47,6 +47,7 @@ from .family import (
     FamilyPair,
     IntersectingAt,
     NestingReport,
+    PairIndex,
     classify_pair,
     especial_disc,
     fiber_minus,
@@ -103,7 +104,7 @@ __all__ = [
     "GroupOrderNotTotalError", "MalformedInputError", "NotDisjointError",
     "NotInteriorError", "NotLinearlyOrderedError", "OutsideDiscError",
     "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",
-    "IntersectingAt", "NestingReport", "classify_pair", "especial_disc",
+    "IntersectingAt", "NestingReport", "PairIndex", "classify_pair", "especial_disc",
     "fiber_minus", "fiber_plus", "nesting_report", "prong_count",
     "separation_interval", "validate",
     "GenSpec", "gen_figure", "gen_grid", "gen_nested", "gen_star",

@@ -119,10 +119,12 @@ def cmd_straighten(args) -> int:
 def cmd_render(args) -> int:
     fp = _load_pair(args.file)
     opts = RenderOptions(width=args.width, height=args.height, labels=args.labels)
-    sd = layout(fp)
     input_path = args.out + "-input.svg"
     straight_path = args.out + "-straightened.svg"
-    _atomic_write(input_path, render_input_svg(fp, opts))
+    # both pictures read one build of the linked cells, freed before the second
+    with fp.index.keep_cells():
+        sd = layout(fp)
+        _atomic_write(input_path, render_input_svg(fp, opts))
     _atomic_write(straight_path, render_straightened_svg(sd, opts))
     _emit({"written": [input_path, straight_path]})
     return 0
@@ -164,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("disc", help="compute the classification disc")
     p.add_argument("file")
-    p.add_argument("--workers", type=int, default=0, help="parallel classification threads")
+    p.add_argument("--workers", type=int, default=0,
+                   help="accepted for compatibility and ignored; classification is single-threaded")
     p.set_defaults(func=cmd_disc)
 
     p = sub.add_parser("straighten", help="straighten one plane point")

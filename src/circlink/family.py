@@ -5,12 +5,17 @@ that each family is internally disjoint and unlinked and that cross-family
 intersections have at most one point. The pair classification across the
 two families produces the finite analogue of a decomposition disc: interior
 points are the disjoint linked pairs, boundary points the intersecting ones.
+
+Everything derived from one pair (the disc, its lookup maps, the fibers,
+the hulls and the linked cells) lives in the pair's PairIndex, built on first
+use and at most once, so every stage reads one copy instead of rebuilding it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
 from .circle import (
@@ -38,6 +43,7 @@ __all__ = [
     "classify_pair",
     "EspecialDisc",
     "especial_disc",
+    "PairIndex",
     "fiber_plus",
     "fiber_minus",
     "separation_interval",
@@ -76,15 +82,32 @@ class Violation:
 
 
 class FamilyPair:
-    """A validated pair of chord families. Construct through validate()."""
+    """A validated pair of chord families. Construct through validate().
 
-    __slots__ = ("plus", "minus", "plus_labels", "minus_labels")
+    A pair is treated as immutable: its PairIndex caches what is derived
+    from the two families.
+    """
+
+    __slots__ = ("plus", "minus", "plus_labels", "minus_labels", "_index")
 
     def __init__(self, plus, minus, plus_labels=None, minus_labels=None):
         self.plus = tuple(plus)
         self.minus = tuple(minus)
         self.plus_labels = tuple(plus_labels) if plus_labels else None
         self.minus_labels = tuple(minus_labels) if minus_labels else None
+        self._index = None
+
+    @property
+    def index(self) -> "PairIndex":
+        """The pair's shared index, created on first access."""
+        if self._index is None:
+            self._index = PairIndex(self)
+        return self._index
+
+    def __reduce__(self):
+        # the index is a cache of read-only views, which cannot be pickled;
+        # copies and unpickled pairs build their own
+        return (FamilyPair, (self.plus, self.minus, self.plus_labels, self.minus_labels))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FamilyPair):
@@ -264,34 +287,116 @@ class EspecialDisc:
 
 
 def especial_disc(fp: FamilyPair, workers: int = 0) -> EspecialDisc:
-    """Classify every cross pair. workers > 1 parallelizes by plus row;
-    the output is identical for any worker count."""
+    """Classify every cross pair, row by row, in one thread.
 
-    def classify_row(i):
-        p = fp.plus[i]
-        row_interior = []
-        row_boundary = []
+    workers is accepted and ignored: threads gave no speed-up under the GIL,
+    and the output never depended on it.
+    """
+    interior = []
+    boundary = []
+    for i, p in enumerate(fp.plus):
         for j, m in enumerate(fp.minus):
             c = _classify(p, m)
             if isinstance(c, DisjointLinked):
-                row_interior.append((i, j, c.n))
+                interior.append((i, j, c.n))
             elif isinstance(c, IntersectingAt):
-                row_boundary.append((i, j, c.point))
-        return row_interior, row_boundary
-
-    rows = range(len(fp.plus))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(classify_row, rows))
-    else:
-        results = [classify_row(i) for i in rows]
-
-    interior = []
-    boundary = []
-    for row_interior, row_boundary in results:
-        interior.extend(row_interior)
-        boundary.extend(row_boundary)
+                boundary.append((i, j, c.point))
     return EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+
+
+class PairIndex:
+    """What the stages share about one family pair, each piece built once.
+
+    Every piece is built on first use. The disc comes from especial_disc;
+    interior and boundary map (i, j) to the linking number and to the shared
+    circle point; fiber() gives the Z-points of one element, all fibers
+    built in one pass over Z; hulls() gives one family's convex hulls. Maps
+    are read-only views and sequences are tuples, so no consumer can change
+    what the others read.
+
+    The linked cells are the largest piece, so the index keeps them only
+    while a keep_cells() block is open; outside one, cells() builds them
+    for its caller alone.
+    """
+
+    __slots__ = ("fp", "_disc", "_interior", "_boundary", "_fibers", "_hulls",
+                 "_cells", "_cell_keepers")
+
+    def __init__(self, fp: FamilyPair):
+        self.fp = fp
+        self._disc = None
+        self._interior = None
+        self._boundary = None
+        self._fibers = None
+        self._hulls = None
+        self._cells = None
+        self._cell_keepers = 0
+
+    @property
+    def disc(self) -> EspecialDisc:
+        if self._disc is None:
+            self._disc = especial_disc(self.fp)
+        return self._disc
+
+    @property
+    def interior(self) -> MappingProxyType:
+        if self._interior is None:
+            self._interior = MappingProxyType({(i, j): n for i, j, n in self.disc.interior})
+        return self._interior
+
+    @property
+    def boundary(self) -> MappingProxyType:
+        if self._boundary is None:
+            self._boundary = MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
+        return self._boundary
+
+    def fiber(self, family: str, element: int) -> tuple:
+        """The Z-points with the given component, sorted; see fiber_plus."""
+        if self._fibers is None:
+            disc = self.disc
+            plus = [[] for _ in range(disc.n_plus)]
+            minus = [[] for _ in range(disc.n_minus)]
+            keys = sorted([(i, j) for i, j, _ in disc.interior]
+                          + [(i, j) for i, j, _ in disc.boundary])
+            for z in keys:
+                plus[z[0]].append(z)
+                minus[z[1]].append(z)
+            self._fibers = {"plus": tuple(map(tuple, plus)),
+                            "minus": tuple(map(tuple, minus))}
+        fibers = self._fibers[family]
+        _check_index(len(fibers), element, family)
+        return fibers[element]
+
+    def hulls(self, family: str) -> tuple:
+        """The convex hull of every element of one family, by index."""
+        if self._hulls is None:
+            # imported here because hullgeom imports this module
+            from .hullgeom import hull
+            self._hulls = {name: tuple(hull(s) for s in self.fp.family(name))
+                           for name in ("plus", "minus")}
+        return self._hulls[family]
+
+    def cells(self) -> MappingProxyType:
+        """The linked cell of every interior Z-point (see linked_cells)."""
+        cells = self._cells
+        if cells is None:
+            from .hullgeom import linked_cells
+            cells = MappingProxyType(linked_cells(self.fp, self.disc))
+            if self._cell_keepers:
+                self._cells = cells
+        return cells
+
+    @contextmanager
+    def keep_cells(self):
+        """Share one build of the linked cells among the calls in the block;
+        the index lets them go when the outermost block ends."""
+        self._cell_keepers += 1
+        try:
+            yield
+        finally:
+            self._cell_keepers -= 1
+            if not self._cell_keepers:
+                self._cells = None
 
 
 def fiber_plus(disc: EspecialDisc, i: int) -> list:
@@ -350,11 +455,10 @@ def prong_count(fp: FamilyPair, z: tuple, disc: Optional[EspecialDisc] = None) -
     """Number of prongs at an interior Z-point: twice its linking number.
 
     The count is recomputed directly from the mixed complementary intervals
-    of the union and asserted against the stored linking number.
+    of the union and asserted against the stored linking number. Without a
+    disc, the pair's index supplies the linking numbers.
     """
-    if disc is None:
-        disc = especial_disc(fp)
-    interior = disc.interior_map()
+    interior = fp.index.interior if disc is None else disc.interior_map()
     if tuple(z) not in interior:
         raise NotInteriorError(tuple(z))
     i, j = z

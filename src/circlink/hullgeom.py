@@ -17,7 +17,7 @@ from typing import Optional
 from .circle import INF, CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import EmptyLinkedCellError, MalformedInputError, OutsideDiscError
-from .family import EspecialDisc, FamilyPair, especial_disc
+from .family import EspecialDisc, FamilyPair
 
 __all__ = [
     "PlanePoint",
@@ -405,11 +405,7 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
 # families in the plane
 
 
-def _family_hulls(sets) -> list:
-    return [hull(s) for s in sets]
-
-
-def _locate_in_hulls(hulls: list, hp: tuple) -> Optional[int]:
+def _locate_in_hulls(hulls, hp: tuple) -> Optional[int]:
     hits = [i for i, c in enumerate(hulls) if _cell_contains_h(c, hp)]
     assert len(hits) <= 1, "hulls of a validated family overlap: %r" % hits
     return hits[0] if hits else None
@@ -421,8 +417,8 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
         raise OutsideDiscError(p)
     hp = _h_from_plane(p)
     return (
-        _locate_in_hulls(_family_hulls(fp.plus), hp),
-        _locate_in_hulls(_family_hulls(fp.minus), hp),
+        _locate_in_hulls(fp.index.hulls("plus"), hp),
+        _locate_in_hulls(fp.index.hulls("minus"), hp),
     )
 
 
@@ -430,12 +426,13 @@ def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
     """The nonempty hull intersection for every interior Z-point.
 
     Linking guarantees nonemptiness; an empty cell would mean the geometry
-    disagrees with the combinatorics and raises immediately.
+    disagrees with the combinatorics and raises immediately. The hulls, and
+    the disc when none is given, come from the pair's index.
     """
     if disc is None:
-        disc = especial_disc(fp)
-    ph = _family_hulls(fp.plus)
-    mh = _family_hulls(fp.minus)
+        disc = fp.index.disc
+    ph = fp.index.hulls("plus")
+    mh = fp.index.hulls("minus")
     cells = {}
     for i, j, _n in disc.interior:
         c = cell_intersection(ph[i], mh[j])

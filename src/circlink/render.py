@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from .family import FamilyPair, especial_disc
-from .hullgeom import PlanePoint, hull, linked_cells, param_to_point
+from .family import FamilyPair
+from .hullgeom import PlanePoint, param_to_point
 from .straighten import StraightenedDisc
 
 __all__ = ["RenderOptions", "render_input_svg", "render_straightened_svg"]
@@ -113,12 +113,11 @@ def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> s
     canvas = _Canvas(opts)
     canvas.boundary()
     if opts.hulls:
-        for name, sets, color in (("plus", fp.plus, opts.plus_color),
-                                  ("minus", fp.minus, opts.minus_color)):
-            for i, s in enumerate(sets):
-                _draw_cell(canvas, "hull-%s-%d" % (name, i), hull(s), color, "none", 0)
+        for name, color in (("plus", opts.plus_color), ("minus", opts.minus_color)):
+            for i, h in enumerate(fp.index.hulls(name)):
+                _draw_cell(canvas, "hull-%s-%d" % (name, i), h, color, "none", 0)
     if opts.cells or opts.linked_region:
-        cells = linked_cells(fp, especial_disc(fp))
+        cells = fp.index.cells()
         fill = opts.region_color if opts.linked_region else "none"
         for (i, j) in sorted(cells):
             _draw_cell(canvas, "cell-%d-%d" % (i, j), cells[(i, j)], opts.region_color, fill, 0.55)

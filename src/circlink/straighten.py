@@ -17,15 +17,8 @@ from typing import Union
 
 from .circle import CirclePoint, complementary_intervals, separates
 from .errors import GroupOrderNotTotalError, OutsideDiscError
-from .family import EspecialDisc, FamilyPair, especial_disc, fiber_minus, fiber_plus
-from .hullgeom import (
-    PlanePoint,
-    _family_hulls,
-    _h_from_plane,
-    _locate_in_hulls,
-    linked_cells,
-    param_to_point,
-)
+from .family import FamilyPair, PairIndex
+from .hullgeom import PlanePoint, _h_from_plane, _locate_in_hulls, param_to_point
 
 __all__ = [
     "MappedTo",
@@ -68,16 +61,16 @@ def result_to_json(r: StraightenResult) -> dict:
     return {"result": "not_in_domain"}
 
 
-def _straighten_with(fp, disc, hulls_plus, hulls_minus, p: PlanePoint) -> StraightenResult:
+def _straighten_with(index: PairIndex, p: PlanePoint) -> StraightenResult:
     if p.x * p.x + p.y * p.y > 1:
         raise OutsideDiscError(p)
     hp = _h_from_plane(p)
-    i = _locate_in_hulls(hulls_plus, hp)
-    j = _locate_in_hulls(hulls_minus, hp)
+    i = _locate_in_hulls(index.hulls("plus"), hp)
+    j = _locate_in_hulls(index.hulls("minus"), hp)
     if i is not None and j is not None:
-        if (i, j) in disc.interior_map():
+        if (i, j) in index.interior:
             return MappedTo((i, j))
-        s = disc.boundary_map().get((i, j))
+        s = index.boundary.get((i, j))
         if s is not None and p == param_to_point(s):
             return OnBoundary(s)
     return NotInDomain()
@@ -89,8 +82,7 @@ def straighten_point(fp: FamilyPair, p: PlanePoint) -> StraightenResult:
     Points on the circle at a shared marked point of an intersecting pair
     land on the boundary; everything else is outside the domain.
     """
-    disc = especial_disc(fp)
-    return _straighten_with(fp, disc, _family_hulls(fp.plus), _family_hulls(fp.minus), p)
+    return _straighten_with(fp.index, p)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +166,14 @@ def _arc_sort_key(start: CirclePoint):
     return key
 
 
-def _leaf_graph(fp: FamilyPair, disc: EspecialDisc, family: str, element: int) -> LeafGraph:
+def _leaf_graph(index: PairIndex, family: str, element: int) -> LeafGraph:
+    fp = index.fp
+    fiber = index.fiber(family, element)
     lam = fp.family(family)[element]
     if family == "plus":
-        fiber = fiber_plus(disc, element)
         opp_sets = fp.minus
         opp_of = lambda z: z[1]
     else:
-        fiber = fiber_minus(disc, element)
         opp_sets = fp.plus
         opp_of = lambda z: z[0]
     if not fiber:
@@ -258,7 +250,7 @@ def _leaf_graph(fp: FamilyPair, disc: EspecialDisc, family: str, element: int) -
 
 def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     """Build the leaf tree over the fiber of one element."""
-    return _leaf_graph(fp, especial_disc(fp), family, element)
+    return _leaf_graph(fp.index, family, element)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +448,9 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     Z-points at the embedded shared circle point. Layout is injective, which
     is asserted exactly.
     """
-    disc = especial_disc(fp)
-    cells = linked_cells(fp, disc)
+    index = fp.index
+    disc = index.disc
+    cells = index.cells()
     lay = {}
     for z in sorted(cells):
         lay[z] = cells[z].barycenter()
@@ -467,8 +460,8 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
         anchors[(i, j)] = s
     assert len({p.key() for p in lay.values()}) == len(lay), "layout collision"
 
-    leaves_plus = tuple(_leaf_graph(fp, disc, "plus", i) for i in range(disc.n_plus))
-    leaves_minus = tuple(_leaf_graph(fp, disc, "minus", j) for j in range(disc.n_minus))
+    leaves_plus = tuple(_leaf_graph(index, "plus", i) for i in range(disc.n_plus))
+    leaves_minus = tuple(_leaf_graph(index, "minus", j) for j in range(disc.n_minus))
 
     virtual_positions = {}
     for leaf in leaves_plus + leaves_minus:
@@ -520,27 +513,30 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
 
     (a) straightening is constant on each cell (vertices and barycenter all
     map to the cell's own Z-point); (b) distinct cells map to distinct
-    Z-points; (c) every interior Z-point is realized by a nonempty cell.
+    Z-points, judged by where each barycenter lands; (c) every interior
+    Z-point is realized by a nonempty cell.
     """
-    disc = especial_disc(fp)
-    hp = _family_hulls(fp.plus)
-    hm = _family_hulls(fp.minus)
-    cells = linked_cells(fp, disc)
+    index = fp.index
+    cells = index.cells()
     failures = []
     sampled = 0
-    mapped = {}
+    landed = {}
     for z in sorted(cells):
         cell = cells[z]
         for p in list(cell.vertices) + [cell.barycenter()]:
             sampled += 1
-            r = _straighten_with(fp, disc, hp, hm, p)
+            r = _straighten_with(index, p)
             if r != MappedTo(z):
                 failures.append({"clause": "constant", "z": list(z),
                                  "point": p.to_json(), "got": result_to_json(r)})
-        mapped[z] = z
-    if len(set(mapped.values())) != len(mapped):
-        failures.append({"clause": "injective"})
-    for i, j, _n in disc.interior:
+        # r is the barycenter's result
+        if isinstance(r, MappedTo):
+            landed.setdefault(r.z, []).append(z)
+    for target in sorted(landed):
+        if len(landed[target]) > 1:
+            failures.append({"clause": "injective", "z": list(target),
+                             "cells": [list(z) for z in landed[target]]})
+    for i, j, _n in index.disc.interior:
         if (i, j) not in cells:
             failures.append({"clause": "surjective", "z": [i, j]})
     return QuotientReport(not failures, failures, len(cells), sampled)

@@ -16,7 +16,7 @@ from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import MalformedInputError
 from .family import FamilyPair, especial_disc, prong_count, validate
-from .hullgeom import PlanePoint, _family_hulls, _h_from_plane, _h_norm, _h_to_plane, linked_cells
+from .hullgeom import PlanePoint, _h_from_plane, _h_norm, _h_to_plane
 from .straighten import MappedTo, _straighten_with
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
@@ -200,9 +200,10 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     if perm_plus is None or perm_minus is None:
         return EquivarianceReport(False, None, None, failures)
 
-    disc = especial_disc(fp)
-    interior = disc.interior_map()
-    boundary = disc.boundary_map()
+    index = fp.index
+    disc = index.disc
+    interior = index.interior
+    boundary = index.boundary
 
     permuted_interior = {(perm_plus[i], perm_minus[j]): n for (i, j), n in interior.items()}
     if permuted_interior != interior:
@@ -212,6 +213,7 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     if permuted_boundary != boundary:
         failures.append({"kind": "DiscMismatch", "clause": "boundary-permutation"})
 
+    # classified from scratch: the recomputed disc is the clause's witness
     g_fp = g.apply_pair(fp)
     g_disc = especial_disc(g_fp)
     if g_disc.interior != disc.interior:
@@ -221,14 +223,12 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     if got_boundary != expected_boundary:
         failures.append({"kind": "DiscMismatch", "clause": "boundary-recomputed"})
 
-    hp = _family_hulls(fp.plus)
-    hm = _family_hulls(fp.minus)
-    cells = linked_cells(fp, disc)
+    cells = index.cells()
     for (i, j) in sorted(cells):
         cell = cells[(i, j)]
         target = (perm_plus[i], perm_minus[j])
         for p in list(cell.vertices) + [cell.barycenter()]:
-            r = _straighten_with(fp, disc, hp, hm, g.plane_apply(p))
+            r = _straighten_with(index, g.plane_apply(p))
             if r != MappedTo(target):
                 failures.append({"kind": "StraightenMismatch", "z": [i, j],
                                  "expected": list(target)})
@@ -237,7 +237,7 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     for i, j, _n in disc.interior:
         z = (i, j)
         zg = (perm_plus[i], perm_minus[j])
-        if prong_count(fp, z, disc) != prong_count(fp, zg, disc):
+        if prong_count(fp, z) != prong_count(fp, zg):
             failures.append({"kind": "ProngMismatch", "z": [i, j], "image": list(zg)})
 
     return EquivarianceReport(not failures, perm_plus, perm_minus, failures)

@@ -251,6 +251,28 @@ def test_render_tripod_snapshot(tmp_path, capsys):
     assert ids == ["boundary", "leaf-plus-0", "leaf-minus-0", "z-0-0"]
 
 
+def test_render_builds_disc_and_cells_once(tmp_path, capsys, monkeypatch):
+    from circlink import family, hullgeom
+
+    counts = {"especial_disc": 0, "linked_cells": 0}
+    # wrap each function under every name a circlink module binds it to
+    modules = [m for n, m in list(sys.modules.items())
+               if n == "circlink" or n.startswith("circlink.")]
+    for fn in (family.especial_disc, hullgeom.linked_cells):
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+
+    path = write_pair(tmp_path, "grid.json", GRID2)
+    code, _ = run(capsys, "render", path, "--out", str(tmp_path / "grid"))
+    assert code == 0
+    assert counts == {"especial_disc": 1, "linked_cells": 1}
+
+
 def test_render_is_reproducible(tmp_path, capsys):
     path = write_pair(tmp_path, "grid.json", GRID2)
     prefix_a = str(tmp_path / "a")

@@ -225,6 +225,27 @@ def test_quotient_check_random_families():
         assert report.ok, report.failures
 
 
+def test_quotient_check_reports_cells_landing_on_one_z(monkeypatch):
+    # every cell built becomes the (0, 0) cell, so all four cells of the grid
+    # straighten to one Z-point
+    from circlink import hullgeom
+
+    real = hullgeom.cell_intersection
+    first = []
+
+    def same_cell(P, Q):
+        if not first:
+            first.append((P, Q))
+        return real(*first[0])
+
+    monkeypatch.setattr(hullgeom, "cell_intersection", same_cell)
+    report = quotient_check(grid_pair())
+    assert not report.ok
+    injective = [f for f in report.failures if f["clause"] == "injective"]
+    assert injective == [{"clause": "injective", "z": [0, 0],
+                          "cells": [[0, 0], [0, 1], [1, 0], [1, 1]]}]
+
+
 def test_crossing_detector_on_synthetic_segments():
     # no especial fixture produces a crossing, so drive the detector directly
     from circlink.straighten import LeafGraph, _detect_crossings
