@@ -17,13 +17,7 @@ import tempfile
 from fractions import Fraction
 
 from .errors import CirclinkError, FamilyValidationError, MalformedInputError
-from .family import (
-    DisjointLinked,
-    FamilyPair,
-    IntersectingAt,
-    classify_pair,
-    especial_disc,
-)
+from .family import FamilyPair, especial_disc
 from .generators import GenSpec, gen_symmetric
 from .hullgeom import PlanePoint
 from .render import RenderOptions, render_input_svg, render_straightened_svg
@@ -86,17 +80,18 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     fp = _load_pair(args.file)
+    interior = fp.index.interior
+    boundary = fp.index.boundary
     rows = []
     for i in range(len(fp.plus)):
         for j in range(len(fp.minus)):
-            c = classify_pair(fp, i, j)
             row = {"plus": i, "minus": j}
-            if isinstance(c, IntersectingAt):
+            if (i, j) in boundary:
                 row["class"] = "intersecting"
-                row["point"] = str(c.point)
-            elif isinstance(c, DisjointLinked):
+                row["point"] = str(boundary[(i, j)])
+            elif (i, j) in interior:
                 row["class"] = "linked"
-                row["n"] = c.n
+                row["n"] = interior[(i, j)]
             else:
                 row["class"] = "unlinked"
             rows.append(row)

@@ -23,6 +23,7 @@ from .circle import (
     CircleSet,
     complementary_intervals,
     link_number,
+    link_number_counts,
     linked,
     separates,
 )
@@ -454,23 +455,18 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
 def prong_count(fp: FamilyPair, z: tuple, disc: Optional[EspecialDisc] = None) -> int:
     """Number of prongs at an interior Z-point: twice its linking number.
 
-    The count is recomputed directly from the mixed complementary intervals
-    of the union and asserted against the stored linking number. Without a
-    disc, the pair's index supplies the linking numbers.
+    The count is the number of mixed complementary intervals of the union
+    (those running from one set to the other, in either direction), taken
+    from link_number_counts and asserted against the stored linking number.
+    Without a disc, the pair's index supplies the linking numbers.
     """
     interior = fp.index.interior if disc is None else disc.interior_map()
     if tuple(z) not in interior:
         raise NotInteriorError(tuple(z))
     i, j = z
     n = interior[(i, j)]
-
-    merged = sorted(set(fp.plus[i].points) | set(fp.minus[j].points))
-    in_plus = set(fp.plus[i].points)
-    mixed = 0
-    m = len(merged)
-    for t in range(m):
-        if (merged[t] in in_plus) != (merged[(t + 1) % m] in in_plus):
-            mixed += 1
+    _c1, _c2, c3, c4 = link_number_counts(fp.plus[i], fp.minus[j])
+    mixed = c3 + c4
     assert mixed == 2 * n, "mixed interval count %d does not match 2 * %d" % (mixed, n)
     return mixed
 

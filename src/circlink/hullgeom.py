@@ -3,8 +3,9 @@
 Circle parameters land on the unit circle through the tangent half-angle map,
 so every marked point has rational coordinates and cyclic order becomes
 counterclockwise order. All predicates are exact. Hot paths work on
-homogeneous integer triples (X, Y, D) standing for (X/D, Y/D) with D > 0;
-Fractions appear only at the public boundary.
+homogeneous integer triples (X, Y, D) standing for (X/D, Y/D) with D > 0:
+cells are clipped edge by edge on these triples, each new vertex the integer
+meet of two lines. Fractions appear only at the public boundary.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ def _h_from_plane(p: PlanePoint) -> tuple:
     return (p.x.numerator * (d // xd), p.y.numerator * (d // yd), d)
 
 
+def _h_in_disc(h: tuple) -> bool:
+    return h[0] * h[0] + h[1] * h[1] <= h[2] * h[2]
+
+
 def _h_to_plane(h: tuple) -> PlanePoint:
     return PlanePoint(Fraction(h[0], h[2]), Fraction(h[1], h[2]))
 
@@ -197,10 +202,10 @@ class ConvexCell:
             assert len(vertices) >= 3
         else:
             raise ValueError("dim must be 0, 1, or 2")
-        assert all(v.x * v.x + v.y * v.y <= 1 for v in vertices), "vertex outside the unit disc"
         self.dim = dim
         self.vertices = vertices
         self._h = tuple(_h_from_plane(v) for v in vertices)
+        assert all(_h_in_disc(h) for h in self._h), "vertex outside the unit disc"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexCell):
@@ -327,65 +332,30 @@ def _seg_seg(a: tuple, b: tuple, c: tuple, d: tuple) -> list:
     return pts
 
 
-def _clip_seg(seg: ConvexCell, poly: ConvexCell) -> Optional[ConvexCell]:
-    a, b = seg.vertices
-    lo = Fraction(0)
-    hi = Fraction(1)
-    verts = poly.vertices
-    n = len(verts)
-    for k in range(n):
-        p = verts[k]
-        q = verts[(k + 1) % n]
-        ex = q.x - p.x
-        ey = q.y - p.y
-        fa = ex * (a.y - p.y) - ey * (a.x - p.x)
-        fb = ex * (b.y - p.y) - ey * (b.x - p.x)
-        if fa < 0 and fb < 0:
-            return None
-        if fa < 0:
-            lo = max(lo, fa / (fa - fb))
-        elif fb < 0:
-            hi = min(hi, fa / (fa - fb))
-    if lo > hi:
-        return None
+def _clip(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
+    """P clipped edge by edge to the polygon Q (Sutherland-Hodgman).
 
-    def at(t: Fraction) -> PlanePoint:
-        return PlanePoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-
-    pa = at(lo)
-    pb = at(hi)
-    if pa == pb:
-        return ConvexCell(0, [pa])
-    return _cell_from_h([_h_from_plane(pa), _h_from_plane(pb)])
-
-
-def _clip_poly(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
-    out = list(P.vertices)
-    qv = Q.vertices
-    for k in range(len(qv)):
-        p = qv[k]
-        q = qv[(k + 1) % len(qv)]
-        ex = q.x - p.x
-        ey = q.y - p.y
-        cur = out
-        if not cur:
-            return None
-        sides = [ex * (v.y - p.y) - ey * (v.x - p.x) for v in cur]
+    P is a vertex ring; a segment is a ring of two. Each edge of Q keeps the
+    ring's vertices on or left of it and adds the crossing of every ring edge
+    whose ends lie strictly on opposite sides.
+    """
+    ring = P._h
+    qh = Q._h
+    for k in range(len(qh)):
+        p = qh[k - 1]
+        q = qh[k]
+        edge = _h_line(p, q)
+        sides = [_orient(p, q, v) for v in ring]
         out = []
-        m = len(cur)
-        for t in range(m):
-            v = cur[t]
-            fv = sides[t]
-            fw = sides[(t + 1) % m]
-            if fv >= 0:
-                out.append(v)
-            if (fv > 0 > fw) or (fv < 0 < fw):
-                w = cur[(t + 1) % m]
-                s = fv / (fv - fw)
-                out.append(PlanePoint(v.x + s * (w.x - v.x), v.y + s * (w.y - v.y)))
-    if not out:
-        return None
-    return _cell_from_h([_h_from_plane(v) for v in out])
+        for t in range(len(ring)):
+            if sides[t - 1] * sides[t] < 0:
+                out.append(_h_line_cross(_h_line(ring[t - 1], ring[t]), edge))
+            if sides[t] >= 0:
+                out.append(ring[t])
+        if not out:
+            return None
+        ring = out
+    return _cell_from_h(ring)
 
 
 def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
@@ -396,9 +366,7 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
         return ConvexCell(0, P.vertices) if _cell_contains_h(Q, P._h[0]) else None
     if Q.dim == 1:
         return _cell_from_h(_seg_seg(P._h[0], P._h[1], Q._h[0], Q._h[1]))
-    if P.dim == 1:
-        return _clip_seg(P, Q)
-    return _clip_poly(P, Q)
+    return _clip(P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +381,9 @@ def _locate_in_hulls(hulls, hp: tuple) -> Optional[int]:
 
 def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     """Indices of the plus hull and minus hull containing p, None when absent."""
-    if p.x * p.x + p.y * p.y > 1:
-        raise OutsideDiscError(p)
     hp = _h_from_plane(p)
+    if not _h_in_disc(hp):
+        raise OutsideDiscError(p)
     return (
         _locate_in_hulls(fp.index.hulls("plus"), hp),
         _locate_in_hulls(fp.index.hulls("minus"), hp),

@@ -16,9 +16,9 @@ from math import gcd
 from typing import Union
 
 from .circle import CirclePoint, complementary_intervals, separates
-from .errors import GroupOrderNotTotalError, OutsideDiscError
-from .family import FamilyPair, PairIndex
-from .hullgeom import PlanePoint, _h_from_plane, _locate_in_hulls, param_to_point
+from .errors import GroupOrderNotTotalError
+from .family import FamilyPair
+from .hullgeom import PlanePoint, _h_from_plane, _h_line, locate, param_to_point
 
 __all__ = [
     "MappedTo",
@@ -61,28 +61,21 @@ def result_to_json(r: StraightenResult) -> dict:
     return {"result": "not_in_domain"}
 
 
-def _straighten_with(index: PairIndex, p: PlanePoint) -> StraightenResult:
-    if p.x * p.x + p.y * p.y > 1:
-        raise OutsideDiscError(p)
-    hp = _h_from_plane(p)
-    i = _locate_in_hulls(index.hulls("plus"), hp)
-    j = _locate_in_hulls(index.hulls("minus"), hp)
-    if i is not None and j is not None:
-        if (i, j) in index.interior:
-            return MappedTo((i, j))
-        s = index.boundary.get((i, j))
-        if s is not None and p == param_to_point(s):
-            return OnBoundary(s)
-    return NotInDomain()
-
-
 def straighten_point(fp: FamilyPair, p: PlanePoint) -> StraightenResult:
     """Collapse p to its Z-point when p lies in a linked cell.
 
     Points on the circle at a shared marked point of an intersecting pair
     land on the boundary; everything else is outside the domain.
     """
-    return _straighten_with(fp.index, p)
+    i, j = locate(fp, p)
+    if i is not None and j is not None:
+        index = fp.index
+        if (i, j) in index.interior:
+            return MappedTo((i, j))
+        s = index.boundary.get((i, j))
+        if s is not None and p == param_to_point(s):
+            return OnBoundary(s)
+    return NotInDomain()
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +159,9 @@ def _arc_sort_key(start: CirclePoint):
     return key
 
 
-def _leaf_graph(index: PairIndex, family: str, element: int) -> LeafGraph:
-    fp = index.fp
-    fiber = index.fiber(family, element)
+def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
+    """Build the leaf tree over the fiber of one element."""
+    fiber = fp.index.fiber(family, element)
     lam = fp.family(family)[element]
     if family == "plus":
         opp_sets = fp.minus
@@ -248,11 +241,6 @@ def _leaf_graph(index: PairIndex, family: str, element: int) -> LeafGraph:
     return LeafGraph(family, element, vertices, virtual_count, edges)
 
 
-def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
-    """Build the leaf tree over the fiber of one element."""
-    return _leaf_graph(fp.index, family, element)
-
-
 # ---------------------------------------------------------------------------
 # layout
 
@@ -307,10 +295,8 @@ class StraightenedDisc:
 
 def _line_key(hp: tuple, hq: tuple) -> tuple:
     # canonical integer line through two distinct homogeneous points
-    a = hp[1] * hq[2] - hp[2] * hq[1]
-    b = hp[2] * hq[0] - hp[0] * hq[2]
-    c = hp[0] * hq[1] - hp[1] * hq[0]
-    g = gcd(gcd(abs(a), abs(b)), abs(c))
+    a, b, c = _h_line(hp, hq)
+    g = gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
     if (a or b or c) < 0:
         a, b, c = -a, -b, -c
@@ -460,8 +446,8 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
         anchors[(i, j)] = s
     assert len({p.key() for p in lay.values()}) == len(lay), "layout collision"
 
-    leaves_plus = tuple(_leaf_graph(index, "plus", i) for i in range(disc.n_plus))
-    leaves_minus = tuple(_leaf_graph(index, "minus", j) for j in range(disc.n_minus))
+    leaves_plus = tuple(leaf_graph(fp, "plus", i) for i in range(disc.n_plus))
+    leaves_minus = tuple(leaf_graph(fp, "minus", j) for j in range(disc.n_minus))
 
     virtual_positions = {}
     for leaf in leaves_plus + leaves_minus:
@@ -525,7 +511,7 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
         cell = cells[z]
         for p in list(cell.vertices) + [cell.barycenter()]:
             sampled += 1
-            r = _straighten_with(index, p)
+            r = straighten_point(fp, p)
             if r != MappedTo(z):
                 failures.append({"clause": "constant", "z": list(z),
                                  "point": p.to_json(), "got": result_to_json(r)})

@@ -17,7 +17,7 @@ from .circle import point as circle_point
 from .errors import MalformedInputError
 from .family import FamilyPair, especial_disc, prong_count, validate
 from .hullgeom import PlanePoint, _h_from_plane, _h_norm, _h_to_plane
-from .straighten import MappedTo, _straighten_with
+from .straighten import MappedTo, straighten_point
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
 
@@ -228,7 +228,7 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
         cell = cells[(i, j)]
         target = (perm_plus[i], perm_minus[j])
         for p in list(cell.vertices) + [cell.barycenter()]:
-            r = _straighten_with(index, g.plane_apply(p))
+            r = straighten_point(fp, g.plane_apply(p))
             if r != MappedTo(target):
                 failures.append({"kind": "StraightenMismatch", "z": [i, j],
                                  "expected": list(target)})

@@ -7,8 +7,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from circlink import especial_disc, gen_grid
+from circlink import (
+    DisjointLinked,
+    FamilyPair,
+    IntersectingAt,
+    classify_pair,
+    especial_disc,
+    gen_grid,
+    random_family_pair,
+)
 from circlink.cli import main
+from circlink.generators import random_circle_map
 
 
 def run(capsys, *argv):
@@ -100,6 +109,32 @@ def test_classify_mixed(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)["pairs"]
     assert rows == [{"plus": 0, "minus": 0, "class": "intersecting", "point": "1"}]
+
+
+def test_classify_matches_classify_pair_loop(tmp_path, capsys):
+    # the command reads the index; classify_pair, pair by pair, is the oracle
+    touching = {"plus": [["0", "3"], ["4", "7"]], "minus": [["3", "5"], ["7", "10"]]}
+    pairs = [random_family_pair(seed) for seed in range(30)]
+    pairs += [random_circle_map(seed).apply_pair(FamilyPair.from_json(touching))
+              for seed in range(10)]
+    seen = set()
+    for k, fp in enumerate(pairs):
+        rows = []
+        for i in range(len(fp.plus)):
+            for j in range(len(fp.minus)):
+                c = classify_pair(fp, i, j)
+                row = {"plus": i, "minus": j, "class": "unlinked"}
+                if isinstance(c, IntersectingAt):
+                    row.update({"class": "intersecting", "point": str(c.point)})
+                elif isinstance(c, DisjointLinked):
+                    row.update({"class": "linked", "n": c.n})
+                rows.append(row)
+                seen.add(row["class"])
+        path = write_pair(tmp_path, "pair%d.json" % k, fp.to_json())
+        code, out = run(capsys, "classify", path)
+        assert code == 0
+        assert out == json.dumps({"pairs": rows}, sort_keys=True, indent=2) + "\n"
+    assert seen == {"intersecting", "linked", "unlinked"}
 
 
 def test_disc_matches_library(tmp_path, capsys):

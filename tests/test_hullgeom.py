@@ -2,12 +2,17 @@
 
 The chord-crossing oracle below solves the two-segment system with Fractions
 and Cramer's rule, sharing no code with the clipping ladder in the library.
+The clipping oracle builds each intersection from scratch: the vertices each
+cell holds of the other plus every edge-by-edge meet, hulled.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circlink import (
     INF,
@@ -28,6 +33,7 @@ from circlink import (
     random_set_pair,
     validate,
 )
+from circlink.hullgeom import _cell_contains_h, _cell_from_h, _seg_seg
 
 F = Fraction
 
@@ -191,6 +197,66 @@ def test_mini_hull_linking_oracle():
         assert got == want
         agree += 1
     assert agree > 400
+
+
+def _edges(cell):
+    hv = cell._h
+    if cell.dim == 0:
+        return []
+    if cell.dim == 1:
+        return [hv]
+    return [(hv[k - 1], hv[k]) for k in range(len(hv))]
+
+
+def clip_oracle(a, b):
+    """Brute-force intersection of two convex cells, None when empty."""
+    pts = [h for h in a._h if _cell_contains_h(b, h)]
+    pts += [h for h in b._h if _cell_contains_h(a, h)]
+    for e in _edges(a):
+        for f in _edges(b):
+            pts += _seg_seg(e[0], e[1], f[0], f[1])
+    return _cell_from_h(pts)
+
+
+# a small shared pool, so drawn hulls share vertices and whole edges
+POOL = sorted({point(F(n, d)) for n in range(-3, 4) for d in (1, 2)}) + [INF]
+hull_sets = st.lists(st.sampled_from(POOL), min_size=1, max_size=6, unique=True).map(CircleSet)
+
+
+def _as_json(cell):
+    return None if cell is None else cell.to_json()
+
+
+@settings(max_examples=300)
+@given(hull_sets, hull_sets, hull_sets)
+@example(CircleSet([0, 2]), CircleSet([0, 2, 5]), CircleSet([1]))       # segment on an edge
+@example(CircleSet([0, 1, 2]), CircleSet([1, 2, 3]), CircleSet([0, 3]))  # shared edge
+@example(CircleSet([0, 2, 4]), CircleSet([1, 3, 5]), CircleSet([0, 3]))  # hexagon, then a chord
+@example(CircleSet([0]), CircleSet([0, 1, 2]), CircleSet([INF]))        # shared vertex
+def test_cell_intersection_matches_brute_force_oracle(a_set, b_set, c_set):
+    a, b, c = hull(a_set), hull(b_set), hull(c_set)
+    ab = cell_intersection(a, b)
+    assert _as_json(ab) == _as_json(clip_oracle(a, b))
+    assert _as_json(cell_intersection(b, a)) == _as_json(ab)
+    if ab is not None:
+        # a cell cut from two hulls has vertices inside the disc as well
+        abc = cell_intersection(ab, c)
+        assert _as_json(abc) == _as_json(clip_oracle(ab, c))
+        assert _as_json(cell_intersection(c, ab)) == _as_json(abc)
+
+
+def test_clipping_oracle_sees_every_dimension_pair():
+    # seeded draws from the same pool reach every pairing of point, segment
+    # and polygon, including the touching and collinear ones
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(2000):
+        a, b = (hull(CircleSet(rng.sample(POOL, rng.randint(1, 6)))) for _ in range(2))
+        ab = cell_intersection(a, b)
+        assert _as_json(ab) == _as_json(clip_oracle(a, b))
+        seen.add((min(a.dim, b.dim), max(a.dim, b.dim), None if ab is None else ab.dim))
+    assert seen == {(d, e, f) for d in range(3) for e in range(d, 3)
+                    for f in (None, 0, 1, 2) if f is None or f <= d}
 
 
 # ── point location ───────────────────────────────────────────────────────
