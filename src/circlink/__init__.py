@@ -34,6 +34,7 @@ from .errors import (
     EmptyLinkedCellError,
     FamilyValidationError,
     GroupOrderNotTotalError,
+    InvariantViolation,
     MalformedInputError,
     NotDisjointError,
     NotInteriorError,
@@ -101,8 +102,8 @@ __all__ = [
     "complementary_intervals", "cyclic_order", "in_interval", "link_number",
     "link_number_counts", "linked", "open_interval", "point", "separates",
     "CirclinkError", "EmptyLinkedCellError", "FamilyValidationError",
-    "GroupOrderNotTotalError", "MalformedInputError", "NotDisjointError",
-    "NotInteriorError", "NotLinearlyOrderedError", "OutsideDiscError",
+    "GroupOrderNotTotalError", "InvariantViolation", "MalformedInputError",
+    "NotDisjointError", "NotInteriorError", "NotLinearlyOrderedError", "OutsideDiscError",
     "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",
     "IntersectingAt", "NestingReport", "PairIndex", "classify_pair", "especial_disc",
     "fiber_minus", "fiber_plus", "nesting_report", "prong_count",

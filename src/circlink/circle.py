@@ -10,14 +10,13 @@ nothing in this module touches floating point.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import MalformedInputError, NotDisjointError
+from .errors import InvariantViolation, MalformedInputError, NotDisjointError
 
 __all__ = [
     "Orientation",
@@ -34,6 +33,13 @@ __all__ = [
     "link_number",
     "link_number_counts",
     "separates",
+    "rank_table",
+    "rank_gap",
+    "rank_linked",
+    "rank_counts",
+    "rank_mixed",
+    "agreed_link_number",
+    "rank_separates",
 ]
 
 
@@ -250,14 +256,10 @@ class CircleSet:
         Interval t runs from points[t] to points[(t + 1) % len]; anything
         past the last point or before the first belongs to the wrap interval.
         """
-        pts = self.points
-        m = len(pts)
-        i = bisect_left(pts, x)
-        if i < m and pts[i] == x:
+        if x in self:
             raise ValueError("%s is a member, not in any complementary interval" % x)
-        if i == 0 or i == m:
-            return m - 1
-        return i - 1
+        mine, (r,) = rank_table((self.points, (x,)))[1]
+        return rank_gap(mine, r)
 
     def intersection(self, other: "CircleSet") -> tuple:
         mine = set(self.points)
@@ -283,12 +285,122 @@ def complementary_intervals(a_set: CircleSet) -> list:
     return [OrientedInterval(pts[t], pts[(t + 1) % m]) for t in range(m)]
 
 
-def _merge_flags(a_set: CircleSet, b_set: CircleSet):
-    """Distinct points of the union in linear order, with membership flags."""
-    in_a = set(a_set.points)
-    in_b = set(b_set.points)
-    merged = sorted(in_a | in_b)
-    return merged, [p in in_a for p in merged], [p in in_b for p in merged]
+# ---------------------------------------------------------------------------
+# rank space
+#
+# Sorting the distinct points of some sets once numbers them in circle order;
+# each set is then the sorted tuple of its ranks. Ranks compare exactly as
+# the points do, so the kernels below decide every predicate on small ints.
+# The CircleSet functions after them rank their own union and call the same
+# kernels; families rank all their points once (see family.PairIndex).
+
+
+def rank_table(groups) -> tuple:
+    """Number the distinct points of the given groups in circle order.
+
+    Each group is a sorted sequence of points, such as CircleSet.points.
+    Returns (points, ranked): points[r] is the point of rank r, and
+    ranked[k] is the sorted rank tuple of groups[k].
+    """
+    points = tuple(sorted({p for g in groups for p in g}))
+    rank = {p: r for r, p in enumerate(points)}
+    return points, tuple(tuple([rank[p] for p in g]) for g in groups)
+
+
+def rank_gap(a: tuple, x: int) -> int:
+    """Complementary interval of the rank tuple a holding rank x, not in a.
+
+    Interval t runs from a[t] to a[(t + 1) % len(a)]; ranks before the first
+    or past the last belong to the wrap interval, the last one.
+    """
+    i = bisect_left(a, x)
+    return i - 1 if 0 < i < len(a) else len(a) - 1
+
+
+def _alternates(a: tuple, b: tuple) -> bool:
+    # a < b < a < b in the linear order, each matched leftmost
+    j = bisect_right(b, a[0])
+    if j == len(b):
+        return False
+    k = bisect_right(a, b[j])
+    return k < len(a) and a[k] < b[-1]
+
+
+def rank_linked(a: tuple, b: tuple) -> bool:
+    """Four distinct ranks alternate a, b, a, b around the circle.
+
+    A shared rank can play either role. Cyclically, the pattern is
+    a, b, a, b or b, a, b, a in the linear order.
+    """
+    return _alternates(a, b) or _alternates(b, a)
+
+
+def _runs(a: tuple, b: tuple) -> tuple:
+    # cyclically consecutive ranks of the union of disjoint a and b that go
+    # from a to b, and from b to a
+    in_a = set(a)
+    flags = [x in in_a for x in sorted(a + b)]
+    a_to_b = b_to_a = 0
+    prev = flags[-1]
+    for f in flags:
+        if prev and not f:
+            a_to_b += 1
+        elif f and not prev:
+            b_to_a += 1
+        prev = f
+    return a_to_b, b_to_a
+
+
+def rank_counts(a: tuple, b: tuple) -> tuple:
+    """The four interval counts of disjoint rank tuples; see link_number_counts."""
+    c1 = len({rank_gap(a, x) for x in b})
+    c2 = len({rank_gap(b, x) for x in a})
+    c3, c4 = _runs(a, b)
+    return c1, c2, c3, c4
+
+
+def rank_mixed(a: tuple, b: tuple) -> int:
+    """Complementary intervals of the union of disjoint a and b that run from
+    one to the other, in either direction (c3 + c4)."""
+    a_to_b, b_to_a = _runs(a, b)
+    return a_to_b + b_to_a
+
+
+def agreed_link_number(counts: tuple, z=None) -> int:
+    """The linking number, once the four interval counts agree.
+
+    Raises InvariantViolation with the counts (and the Z-point z, if given)
+    when they do not.
+    """
+    c1, c2, c3, c4 = counts
+    if not c1 == c2 == c3 == c4:
+        raise InvariantViolation("four interval counts agree", counts, z)
+    return c1
+
+
+def _home(barrier: tuple, s: tuple):
+    # the one complementary interval of barrier holding all of s (disjoint
+    # from it), or None
+    m = len(barrier)
+    i = bisect_left(barrier, s[0])
+    k = bisect_left(barrier, s[-1])
+    if i == k:
+        # s lies between the same two barrier ranks
+        return rank_gap(barrier, s[0])
+    if i == 0 and k == m and bisect_left(s, barrier[0]) == bisect_left(s, barrier[-1]):
+        # s wraps around, with no rank between barrier[0] and barrier[-1]
+        return m - 1
+    return None
+
+
+def rank_separates(barrier: tuple, first: tuple, second: tuple) -> bool:
+    """Pairwise disjoint rank tuples: first and second each sit inside one
+    complementary interval of the barrier, and the two intervals differ."""
+    g = _home(barrier, first)
+    if g is None:
+        return False
+    h = _home(barrier, second)
+    return h is not None and h != g
 
 
 def linked(a_set: CircleSet, b_set: CircleSet) -> bool:
@@ -298,26 +410,7 @@ def linked(a_set: CircleSet, b_set: CircleSet) -> bool:
     cyclic order A, B, A, B. Sets may intersect; shared points can play
     either role but each position is used once.
     """
-    merged, flag_a, flag_b = _merge_flags(a_set, b_set)
-    m = len(merged)
-    if m < 4:
-        return False
-    pre_b = list(accumulate((1 if f else 0 for f in flag_b), initial=0))
-    total_b = pre_b[m]
-    if total_b < 2:
-        return False
-    a_positions = [t for t in range(m) if flag_a[t]]
-    if len(a_positions) < 2:
-        return False
-    for u in range(len(a_positions) - 1):
-        i = a_positions[u]
-        for v in range(u + 1, len(a_positions)):
-            k = a_positions[v]
-            inside = pre_b[k] - pre_b[i + 1]
-            outside = pre_b[i] + (total_b - pre_b[k + 1])
-            if inside > 0 and outside > 0:
-                return True
-    return False
+    return rank_linked(*rank_table((a_set.points, b_set.points))[1])
 
 
 def link_number_counts(a_set: CircleSet, b_set: CircleSet) -> tuple:
@@ -331,29 +424,12 @@ def link_number_counts(a_set: CircleSet, b_set: CircleSet) -> tuple:
     shared = a_set.intersection(b_set)
     if shared:
         raise NotDisjointError(shared)
-
-    c1 = len({a_set.gap_index(q) for q in b_set.points})
-    c2 = len({b_set.gap_index(p) for p in a_set.points})
-
-    merged, flag_a, _ = _merge_flags(a_set, b_set)
-    m = len(merged)
-    c3 = 0
-    c4 = 0
-    for t in range(m):
-        first_in_a = flag_a[t]
-        second_in_a = flag_a[(t + 1) % m]
-        if first_in_a and not second_in_a:
-            c3 += 1
-        elif second_in_a and not first_in_a:
-            c4 += 1
-    return c1, c2, c3, c4
+    return rank_counts(*rank_table((a_set.points, b_set.points))[1])
 
 
 def link_number(a_set: CircleSet, b_set: CircleSet) -> int:
     """Linking number of a disjoint pair; n == 1 means unlinked."""
-    c1, c2, c3, c4 = link_number_counts(a_set, b_set)
-    assert c1 == c2 == c3 == c4, "interval counts disagree: %s" % ((c1, c2, c3, c4),)
-    return c1
+    return agreed_link_number(link_number_counts(a_set, b_set))
 
 
 def separates(barrier: CircleSet, first: CircleSet, second: CircleSet) -> bool:
@@ -367,10 +443,4 @@ def separates(barrier: CircleSet, first: CircleSet, second: CircleSet) -> bool:
         shared = x.intersection(y)
         if shared:
             raise NotDisjointError(shared)
-    gaps_first = {barrier.gap_index(p) for p in first.points}
-    if len(gaps_first) != 1:
-        return False
-    gaps_second = {barrier.gap_index(p) for p in second.points}
-    if len(gaps_second) != 1:
-        return False
-    return gaps_first != gaps_second
+    return rank_separates(*rank_table((barrier.points, first.points, second.points))[1])

@@ -74,6 +74,21 @@ class FamilyValidationError(CirclinkError):
         super().__init__("invalid family pair: %s" % lines)
 
 
+class InvariantViolation(CirclinkError):
+    """A stated invariant failed on exact data; this is a bug, not bad input.
+
+    invariant names the rule, counts holds the values that break it and z
+    the Z-point they were computed for (None when there is none).
+    """
+
+    def __init__(self, invariant, counts, z=None):
+        self.invariant = invariant
+        self.counts = tuple(counts)
+        self.z = tuple(z) if z is not None else None
+        where = " at (%d, %d)" % self.z if self.z is not None else ""
+        super().__init__("invariant '%s' fails%s: %s" % (invariant, where, self.counts))
+
+
 class MalformedInputError(CirclinkError):
     """Input text or JSON does not match the documented wire format."""
 

@@ -6,9 +6,10 @@ intersections have at most one point. The pair classification across the
 two families produces the finite analogue of a decomposition disc: interior
 points are the disjoint linked pairs, boundary points the intersecting ones.
 
-Everything derived from one pair (the disc, its lookup maps, the fibers,
-the hulls and the linked cells) lives in the pair's PairIndex, built on first
-use and at most once, so every stage reads one copy instead of rebuilding it.
+Everything derived from one pair (the rank table, the disc, its lookup maps,
+the fibers, the hulls and the linked cells) lives in the pair's PairIndex,
+built on first use and at most once, so every stage reads one copy instead
+of rebuilding it. Predicates run on the rank tuples of the table.
 """
 
 from __future__ import annotations
@@ -21,14 +22,18 @@ from typing import Optional, Sequence, Union
 from .circle import (
     CirclePoint,
     CircleSet,
+    agreed_link_number,
     complementary_intervals,
-    link_number,
-    link_number_counts,
-    linked,
-    separates,
+    rank_counts,
+    rank_gap,
+    rank_linked,
+    rank_mixed,
+    rank_separates,
+    rank_table,
 )
 from .errors import (
     FamilyValidationError,
+    InvariantViolation,
     MalformedInputError,
     NotInteriorError,
     NotLinearlyOrderedError,
@@ -170,34 +175,58 @@ class FamilyPair:
         return validate(plus, minus, plus_labels, minus_labels)
 
 
-def _within_family_violations(sets: Sequence[CircleSet], name: str) -> list:
+def _within_family_violations(index: "PairIndex", name: str) -> list:
+    if len(index.fp.family(name)) < 2:
+        # no pair to check; the rank table waits for its first real use
+        return []
+    points = index.points
+    ranked = index.ranks(name)
     out = []
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            shared = sets[i].intersection(sets[j])
-            if shared:
+    for i, a in enumerate(ranked):
+        members = frozenset(a)
+        for j in range(i + 1, len(ranked)):
+            b = ranked[j]
+            if not members.isdisjoint(b):
+                shared = tuple(points[r] for r in b if r in members)
                 out.append(Violation("WithinFamilyOverlap", name, i, j, shared))
-            if linked(sets[i], sets[j]):
+            if rank_linked(a, b):
                 out.append(Violation("WithinFamilyLinked", name, i, j))
     return out
 
 
+def _cross_violations(plus: Sequence[CircleSet], minus: Sequence[CircleSet]) -> list:
+    # the points each cross pair shares, found from the plus sets holding each
+    # point rather than pair by pair; witnesses keep the minus set's order
+    holders = {}
+    for i, s in enumerate(plus):
+        for p in s.points:
+            holders.setdefault(p, []).append(i)
+    shared = {}
+    for j, s in enumerate(minus):
+        for q in s.points:
+            for i in holders.get(q, ()):
+                shared.setdefault((i, j), []).append(q)
+    return [Violation("CrossIntersectionTooBig", "cross", i, j, tuple(pts))
+            for (i, j), pts in sorted(shared.items()) if len(pts) > 1]
+
+
 def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
-    """Check every admissibility clause; collect all violations before failing."""
+    """Check every admissibility clause; collect all violations before failing.
+
+    The within-family checks run on the rank table of the new pair's index,
+    which the pair keeps.
+    """
     plus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in plus]
     minus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in minus]
     if not plus or not minus:
         raise ValueError("both families must be nonempty")
-    violations = _within_family_violations(plus, "plus")
-    violations += _within_family_violations(minus, "minus")
-    for i, p in enumerate(plus):
-        for j, m in enumerate(minus):
-            shared = p.intersection(m)
-            if len(shared) > 1:
-                violations.append(Violation("CrossIntersectionTooBig", "cross", i, j, shared))
+    fp = FamilyPair(plus, minus, plus_labels, minus_labels)
+    violations = _within_family_violations(fp.index, "plus")
+    violations += _within_family_violations(fp.index, "minus")
+    violations += _cross_violations(plus, minus)
     if violations:
         raise FamilyValidationError(violations)
-    return FamilyPair(plus, minus, plus_labels, minus_labels)
+    return fp
 
 
 @dataclass(frozen=True)
@@ -223,22 +252,27 @@ def _check_index(n: int, idx: int, what: str) -> None:
         raise IndexError("%s index %d out of range [0, %d)" % (what, idx, n))
 
 
-def _classify(p: CircleSet, m: CircleSet) -> PairClass:
-    shared = p.intersection(m)
-    if shared:
-        # validation admits at most one shared point per cross pair
-        return IntersectingAt(shared[0])
-    n = link_number(p, m)
-    if n == 1:
-        return DisjointUnlinked()
-    return DisjointLinked(n)
+def _meet_or_link(points: tuple, a: tuple, members: frozenset, b: tuple, z: tuple):
+    """The first shared point of rank tuples a and b (members is set(a)), or
+    their linking number when they are disjoint."""
+    if members.isdisjoint(b):
+        return agreed_link_number(rank_counts(a, b), z)
+    # validation admits at most one shared point per cross pair
+    return points[next(r for r in b if r in members)]
 
 
 def classify_pair(fp: FamilyPair, i: int, j: int) -> PairClass:
     """Classify the cross pair (plus element i, minus element j)."""
     _check_index(len(fp.plus), i, "plus")
     _check_index(len(fp.minus), j, "minus")
-    return _classify(fp.plus[i], fp.minus[j])
+    index = fp.index
+    a = index.ranks("plus")[i]
+    c = _meet_or_link(index.points, a, frozenset(a), index.ranks("minus")[j], (i, j))
+    if isinstance(c, CirclePoint):
+        return IntersectingAt(c)
+    if c == 1:
+        return DisjointUnlinked()
+    return DisjointLinked(c)
 
 
 class EspecialDisc:
@@ -290,25 +324,36 @@ class EspecialDisc:
 def especial_disc(fp: FamilyPair, workers: int = 0) -> EspecialDisc:
     """Classify every cross pair, row by row, in one thread.
 
+    The disc becomes the pair's index disc, so a pair is classified once
+    however its stages are called; a later call returns the same disc.
     workers is accepted and ignored: threads gave no speed-up under the GIL,
     and the output never depended on it.
     """
-    interior = []
-    boundary = []
-    for i, p in enumerate(fp.plus):
-        for j, m in enumerate(fp.minus):
-            c = _classify(p, m)
-            if isinstance(c, DisjointLinked):
-                interior.append((i, j, c.n))
-            elif isinstance(c, IntersectingAt):
-                boundary.append((i, j, c.point))
-    return EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+    index = fp.index
+    if index._disc is None:
+        points = index.points
+        minus = index.ranks("minus")
+        interior = []
+        boundary = []
+        for i, a in enumerate(index.ranks("plus")):
+            members = frozenset(a)
+            for j, b in enumerate(minus):
+                c = _meet_or_link(points, a, members, b, (i, j))
+                if isinstance(c, CirclePoint):
+                    boundary.append((i, j, c))
+                elif c != 1:
+                    interior.append((i, j, c))
+        index._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+    return index._disc
 
 
 class PairIndex:
     """What the stages share about one family pair, each piece built once.
 
-    Every piece is built on first use. The disc comes from especial_disc;
+    Every piece is built on first use. points and ranks() are the rank
+    table: every distinct marked point of both families in circle order,
+    and each element as the sorted tuple of its ranks (validate builds it
+    for its within-family checks). The disc comes from especial_disc;
     interior and boundary map (i, j) to the linking number and to the shared
     circle point; fiber() gives the Z-points of one element, all fibers
     built in one pass over Z; hulls() gives one family's convex hulls. Maps
@@ -320,11 +365,12 @@ class PairIndex:
     for its caller alone.
     """
 
-    __slots__ = ("fp", "_disc", "_interior", "_boundary", "_fibers", "_hulls",
-                 "_cells", "_cell_keepers")
+    __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_fibers",
+                 "_hulls", "_cells", "_cell_keepers")
 
     def __init__(self, fp: FamilyPair):
         self.fp = fp
+        self._table = None
         self._disc = None
         self._interior = None
         self._boundary = None
@@ -332,6 +378,22 @@ class PairIndex:
         self._hulls = None
         self._cells = None
         self._cell_keepers = 0
+
+    def _rank_table(self) -> tuple:
+        if self._table is None:
+            plus, minus = self.fp.plus, self.fp.minus
+            points, ranked = rank_table([s.points for s in plus + minus])
+            self._table = (points, {"plus": ranked[:len(plus)], "minus": ranked[len(plus):]})
+        return self._table
+
+    @property
+    def points(self) -> tuple:
+        """The point of each rank, in circle order."""
+        return self._rank_table()[0]
+
+    def ranks(self, family: str) -> tuple:
+        """The sorted rank tuple of every element of one family, by index."""
+        return self._rank_table()[1][family]
 
     @property
     def disc(self) -> EspecialDisc:
@@ -423,18 +485,19 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     so that each one separates everything before it from everything after
     it. Raises NotLinearlyOrderedError when no such chain exists.
     """
-    sets = fp.family(family)
-    _check_index(len(sets), i, family)
-    _check_index(len(sets), j, family)
+    n = len(fp.family(family))
+    _check_index(n, i, family)
+    _check_index(n, j, family)
+    sets = fp.index.ranks(family)
     if i == j:
         return [i]
     middles = [k for k in range(len(sets))
-               if k != i and k != j and separates(sets[k], sets[i], sets[j])]
+               if k != i and k != j and rank_separates(sets[k], sets[i], sets[j])]
     if not middles:
         return [i, j]
 
     def between(a: int, b: int, c: int) -> bool:
-        return separates(sets[b], sets[a], sets[c])
+        return rank_separates(sets[b], sets[a], sets[c])
 
     ranked = sorted(middles, key=lambda k: sum(1 for m in middles if m != k and between(i, m, k)))
     chain = [i] + ranked + [j]
@@ -456,18 +519,20 @@ def prong_count(fp: FamilyPair, z: tuple, disc: Optional[EspecialDisc] = None) -
     """Number of prongs at an interior Z-point: twice its linking number.
 
     The count is the number of mixed complementary intervals of the union
-    (those running from one set to the other, in either direction), taken
-    from link_number_counts and asserted against the stored linking number.
-    Without a disc, the pair's index supplies the linking numbers.
+    (those running from one set to the other, in either direction), checked
+    against the stored linking number: InvariantViolation carries both when
+    the count is not 2 * n. Without a disc, the pair's index supplies the
+    linking numbers.
     """
-    interior = fp.index.interior if disc is None else disc.interior_map()
+    index = fp.index
+    interior = index.interior if disc is None else disc.interior_map()
     if tuple(z) not in interior:
         raise NotInteriorError(tuple(z))
     i, j = z
     n = interior[(i, j)]
-    _c1, _c2, c3, c4 = link_number_counts(fp.plus[i], fp.minus[j])
-    mixed = c3 + c4
-    assert mixed == 2 * n, "mixed interval count %d does not match 2 * %d" % (mixed, n)
+    mixed = rank_mixed(index.ranks("plus")[i], index.ranks("minus")[j])
+    if mixed != 2 * n:
+        raise InvariantViolation("mixed intervals = 2n", (mixed, n), (i, j))
     return mixed
 
 
@@ -522,23 +587,23 @@ def nesting_report(fp: FamilyPair) -> NestingReport:
     """
     entries = []
     for name in ("plus", "minus"):
-        sets = fp.family(name)
+        sets = fp.index.ranks(name)
         for e, lam in enumerate(sets):
             buckets = {g: [] for g in range(len(lam))}
             for k, other in enumerate(sets):
                 if k == e:
                     continue
-                gaps = {lam.gap_index(pt) for pt in other.points}
+                gaps = {rank_gap(lam, r) for r in other}
                 # family validity forces every other element into one gap
                 assert len(gaps) == 1
                 buckets[gaps.pop()].append(k)
-            intervals = complementary_intervals(lam)
+            intervals = complementary_intervals(fp.family(name)[e])
             for g, interval in enumerate(intervals):
                 inside = buckets[g]
                 separator = None
                 for k in inside:
                     for m in inside:
-                        if m != k and separates(sets[k], lam, sets[m]):
+                        if m != k and rank_separates(sets[k], lam, sets[m]):
                             separator = k
                             break
                     if separator is not None:

@@ -8,7 +8,7 @@ counts) is deterministic so renders can be snapshot-tested structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .family import FamilyPair
 from .hullgeom import PlanePoint, param_to_point
@@ -86,7 +86,7 @@ class _Canvas:
     def text(self, eid: str, p: PlanePoint, content: str, color: str) -> None:
         x, y = self.px(p)
         self.parts.append('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>'
-                          % (eid, _fmt(x), _fmt(y), color, escape(content)))
+                          % (eid, _fmt(x), _fmt(y), color, escape(content, quote=False)))
 
     def open_group(self, gid: str) -> None:
         self.parts.append('<g id="%s">' % gid)

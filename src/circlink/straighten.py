@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .circle import CirclePoint, complementary_intervals, separates
+from .circle import CirclePoint, rank_gap, rank_separates
 from .errors import GroupOrderNotTotalError
 from .family import FamilyPair
 from .hullgeom import PlanePoint, _h_from_plane, _h_line, locate, param_to_point
@@ -152,32 +152,29 @@ class LeafGraph:
         }
 
 
-def _arc_sort_key(start: CirclePoint):
-    # order along the circle starting just after `start`; INF sorts greatest
-    def key(p: CirclePoint):
-        return (0 if start < p else 1, p)
-    return key
-
-
 def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
-    """Build the leaf tree over the fiber of one element."""
-    fiber = fp.index.fiber(family, element)
-    lam = fp.family(family)[element]
+    """Build the leaf tree over the fiber of one element.
+
+    Every predicate runs on the rank tuples of the pair's index.
+    """
+    index = fp.index
+    fiber = index.fiber(family, element)
+    lam = index.ranks(family)[element]
     if family == "plus":
-        opp_sets = fp.minus
+        opp_sets = index.ranks("minus")
         opp_of = lambda z: z[1]
     else:
-        opp_sets = fp.plus
+        opp_sets = index.ranks("plus")
         opp_of = lambda z: z[0]
     if not fiber:
         return LeafGraph(family, element, (), 0, ())
 
     # sector signature: which complementary intervals of lam the opposite
     # element meets (shared marked points sit on lam itself and don't count)
+    on_lam = set(lam)
     gap_pts = {}
     for z in fiber:
-        gap_pts[z] = [(lam.gap_index(p), p)
-                      for p in opp_sets[opp_of(z)].points if p not in lam]
+        gap_pts[z] = [(rank_gap(lam, r), r) for r in opp_sets[opp_of(z)] if r not in on_lam]
 
     groups = {}
     for z in fiber:
@@ -186,7 +183,6 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
         groups.setdefault(key, []).append(z)
     group_keys = sorted(groups)
 
-    gaps = None
     chains = []
     for key in group_keys:
         members = groups[key]
@@ -194,20 +190,21 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
             chains.append(members)
             continue
         g0 = key[0][0]
-        if gaps is None:
-            gaps = complementary_intervals(lam)
-        start = gaps[g0].a
-        arc_key = _arc_sort_key(start)
+        start = lam[g0]
+
+        def arc_key(r):
+            # order along the circle starting just after lam[g0]
+            return (0 if start < r else 1, r)
 
         def first_point(z):
-            return min((p for g, p in gap_pts[z] if g == g0), key=arc_key)
+            return min((r for g, r in gap_pts[z] if g == g0), key=arc_key)
 
         chain = sorted(members, key=lambda z: arc_key(first_point(z)))
         for t in range(1, len(chain) - 1):
             a = opp_sets[opp_of(chain[t - 1])]
             b = opp_sets[opp_of(chain[t])]
             c = opp_sets[opp_of(chain[t + 1])]
-            if not separates(b, a, c):
+            if not rank_separates(b, a, c):
                 raise GroupOrderNotTotalError((chain[t - 1], chain[t], chain[t + 1]))
         chains.append(chain)
 
@@ -230,7 +227,7 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
             def inner(end_z):
                 e = opp_sets[opp_of(end_z)]
                 return not any(
-                    separates(opp_sets[opp_of(m)], e, anchor)
+                    rank_separates(opp_sets[opp_of(m)], e, anchor)
                     for m in chain if m != end_z)
 
             lo, hi = inner(chain[0]), inner(chain[-1])

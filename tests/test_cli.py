@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON output, SVG snapshots."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -14,6 +15,7 @@ from circlink import (
     classify_pair,
     especial_disc,
     gen_grid,
+    nested_pair,
     random_family_pair,
 )
 from circlink.cli import main
@@ -333,6 +335,28 @@ def test_render_labels(tmp_path, capsys):
     assert "zlabel-1-1" in ids
 
 
+def test_render_escapes_labels_as_before(tmp_path, capsys):
+    # &, < and > are escaped; quotes stay as they are, exactly as the
+    # xml.sax.saxutils escape used before
+    from xml.sax.saxutils import escape
+
+    tricky = ["a&b", "<x>\"y'"]
+    plain = ["LABEL0", "LABEL1"]
+    outs = []
+    for k, labels in enumerate((tricky, plain)):
+        payload = dict(GRID2, plus_labels=labels, minus_labels=labels[::-1])
+        prefix = str(tmp_path / ("lab%d" % k))
+        code, _ = run(capsys, "render", write_pair(tmp_path, "p.json", payload),
+                      "--out", prefix, "--labels")
+        assert code == 0
+        outs.append(open(prefix + "-input.svg", "rb").read())
+    expected = outs[1]
+    for old, new in zip(plain, tricky):
+        expected = expected.replace((">%s<" % old).encode(), (">%s<" % escape(new)).encode())
+    assert outs[0] == expected
+    assert b">a&amp;b<" in outs[0] and b">&lt;x&gt;\"y'<" in outs[0]
+
+
 def test_render_rejects_invalid_family(tmp_path, capsys):
     path = write_pair(tmp_path, "bad.json", LINKED_PLUS)
     code, out = run(capsys, "render", path, "--out", str(tmp_path / "x"))
@@ -347,6 +371,44 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == TRIPOD
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_cli_import_skips_xml_and_urllib():
+    code = ("import sys, circlink.cli; "
+            "print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _cli_run(tmp_path, flags):
+    # validate, classify, disc and render on two fixtures in a fresh process
+    # each; returns every stdout and every SVG, as bytes
+    out = {}
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name, fp in (("grid6", gen_grid(6)), ("nested", nested_pair(3, 0))):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "pair.json").write_text(json.dumps(fp.to_json()), encoding="utf-8")
+        for cmd in (["validate"], ["classify"], ["disc"], ["render", "--out", "pic"]):
+            proc = subprocess.run([sys.executable] + flags + ["-m", "circlink", cmd[0], "pair.json"]
+                                  + cmd[1:], capture_output=True, cwd=work, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out[(name, cmd[0])] = proc.stdout
+        for svg in ("pic-input.svg", "pic-straightened.svg"):
+            out[(name, svg)] = (work / svg).read_bytes()
+    return out
+
+
+def test_optimised_interpreter_gives_identical_bytes(tmp_path):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "opt").mkdir()
+    plain = _cli_run(tmp_path / "plain", [])
+    assert plain == _cli_run(tmp_path / "opt", ["-O"])
 
 
 def test_unknown_subcommand_exits_two(capsys):

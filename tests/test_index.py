@@ -32,6 +32,7 @@ from circlink import (
     straighten_point,
     validate,
 )
+import pointwise_oracle as oracle
 from circlink import family, symmetry
 from circlink.generators import random_circle_map
 
@@ -49,8 +50,11 @@ FIXTURES = [gen_grid(3), gen_tripod(), gen_star(5), nested_pair(3, 1), gen_figur
 
 def assert_index_matches_oracles(fp):
     index = fp.index
-    disc = especial_disc(fp)
+    # especial_disc(fp) returns the index's own disc, so the all-pairs
+    # point-by-point classification is the oracle
+    disc = oracle.especial_disc(fp)
     assert index.disc == disc
+    assert especial_disc(fp) is index.disc
     assert dict(index.interior) == disc.interior_map()
     assert dict(index.boundary) == disc.boundary_map()
     # each fiber against a full scan of the disc
