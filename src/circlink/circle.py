@@ -4,7 +4,8 @@ Parameters are extended rationals: the one-point compactification of the
 rationals, with a single point INF sitting between the largest and the
 smallest finite parameter. The positive direction runs through increasing
 finite parameters, through INF, and wraps around. All predicates are exact;
-nothing in this module touches floating point.
+floats appear only as the sort key of rank_table, whose ties are ordered
+exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import re
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from functools import cmp_to_key
+from math import gcd, inf
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, MalformedInputError, NotDisjointError
@@ -295,16 +297,44 @@ def complementary_intervals(a_set: CircleSet) -> list:
 # kernels; families rank all their points once (see family.PairIndex).
 
 
+def _approx(key: tuple) -> float:
+    # the correctly rounded value of num/den: monotone in the exact value, so
+    # two floats can tie but never disagree with the exact order; INF is inf
+    num, den = key
+    if not den:
+        return inf
+    try:
+        return num / den
+    except OverflowError:
+        return inf if num > 0 else -inf
+
+
+def _cmp_exact(a: tuple, b: tuple) -> int:
+    if not (a[1] and b[1]):
+        return (not a[1]) - (not b[1])
+    d = a[0] * b[1] - b[0] * a[1]
+    return (d > 0) - (d < 0)
+
+
 def rank_table(groups) -> tuple:
     """Number the distinct points of the given groups in circle order.
 
     Each group is a sorted sequence of points, such as CircleSet.points.
     Returns (points, ranked): points[r] is the point of rank r, and
-    ranked[k] is the sorted rank tuple of groups[k].
+    ranked[k] is the sorted rank tuple of groups[k]. Points are sorted by
+    the float value of num/den; when two floats tie, an exact sort by
+    cross-multiplication follows.
     """
-    points = tuple(sorted({p for g in groups for p in g}))
-    rank = {p: r for r, p in enumerate(points)}
-    return points, tuple(tuple([rank[p] for p in g]) for g in groups)
+    by_key = {(p.num, p.den): p for g in groups for p in g}
+    keyed = sorted((_approx(k), k) for k in by_key)
+    keys = [k for _, k in keyed]
+    if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
+        # the list is in order but for runs of tied floats, so this exact
+        # sort compares little more than neighbours
+        keys.sort(key=cmp_to_key(_cmp_exact))
+    rank = {k: r for r, k in enumerate(keys)}
+    points = tuple(by_key[k] for k in keys)
+    return points, tuple(tuple([rank[p.num, p.den] for p in g]) for g in groups)
 
 
 def rank_gap(a: tuple, x: int) -> int:

@@ -356,7 +356,8 @@ class PairIndex:
     for its within-family checks). The disc comes from especial_disc;
     interior and boundary map (i, j) to the linking number and to the shared
     circle point; fiber() gives the Z-points of one element, all fibers
-    built in one pass over Z; hulls() gives one family's convex hulls. Maps
+    built in one pass over Z; hulls() gives one family's convex hulls and
+    locator() the point location over them, each family's built once. Maps
     are read-only views and sequences are tuples, so no consumer can change
     what the others read.
 
@@ -366,7 +367,7 @@ class PairIndex:
     """
 
     __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_fibers",
-                 "_hulls", "_cells", "_cell_keepers")
+                 "_hulls", "_locators", "_cells", "_cell_keepers")
 
     def __init__(self, fp: FamilyPair):
         self.fp = fp
@@ -376,6 +377,7 @@ class PairIndex:
         self._boundary = None
         self._fibers = None
         self._hulls = None
+        self._locators = {}
         self._cells = None
         self._cell_keepers = 0
 
@@ -438,6 +440,14 @@ class PairIndex:
             self._hulls = {name: tuple(hull(s) for s in self.fp.family(name))
                            for name in ("plus", "minus")}
         return self._hulls[family]
+
+    def locator(self, family: str):
+        """One family's exact point locator over its hulls (hullgeom.HullLocator)."""
+        loc = self._locators.get(family)
+        if loc is None:
+            from .hullgeom import HullLocator
+            loc = self._locators[family] = HullLocator(self, family)
+        return loc
 
     def cells(self) -> MappingProxyType:
         """The linked cell of every interior Z-point (see linked_cells)."""

@@ -10,14 +10,20 @@ meet of two lines. Fractions appear only at the public boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .circle import INF, CirclePoint, CircleSet
 from .circle import point as circle_point
-from .errors import EmptyLinkedCellError, MalformedInputError, OutsideDiscError
+from .errors import (
+    EmptyLinkedCellError,
+    InvariantViolation,
+    MalformedInputError,
+    OutsideDiscError,
+)
 from .family import EspecialDisc, FamilyPair
 
 __all__ = [
@@ -27,6 +33,7 @@ __all__ = [
     "point_to_param",
     "hull",
     "cell_intersection",
+    "HullLocator",
     "locate",
     "linked_cells",
 ]
@@ -223,11 +230,14 @@ class ConvexCell:
         return _cell_contains_h(self, _h_from_plane(p))
 
     def barycenter(self) -> PlanePoint:
-        n = len(self.vertices)
-        return PlanePoint(
-            sum(v.x for v in self.vertices) / n,
-            sum(v.y for v in self.vertices) / n,
-        )
+        if self.dim == 0:
+            return self.vertices[0]
+        # the mean over a common denominator of the integer triples
+        hv = self._h
+        common = lcm(*(h[2] for h in hv))
+        m = common * len(hv)
+        return PlanePoint(Fraction(sum(h[0] * (common // h[2]) for h in hv), m),
+                          Fraction(sum(h[1] * (common // h[2]) for h in hv), m))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "vertices": [v.to_json() for v in self.vertices]}
@@ -373,21 +383,150 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
 # families in the plane
 
 
-def _locate_in_hulls(hulls, hp: tuple) -> Optional[int]:
-    hits = [i for i, c in enumerate(hulls) if _cell_contains_h(c, hp)]
-    assert len(hits) <= 1, "hulls of a validated family overlap: %r" % hits
-    return hits[0] if hits else None
+# Point location (de Berg et al., Computational Geometry, ch. 6), specialised
+# to one family's hulls. Every point of the open chord from INF = (-1, 0) to
+# the circle point of parameter t has t = Y / (D + X), the half-angle map of
+# point_to_param. A hull meets that chord only when its set has finite points
+# on both sides of t (it straddles t), or holds both INF and t, when the chord
+# is one of its edges. The sets of a family with disjoint hulls nest: those
+# straddling t are the root-to-node path of a laminar forest, and they cut
+# the chord in disjoint pieces, outermost nearest INF. A query bisects the
+# ranked points for t, bisects that path on the edges bracketing t, and
+# tests the candidate's other edge: O(log) exact side tests, no float.
+
+
+def _param_position(points: tuple, y: int, x: int) -> int:
+    """Where the parameter y/x falls among the ranked points: 2r + 1 when it
+    equals points[r], 2r when it lies between ranks r - 1 and r.
+
+    x >= 0, and (1, 0) stands for INF; comparisons cross-multiply.
+    """
+    lo, hi = 0, len(points)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        q = points[mid]
+        d = y * q.den - q.num * x
+        if not d:
+            return 2 * mid + 1
+        if d < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * lo
+
+
+class HullLocator:
+    """Exact point location among the hulls of one family of a pair.
+
+    One sweep over the pair's ranks builds it and checks that the family's
+    hulls are pairwise disjoint: no rank has two owners, every set lies in
+    one gap of the innermost set enclosing it, and no set encloses one that
+    holds INF. A failure raises InvariantViolation("hull-overlap") with the
+    family and two of its set indices. paths[pos] lists the sets straddling
+    the parameter position pos (see _param_position), outermost first, or
+    at a rank of the set holding INF that set alone; every position shares
+    the tuple of its innermost set.
+    """
+
+    __slots__ = ("sets", "verts", "owner", "paths")
+
+    def __init__(self, index, family: str):
+        points = index.points
+        sets = index.ranks(family)
+        n = len(points)
+        finite = n - 1 if n and points[-1].is_infinite else n
+        owner = [None] * n
+        verts = [None] * n
+        for k, s in enumerate(sets):
+            for r in s:
+                if owner[r] is not None:
+                    raise InvariantViolation("hull-overlap", (family, owner[r], k))
+                owner[r] = k
+                verts[r] = _h_from_param(points[r])
+        inf_owner = owner[finite] if finite < n else None
+        # the chord from INF to a rank of the set holding INF is an edge or
+        # a diagonal of its hull, so that set is the path there
+        inf_path = (inf_owner,)
+        paths = [()] * (2 * finite + 1)
+        stack = [()]
+        for r in range(finite):
+            k = owner[r]
+            if k is None:
+                paths[2 * r + 1] = paths[2 * r + 2] = stack[-1]
+                continue
+            s = sets[k]
+            last = s[-2] if k == inf_owner else s[-1]
+            if r != s[0]:
+                inner = stack[-1][-1]
+                if inner != k:
+                    # a set opened inside k's gap is still open
+                    raise InvariantViolation("hull-overlap", (family, k, inner))
+                if r == last:
+                    stack.pop()
+            elif k == inf_owner and len(stack) > 1:
+                raise InvariantViolation("hull-overlap", (family, stack[-1][-1], k))
+            paths[2 * r + 1] = inf_path if k == inf_owner else stack[-1]
+            if r == s[0] and r != last:
+                stack.append(stack[-1] + (k,))
+            paths[2 * r + 2] = stack[-1]
+        self.sets = sets
+        self.verts = verts
+        self.owner = owner
+        self.paths = paths
+
+    def owner_at(self, pos: int) -> Optional[int]:
+        """The set holding the marked point at position pos, None if unmarked."""
+        return self.owner[pos >> 1] if pos & 1 else None
+
+    def find(self, h: tuple, pos: int) -> Optional[int]:
+        """The set whose hull holds h, strictly inside the disc, when the
+        chord parameter of h falls at position pos."""
+        path = self.paths[pos]
+        sets = self.sets
+        verts = self.verts
+        # first set on the path that h is not past the exit edge of: the
+        # edge bracketing pos, or the edge into pos when pos is a vertex of
+        # the set, which the whole chord lies left of
+        r = pos >> 1
+        lo, hi = 0, len(path)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            s = sets[path[mid]]
+            i = bisect_left(s, r)
+            if _orient(verts[s[i - 1]], verts[s[i]], h) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(path):
+            return None
+        # the bisection tested this set's exit edge; its entry edge, the one
+        # bracketing INF, decides (for a set holding INF, the edge from INF,
+        # which the chord lies on or left of)
+        k = path[lo]
+        s = sets[k]
+        return None if _orient(verts[s[-1]], verts[s[0]], h) < 0 else k
 
 
 def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
-    """Indices of the plus hull and minus hull containing p, None when absent."""
-    hp = _h_from_plane(p)
-    if not _h_in_disc(hp):
+    """Indices of the plus hull and minus hull containing p, None when absent.
+
+    A point on the circle is in a hull only at a vertex, so it needs the
+    rank of its parameter and the owner of that rank; an interior point asks
+    each family's HullLocator, built once by the pair's index.
+    """
+    h = _h_from_plane(p)
+    X, Y, D = h
+    rim = X * X + Y * Y - D * D
+    if rim > 0:
         raise OutsideDiscError(p)
-    return (
-        _locate_in_hulls(fp.index.hulls("plus"), hp),
-        _locate_in_hulls(fp.index.hulls("minus"), hp),
-    )
+    index = fp.index
+    plus = index.locator("plus")
+    minus = index.locator("minus")
+    # D + X == 0 only at INF itself, since p is in the closed disc
+    pos = _param_position(index.points, Y if X + D else 1, X + D)
+    if rim == 0:
+        return plus.owner_at(pos), minus.owner_at(pos)
+    return plus.find(h, pos), minus.find(h, pos)
 
 
 def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Union
 
 from .circle import CirclePoint, rank_gap, rank_separates
-from .errors import GroupOrderNotTotalError
+from .errors import GroupOrderNotTotalError, InvariantViolation
 from .family import FamilyPair
 from .hullgeom import PlanePoint, _h_from_plane, _h_line, locate, param_to_point
 
@@ -428,8 +428,9 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     """Deterministic exact layout of the especial disc.
 
     Interior Z-points sit at the barycenter of their linked cell, boundary
-    Z-points at the embedded shared circle point. Layout is injective, which
-    is asserted exactly.
+    Z-points at the embedded shared circle point. Layout is injective: when
+    two Z-points land on one position, InvariantViolation("layout-collision")
+    carries the first of them as its counts and the second as z.
     """
     index = fp.index
     disc = index.disc
@@ -441,7 +442,11 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     for i, j, s in disc.boundary:
         lay[(i, j)] = param_to_point(s)
         anchors[(i, j)] = s
-    assert len({p.key() for p in lay.values()}) == len(lay), "layout collision"
+    placed = {}
+    for z, p in lay.items():
+        other = placed.setdefault(p.key(), z)
+        if other != z:
+            raise InvariantViolation("layout-collision", other, z)
 
     leaves_plus = tuple(leaf_graph(fp, "plus", i) for i in range(disc.n_plus))
     leaves_minus = tuple(leaf_graph(fp, "minus", j) for j in range(disc.n_minus))

@@ -25,6 +25,13 @@ def gap_index(a_set: CircleSet, x) -> int:
     return i - 1
 
 
+def rank_table(groups) -> tuple:
+    """Ranks from one sort in the CirclePoint order itself."""
+    points = tuple(sorted({p for g in groups for p in g}))
+    rank = {p: r for r, p in enumerate(points)}
+    return points, tuple(tuple(rank[p] for p in g) for g in groups)
+
+
 def _merge_flags(a_set: CircleSet, b_set: CircleSet):
     in_a = set(a_set.points)
     in_b = set(b_set.points)

@@ -227,6 +227,13 @@ def _as_json(cell):
     return None if cell is None else cell.to_json()
 
 
+def assert_barycenter_is_fraction_mean(cell):
+    if cell is not None:
+        n = len(cell.vertices)
+        mean = pp(sum(v.x for v in cell.vertices) / n, sum(v.y for v in cell.vertices) / n)
+        assert cell.barycenter() == mean
+
+
 @settings(max_examples=300)
 @given(hull_sets, hull_sets, hull_sets)
 @example(CircleSet([0, 2]), CircleSet([0, 2, 5]), CircleSet([1]))       # segment on an edge
@@ -238,11 +245,14 @@ def test_cell_intersection_matches_brute_force_oracle(a_set, b_set, c_set):
     ab = cell_intersection(a, b)
     assert _as_json(ab) == _as_json(clip_oracle(a, b))
     assert _as_json(cell_intersection(b, a)) == _as_json(ab)
+    assert_barycenter_is_fraction_mean(a)
+    assert_barycenter_is_fraction_mean(ab)
     if ab is not None:
         # a cell cut from two hulls has vertices inside the disc as well
         abc = cell_intersection(ab, c)
         assert _as_json(abc) == _as_json(clip_oracle(ab, c))
         assert _as_json(cell_intersection(c, ab)) == _as_json(abc)
+        assert_barycenter_is_fraction_mean(abc)
 
 
 def test_clipping_oracle_sees_every_dimension_pair():
@@ -254,6 +264,7 @@ def test_clipping_oracle_sees_every_dimension_pair():
         a, b = (hull(CircleSet(rng.sample(POOL, rng.randint(1, 6)))) for _ in range(2))
         ab = cell_intersection(a, b)
         assert _as_json(ab) == _as_json(clip_oracle(a, b))
+        assert_barycenter_is_fraction_mean(ab)
         seen.add((min(a.dim, b.dim), max(a.dim, b.dim), None if ab is None else ab.dim))
     assert seen == {(d, e, f) for d in range(3) for e in range(d, 3)
                     for f in (None, 0, 1, 2) if f is None or f <= d}

@@ -1,0 +1,233 @@
+"""Exact point location against the hull scan it replaced.
+
+locate finds a point's hull from the parameter of the chord from INF through
+it (hullgeom.HullLocator). The oracle below is the earlier locate, which
+tested every hull of both families for every query and required at most one
+hit per family.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circlink import (
+    INF,
+    CircleMap,
+    CircleSet,
+    FamilyPair,
+    InvariantViolation,
+    OutsideDiscError,
+    PlanePoint,
+    cell_intersection,
+    gen_grid,
+    gen_star,
+    gen_tripod,
+    locate,
+    nested_pair,
+    param_to_point,
+    random_family_pair,
+)
+from circlink import hullgeom
+from circlink.generators import random_circle_map
+from circlink.hullgeom import _cell_contains_h, _h_from_plane, _h_in_disc
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+F = Fraction
+
+
+def _locate_in_hulls(hulls, hp):
+    hits = [i for i, c in enumerate(hulls) if _cell_contains_h(c, hp)]
+    assert len(hits) <= 1, "hulls of a validated family overlap: %r" % hits
+    return hits[0] if hits else None
+
+
+def locate_by_scan(fp, p):
+    hp = _h_from_plane(p)
+    if not _h_in_disc(hp):
+        raise OutsideDiscError(p)
+    return (_locate_in_hulls(fp.index.hulls("plus"), hp),
+            _locate_in_hulls(fp.index.hulls("minus"), hp))
+
+
+def outcome(fn, fp, p):
+    try:
+        return fn(fp, p)
+    except OutsideDiscError:
+        return "outside"
+
+
+# ── pairs ────────────────────────────────────────────────────────────────
+
+def to_inf(u):
+    # u -> -1/(u - m) keeps the orientation and sends the marked point m to INF
+    m = u.frac
+    return CircleMap(0, -m.denominator, m.denominator, -m.numerator)
+
+
+KINDS = ("random", "grid", "star", "tripod", "nested")
+
+
+def drawn_pair(kind, seed):
+    if kind == "random":
+        return random_family_pair(seed)
+    base = {"grid": lambda: gen_grid(1 + seed % 5),
+            "star": lambda: gen_star(3 + seed % 5),
+            "tripod": gen_tripod,
+            "nested": lambda: nested_pair(2, seed % 7)}[kind]()
+    fp = random_circle_map(seed).apply_pair(base)
+    if seed % 2:
+        # move one marked point to INF, so a set holds it
+        finite = [u for u in fp.index.points if not u.is_infinite]
+        fp = to_inf(finite[seed % len(finite)]).apply_pair(fp)
+    return fp
+
+
+def on_segment(a, b, lam):
+    return PlanePoint(a.x + lam * (b.x - a.x), a.y + lam * (b.y - a.y))
+
+
+def sample_points(fp, rng):
+    pts = []
+    for cell in fp.index.cells().values():
+        pts += list(cell.vertices) + [cell.barycenter()]
+    for name in ("plus", "minus"):
+        for h in fp.index.hulls(name):
+            vs = h.vertices
+            for k in range(len(vs) if len(vs) > 2 else len(vs) - 1):
+                pts.append(on_segment(vs[k - 1], vs[k], F(rng.randint(1, 15), 16)))
+    west = PlanePoint(-1, 0)
+    for u in fp.index.points:
+        q = param_to_point(u)
+        pts.append(q)
+        if not u.is_infinite:
+            for lam in (F(1, 2), F(rng.randint(1, 99), 100)):
+                pts.append(on_segment(west, q, lam))
+    for _ in range(40):
+        d = rng.choice((8, 17, 60))
+        pts.append(PlanePoint(F(rng.randint(-d, d), d), F(rng.randint(-d, d), d)))
+    return pts
+
+
+def assert_matches_scan(fp, pts):
+    for p in pts:
+        assert outcome(locate, fp, p) == outcome(locate_by_scan, fp, p), p
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=2 ** 32))
+def test_locate_matches_hull_scan(kind, seed):
+    fp = drawn_pair(kind, seed)
+    assert_matches_scan(fp, sample_points(fp, random.Random(seed)))
+
+
+def test_locate_corpus_covers_inf_and_every_answer():
+    seen = set()
+    for k, kind in enumerate(KINDS):
+        for seed in range(12):
+            fp = drawn_pair(kind, 31 * seed + k)
+            rng = random.Random(seed)
+            pts = sample_points(fp, rng)
+            assert_matches_scan(fp, pts)
+            has_inf = fp.index.points[-1].is_infinite
+            for p in pts:
+                got = outcome(locate, fp, p)
+                if got != "outside":
+                    got = tuple(x is not None for x in got)
+                seen.add((has_inf, got))
+    # pairs with and without INF; points outside, in no hull, in one and in both
+    assert seen == {(i, g) for i in (False, True)
+                    for g in ("outside", (False, False), (True, False),
+                              (False, True), (True, True))}
+
+
+def test_chord_along_an_edge_through_inf():
+    # the chord from INF to 2 is an edge of the plus triangle {0, 2, INF}
+    fp = FamilyPair([CircleSet([0, 2, INF]), CircleSet([3, 5])], [CircleSet([1, 4])])
+    west, q = param_to_point(INF), param_to_point(2)
+    pts = [on_segment(west, q, F(k, 7)) for k in range(8)]
+    assert [locate(fp, p)[0] for p in pts] == [0] * 8
+    assert_matches_scan(fp, pts)
+
+
+# ── laminar check ────────────────────────────────────────────────────────
+
+NON_LAMINAR = [
+    # (plus family, the two set indices reported)
+    ([CircleSet([0, 2]), CircleSet([1, 3])], (0, 1)),                 # linked
+    ([CircleSet([0, 4]), CircleSet([1, 5]), CircleSet([2, 3])], (0, 1)),
+    ([CircleSet([0, 2]), CircleSet([2, 5])], (0, 1)),                 # shared point
+    ([CircleSet([-1, 5]), CircleSet([0, 2, INF])], (0, 1)),           # INF enclosed
+    ([CircleSet([-1, 5]), CircleSet([0, INF])], (0, 1)),
+    ([CircleSet([0, 6]), CircleSet([1, 3, 8])], (0, 1)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(NON_LAMINAR)))
+def test_overlapping_hulls_raise_typed_violation(k):
+    plus, pair = NON_LAMINAR[k]
+    fp = FamilyPair(plus, [CircleSet([F(1, 2), F(3, 2)])])
+    with pytest.raises(InvariantViolation) as info:
+        locate(fp, PlanePoint(0, 0))
+    assert info.value.invariant == "hull-overlap"
+    assert info.value.counts == ("plus",) + pair
+
+
+OVERLAP_CHECK = """
+from circlink import CircleSet, FamilyPair, InvariantViolation, PlanePoint, locate
+fp = FamilyPair([CircleSet([7])], [CircleSet([0, 2]), CircleSet([1, 3])])
+try:
+    locate(fp, PlanePoint(0, 0))
+except InvariantViolation as exc:
+    print(exc.invariant, exc.counts)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_overlap_check_holds_with_and_without_optimisation(flags):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable] + flags + ["-c", OVERLAP_CHECK],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "hull-overlap ('minus', 0, 1)\n"
+
+
+# ── cost ─────────────────────────────────────────────────────────────────
+
+def side_tests_per_query(monkeypatch, n):
+    fp = gen_grid(n)
+    ph, mh = fp.index.hulls("plus"), fp.index.hulls("minus")
+    rng = random.Random(n)
+    pts = [cell_intersection(ph[rng.randrange(n)], mh[rng.randrange(n)]).vertices[0]
+           for _ in range(60)]
+    pts += [PlanePoint(F(rng.randint(-7, 7), 10), F(rng.randint(-7, 7), 10))
+            for _ in range(60)]
+    expected = [locate(fp, p) for p in pts]  # also builds the locators
+    counts = []
+    real = hullgeom._orient
+
+    def counted(o, a, b):
+        counts[-1] += 1
+        return real(o, a, b)
+
+    monkeypatch.setattr(hullgeom, "_orient", counted)
+    for p in pts:
+        counts.append(0)
+        locate(fp, p)
+    monkeypatch.setattr(hullgeom, "_orient", real)
+    assert expected == [locate_by_scan(fp, p) for p in pts]
+    return max(counts)
+
+
+def test_side_tests_grow_logarithmically(monkeypatch):
+    # the grid's chords nest n deep in each family: eight times the depth
+    # adds three bisection steps per family, where a scan tests 7 n more hulls
+    small = side_tests_per_query(monkeypatch, 16)
+    large = side_tests_per_query(monkeypatch, 128)
+    assert 0 < small and large <= small + 8, (small, large)

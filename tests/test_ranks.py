@@ -141,6 +141,33 @@ def test_kernel_corpus_covers_shared_points_and_inf():
     assert len(seen) == 8
 
 
+# points whose floats collide: near 1, near 0 (underflow), beyond the float
+# range (overflow, level with INF), and 1/(3e17) beside 1/(3e17 + 1)
+BIG = 10 ** 400
+NEAR = [point(Fraction(10 ** 20 + k, 10 ** 20)) for k in range(3)] + [
+    point(Fraction(1, BIG)), point(Fraction(-1, BIG)), point(0),
+    point(BIG), point(BIG + 1), point(-BIG), point(-BIG - 1),
+    point(Fraction(1, 3 * 10 ** 17)), point(Fraction(1, 3 * 10 ** 17 + 1)), point(1), INF]
+near_sets = st.lists(st.sampled_from(NEAR + POOL), min_size=1, max_size=6,
+                     unique=True).map(CircleSet)
+
+
+def test_near_points_collide_as_floats():
+    # the float sort key alone leaves these ties to the exact comparison
+    assert {p.num / p.den for p in NEAR[:3]} == {1.0}
+    assert {p.num / p.den for p in NEAR[3:6]} == {0.0}
+    assert NEAR[10].num / NEAR[10].den == NEAR[11].num / NEAR[11].den
+    with pytest.raises(OverflowError):
+        NEAR[6].num / NEAR[6].den
+
+
+@settings(max_examples=200)
+@given(st.lists(near_sets, min_size=1, max_size=5))
+def test_rank_table_matches_oracle(sets):
+    groups = [s.points for s in sets]
+    assert rank_table(groups) == oracle.rank_table(groups)
+
+
 # ── validation ───────────────────────────────────────────────────────────
 
 def reported(plus, minus) -> list:

@@ -1,6 +1,9 @@
 """Straightening map, layout, leaf trees, and the quotient report."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,7 @@ from circlink import (
 from circlink.straighten import VIRTUAL, result_to_json
 
 F = Fraction
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def pp(x, y):
@@ -244,6 +248,33 @@ def test_quotient_check_reports_cells_landing_on_one_z(monkeypatch):
     injective = [f for f in report.failures if f["clause"] == "injective"]
     assert injective == [{"clause": "injective", "z": [0, 0],
                           "cells": [[0, 0], [0, 1], [1, 0], [1, 1]]}]
+
+
+COLLIDING_LAYOUT = """
+from circlink import CircleSet, InvariantViolation, hullgeom, layout, validate
+real = hullgeom.cell_intersection
+first = []
+def same_cell(P, Q):
+    # every cell built becomes the (0, 0) cell
+    first.append((P, Q))
+    return real(*first[0])
+hullgeom.cell_intersection = same_cell
+fp = validate([CircleSet([0, 3]), CircleSet([4, 7])], [CircleSet([2, 5]), CircleSet([6, 1])])
+try:
+    layout(fp)
+except InvariantViolation as exc:
+    print(exc.invariant, exc.counts, exc.z)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_layout_collision_is_a_typed_violation(flags):
+    # the check is not an assert, so it holds under -O as well
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable] + flags + ["-c", COLLIDING_LAYOUT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "layout-collision (0, 0) (0, 1)\n"
 
 
 def test_crossing_detector_on_synthetic_segments():
