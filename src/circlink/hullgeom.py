@@ -2,10 +2,11 @@
 
 Circle parameters land on the unit circle through the tangent half-angle map,
 so every marked point has rational coordinates and cyclic order becomes
-counterclockwise order. All predicates are exact. Hot paths work on
-homogeneous integer triples (X, Y, D) standing for (X/D, Y/D) with D > 0:
-cells are clipped edge by edge on these triples, each new vertex the integer
-meet of two lines. Fractions appear only at the public boundary.
+counterclockwise order. All predicates are exact and work on homogeneous
+integer triples (X, Y, D) standing for (X/D, Y/D): a PlanePoint stores its
+triple normalised to D > 0 and gcd(X, Y, D) = 1, cells are clipped edge by
+edge on triples, each new vertex the integer meet of two lines. A Fraction
+is built only when a point is made from one or a caller reads .x or .y.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ __all__ = [
 ]
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+def _ratio_str(n: int, d: int) -> str:
+    # n/d in lowest terms, d > 0
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return "%d/%d" % (n // g, d // g)
 
 
 def _parse_frac(s, where: str) -> Fraction:
@@ -55,33 +58,52 @@ def _parse_frac(s, where: str) -> Fraction:
 
 
 class PlanePoint:
-    """Exact point of the plane."""
+    """Exact point of the plane, stored as its normalised homogeneous triple.
 
-    __slots__ = ("x", "y")
+    The coordinates are anything Fraction accepts; .x and .y rebuild them as
+    Fractions on demand. Equality, hashing and key() use the triple, which
+    is unique to the point.
+    """
+
+    __slots__ = ("_h",)
 
     def __init__(self, x, y):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        x = Fraction(x)
+        y = Fraction(y)
+        xd = x.denominator
+        yd = y.denominator
+        d = xd // gcd(xd, yd) * yd
+        # any prime of d divides xd or yd in full power and not its numerator
+        self._h = (x.numerator * (d // xd), y.numerator * (d // yd), d)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._h[0], self._h[2])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._h[1], self._h[2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanePoint):
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return self._h == other._h
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y))
+        return hash(self._h)
 
     def __repr__(self) -> str:
-        return "PlanePoint(%s, %s)" % (_frac_str(self.x), _frac_str(self.y))
+        return "PlanePoint(%s, %s)" % tuple(self.to_json())
 
     def __str__(self) -> str:
-        return "(%s, %s)" % (_frac_str(self.x), _frac_str(self.y))
+        return "(%s, %s)" % tuple(self.to_json())
 
-    def key(self):
-        return (self.x, self.y)
+    def key(self) -> tuple:
+        return self._h
 
     def to_json(self) -> list:
-        return [_frac_str(self.x), _frac_str(self.y)]
+        X, Y, D = self._h
+        return [_ratio_str(X, D), _ratio_str(Y, D)]
 
     @classmethod
     def from_json(cls, data, where: str = "$") -> "PlanePoint":
@@ -103,23 +125,24 @@ def _h_norm(X: int, Y: int, D: int) -> tuple:
     return (X, Y, D)
 
 
-def _h_from_plane(p: PlanePoint) -> tuple:
-    xd = p.x.denominator
-    yd = p.y.denominator
-    d = xd // gcd(xd, yd) * yd
-    return (p.x.numerator * (d // xd), p.y.numerator * (d // yd), d)
+def _point(h: tuple) -> PlanePoint:
+    # the point of a triple already normalised by _h_norm
+    p = object.__new__(PlanePoint)
+    p._h = h
+    return p
 
 
 def _h_in_disc(h: tuple) -> bool:
     return h[0] * h[0] + h[1] * h[1] <= h[2] * h[2]
 
 
-def _h_to_plane(h: tuple) -> PlanePoint:
-    return PlanePoint(Fraction(h[0], h[2]), Fraction(h[1], h[2]))
-
-
-def _h_eq(p: tuple, q: tuple) -> bool:
-    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
+def _h_mean(hs) -> tuple:
+    """The mean of the points hs, summed over a common denominator."""
+    if len(hs) == 1:
+        return hs[0]
+    common = lcm(*(h[2] for h in hs))
+    return _h_norm(sum(h[0] * (common // h[2]) for h in hs),
+                   sum(h[1] * (common // h[2]) for h in hs), common * len(hs))
 
 
 def _h_cmp(p: tuple, q: tuple) -> int:
@@ -160,7 +183,8 @@ def _h_line_cross(L: tuple, M: tuple) -> tuple:
     X = L[1] * M[2] - L[2] * M[1]
     Y = L[2] * M[0] - L[0] * M[2]
     D = L[0] * M[1] - L[1] * M[0]
-    assert D != 0, "parallel lines have no crossing point"
+    if not D:
+        raise InvariantViolation("parallel-lines", (L, M))
     return _h_norm(X, Y, D)
 
 
@@ -177,67 +201,75 @@ def _h_from_param(u: CirclePoint) -> tuple:
 
 def param_to_point(u) -> PlanePoint:
     """Embed a circle parameter on the unit circle, INF at (-1, 0)."""
-    return _h_to_plane(_h_from_param(circle_point(u)))
+    return _point(_h_from_param(circle_point(u)))
 
 
 def point_to_param(p: PlanePoint) -> CirclePoint:
     """Inverse embedding; p must lie exactly on the unit circle."""
-    if p.x * p.x + p.y * p.y != 1:
+    X, Y, D = p._h
+    if X * X + Y * Y != D * D:
         raise ValueError("%s is not on the unit circle" % (p,))
-    if p.x == -1:
+    if X == -D:
         return INF
-    u = p.y / (1 + p.x)
-    return CirclePoint(u.numerator, u.denominator)
+    # the half-angle map y / (1 + x)
+    return CirclePoint(Y, D + X)
 
 
 class ConvexCell:
     """Convex cell of dimension 0, 1, or 2 with canonical vertex order.
 
     dim 2 vertices run counterclockwise starting at the lexicographically
-    smallest; dim 1 stores the lex-smaller endpoint first.
+    smallest; dim 1 stores the lex-smaller endpoint first. The cell keeps
+    only the vertex triples; .vertices builds the PlanePoints on demand. A
+    wrong vertex count raises ValueError, a vertex outside the closed unit
+    disc OutsideDiscError.
     """
 
-    __slots__ = ("dim", "vertices", "_h")
+    __slots__ = ("dim", "_h")
 
     def __init__(self, dim: int, vertices):
-        vertices = tuple(vertices)
+        self._set(dim, tuple(v._h for v in vertices))
+
+    def _set(self, dim: int, hs: tuple) -> None:
+        n = len(hs)
         if dim == 0:
-            assert len(vertices) == 1
+            if n != 1:
+                raise ValueError("a cell of dim 0 has 1 vertex, not %d" % n)
         elif dim == 1:
-            assert len(vertices) == 2 and vertices[0] != vertices[1]
+            if n != 2 or hs[0] == hs[1]:
+                raise ValueError("a cell of dim 1 has 2 distinct vertices")
         elif dim == 2:
-            assert len(vertices) >= 3
+            if n < 3:
+                raise ValueError("a cell of dim 2 has at least 3 vertices, not %d" % n)
         else:
             raise ValueError("dim must be 0, 1, or 2")
+        for h in hs:
+            if not _h_in_disc(h):
+                raise OutsideDiscError(_point(h))
         self.dim = dim
-        self.vertices = vertices
-        self._h = tuple(_h_from_plane(v) for v in vertices)
-        assert all(_h_in_disc(h) for h in self._h), "vertex outside the unit disc"
+        self._h = hs
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple([_point(h) for h in self._h])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexCell):
             return NotImplemented
-        return self.dim == other.dim and self.vertices == other.vertices
+        return self.dim == other.dim and self._h == other._h
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.vertices))
+        return hash((self.dim, self._h))
 
     def __repr__(self) -> str:
         return "ConvexCell(dim=%d, vertices=%s)" % (
             self.dim, "[" + ", ".join(str(v) for v in self.vertices) + "]")
 
     def contains(self, p: PlanePoint) -> bool:
-        return _cell_contains_h(self, _h_from_plane(p))
+        return _cell_contains_h(self, p._h)
 
     def barycenter(self) -> PlanePoint:
-        if self.dim == 0:
-            return self.vertices[0]
-        # the mean over a common denominator of the integer triples
-        hv = self._h
-        common = lcm(*(h[2] for h in hv))
-        m = common * len(hv)
-        return PlanePoint(Fraction(sum(h[0] * (common // h[2]) for h in hv), m),
-                          Fraction(sum(h[1] * (common // h[2]) for h in hv), m))
+        return _point(_h_mean(self._h))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "vertices": [v.to_json() for v in self.vertices]}
@@ -253,10 +285,17 @@ class ConvexCell:
         return cls(data["dim"], verts)
 
 
+def _cell(dim: int, hs: tuple) -> ConvexCell:
+    # a cell straight from normalised vertex triples, checked as __init__ checks
+    cell = object.__new__(ConvexCell)
+    cell._set(dim, hs)
+    return cell
+
+
 def _cell_contains_h(cell: ConvexCell, h: tuple) -> bool:
     hv = cell._h
     if cell.dim == 0:
-        return _h_eq(hv[0], h)
+        return hv[0] == h    # normalised triples are equal when the points are
     if cell.dim == 1:
         return _orient(hv[0], hv[1], h) == 0 and _h_between(hv[0], hv[1], h)
     for k in range(len(hv)):
@@ -266,19 +305,18 @@ def _cell_contains_h(cell: ConvexCell, h: tuple) -> bool:
 
 
 def _cell_from_h(hpts) -> Optional[ConvexCell]:
-    """Canonical cell from an arbitrary finite batch of homogeneous points."""
+    """Canonical cell from a finite batch of normalised homogeneous points."""
     uniq = []
     for h in hpts:
-        hn = _h_norm(*h)
-        if hn not in uniq:
-            uniq.append(hn)
+        if h not in uniq:
+            uniq.append(h)
     if not uniq:
         return None
     if len(uniq) == 1:
-        return ConvexCell(0, [_h_to_plane(uniq[0])])
+        return _cell(0, (uniq[0],))
     pts = sorted(uniq, key=cmp_to_key(_h_cmp))
     if len(pts) == 2:
-        return ConvexCell(1, [_h_to_plane(pts[0]), _h_to_plane(pts[1])])
+        return _cell(1, tuple(pts))
 
     def chain(seq):
         out = []
@@ -292,9 +330,9 @@ def _cell_from_h(hpts) -> Optional[ConvexCell]:
     upper = chain(reversed(pts))
     hull_pts = lower[:-1] + upper[:-1]
     if len(hull_pts) == 2:
-        return ConvexCell(1, [_h_to_plane(hull_pts[0]), _h_to_plane(hull_pts[1])])
+        return _cell(1, tuple(hull_pts))
     # monotone chain emits counterclockwise order beginning at the lex minimum
-    return ConvexCell(2, [_h_to_plane(h) for h in hull_pts])
+    return _cell(2, tuple(hull_pts))
 
 
 def hull(a_set: CircleSet) -> ConvexCell:
@@ -306,17 +344,16 @@ def hull(a_set: CircleSet) -> ConvexCell:
     """
     hs = [_h_from_param(u) for u in a_set.points]
     if len(hs) == 1:
-        return ConvexCell(0, [_h_to_plane(hs[0])])
+        return _cell(0, tuple(hs))
     if len(hs) == 2:
         if _h_cmp(hs[0], hs[1]) > 0:
             hs.reverse()
-        return ConvexCell(1, [_h_to_plane(h) for h in hs])
+        return _cell(1, tuple(hs))
     start = 0
     for k in range(1, len(hs)):
         if _h_cmp(hs[k], hs[start]) < 0:
             start = k
-    ordered = hs[start:] + hs[:start]
-    return ConvexCell(2, [_h_to_plane(h) for h in ordered])
+    return _cell(2, tuple(hs[start:] + hs[:start]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +410,7 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
     if P.dim > Q.dim:
         P, Q = Q, P
     if P.dim == 0:
-        return ConvexCell(0, P.vertices) if _cell_contains_h(Q, P._h[0]) else None
+        return _cell(0, P._h) if _cell_contains_h(Q, P._h[0]) else None
     if Q.dim == 1:
         return _cell_from_h(_seg_seg(P._h[0], P._h[1], Q._h[0], Q._h[1]))
     return _clip(P, Q)
@@ -514,7 +551,7 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     rank of its parameter and the owner of that rank; an interior point asks
     each family's HullLocator, built once by the pair's index.
     """
-    h = _h_from_plane(p)
+    h = p._h
     X, Y, D = h
     rim = X * X + Y * Y - D * D
     if rim > 0:

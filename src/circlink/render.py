@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from html import escape
 
 from .family import FamilyPair
-from .hullgeom import PlanePoint, param_to_point
+from .hullgeom import param_to_point
 from .straighten import StraightenedDisc
 
 __all__ = ["RenderOptions", "render_input_svg", "render_straightened_svg"]
@@ -42,6 +42,8 @@ def _fmt(v: float) -> str:
 
 
 class _Canvas:
+    """SVG parts in drawing order; points are homogeneous triples (X, Y, D)."""
+
     def __init__(self, opts: RenderOptions):
         self.opts = opts
         self.cx = opts.width / 2.0
@@ -52,9 +54,16 @@ class _Canvas:
             'width="%d" height="%d" viewBox="0 0 %d %d">'
             % (opts.width, opts.height, opts.width, opts.height)
         ]
+        self._px = {}
 
-    def px(self, p: PlanePoint) -> tuple:
-        return (self.cx + self.radius * float(p.x), self.cy - self.radius * float(p.y))
+    def px(self, h: tuple) -> tuple:
+        """The formatted pixel coordinates of h, computed once per point."""
+        xy = self._px.get(h)
+        if xy is None:
+            # int / int is correctly rounded, as float(Fraction(X, D)) is
+            xy = self._px[h] = (_fmt(self.cx + self.radius * (h[0] / h[2])),
+                                _fmt(self.cy - self.radius * (h[1] / h[2])))
+        return xy
 
     def boundary(self) -> None:
         self.parts.append(
@@ -62,20 +71,20 @@ class _Canvas:
             'stroke="#111111" stroke-width="%s"/>'
             % (_fmt(self.cx), _fmt(self.cy), _fmt(self.radius), _fmt(self.opts.stroke_width)))
 
-    def dot(self, eid: str, p: PlanePoint, color: str, r: float) -> None:
-        x, y = self.px(p)
+    def dot(self, eid: str, h: tuple, color: str, r: float) -> None:
+        x, y = self.px(h)
         self.parts.append('<circle id="%s" cx="%s" cy="%s" r="%s" fill="%s"/>'
-                          % (eid, _fmt(x), _fmt(y), _fmt(r), color))
+                          % (eid, x, y, _fmt(r), color))
 
-    def line(self, eid: str, p: PlanePoint, q: PlanePoint, color: str, width: float) -> None:
+    def line(self, eid: str, p: tuple, q: tuple, color: str, width: float) -> None:
         x1, y1 = self.px(p)
         x2, y2 = self.px(q)
         self.parts.append(
             '<line id="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>'
-            % (eid, _fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2), color, _fmt(width)))
+            % (eid, x1, y1, x2, y2, color, _fmt(width)))
 
     def polygon(self, eid: str, pts, color: str, fill: str, opacity: float) -> None:
-        coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in (self.px(p) for p in pts))
+        coords = " ".join("%s,%s" % self.px(h) for h in pts)
         if fill == "none":
             style = 'fill="none" stroke="%s" stroke-width="%s"' % (color, _fmt(self.opts.stroke_width))
         else:
@@ -83,10 +92,10 @@ class _Canvas:
                 fill, _fmt(opacity), color)
         self.parts.append('<polygon id="%s" points="%s" %s/>' % (eid, coords, style))
 
-    def text(self, eid: str, p: PlanePoint, content: str, color: str) -> None:
-        x, y = self.px(p)
+    def text(self, eid: str, h: tuple, content: str, color: str) -> None:
+        x, y = self.px(h)
         self.parts.append('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>'
-                          % (eid, _fmt(x), _fmt(y), color, escape(content, quote=False)))
+                          % (eid, x, y, color, escape(content, quote=False)))
 
     def open_group(self, gid: str) -> None:
         self.parts.append('<g id="%s">' % gid)
@@ -100,12 +109,13 @@ class _Canvas:
 
 
 def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, fill: str, opacity: float) -> None:
+    hv = cell._h
     if cell.dim == 0:
-        canvas.dot(eid, cell.vertices[0], color, canvas.opts.point_radius)
+        canvas.dot(eid, hv[0], color, canvas.opts.point_radius)
     elif cell.dim == 1:
-        canvas.line(eid, cell.vertices[0], cell.vertices[1], color, canvas.opts.stroke_width)
+        canvas.line(eid, hv[0], hv[1], color, canvas.opts.stroke_width)
     else:
-        canvas.polygon(eid, cell.vertices, color, fill, opacity)
+        canvas.polygon(eid, hv, color, fill, opacity)
 
 
 def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> str:
@@ -127,7 +137,7 @@ def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> s
             labels = fp.plus_labels if name == "plus" else fp.minus_labels
             for i, s in enumerate(sets):
                 tag = labels[i] if labels else "%s%d" % (name, i)
-                canvas.text("label-%s-%d" % (name, i), param_to_point(s.points[0]), tag, color)
+                canvas.text("label-%s-%d" % (name, i), param_to_point(s.points[0])._h, tag, color)
     return canvas.finish()
 
 
@@ -141,18 +151,18 @@ def render_straightened_svg(sd: StraightenedDisc, opts: RenderOptions = RenderOp
             for leaf in leaves:
                 canvas.open_group("leaf-%s-%d" % (leaf.family, leaf.element))
                 for idx, (u, v) in enumerate(leaf.edges):
-                    p = sd.position(leaf.family, leaf.element, u)
-                    q = sd.position(leaf.family, leaf.element, v)
+                    p = sd.position(leaf.family, leaf.element, u)._h
+                    q = sd.position(leaf.family, leaf.element, v)._h
                     canvas.line("leaf-%s-%d-e%d" % (leaf.family, leaf.element, idx),
                                 p, q, color, opts.leaf_stroke_width)
                 canvas.close_group()
     for (fam, el) in sorted(sd.virtual_positions):
-        canvas.dot("virtual-%s-%d" % (fam, el), sd.virtual_positions[(fam, el)],
+        canvas.dot("virtual-%s-%d" % (fam, el), sd.virtual_positions[(fam, el)]._h,
                    "#6b7280", opts.point_radius * 0.8)
     for (i, j) in sorted(sd.layout):
         color = "#111111" if (i, j) in sd.boundary_anchors else opts.region_color
-        canvas.dot("z-%d-%d" % (i, j), sd.layout[(i, j)], color, opts.point_radius)
+        canvas.dot("z-%d-%d" % (i, j), sd.layout[(i, j)]._h, color, opts.point_radius)
     if opts.labels:
         for (i, j) in sorted(sd.layout):
-            canvas.text("zlabel-%d-%d" % (i, j), sd.layout[(i, j)], "(%d,%d)" % (i, j), "#374151")
+            canvas.text("zlabel-%d-%d" % (i, j), sd.layout[(i, j)]._h, "(%d,%d)" % (i, j), "#374151")
     return canvas.finish()

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
+from operator import itemgetter
 from typing import Union
 
 from .circle import CirclePoint, rank_gap, rank_separates
 from .errors import GroupOrderNotTotalError, InvariantViolation
 from .family import FamilyPair
-from .hullgeom import PlanePoint, _h_from_plane, _h_line, locate, param_to_point
+from .hullgeom import PlanePoint, _h_line, _h_mean, _point, locate, param_to_point
 
 __all__ = [
     "MappedTo",
@@ -300,6 +301,27 @@ def _line_key(hp: tuple, hq: tuple) -> tuple:
     return (a, b, c)
 
 
+def _span_cmp(e: tuple, f: tuple) -> int:
+    # exact (lo, hi) order of two spans; denominators are positive
+    d = e[0] * f[1] - f[0] * e[1]
+    if not d:
+        d = e[2] * f[3] - f[2] * e[3]
+    return (d > 0) - (d < 0)
+
+
+def _sort_spans(entries: list) -> None:
+    """Sort spans (lo_n, lo_d, hi_n, hi_d, leaf, edge, flo, fhi) in place
+    by their exact (lo, hi), stably.
+
+    flo and fhi are the correctly rounded floats of lo and hi, monotone in
+    the exact values: sorting by them leaves only runs of tied floats out
+    of order, and an exact sort by cross-multiplication then fixes those.
+    """
+    entries.sort(key=itemgetter(6, 7))
+    if any(a[6] == b[6] for a, b in zip(entries, entries[1:])):
+        entries.sort(key=cmp_to_key(_span_cmp))
+
+
 def _stab(entries, flos, fmaxhi, pn, pd, fpos):
     """Entries whose closed span contains pn/pd, with pd > 0.
 
@@ -325,29 +347,31 @@ def _detect_crossings(leaves, position) -> list:
     positive-length span overlap; endpoint contact collapses to a shared
     vertex. Across two lines the only candidate is the exact meet of the
     lines, checked against each group with a stabbing query. Positions along
-    a line are kept as integer numerator/denominator pairs.
+    a line are kept as integer numerator/denominator pairs read from the
+    points' triples.
     """
     groups = {}
     boxes = {}
     for leaf in leaves:
         lid = (leaf.family, leaf.element)
         for idx, (u, v) in enumerate(leaf.edges):
-            p = position(leaf.family, leaf.element, u)
-            q = position(leaf.family, leaf.element, v)
-            if p == q:
+            hp = position(leaf.family, leaf.element, u)._h
+            hq = position(leaf.family, leaf.element, v)._h
+            if hp == hq:
                 continue
-            hp = _h_from_plane(p)
-            hq = _h_from_plane(q)
             line = _line_key(hp, hq)
             axis = 0 if abs(line[1]) >= abs(line[0]) else 1
-            # denominators from _h_from_plane are positive
-            ln, ld = hp[axis], hp[2]
-            hn, hd = hq[axis], hq[2]
+            # int / int is correctly rounded, as float(Fraction) is
+            pf = (hp[0] / hp[2], hp[1] / hp[2])
+            qf = (hq[0] / hq[2], hq[1] / hq[2])
+            # denominators of normalised triples are positive
+            ln, ld, flo = hp[axis], hp[2], pf[axis]
+            hn, hd, fhi = hq[axis], hq[2], qf[axis]
             if hn * ld < ln * hd:
-                ln, ld, hn, hd = hn, hd, ln, ld
-            groups.setdefault(line, []).append((ln, ld, hn, hd, lid, idx))
-            x0, x1 = sorted((float(p.x), float(q.x)))
-            y0, y1 = sorted((float(p.y), float(q.y)))
+                ln, ld, flo, hn, hd, fhi = hn, hd, fhi, ln, ld, flo
+            groups.setdefault(line, []).append((ln, ld, hn, hd, lid, idx, flo, fhi))
+            x0, x1 = sorted((pf[0], qf[0]))
+            y0, y1 = sorted((pf[1], qf[1]))
             fb = boxes.get(line)
             if fb is None:
                 boxes[line] = [x0, x1, y0, y1]
@@ -360,19 +384,18 @@ def _detect_crossings(leaves, position) -> list:
     found = set()
     prepared = []
     for line in sorted(groups):
-        entries = sorted(groups[line], key=lambda e: (Fraction(e[0], e[1]),
-                                                      Fraction(e[2], e[3])))
-        flos = [e[0] / e[1] for e in entries]
+        entries = groups[line]
+        _sort_spans(entries)
+        flos = [e[6] for e in entries]
         fmaxhi = []
         running = None
         for e in entries:
-            fhi = e[2] / e[3]
-            if running is None or fhi > running:
-                running = fhi
+            if running is None or e[7] > running:
+                running = e[7]
             fmaxhi.append(running)
         # collinear case: spans meeting in more than a point always cross
         for i in range(len(entries)):
-            lo_n, lo_d, hi_n, hi_d, lid_i, idx_i = entries[i]
+            lo_n, lo_d, hi_n, hi_d, lid_i, idx_i, _, _ = entries[i]
             for j in range(i + 1, len(entries)):
                 e = entries[j]
                 if e[0] * hi_d >= hi_n * e[1]:
@@ -411,7 +434,7 @@ def _detect_crossings(leaves, position) -> list:
             hits_b = _stab(ent_b, flos_b, fmaxhi_b, pn_b, pw, pn_b / pw)
             if not hits_b:
                 continue
-            for lo_n, lo_d, hi_n, hi_d, lid_i, idx_i in hits_a:
+            for lo_n, lo_d, hi_n, hi_d, lid_i, idx_i, _, _ in hits_a:
                 end_i = pn_a * lo_d == lo_n * pw or pn_a * hi_d == hi_n * pw
                 for e in hits_b:
                     if e[4] == lid_i:
@@ -455,10 +478,8 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     for leaf in leaves_plus + leaves_minus:
         if leaf.virtual_count:
             ends = [v for u, v in leaf.edges if u == VIRTUAL]
-            virtual_positions[(leaf.family, leaf.element)] = PlanePoint(
-                sum(lay[e].x for e in ends) / len(ends),
-                sum(lay[e].y for e in ends) / len(ends),
-            )
+            virtual_positions[(leaf.family, leaf.element)] = _point(
+                _h_mean([lay[e]._h for e in ends]))
 
     def position(family, element, v):
         if isinstance(v, str):

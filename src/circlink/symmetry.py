@@ -14,9 +14,9 @@ from typing import Optional
 
 from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
-from .errors import MalformedInputError
+from .errors import InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, prong_count, validate
-from .hullgeom import PlanePoint, _h_from_plane, _h_norm, _h_to_plane
+from .hullgeom import PlanePoint, _h_in_disc, _h_norm, _point
 from .straighten import MappedTo, straighten_point
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
@@ -98,16 +98,22 @@ class CircleMap:
         return CircleMap(self.d, -self.b, -self.c, self.a)
 
     def plane_apply(self, p: PlanePoint) -> PlanePoint:
-        """The induced exact map of the closed unit disc."""
+        """The induced exact map of the closed unit disc.
+
+        A point outside the closed disc raises OutsideDiscError.
+        """
+        if not _h_in_disc(p._h):
+            raise OutsideDiscError(p)
         a, b, c, d = self.a, self.b, self.c, self.d
-        X, Y, D = _h_from_plane(p)
+        X, Y, D = p._h
         X2 = X * (a * a - c * c + d * d - b * b) + Y * 2 * (c * d - a * b) \
             + D * (c * c - a * a + d * d - b * b)
         Y2 = X * 2 * (b * d - a * c) + Y * 2 * (a * d + b * c) + D * 2 * (a * c + b * d)
         D2 = X * (b * b + d * d - a * a - c * c) + Y * 2 * (a * b + c * d) \
             + D * (a * a + b * b + c * c + d * d)
-        assert D2 != 0, "disc point mapped to infinity"
-        return _h_to_plane(_h_norm(X2, Y2, D2))
+        # D2 > 0 on the closed disc: on X^2 + Y^2 <= D^2 its least value is
+        # D (S - sqrt(S^2 - 4 det^2)), with S the sum of the squared entries
+        return _point(_h_norm(X2, Y2, D2))
 
     def to_json(self) -> dict:
         return {"m": [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]}
@@ -181,7 +187,11 @@ def _match_permutation(sets, g: CircleMap, family: str, failures: list) -> Optio
             perm.append(target)
     if not ok:
         return None
-    assert len(set(perm)) == len(perm), "images of distinct elements collide"
+    first = {}
+    for i, target in enumerate(perm):
+        other = first.setdefault(target, i)
+        if other != i:
+            raise InvariantViolation("permutation-collision", (family, other, i, target))
     return perm
 
 

@@ -34,6 +34,7 @@ from circlink import (
     validate,
 )
 from circlink.hullgeom import _cell_contains_h, _cell_from_h, _seg_seg
+from plane_oracle import fraction_mean
 
 F = Fraction
 
@@ -229,9 +230,7 @@ def _as_json(cell):
 
 def assert_barycenter_is_fraction_mean(cell):
     if cell is not None:
-        n = len(cell.vertices)
-        mean = pp(sum(v.x for v in cell.vertices) / n, sum(v.y for v in cell.vertices) / n)
-        assert cell.barycenter() == mean
+        assert cell.barycenter() == fraction_mean(cell.vertices)
 
 
 @settings(max_examples=300)

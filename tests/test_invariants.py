@@ -1,0 +1,91 @@
+"""Stated invariants are real checks: typed errors that survive python -O.
+
+Each check runs in a fresh interpreter, once normally and once under -O,
+which strips assert statements; both runs must raise the same typed error.
+A ratchet lists the asserts left in the library, so none can be added.
+"""
+
+import ast
+import glob
+import os
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+
+PRELUDE = """
+from circlink import (CircleMap, CircleSet, CirclinkError, ConvexCell, FamilyPair,
+                      PlanePoint, check_equivariance, hullgeom)
+try:
+    {call}
+except (CirclinkError, ValueError) as exc:
+    print(type(exc).__name__, getattr(exc, "invariant", ""), getattr(exc, "counts", ""),
+          getattr(exc, "point", ""))
+"""
+
+# (check, the call that breaks it, what the run prints)
+CHECKS = [
+    ("cell-dim0-count", "ConvexCell(0, [PlanePoint(0, 0), PlanePoint(1, 0)])", "ValueError   "),
+    ("cell-dim1-count", "ConvexCell(1, [PlanePoint(0, 0), PlanePoint(0, 0)])", "ValueError   "),
+    ("cell-dim2-count", "ConvexCell(2, [PlanePoint(0, 0), PlanePoint(1, 0)])", "ValueError   "),
+    ("cell-vertex-in-disc", "ConvexCell(1, [PlanePoint(0, 0), PlanePoint(1, 1)])",
+     "OutsideDiscError   (1, 1)"),
+    # Y = 0 and 2Y + D = 0, the line y = -1/2
+    ("parallel-lines", "hullgeom._h_line_cross((0, 1, 0), (0, 2, 1))",
+     "InvariantViolation parallel-lines ((0, 1, 0), (0, 2, 1)) "),
+    ("plane-apply-in-disc", "CircleMap(2, 1, 1, 1).plane_apply(PlanePoint(1, '1/1000'))",
+     "OutsideDiscError   (1, 1/1000)"),
+    # an unvalidated pair listing one set twice: both copies map onto the first
+    ("permutation-collision",
+     "check_equivariance(FamilyPair([CircleSet([0, 3]), CircleSet([0, 3])], "
+     "[CircleSet([2, 5])]), CircleMap.identity())",
+     "InvariantViolation permutation-collision ('plus', 0, 1, 0) "),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["normal", "optimized"])
+@pytest.mark.parametrize("check,call,printed", CHECKS, ids=[c[0] for c in CHECKS])
+def test_invariant_is_a_typed_check(check, call, printed, flags):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable] + flags + ["-c", PRELUDE.format(call=call)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + "\n"
+
+
+# (module, enclosing definition) of each assert still allowed in src/
+ALLOWED_ASSERTS = Counter([
+    ("family.py", "EspecialDisc.__init__"),       # duplicate Z-point keys
+    ("family.py", "nesting_report"),              # one-gap bucket
+    ("straighten.py", "LeafGraph.__init__"),      # leaf tree shape
+])
+
+
+def _asserts(path) -> list:
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Assert):
+                found.append((os.path.basename(path), ".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_no_new_asserts_in_the_library():
+    found = [a for path in sorted(glob.glob(os.path.join(SRC, "circlink", "*.py")))
+             for a in _asserts(path)]
+    extra = Counter((name, scope) for name, scope, _ in found) - ALLOWED_ASSERTS
+    assert not extra, "asserts vanish under -O; raise a typed error instead: %s" % [
+        a for a in found if (a[0], a[1]) in extra]

@@ -35,7 +35,7 @@ from circlink import (
 )
 from circlink import hullgeom
 from circlink.generators import random_circle_map
-from circlink.hullgeom import _cell_contains_h, _h_from_plane, _h_in_disc
+from circlink.hullgeom import _cell_contains_h, _h_in_disc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -49,7 +49,7 @@ def _locate_in_hulls(hulls, hp):
 
 
 def locate_by_scan(fp, p):
-    hp = _h_from_plane(p)
+    hp = p._h
     if not _h_in_disc(hp):
         raise OutsideDiscError(p)
     return (_locate_in_hulls(fp.index.hulls("plus"), hp),

@@ -26,6 +26,7 @@ from circlink import (
     validate,
 )
 from circlink.straighten import VIRTUAL, result_to_json
+from plane_oracle import fraction_mean
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -122,10 +123,20 @@ def test_layout_boundary_anchor():
 
 
 def test_layout_positions_are_distinct():
+    virtual = 0
     for seed in range(30):
-        sd = layout(random_family_pair(seed))
+        fp = random_family_pair(seed)
+        sd = layout(fp)
         keys = {(p.x, p.y) for p in sd.layout.values()}
         assert len(keys) == len(sd.layout)
+        # integer means over a common denominator are the Fraction means
+        for z, cell in linked_cells(fp).items():
+            assert sd.layout[z] == fraction_mean(cell.vertices)
+        for (fam, el), p in sd.virtual_positions.items():
+            ends = [v for u, v in sd.leaf(fam, el).edges if u == VIRTUAL]
+            assert p == fraction_mean([sd.layout[e] for e in ends])
+            virtual += 1
+    assert virtual >= 5
 
 
 def test_layout_json_deterministic():
