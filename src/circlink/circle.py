@@ -383,8 +383,11 @@ def _runs(a: tuple, b: tuple) -> tuple:
 
 def rank_counts(a: tuple, b: tuple) -> tuple:
     """The four interval counts of disjoint rank tuples; see link_number_counts."""
-    c1 = len({rank_gap(a, x) for x in b})
-    c2 = len({rank_gap(b, x) for x in a})
+    # bisect_left(a, x) % len(a) numbers the gaps of a differently from
+    # rank_gap, but one to one, so it counts the same gaps
+    m, k = len(a), len(b)
+    c1 = len({bisect_left(a, x) % m for x in b})
+    c2 = len({bisect_left(b, x) % k for x in a})
     c3, c4 = _runs(a, b)
     return c1, c2, c3, c4
 

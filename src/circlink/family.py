@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
@@ -25,7 +26,6 @@ from .circle import (
     agreed_link_number,
     complementary_intervals,
     rank_counts,
-    rank_gap,
     rank_linked,
     rank_mixed,
     rank_separates,
@@ -50,6 +50,7 @@ __all__ = [
     "EspecialDisc",
     "especial_disc",
     "PairIndex",
+    "LaminarForest",
     "fiber_plus",
     "fiber_minus",
     "separation_interval",
@@ -179,6 +180,13 @@ def _within_family_violations(index: "PairIndex", name: str) -> list:
     if len(index.fp.family(name)) < 2:
         # no pair to check; the rank table waits for its first real use
         return []
+    try:
+        index.forest(name)
+        return []
+    except InvariantViolation:
+        # the sweep stops at the first trouble; every pair is tested so that
+        # all of it is reported
+        pass
     points = index.points
     ranked = index.ranks(name)
     out = []
@@ -213,8 +221,9 @@ def _cross_violations(plus: Sequence[CircleSet], minus: Sequence[CircleSet]) -> 
 def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
     """Check every admissibility clause; collect all violations before failing.
 
-    The within-family checks run on the rank table of the new pair's index,
-    which the pair keeps.
+    The within-family checks build the laminar forest of each family in the
+    new pair's index, which the pair keeps; only a family the forest's sweep
+    rejects has all its pairs tested.
     """
     plus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in plus]
     minus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in minus]
@@ -283,15 +292,36 @@ class EspecialDisc:
     sorted by (i, j).
     """
 
-    __slots__ = ("n_plus", "n_minus", "interior", "boundary")
+    __slots__ = ("n_plus", "n_minus", "interior", "boundary", "_fibers")
 
     def __init__(self, n_plus, n_minus, interior, boundary):
         self.n_plus = n_plus
         self.n_minus = n_minus
         self.interior = tuple(sorted(interior))
         self.boundary = tuple(sorted(boundary, key=lambda e: (e[0], e[1])))
+        self._fibers = None
         seen = [(i, j) for i, j, _ in self.interior] + [(i, j) for i, j, _ in self.boundary]
-        assert len(seen) == len(set(seen)), "duplicate Z-point keys"
+        if len(seen) != len(set(seen)):
+            seen.sort()
+            z = next(z for z, w in zip(seen, seen[1:]) if z == w)
+            raise InvariantViolation("duplicate-z-point", z, z)
+
+    def fiber(self, family: str, element: int) -> tuple:
+        """The Z-points with the given component, sorted; all fibers are
+        built in one pass over Z."""
+        if self._fibers is None:
+            plus = [[] for _ in range(self.n_plus)]
+            minus = [[] for _ in range(self.n_minus)]
+            keys = sorted([(i, j) for i, j, _ in self.interior]
+                          + [(i, j) for i, j, _ in self.boundary])
+            for z in keys:
+                plus[z[0]].append(z)
+                minus[z[1]].append(z)
+            self._fibers = {"plus": tuple(map(tuple, plus)),
+                            "minus": tuple(map(tuple, minus))}
+        fibers = self._fibers[family]
+        _check_index(len(fibers), element, family)
+        return fibers[element]
 
     def interior_map(self) -> dict:
         return {(i, j): n for i, j, n in self.interior}
@@ -322,7 +352,13 @@ class EspecialDisc:
 
 
 def especial_disc(fp: FamilyPair, workers: int = 0) -> EspecialDisc:
-    """Classify every cross pair, row by row, in one thread.
+    """Classify every cross pair, testing only those that can meet or link.
+
+    A minus set b that holds no rank of the plus set a, straddles none and
+    does not hold INF has all of a in its wrap gap: the four counts are
+    (1, 1, 1, 1) and the pair is unlinked. So row a tests only the minus
+    set holding INF and the owner and straddlers of each rank of a, read
+    from the minus family's laminar forest, in index order.
 
     The disc becomes the pair's index disc, so a pair is classified once
     however its stages are called; a later call returns the same disc.
@@ -333,18 +369,104 @@ def especial_disc(fp: FamilyPair, workers: int = 0) -> EspecialDisc:
     if index._disc is None:
         points = index.points
         minus = index.ranks("minus")
+        forest = index.forest("minus")
+        owner, parent, inner = forest.owner, forest.parent, forest.inner
+        seen = [-1] * len(minus)
         interior = []
         boundary = []
         for i, a in enumerate(index.ranks("plus")):
+            row = []
+            k = forest.inf_owner
+            if k is not None:
+                seen[k] = i
+                row.append(k)
+            for r in a:
+                # the straddlers of r: every set marked in this row has its
+                # ancestors marked, so the walk up stops at the first marked
+                k = inner[2 * r + 1]
+                while k is not None and seen[k] != i:
+                    seen[k] = i
+                    row.append(k)
+                    k = parent[k]
+                # the owner's ancestors straddle r, so they are marked now
+                k = owner[r]
+                if k is not None and seen[k] != i:
+                    seen[k] = i
+                    row.append(k)
+            row.sort()
             members = frozenset(a)
-            for j, b in enumerate(minus):
-                c = _meet_or_link(points, a, members, b, (i, j))
+            for j in row:
+                c = _meet_or_link(points, a, members, minus[j], (i, j))
                 if isinstance(c, CirclePoint):
                     boundary.append((i, j, c))
                 elif c != 1:
                     interior.append((i, j, c))
         index._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
     return index._disc
+
+
+class LaminarForest:
+    """How the sets of one family nest, from one sweep over the pair's ranks.
+
+    owner[r] is the set holding rank r, None for a rank of the other family,
+    and inf_owner the set holding INF, if any. The sweep runs over the
+    finite ranks; a set opens at its first rank and closes at its last
+    finite one, so the open sets are those straddling the sweep position
+    (with finite ranks on both sides of it). parent[k] is the innermost set
+    open when k opens, None for a root, and inner[pos] the innermost set
+    straddling position pos, where pos = 2r + 1 is rank r and pos = 2r the
+    gap between ranks r - 1 and r. The sets straddling pos are inner[pos]
+    and its ancestors.
+
+    The sweep checks that the family is laminar, which is that its hulls are
+    pairwise disjoint: no rank has two owners, every set lies in one gap of
+    the innermost set open at its ranks, and no set is open when the set
+    holding INF opens. A failure raises InvariantViolation("hull-overlap")
+    with the family and two of its set indices.
+    """
+
+    __slots__ = ("owner", "inf_owner", "parent", "inner")
+
+    def __init__(self, index: "PairIndex", family: str):
+        points = index.points
+        sets = index.ranks(family)
+        n = len(points)
+        finite = n - 1 if n and points[-1].is_infinite else n
+        owner = [None] * n
+        for k, s in enumerate(sets):
+            for r in s:
+                if owner[r] is not None:
+                    raise InvariantViolation("hull-overlap", (family, owner[r], k))
+                owner[r] = k
+        inf_owner = owner[finite] if finite < n else None
+        parent = [None] * len(sets)
+        inner = [None] * (2 * n + 1)
+        stack = [None]
+        for r in range(finite):
+            k = owner[r]
+            if k is None:
+                inner[2 * r + 1] = inner[2 * r + 2] = stack[-1]
+                continue
+            s = sets[k]
+            last = s[-2] if k == inf_owner else s[-1]
+            if r != s[0]:
+                if stack[-1] != k:
+                    # a set opened inside k's gap is still open
+                    raise InvariantViolation("hull-overlap", (family, k, stack[-1]))
+                if r == last:
+                    stack.pop()
+            elif k == inf_owner and len(stack) > 1:
+                raise InvariantViolation("hull-overlap", (family, stack[-1], k))
+            else:
+                parent[k] = stack[-1]
+            inner[2 * r + 1] = stack[-1]
+            if r == s[0] and r != last:
+                stack.append(k)
+            inner[2 * r + 2] = stack[-1]
+        self.owner = owner
+        self.inf_owner = inf_owner
+        self.parent = parent
+        self.inner = inner
 
 
 class PairIndex:
@@ -355,18 +477,18 @@ class PairIndex:
     and each element as the sorted tuple of its ranks (validate builds it
     for its within-family checks). The disc comes from especial_disc;
     interior and boundary map (i, j) to the linking number and to the shared
-    circle point; fiber() gives the Z-points of one element, all fibers
-    built in one pass over Z; hulls() gives one family's convex hulls and
-    locator() the point location over them, each family's built once. Maps
-    are read-only views and sequences are tuples, so no consumer can change
-    what the others read.
+    circle point; fiber() gives the Z-points of one element (the disc's
+    fibers); forest() gives how one family's sets nest, hulls() its convex
+    hulls and locator() the point location over them, each family's built
+    once. Maps are read-only views and sequences are tuples, so no consumer
+    can change what the others read.
 
     The linked cells are the largest piece, so the index keeps them only
     while a keep_cells() block is open; outside one, cells() builds them
     for its caller alone.
     """
 
-    __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_fibers",
+    __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_forests",
                  "_hulls", "_locators", "_cells", "_cell_keepers")
 
     def __init__(self, fp: FamilyPair):
@@ -375,7 +497,7 @@ class PairIndex:
         self._disc = None
         self._interior = None
         self._boundary = None
-        self._fibers = None
+        self._forests = {}
         self._hulls = None
         self._locators = {}
         self._cells = None
@@ -417,20 +539,14 @@ class PairIndex:
 
     def fiber(self, family: str, element: int) -> tuple:
         """The Z-points with the given component, sorted; see fiber_plus."""
-        if self._fibers is None:
-            disc = self.disc
-            plus = [[] for _ in range(disc.n_plus)]
-            minus = [[] for _ in range(disc.n_minus)]
-            keys = sorted([(i, j) for i, j, _ in disc.interior]
-                          + [(i, j) for i, j, _ in disc.boundary])
-            for z in keys:
-                plus[z[0]].append(z)
-                minus[z[1]].append(z)
-            self._fibers = {"plus": tuple(map(tuple, plus)),
-                            "minus": tuple(map(tuple, minus))}
-        fibers = self._fibers[family]
-        _check_index(len(fibers), element, family)
-        return fibers[element]
+        return self.disc.fiber(family, element)
+
+    def forest(self, family: str) -> "LaminarForest":
+        """How one family's sets nest (see LaminarForest), built once."""
+        forest = self._forests.get(family)
+        if forest is None:
+            forest = self._forests[family] = LaminarForest(self, family)
+        return forest
 
     def hulls(self, family: str) -> tuple:
         """The convex hull of every element of one family, by index."""
@@ -474,18 +590,12 @@ class PairIndex:
 
 def fiber_plus(disc: EspecialDisc, i: int) -> list:
     """All Z-points (interior and boundary) with plus component i, by minus index."""
-    _check_index(disc.n_plus, i, "plus")
-    zs = [(a, b) for a, b, _ in disc.interior if a == i]
-    zs += [(a, b) for a, b, _ in disc.boundary if a == i]
-    return sorted(zs)
+    return list(disc.fiber("plus", i))
 
 
 def fiber_minus(disc: EspecialDisc, j: int) -> list:
     """All Z-points (interior and boundary) with minus component j, by plus index."""
-    _check_index(disc.n_minus, j, "minus")
-    zs = [(a, b) for a, b, _ in disc.interior if b == j]
-    zs += [(a, b) for a, b, _ in disc.boundary if b == j]
-    return sorted(zs)
+    return list(disc.fiber("minus", j))
 
 
 def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
@@ -594,30 +704,59 @@ def nesting_report(fp: FamilyPair) -> NestingReport:
     inside it with one separating the other from the reference element. A
     finite truncation always leaves some intervals unseparated; the report
     quantifies that defect instead of rejecting the family.
+
+    An element k inside the interval separates the reference from another
+    element there exactly when the elements other than k lie in two or more
+    gaps of k, since k's far side from the reference is inside the interval.
+    The separator is the least such k. Listed by first rank, the elements in
+    a gap between two ranks are one run: the gap's children in the nesting
+    forest, each followed by what it encloses. Those in the wrap gap are a
+    prefix and a suffix of the list.
     """
     entries = []
     for name in ("plus", "minus"):
         sets = fp.index.ranks(name)
+        owner = fp.index.forest(name).owner
+        none = len(sets)
+        # order lists the elements by first rank; start[r] counts those that
+        # begin before rank r
+        order = []
+        start = [0]
+        for r, k in enumerate(owner):
+            if k is not None and sets[k][0] == r:
+                order.append(k)
+            start.append(len(order))
+        n = len(order)
+
+        def separating(k: int) -> bool:
+            lam = sets[k]
+            gaps = sum(start[lo + 1] < start[hi] for lo, hi in zip(lam, lam[1:]))
+            return gaps + (start[lam[0]] > 0 or start[lam[-1] + 1] < n) >= 2
+
+        least = [k if separating(k) else none for k in order]
+        # end[p]: where the run of order[p] and the elements it encloses ends;
+        # below[p]: the least separator in that run, from its gap-children
+        end = [start[sets[k][-1] + 1] for k in order]
+        below = least[:]
+        for p in reversed(range(n)):
+            q = p + 1
+            while q < end[p]:
+                below[p] = min(below[p], below[q])
+                q = end[q]
+        head = list(accumulate(least, min, initial=none))
+        tail = list(accumulate(reversed(least), min, initial=none))[::-1]
         for e, lam in enumerate(sets):
-            buckets = {g: [] for g in range(len(lam))}
-            for k, other in enumerate(sets):
-                if k == e:
-                    continue
-                gaps = {rank_gap(lam, r) for r in other}
-                # family validity forces every other element into one gap
-                assert len(gaps) == 1
-                buckets[gaps.pop()].append(k)
             intervals = complementary_intervals(fp.family(name)[e])
             for g, interval in enumerate(intervals):
-                inside = buckets[g]
-                separator = None
-                for k in inside:
-                    for m in inside:
-                        if m != k and rank_separates(sets[k], lam, sets[m]):
-                            separator = k
-                            break
-                    if separator is not None:
-                        break
+                if g + 1 < len(lam):
+                    best = none
+                    q, stop = start[lam[g] + 1], start[lam[g + 1]]
+                    while q < stop:
+                        best = min(best, below[q])
+                        q = end[q]
+                else:
+                    best = min(head[start[lam[0]]], tail[start[lam[-1] + 1]])
+                separator = best if best < none else None
                 entries.append(NestingEntry(name, e, interval.a, interval.b,
                                             separator is not None, separator))
     return NestingReport(entries)

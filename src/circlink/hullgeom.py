@@ -455,65 +455,37 @@ def _param_position(points: tuple, y: int, x: int) -> int:
 class HullLocator:
     """Exact point location among the hulls of one family of a pair.
 
-    One sweep over the pair's ranks builds it and checks that the family's
-    hulls are pairwise disjoint: no rank has two owners, every set lies in
-    one gap of the innermost set enclosing it, and no set encloses one that
-    holds INF. A failure raises InvariantViolation("hull-overlap") with the
-    family and two of its set indices. paths[pos] lists the sets straddling
-    the parameter position pos (see _param_position), outermost first, or
-    at a rank of the set holding INF that set alone; every position shares
-    the tuple of its innermost set.
+    It reads the family's laminar forest (family.LaminarForest), whose sweep
+    checks that the hulls are pairwise disjoint and raises
+    InvariantViolation("hull-overlap") when they are not. paths[pos] lists
+    the sets straddling the parameter position pos (see _param_position),
+    outermost first: the forest's innermost straddler and its ancestors. At
+    a rank of the set holding INF it is that set alone, since the chord from
+    INF to the rank is an edge or a diagonal of its hull.
     """
 
-    __slots__ = ("sets", "verts", "owner", "paths")
+    __slots__ = ("sets", "verts", "paths")
 
     def __init__(self, index, family: str):
+        forest = index.forest(family)
         points = index.points
-        sets = index.ranks(family)
-        n = len(points)
-        finite = n - 1 if n and points[-1].is_infinite else n
-        owner = [None] * n
-        verts = [None] * n
-        for k, s in enumerate(sets):
-            for r in s:
-                if owner[r] is not None:
-                    raise InvariantViolation("hull-overlap", (family, owner[r], k))
-                owner[r] = k
-                verts[r] = _h_from_param(points[r])
-        inf_owner = owner[finite] if finite < n else None
-        # the chord from INF to a rank of the set holding INF is an edge or
-        # a diagonal of its hull, so that set is the path there
-        inf_path = (inf_owner,)
-        paths = [()] * (2 * finite + 1)
-        stack = [()]
-        for r in range(finite):
-            k = owner[r]
-            if k is None:
-                paths[2 * r + 1] = paths[2 * r + 2] = stack[-1]
-                continue
-            s = sets[k]
-            last = s[-2] if k == inf_owner else s[-1]
-            if r != s[0]:
-                inner = stack[-1][-1]
-                if inner != k:
-                    # a set opened inside k's gap is still open
-                    raise InvariantViolation("hull-overlap", (family, k, inner))
-                if r == last:
-                    stack.pop()
-            elif k == inf_owner and len(stack) > 1:
-                raise InvariantViolation("hull-overlap", (family, stack[-1][-1], k))
-            paths[2 * r + 1] = inf_path if k == inf_owner else stack[-1]
-            if r == s[0] and r != last:
-                stack.append(stack[-1] + (k,))
-            paths[2 * r + 2] = stack[-1]
-        self.sets = sets
-        self.verts = verts
-        self.owner = owner
+        self.sets = index.ranks(family)
+        self.verts = [None if k is None else _h_from_param(points[r])
+                      for r, k in enumerate(forest.owner)]
+        # a set is first innermost just after its first rank, and its parent
+        # was innermost there, so each parent's path exists before its child's
+        made = {None: ()}
+        paths = []
+        for k in forest.inner:
+            path = made.get(k)
+            if path is None:
+                path = made[k] = made[forest.parent[k]] + (k,)
+            paths.append(path)
+        k = forest.inf_owner
+        if k is not None:
+            for r in self.sets[k][:-1]:
+                paths[2 * r + 1] = (k,)
         self.paths = paths
-
-    def owner_at(self, pos: int) -> Optional[int]:
-        """The set holding the marked point at position pos, None if unmarked."""
-        return self.owner[pos >> 1] if pos & 1 else None
 
     def find(self, h: tuple, pos: int) -> Optional[int]:
         """The set whose hull holds h, strictly inside the disc, when the
@@ -548,8 +520,9 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     """Indices of the plus hull and minus hull containing p, None when absent.
 
     A point on the circle is in a hull only at a vertex, so it needs the
-    rank of its parameter and the owner of that rank; an interior point asks
-    each family's HullLocator, built once by the pair's index.
+    rank of its parameter and the owner of that rank in each family's
+    laminar forest; an interior point asks each family's HullLocator, built
+    once by the pair's index.
     """
     h = p._h
     X, Y, D = h
@@ -557,13 +530,12 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     if rim > 0:
         raise OutsideDiscError(p)
     index = fp.index
-    plus = index.locator("plus")
-    minus = index.locator("minus")
     # D + X == 0 only at INF itself, since p is in the closed disc
     pos = _param_position(index.points, Y if X + D else 1, X + D)
     if rim == 0:
-        return plus.owner_at(pos), minus.owner_at(pos)
-    return plus.find(h, pos), minus.find(h, pos)
+        plus, minus = index.forest("plus").owner, index.forest("minus").owner
+        return (plus[pos >> 1], minus[pos >> 1]) if pos & 1 else (None, None)
+    return index.locator("plus").find(h, pos), index.locator("minus").find(h, pos)
 
 
 def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:

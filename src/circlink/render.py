@@ -55,6 +55,14 @@ class _Canvas:
             % (opts.width, opts.height, opts.width, opts.height)
         ]
         self._px = {}
+        self._num = {}
+
+    def num(self, v: float) -> str:
+        """v formatted, once per canvas: widths and radii repeat per element."""
+        text = self._num.get(v)
+        if text is None:
+            text = self._num[v] = _fmt(v)
+        return text
 
     def px(self, h: tuple) -> tuple:
         """The formatted pixel coordinates of h, computed once per point."""
@@ -74,22 +82,23 @@ class _Canvas:
     def dot(self, eid: str, h: tuple, color: str, r: float) -> None:
         x, y = self.px(h)
         self.parts.append('<circle id="%s" cx="%s" cy="%s" r="%s" fill="%s"/>'
-                          % (eid, x, y, _fmt(r), color))
+                          % (eid, x, y, self.num(r), color))
 
     def line(self, eid: str, p: tuple, q: tuple, color: str, width: float) -> None:
         x1, y1 = self.px(p)
         x2, y2 = self.px(q)
         self.parts.append(
             '<line id="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>'
-            % (eid, x1, y1, x2, y2, color, _fmt(width)))
+            % (eid, x1, y1, x2, y2, color, self.num(width)))
 
     def polygon(self, eid: str, pts, color: str, fill: str, opacity: float) -> None:
         coords = " ".join("%s,%s" % self.px(h) for h in pts)
         if fill == "none":
-            style = 'fill="none" stroke="%s" stroke-width="%s"' % (color, _fmt(self.opts.stroke_width))
+            style = 'fill="none" stroke="%s" stroke-width="%s"' % (
+                color, self.num(self.opts.stroke_width))
         else:
             style = 'fill="%s" fill-opacity="%s" stroke="%s" stroke-width="1"' % (
-                fill, _fmt(opacity), color)
+                fill, self.num(opacity), color)
         self.parts.append('<polygon id="%s" points="%s" %s/>' % (eid, coords, style))
 
     def text(self, eid: str, h: tuple, content: str, color: str) -> None:

@@ -48,6 +48,18 @@ FIXTURES = [gen_grid(3), gen_tripod(), gen_star(5), nested_pair(3, 1), gen_figur
             gen_symmetric()[0], touching_pair()]
 
 
+def scan_fiber_plus(disc, i):
+    zs = [(a, b) for a, b, _ in disc.interior if a == i]
+    zs += [(a, b) for a, b, _ in disc.boundary if a == i]
+    return sorted(zs)
+
+
+def scan_fiber_minus(disc, j):
+    zs = [(a, b) for a, b, _ in disc.interior if b == j]
+    zs += [(a, b) for a, b, _ in disc.boundary if b == j]
+    return sorted(zs)
+
+
 def assert_index_matches_oracles(fp):
     index = fp.index
     # especial_disc(fp) returns the index's own disc, so the all-pairs
@@ -57,11 +69,16 @@ def assert_index_matches_oracles(fp):
     assert especial_disc(fp) is index.disc
     assert dict(index.interior) == disc.interior_map()
     assert dict(index.boundary) == disc.boundary_map()
-    # each fiber against a full scan of the disc
+    # each fiber against a full scan of the disc; fiber_plus and fiber_minus
+    # of the pair's own disc view the index's fibers
     for i in range(len(fp.plus)):
-        assert list(index.fiber("plus", i)) == fiber_plus(disc, i)
+        assert list(index.fiber("plus", i)) == scan_fiber_plus(disc, i)
+        assert fiber_plus(index.disc, i) == fiber_plus(disc, i) == scan_fiber_plus(disc, i)
+        assert index.fiber("plus", i) is index.disc.fiber("plus", i)
     for j in range(len(fp.minus)):
-        assert list(index.fiber("minus", j)) == fiber_minus(disc, j)
+        assert list(index.fiber("minus", j)) == scan_fiber_minus(disc, j)
+        assert fiber_minus(index.disc, j) == fiber_minus(disc, j) == scan_fiber_minus(disc, j)
+        assert index.fiber("minus", j) is index.disc.fiber("minus", j)
     for name in ("plus", "minus"):
         assert index.hulls(name) == tuple(hull(s) for s in fp.family(name))
     expected_cells = {(i, j): cell_intersection(hull(fp.plus[i]), hull(fp.minus[j]))

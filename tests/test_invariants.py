@@ -18,8 +18,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 PRELUDE = """
-from circlink import (CircleMap, CircleSet, CirclinkError, ConvexCell, FamilyPair,
-                      PlanePoint, check_equivariance, hullgeom)
+from circlink import (CircleMap, CircleSet, CirclinkError, ConvexCell, EspecialDisc,
+                      FamilyPair, PlanePoint, check_equivariance, hullgeom, point)
 try:
     {call}
 except (CirclinkError, ValueError) as exc:
@@ -44,6 +44,9 @@ CHECKS = [
      "check_equivariance(FamilyPair([CircleSet([0, 3]), CircleSet([0, 3])], "
      "[CircleSet([2, 5])]), CircleMap.identity())",
      "InvariantViolation permutation-collision ('plus', 0, 1, 0) "),
+    # (1, 0) is listed as interior and as boundary
+    ("duplicate-z-point", "EspecialDisc(2, 1, [(1, 0, 2), (0, 0, 3)], [(1, 0, point(5))])",
+     "InvariantViolation duplicate-z-point (1, 0) "),
 ]
 
 
@@ -59,8 +62,6 @@ def test_invariant_is_a_typed_check(check, call, printed, flags):
 
 # (module, enclosing definition) of each assert still allowed in src/
 ALLOWED_ASSERTS = Counter([
-    ("family.py", "EspecialDisc.__init__"),       # duplicate Z-point keys
-    ("family.py", "nesting_report"),              # one-gap bucket
     ("straighten.py", "LeafGraph.__init__"),      # leaf tree shape
 ])
 

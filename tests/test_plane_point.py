@@ -25,6 +25,7 @@ from circlink import (
     layout,
     quotient_check,
 )
+from circlink import render
 from circlink.generators import random_circle_map
 from circlink.render import RenderOptions, _Canvas, _fmt, render_input_svg, render_straightened_svg
 from circlink.straighten import LeafGraph, _detect_crossings, _sort_spans
@@ -111,6 +112,28 @@ def test_canvas_formats_each_point_once():
     assert canvas.px((1, 1, 2)) is first
     assert canvas.px((1, 1, 3)) == (_fmt(canvas.cx + canvas.radius * (1 / 3)),
                                     _fmt(canvas.cy - canvas.radius * (1 / 3))) != first
+
+
+def test_render_formats_each_constant_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(render, "_fmt", lambda v: calls.append(v) or _fmt(v))
+    fp = random_circle_map(1).apply_pair(gen_grid(6))
+    sd = layout(fp)
+    points = {p._h for p in sd.layout.values()} | {p._h for p in sd.virtual_positions.values()}
+    for leaf in sd.leaves_plus + sd.leaves_minus:
+        points |= {sd.position(leaf.family, leaf.element, u)._h
+                   for edge in leaf.edges for u in edge}
+    svg = render_straightened_svg(sd)
+    # two coordinates per distinct point; the boundary circle's centre,
+    # radius and width, and each width and radius once, not per element
+    # (60 leaf edges and 36 Z-points)
+    assert svg.count("<line") == 60 and svg.count("<circle") > 36
+    assert 2 * len(points) < len(calls) <= 2 * len(points) + 7
+    calls.clear()
+    points = {h for name in ("plus", "minus") for c in fp.index.hulls(name) for h in c._h}
+    points |= {h for c in fp.index.cells().values() for h in c._h}
+    render_input_svg(fp)
+    assert 2 * len(points) < len(calls) <= 2 * len(points) + 7
 
 
 # ── the span sort and the crossing scan ──────────────────────────────────

@@ -288,6 +288,12 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
     base = random_circle_map(2).apply_pair(touching_pair())
     disjoint_pairs = 4 - len(base.index.boundary)
     assert disjoint_pairs == 2
+    # one classification alone counts the interior pair but not the disjoint
+    # pair the laminar forest shows to be unlinked
+    kernel_calls.clear()
+    family.especial_disc(validate(base.plus, base.minus))
+    once = list(kernel_calls)
+    assert len(once) == len(base.index.interior) == 1
     for first in ("disc", "layout"):
         fp = validate(base.plus, base.minus)
         kernel_calls.clear()
@@ -299,9 +305,9 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
             sd = layout(fp)
             disc = family.especial_disc(fp)
         assert sd.disc is disc
-        # one classification: each disjoint cross pair counted once, and one
+        # one classification: each tested cross pair counted once, and one
         # especial_disc call does the work
-        assert len(kernel_calls) == disjoint_pairs
+        assert kernel_calls == once
         assert len(disc_calls) == 1 + (first == "layout")
     fp = gen_grid(8)
     kernel_calls.clear()
