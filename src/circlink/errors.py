@@ -36,7 +36,8 @@ class NotInteriorError(CirclinkError):
 
 
 class EmptyLinkedCellError(CirclinkError):
-    """A linked pair produced an empty hull intersection; this is a bug."""
+    """A pair listed as linked has no cell: its jump-edge walk did not
+    close after exactly its linking number of rounds. This is a bug."""
 
     def __init__(self, z):
         self.z = z

@@ -478,10 +478,11 @@ class PairIndex:
     for its within-family checks). The disc comes from especial_disc;
     interior and boundary map (i, j) to the linking number and to the shared
     circle point; fiber() gives the Z-points of one element (the disc's
-    fibers); forest() gives how one family's sets nest, hulls() its convex
-    hulls and locator() the point location over them, each family's built
-    once. Maps are read-only views and sequences are tuples, so no consumer
-    can change what the others read.
+    fibers); forest() gives how one family's sets nest, triples() the
+    point of each rank in the plane, hulls() one family's convex hulls and
+    locator() the point location over them, each built once. Maps are
+    read-only views and sequences are tuples, so no consumer can change what
+    the others read.
 
     The linked cells are the largest piece, so the index keeps them only
     while a keep_cells() block is open; outside one, cells() builds them
@@ -489,7 +490,7 @@ class PairIndex:
     """
 
     __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_forests",
-                 "_hulls", "_locators", "_cells", "_cell_keepers")
+                 "_triples", "_hulls", "_locators", "_cells", "_cell_keepers")
 
     def __init__(self, fp: FamilyPair):
         self.fp = fp
@@ -498,6 +499,7 @@ class PairIndex:
         self._interior = None
         self._boundary = None
         self._forests = {}
+        self._triples = None
         self._hulls = None
         self._locators = {}
         self._cells = None
@@ -547,6 +549,14 @@ class PairIndex:
         if forest is None:
             forest = self._forests[family] = LaminarForest(self, family)
         return forest
+
+    def triples(self) -> tuple:
+        """The homogeneous triple of each rank's point on the unit circle
+        (hullgeom.param_to_point), by rank."""
+        if self._triples is None:
+            from .hullgeom import _h_from_param
+            self._triples = tuple([_h_from_param(u) for u in self.points])
+        return self._triples
 
     def hulls(self, family: str) -> tuple:
         """The convex hull of every element of one family, by index."""

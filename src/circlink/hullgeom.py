@@ -4,9 +4,9 @@ Circle parameters land on the unit circle through the tangent half-angle map,
 so every marked point has rational coordinates and cyclic order becomes
 counterclockwise order. All predicates are exact and work on homogeneous
 integer triples (X, Y, D) standing for (X/D, Y/D): a PlanePoint stores its
-triple normalised to D > 0 and gcd(X, Y, D) = 1, cells are clipped edge by
-edge on triples, each new vertex the integer meet of two lines. A Fraction
-is built only when a point is made from one or a caller reads .x or .y.
+triple normalised to D > 0 and gcd(X, Y, D) = 1, and each vertex of a cell
+made from others is the integer meet of two lines. A Fraction is built only
+when a point is made from one or a caller reads .x or .y.
 """
 
 from __future__ import annotations
@@ -306,10 +306,7 @@ def _cell_contains_h(cell: ConvexCell, h: tuple) -> bool:
 
 def _cell_from_h(hpts) -> Optional[ConvexCell]:
     """Canonical cell from a finite batch of normalised homogeneous points."""
-    uniq = []
-    for h in hpts:
-        if h not in uniq:
-            uniq.append(h)
+    uniq = list(dict.fromkeys(hpts))
     if not uniq:
         return None
     if len(uniq) == 1:
@@ -342,7 +339,12 @@ def hull(a_set: CircleSet) -> ConvexCell:
     already the counterclockwise vertex order; it only gets rotated to the
     canonical start.
     """
-    hs = [_h_from_param(u) for u in a_set.points]
+    return _ring_cell([_h_from_param(u) for u in a_set.points])
+
+
+def _ring_cell(hs: list) -> ConvexCell:
+    """The canonical cell of distinct vertices in strictly convex position
+    and counterclockwise order."""
     if len(hs) == 1:
         return _cell(0, tuple(hs))
     if len(hs) == 2:
@@ -468,10 +470,8 @@ class HullLocator:
 
     def __init__(self, index, family: str):
         forest = index.forest(family)
-        points = index.points
         self.sets = index.ranks(family)
-        self.verts = [None if k is None else _h_from_param(points[r])
-                      for r, k in enumerate(forest.owner)]
+        self.verts = index.triples()
         # a set is first innermost just after its first rank, and its parent
         # was innermost there, so each parent's path exists before its child's
         made = {None: ()}
@@ -538,21 +538,72 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     return index.locator("plus").find(h, pos), index.locator("minus").find(h, pos)
 
 
+def _edge_lines(ranks: tuple, verts: tuple) -> tuple:
+    """The line of each edge of a rank tuple's hull; edge e runs from
+    ranks[e] to ranks[e + 1], cyclically. Both edges of a 2-point set are
+    one chord and share one line object."""
+    if len(ranks) == 2:
+        line = _h_line(verts[ranks[0]], verts[ranks[1]])
+        return (line, line)
+    return tuple([_h_line(verts[r], verts[s]) for r, s in zip(ranks, ranks[1:] + ranks[:1])])
+
+
+def _jump_cell(a: tuple, b: tuple, n: int, la: tuple, lb: tuple, z: tuple) -> ConvexCell:
+    """The cell of the disjoint rank tuples a and b, which alternate n times,
+    as the 2n-gon of their jump edges' crossings; la and lb are the edge
+    lines (_edge_lines). z names the pair in the error raised when the walk
+    does not close after exactly n >= 2 rounds."""
+    m, k = len(a), len(b)
+    ia = start = (bisect_left(a, b[0]) - 1) % m
+    hs = []
+    pa = pb = x = None
+    for rounds in range(1, n + 1):
+        # the b-edge over the next run of a, then the a-edge over the run of
+        # b after it; each crosses the edge before it once
+        jb = (bisect_left(b, a[(ia + 1) % m]) - 1) % k
+        A, B = la[ia], lb[jb]
+        if A is not pa or B is not pb:
+            pa, pb, x = A, B, _h_line_cross(A, B)
+        hs.append(x)
+        ia = (bisect_left(a, b[(jb + 1) % k]) - 1) % m
+        A = la[ia]
+        if A is not pa:
+            pa, x = A, _h_line_cross(A, B)
+        hs.append(x)
+        if ia == start:
+            break
+    if n < 2 or ia != start or rounds != n:
+        raise EmptyLinkedCellError(z)
+    # only a 2-point set repeats a line, so repeats are adjacent cyclically
+    return _ring_cell([h for q, h in enumerate(hs) if h != hs[q - 1]] or hs[:1])
+
+
 def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
     """The nonempty hull intersection for every interior Z-point.
 
-    Linking guarantees nonemptiness; an empty cell would mean the geometry
-    disagrees with the combinatorics and raises immediately. The hulls, and
-    the disc when none is given, come from the pair's index.
+    Rank tuples that alternate n times have n jump edges each, the edges
+    whose arcs hold ranks of the other tuple. No vertex of one hull lies in
+    the other and every other edge crosses nothing, so the cell is the
+    2n-gon of the jump edges' crossings, found by walking the runs (see
+    _jump_cell). A walk that does not close after n rounds means the
+    geometry disagrees with the combinatorics and raises
+    EmptyLinkedCellError. The rank tuples, the vertex triples, and the disc
+    when none is given come from the pair's index.
     """
+    index = fp.index
     if disc is None:
-        disc = fp.index.disc
-    ph = fp.index.hulls("plus")
-    mh = fp.index.hulls("minus")
+        disc = index.disc
+    verts = index.triples()
+    plus, minus = index.ranks("plus"), index.ranks("minus")
+    plines = [None] * len(plus)
+    mlines = [None] * len(minus)
     cells = {}
-    for i, j, _n in disc.interior:
-        c = cell_intersection(ph[i], mh[j])
-        if c is None:
-            raise EmptyLinkedCellError((i, j))
-        cells[(i, j)] = c
+    for i, j, n in disc.interior:
+        la = plines[i]
+        if la is None:
+            la = plines[i] = _edge_lines(plus[i], verts)
+        lb = mlines[j]
+        if lb is None:
+            lb = mlines[j] = _edge_lines(minus[j], verts)
+        cells[(i, j)] = _jump_cell(plus[i], minus[j], n, la, lb, (i, j))
     return cells

@@ -101,7 +101,9 @@ class LeafGraph:
         self.vertices = tuple(vertices)
         self.virtual_count = virtual_count
         self.edges = tuple(edges)
-        assert self.is_tree(), "leaf graph must be a tree"
+        if not self.is_tree():
+            raise InvariantViolation("leaf-tree", (family, element, len(self.edges),
+                                                   len(self.all_vertices())))
 
     def all_vertices(self) -> tuple:
         extra = (VIRTUAL,) if self.virtual_count else ()

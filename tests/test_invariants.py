@@ -19,7 +19,8 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 
 PRELUDE = """
 from circlink import (CircleMap, CircleSet, CirclinkError, ConvexCell, EspecialDisc,
-                      FamilyPair, PlanePoint, check_equivariance, hullgeom, point)
+                      FamilyPair, PlanePoint, check_equivariance, hullgeom, point,
+                      straighten)
 try:
     {call}
 except (CirclinkError, ValueError) as exc:
@@ -47,6 +48,9 @@ CHECKS = [
     # (1, 0) is listed as interior and as boundary
     ("duplicate-z-point", "EspecialDisc(2, 1, [(1, 0, 2), (0, 0, 3)], [(1, 0, point(5))])",
      "InvariantViolation duplicate-z-point (1, 0) "),
+    # two vertices and no edge: (family, element, edges, vertices)
+    ("leaf-tree", "straighten.LeafGraph('plus', 0, ((0, 0), (0, 1)), 0, ())",
+     "InvariantViolation leaf-tree ('plus', 0, 0, 2) "),
 ]
 
 
@@ -61,9 +65,7 @@ def test_invariant_is_a_typed_check(check, call, printed, flags):
 
 
 # (module, enclosing definition) of each assert still allowed in src/
-ALLOWED_ASSERTS = Counter([
-    ("straighten.py", "LeafGraph.__init__"),      # leaf tree shape
-])
+ALLOWED_ASSERTS = Counter()
 
 
 def _asserts(path) -> list:

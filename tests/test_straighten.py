@@ -245,15 +245,15 @@ def test_quotient_check_reports_cells_landing_on_one_z(monkeypatch):
     # straighten to one Z-point
     from circlink import hullgeom
 
-    real = hullgeom.cell_intersection
+    real = hullgeom._jump_cell
     first = []
 
-    def same_cell(P, Q):
+    def same_cell(*args):
         if not first:
-            first.append((P, Q))
+            first.append(args)
         return real(*first[0])
 
-    monkeypatch.setattr(hullgeom, "cell_intersection", same_cell)
+    monkeypatch.setattr(hullgeom, "_jump_cell", same_cell)
     report = quotient_check(grid_pair())
     assert not report.ok
     injective = [f for f in report.failures if f["clause"] == "injective"]
@@ -263,13 +263,13 @@ def test_quotient_check_reports_cells_landing_on_one_z(monkeypatch):
 
 COLLIDING_LAYOUT = """
 from circlink import CircleSet, InvariantViolation, hullgeom, layout, validate
-real = hullgeom.cell_intersection
+real = hullgeom._jump_cell
 first = []
-def same_cell(P, Q):
+def same_cell(*args):
     # every cell built becomes the (0, 0) cell
-    first.append((P, Q))
+    first.append(args)
     return real(*first[0])
-hullgeom.cell_intersection = same_cell
+hullgeom._jump_cell = same_cell
 fp = validate([CircleSet([0, 3]), CircleSet([4, 7])], [CircleSet([2, 5]), CircleSet([6, 1])])
 try:
     layout(fp)
