@@ -101,7 +101,7 @@ def cmd_classify(args) -> int:
 
 def cmd_disc(args) -> int:
     fp = _load_pair(args.file)
-    _emit(especial_disc(fp, workers=args.workers).to_json())
+    _emit(especial_disc(fp).to_json())
     return 0
 
 
@@ -161,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("disc", help="compute the classification disc")
     p.add_argument("file")
-    p.add_argument("--workers", type=int, default=0,
-                   help="accepted for compatibility and ignored; classification is single-threaded")
     p.set_defaults(func=cmd_disc)
 
     p = sub.add_parser("straighten", help="straighten one plane point")

@@ -351,7 +351,7 @@ class EspecialDisc:
         }
 
 
-def especial_disc(fp: FamilyPair, workers: int = 0) -> EspecialDisc:
+def especial_disc(fp: FamilyPair) -> EspecialDisc:
     """Classify every cross pair, testing only those that can meet or link.
 
     A minus set b that holds no rank of the plus set a, straddles none and
@@ -362,8 +362,6 @@ def especial_disc(fp: FamilyPair, workers: int = 0) -> EspecialDisc:
 
     The disc becomes the pair's index disc, so a pair is classified once
     however its stages are called; a later call returns the same disc.
-    workers is accepted and ignored: threads gave no speed-up under the GIL,
-    and the output never depended on it.
     """
     index = fp.index
     if index._disc is None:
@@ -614,34 +612,40 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     The result starts with i, ends with j, and lists the separating elements
     so that each one separates everything before it from everything after
     it. Raises NotLinearlyOrderedError when no such chain exists.
+
+    A validated family nests as a tree (the laminar forest, where the set
+    holding INF encloses the other roots and so is their parent), and k
+    separates i from j exactly when k lies on the tree path between them.
+    The chain is that path. On a tree a walk whose consecutive triples are
+    all on paths is itself a path, so each element is checked only against
+    its two neighbours.
     """
     n = len(fp.family(family))
     _check_index(n, i, family)
     _check_index(n, j, family)
     sets = fp.index.ranks(family)
-    if i == j:
-        return [i]
-    middles = [k for k in range(len(sets))
-               if k != i and k != j and rank_separates(sets[k], sets[i], sets[j])]
-    if not middles:
-        return [i, j]
+    forest = fp.index.forest(family)
+    parent, top = forest.parent, forest.inf_owner
 
-    def between(a: int, b: int, c: int) -> bool:
-        return rank_separates(sets[b], sets[a], sets[c])
+    def up(k: int) -> list:
+        path = []
+        while k is not None:
+            path.append(k)
+            k = top if parent[k] is None and k != top else parent[k]
+        return path
 
-    ranked = sorted(middles, key=lambda k: sum(1 for m in middles if m != k and between(i, m, k)))
-    chain = [i] + ranked + [j]
-    if len(middles) <= 20:
-        for t in range(1, len(chain) - 1):
-            for p in range(t):
-                for s in range(t + 1, len(chain)):
-                    if not between(chain[p], chain[t], chain[s]):
-                        raise NotLinearlyOrderedError((chain[p], chain[t], chain[s]))
-    else:
-        # long chains: consecutive triples still pin the order, full check is cubic
-        for t in range(1, len(chain) - 1):
-            if not between(chain[t - 1], chain[t], chain[t + 1]):
-                raise NotLinearlyOrderedError((chain[t - 1], chain[t], chain[t + 1]))
+    left, right = up(i), up(j)
+    shared = None
+    while left and right and left[-1] == right[-1]:
+        shared = left.pop()
+        right.pop()
+    if shared is not None and (shared == i or shared == j
+                               or rank_separates(sets[shared], sets[i], sets[j])):
+        left.append(shared)
+    chain = left + right[::-1]
+    for t in range(1, len(chain) - 1):
+        if not rank_separates(sets[chain[t]], sets[chain[t - 1]], sets[chain[t + 1]]):
+            raise NotLinearlyOrderedError((chain[t - 1], chain[t], chain[t + 1]))
     return chain
 
 

@@ -30,10 +30,6 @@ class RenderOptions:
     plus_color: str = "#2563eb"
     minus_color: str = "#dc2626"
     region_color: str = "#a78bfa"
-    hulls: bool = True
-    cells: bool = True
-    linked_region: bool = True
-    leaf_trees: bool = True
     labels: bool = False
 
 
@@ -131,15 +127,13 @@ def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> s
     """The embedded picture: circle, hulls, and the shaded linked region."""
     canvas = _Canvas(opts)
     canvas.boundary()
-    if opts.hulls:
-        for name, color in (("plus", opts.plus_color), ("minus", opts.minus_color)):
-            for i, h in enumerate(fp.index.hulls(name)):
-                _draw_cell(canvas, "hull-%s-%d" % (name, i), h, color, "none", 0)
-    if opts.cells or opts.linked_region:
-        cells = fp.index.cells()
-        fill = opts.region_color if opts.linked_region else "none"
-        for (i, j) in sorted(cells):
-            _draw_cell(canvas, "cell-%d-%d" % (i, j), cells[(i, j)], opts.region_color, fill, 0.55)
+    for name, color in (("plus", opts.plus_color), ("minus", opts.minus_color)):
+        for i, h in enumerate(fp.index.hulls(name)):
+            _draw_cell(canvas, "hull-%s-%d" % (name, i), h, color, "none", 0)
+    cells = fp.index.cells()
+    for (i, j) in sorted(cells):
+        _draw_cell(canvas, "cell-%d-%d" % (i, j), cells[(i, j)], opts.region_color,
+                   opts.region_color, 0.55)
     if opts.labels:
         for name, sets, color in (("plus", fp.plus, opts.plus_color),
                                   ("minus", fp.minus, opts.minus_color)):
@@ -154,17 +148,16 @@ def render_straightened_svg(sd: StraightenedDisc, opts: RenderOptions = RenderOp
     """The straightened picture: circle, leaf trees, Z-points."""
     canvas = _Canvas(opts)
     canvas.boundary()
-    if opts.leaf_trees:
-        for leaves, color in ((sd.leaves_plus, opts.plus_color),
-                              (sd.leaves_minus, opts.minus_color)):
-            for leaf in leaves:
-                canvas.open_group("leaf-%s-%d" % (leaf.family, leaf.element))
-                for idx, (u, v) in enumerate(leaf.edges):
-                    p = sd.position(leaf.family, leaf.element, u)._h
-                    q = sd.position(leaf.family, leaf.element, v)._h
-                    canvas.line("leaf-%s-%d-e%d" % (leaf.family, leaf.element, idx),
-                                p, q, color, opts.leaf_stroke_width)
-                canvas.close_group()
+    for leaves, color in ((sd.leaves_plus, opts.plus_color),
+                          (sd.leaves_minus, opts.minus_color)):
+        for leaf in leaves:
+            canvas.open_group("leaf-%s-%d" % (leaf.family, leaf.element))
+            for idx, (u, v) in enumerate(leaf.edges):
+                p = sd.position(leaf.family, leaf.element, u)._h
+                q = sd.position(leaf.family, leaf.element, v)._h
+                canvas.line("leaf-%s-%d-e%d" % (leaf.family, leaf.element, idx),
+                            p, q, color, opts.leaf_stroke_width)
+            canvas.close_group()
     for (fam, el) in sorted(sd.virtual_positions):
         canvas.dot("virtual-%s-%d" % (fam, el), sd.virtual_positions[(fam, el)]._h,
                    "#6b7280", opts.point_radius * 0.8)

@@ -227,13 +227,14 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
             anchor_chain = chains[0] if gi != 0 else chains[1]
             anchor = opp_sets[opp_of(anchor_chain[0])]
 
-            def inner(end_z):
-                e = opp_sets[opp_of(end_z)]
-                return not any(
-                    rank_separates(opp_sets[opp_of(m)], e, anchor)
-                    for m in chain if m != end_z)
+            def inner(end_z, next_z):
+                # the chain passed its neighbour checks, so it is a path in
+                # the family's nesting tree: some member separates the end
+                # from the anchor exactly when the end's neighbour does
+                return not rank_separates(opp_sets[opp_of(next_z)],
+                                          opp_sets[opp_of(end_z)], anchor)
 
-            lo, hi = inner(chain[0]), inner(chain[-1])
+            lo, hi = inner(chain[0], chain[1]), inner(chain[-1], chain[-2])
             if lo == hi:
                 raise GroupOrderNotTotalError((chain[0], chain[-1]))
             edges.append((VIRTUAL, chain[0] if lo else chain[-1]))

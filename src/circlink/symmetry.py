@@ -170,15 +170,14 @@ class EquivarianceReport:
 
 
 def _match_permutation(sets, g: CircleMap, family: str, failures: list) -> Optional[list]:
+    where = {}
+    for k, t in enumerate(sets):
+        where.setdefault(t, k)
     perm = []
     ok = True
     for i, s in enumerate(sets):
         image = g.apply_set(s)
-        target = None
-        for k, t in enumerate(sets):
-            if t == image:
-                target = k
-                break
+        target = where.get(image)
         if target is None:
             failures.append({"kind": "NotInvariant", "family": family, "element": i,
                              "image": image.to_json()})

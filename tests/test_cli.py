@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON output, SVG snapshots."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -147,11 +148,10 @@ def test_disc_matches_library(tmp_path, capsys):
     assert out == expected
 
 
-def test_disc_byte_stable_across_workers(tmp_path, capsys):
+def test_disc_byte_stable_across_runs(tmp_path, capsys):
     path = write_pair(tmp_path, "grid.json", GRID2)
     outputs = set()
-    for argv in (["disc", path], ["disc", path],
-                 ["disc", path, "--workers", "1"], ["disc", path, "--workers", "4"]):
+    for argv in (["disc", path], ["disc", path]):
         code, out = run(capsys, *argv)
         assert code == 0
         outputs.add(out)
@@ -286,6 +286,19 @@ def test_render_tripod_snapshot(tmp_path, capsys):
     tags, ids = structure(prefix + "-straightened.svg")
     assert tags == {"svg": 1, "circle": 2, "g": 2}
     assert ids == ["boundary", "leaf-plus-0", "leaf-minus-0", "z-0-0"]
+
+
+def test_render_tripod_bytes(tmp_path, capsys):
+    # the snapshots above check structure; these digests pin every attribute,
+    # such as the filled cell polygon and the unfilled hulls
+    path = write_pair(tmp_path, "tripod.json", TRIPOD)
+    prefix = str(tmp_path / "tri")
+    code, _ = run(capsys, "render", path, "--out", prefix)
+    assert code == 0
+    digests = [hashlib.sha256((tmp_path / ("tri" + suffix)).read_bytes()).hexdigest()
+               for suffix in ("-input.svg", "-straightened.svg")]
+    assert digests == ["39a2cadd6356bada53b507e06691a41c54fc610679c7365afa9aa5c0bef247a6",
+                       "89b285ac970851d81387fc8f0f4f82a6f724f83dca2e5c50ee9f6f0189b31c0b"]
 
 
 def test_render_builds_disc_and_cells_once(tmp_path, capsys, monkeypatch):

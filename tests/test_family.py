@@ -25,6 +25,8 @@ from circlink import (
     separation_interval,
     validate,
 )
+from circlink import family
+from circlink.errors import NotLinearlyOrderedError
 
 GRID_PLUS = [CircleSet([0, 3]), CircleSet([4, 7])]
 GRID_MINUS = [CircleSet([2, 5]), CircleSet([6, 1])]
@@ -127,16 +129,6 @@ def test_disc_boundary_point():
     assert d.boundary == ((0, 0, point(1)),)
 
 
-def test_disc_worker_count_is_invisible():
-    fp = grid_pair()
-    base = especial_disc(fp)
-    for workers in (1, 2, 5):
-        other = especial_disc(fp, workers=workers)
-        assert other.interior == base.interior
-        assert other.boundary == base.boundary
-        assert other.to_json() == base.to_json()
-
-
 def test_disc_stored_numbers_recompute():
     for seed in range(30):
         fp = random_family_pair(seed)
@@ -209,6 +201,19 @@ def test_separation_interval_longer_chain():
     assert separation_interval(fp, "plus", 0, 5) == [0, 1, 2, 3, 4, 5]
     assert separation_interval(fp, "plus", 5, 0) == [5, 4, 3, 2, 1, 0]
     assert separation_interval(fp, "plus", 1, 4) == [1, 2, 3, 4]
+
+
+def concentric_pair():
+    # thirty nested chords, so chains run longer than twenty separators
+    return validate([[k, 100 - k] for k in range(30)], [[-1, 200]])
+
+
+def test_separation_interval_reports_the_misordered_triple(monkeypatch):
+    fp = concentric_pair()
+    monkeypatch.setattr(family, "rank_separates", lambda barrier, first, second: False)
+    with pytest.raises(NotLinearlyOrderedError) as info:
+        separation_interval(fp, "plus", 0, 2)
+    assert info.value.witness == (0, 1, 2)
 
 
 # ── prong counts ─────────────────────────────────────────────────────────

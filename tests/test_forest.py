@@ -2,10 +2,12 @@
 
 One sweep over a family's ranks (family.LaminarForest) gives how its sets
 nest. especial_disc tests only the cross pairs the minus forest lists,
-validate tests all pairs of a family only when the sweep rejects it, and
-nesting_report reads each gap's elements as one run. The oracles test every
-pair: allpairs_oracle.py for the disc and the report, pointwise_oracle.py
-for the violations.
+validate tests all pairs of a family only when the sweep rejects it,
+nesting_report reads each gap's elements as one run, separation_interval
+reads the tree path between two sets, and a leaf tree's virtual vertex
+tests only each chain end's neighbour. The oracles test every pair:
+allpairs_oracle.py for the disc, the report, the separation chains and the
+chain ends, pointwise_oracle.py for the violations.
 """
 
 import random
@@ -23,14 +25,22 @@ from circlink import (
     FamilyValidationError,
     InvariantViolation,
     especial_disc,
+    gen_figure,
     gen_grid,
+    gen_symmetric,
+    leaf_graph,
     nested_pair,
     nesting_report,
     point,
+    random_family_pair,
+    separation_interval,
     validate,
 )
 from circlink import family
+from circlink.straighten import VIRTUAL
+from test_family import concentric_pair
 from test_locate import KINDS, drawn_pair, to_inf
+from test_straighten import chain_leaf_pair
 
 
 def assert_matches_all_pairs(fp):
@@ -219,3 +229,102 @@ def test_first_disagreement_is_reported_in_index_order(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         especial_disc(fp)
     assert info.value.z == (0, 0)
+
+
+# ── separation chains and chain ends ─────────────────────────────────────
+
+def inf_nested_pairs(depths):
+    for depth in depths:
+        for seed in range(6):
+            fp = nested_pair(depth, seed)
+            if seed % 2:
+                fp = to_inf(fp.index.points[seed % len(fp.index.points)]).apply_pair(fp)
+            yield fp
+
+
+def assert_chains_match_all_pairs(fp):
+    """Every ordered query of both families; returns the chains."""
+    fresh = FamilyPair(fp.plus, fp.minus)
+    chains = []
+    for name in ("plus", "minus"):
+        n = len(fp.family(name))
+        for i in range(n):
+            for j in range(n):
+                chain = separation_interval(fp, name, i, j)
+                assert chain == allpairs_oracle.separation_interval(fresh, name, i, j)
+                chains.append((fp, name, chain))
+    return chains
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=2 ** 32))
+def test_separation_matches_all_pairs_oracle(kind, seed):
+    assert_chains_match_all_pairs(drawn_pair(kind, seed))
+
+
+def test_separation_corpus_covers_inf_and_long_chains():
+    chains = []
+    for fp in inf_nested_pairs(range(1, 5)):
+        chains += assert_chains_match_all_pairs(fp)
+    for k, kind in enumerate(KINDS):
+        for seed in range(30):
+            chains += assert_chains_match_all_pairs(drawn_pair(kind, 13 * seed + k))
+    chains += assert_chains_match_all_pairs(concentric_pair())
+    # the set holding INF inside a chain, and chains past twenty separators
+    inf_inside = [c for fp, name, c in chains
+                  if fp.index.forest(name).inf_owner in c[1:-1]]
+    assert inf_inside
+    assert max(len(c) for _, _, c in chains) == 30
+
+
+def test_separation_makes_one_call_per_chain_link(monkeypatch):
+    calls = [0]
+    real = family.rank_separates
+
+    def counted(barrier, first, second):
+        calls[0] += 1
+        return real(barrier, first, second)
+
+    monkeypatch.setattr(family, "rank_separates", counted)
+    for fp in [concentric_pair()] + list(inf_nested_pairs([4])):
+        for name in ("plus", "minus"):
+            n = len(fp.family(name))
+            for i in range(n):
+                for j in range(n):
+                    calls[0] = 0
+                    chain = separation_interval(fp, name, i, j)
+                    assert calls[0] <= len(chain) - 1
+    calls[0] = 0
+    assert separation_interval(concentric_pair(), "plus", 0, 29) == list(range(30))
+    # 28 interior neighbour checks; the shared ancestor is 0 itself
+    assert calls[0] == 28
+
+
+def assert_ends_match_all_members(fp):
+    """Compare each leaf graph's virtual edges with the all-members end test;
+    returns the graphs that have a virtual vertex."""
+    graphs = []
+    for name in ("plus", "minus"):
+        for e in range(len(fp.family(name))):
+            g = leaf_graph(fp, name, e)
+            if g.virtual_count:
+                assert [x for x in g.edges if VIRTUAL in x] == allpairs_oracle.virtual_edges(fp, g)
+                graphs.append(g)
+    return graphs
+
+
+def test_chain_ends_match_all_members_oracle():
+    pairs = [random_family_pair(seed) for seed in range(200)]
+    pairs += [nested_pair(depth, seed) for depth in range(1, 5) for seed in range(3)]
+    pairs += [gen_figure(), gen_symmetric()[0]]
+    graphs = [g for fp in pairs for g in assert_ends_match_all_members(fp)]
+    assert len(graphs) >= 20
+
+
+def test_virtual_vertex_joins_the_inner_end_of_a_long_chain():
+    fp = chain_leaf_pair()
+    g = leaf_graph(fp, "plus", 0)
+    assert g.vertices == ((0, 2), (0, 1), (0, 0), (0, 3))
+    assert g.edges == (((0, 2), (0, 1)), ((0, 1), (0, 0)),
+                       (VIRTUAL, (0, 2)), (VIRTUAL, (0, 3)))
+    assert assert_ends_match_all_members(fp) == [g]

@@ -138,9 +138,9 @@ def test_index_is_built_once_per_pair(monkeypatch):
     calls = []
     real = family.especial_disc
 
-    def counted(fp, workers=0):
+    def counted(fp):
         calls.append(fp)
-        return real(fp, workers)
+        return real(fp)
 
     # the index classifies through family's name, equivariance through its own
     monkeypatch.setattr(family, "especial_disc", counted)

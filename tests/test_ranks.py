@@ -279,9 +279,9 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
         kernel_calls.append((a, b))
         return real_counts(a, b)
 
-    def counted_disc(fp, workers=0):
+    def counted_disc(fp):
         disc_calls.append(fp)
-        return real_disc(fp, workers)
+        return real_disc(fp)
 
     monkeypatch.setattr(family, "rank_counts", counted_counts)
     monkeypatch.setattr(family, "especial_disc", counted_disc)

@@ -10,6 +10,7 @@ import pytest
 
 from circlink import (
     CircleSet,
+    GroupOrderNotTotalError,
     MappedTo,
     NotInDomain,
     OnBoundary,
@@ -25,6 +26,7 @@ from circlink import (
     straighten_point,
     validate,
 )
+from circlink import straighten
 from circlink.straighten import VIRTUAL, result_to_json
 from plane_oracle import fraction_mean
 
@@ -185,6 +187,26 @@ def test_leaf_graph_chain_on_one_chord():
     assert degrees == [1, 1, 2]
     # the middle chord {1,9} separates the outer two, so it is the path center
     assert lg.degree((1, 0)) == 2
+
+
+def chain_leaf_pair():
+    # three nested chords around 10 and one around 20: plus 0's fiber is a
+    # 3-member chain and a singleton, joined by a virtual vertex
+    return validate([[0, 10, 20]], [[9, 11], [8, 12], [7, 13], [19, 21]])
+
+
+def test_leaf_graph_reports_misordered_groups(monkeypatch):
+    fp = chain_leaf_pair()
+    # no member separates its neighbours: the chain's first triple is the witness
+    monkeypatch.setattr(straighten, "rank_separates", lambda barrier, first, second: False)
+    with pytest.raises(GroupOrderNotTotalError) as info:
+        leaf_graph(fp, "plus", 0)
+    assert info.value.witness == ((0, 2), (0, 1), (0, 0))
+    # every member separates everything: neither end can face the virtual vertex
+    monkeypatch.setattr(straighten, "rank_separates", lambda barrier, first, second: True)
+    with pytest.raises(GroupOrderNotTotalError) as info:
+        leaf_graph(fp, "plus", 0)
+    assert info.value.witness == ((0, 2), (0, 0))
 
 
 def test_leaf_graphs_are_trees_on_random_families():
