@@ -13,110 +13,61 @@ Top level API, roughly in dependency order:
 - render: SVG output for the input picture and the straightened picture.
 """
 
-from .circle import (
-    INF,
-    CirclePoint,
-    CircleSet,
-    Orientation,
-    OrientedInterval,
-    complementary_intervals,
-    cyclic_order,
-    in_interval,
-    link_number,
-    link_number_counts,
-    linked,
-    open_interval,
-    point,
-    separates,
-)
-from .errors import (
-    CirclinkError,
-    EmptyLinkedCellError,
-    FamilyValidationError,
-    GroupOrderNotTotalError,
-    InvariantViolation,
-    MalformedInputError,
-    NotDisjointError,
-    NotInteriorError,
-    NotLinearlyOrderedError,
-    OutsideDiscError,
-)
-from .family import (
-    DisjointLinked,
-    DisjointUnlinked,
-    EspecialDisc,
-    FamilyPair,
-    IntersectingAt,
-    NestingReport,
-    PairIndex,
-    classify_pair,
-    especial_disc,
-    fiber_minus,
-    fiber_plus,
-    nesting_report,
-    prong_count,
-    separation_interval,
-    validate,
-)
-from .generators import (
-    GenSpec,
-    gen_figure,
-    gen_grid,
-    gen_nested,
-    gen_star,
-    gen_symmetric,
-    gen_tripod,
-    nested_pair,
-    random_family_pair,
-    random_set_pair,
-)
-from .hullgeom import (
-    ConvexCell,
-    PlanePoint,
-    cell_intersection,
-    hull,
-    linked_cells,
-    locate,
-    param_to_point,
-    point_to_param,
-)
-from .render import RenderOptions, render_input_svg, render_straightened_svg
-from .straighten import (
-    LeafGraph,
-    MappedTo,
-    NotInDomain,
-    OnBoundary,
-    QuotientReport,
-    StraightenedDisc,
-    layout,
-    leaf_graph,
-    quotient_check,
-    straighten_point,
-)
-from .symmetry import CircleMap, EquivarianceReport, apply, check_equivariance
+from importlib import import_module
+
+# Each submodule and the public names it defines, in the order of __all__.
+# Nothing is imported until a name is first read (PEP 562), so `import
+# circlink` loads no submodule and each command loads only what it uses.
+_EXPORTS = {
+    "circle": (
+        "CirclePoint", "CircleSet", "INF", "Orientation", "OrientedInterval",
+        "complementary_intervals", "cyclic_order", "in_interval", "link_number",
+        "link_number_counts", "linked", "open_interval", "point", "separates",
+    ),
+    "errors": (
+        "CirclinkError", "EmptyLinkedCellError", "FamilyValidationError",
+        "GroupOrderNotTotalError", "InvariantViolation", "MalformedInputError",
+        "NotDisjointError", "NotInteriorError", "NotLinearlyOrderedError",
+        "OutsideDiscError",
+    ),
+    "family": (
+        "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",
+        "IntersectingAt", "NestingReport", "PairIndex", "classify_pair", "especial_disc",
+        "fiber_minus", "fiber_plus", "nesting_report", "prong_count",
+        "separation_interval", "validate",
+    ),
+    "generators": (
+        "GenSpec", "gen_figure", "gen_grid", "gen_nested", "gen_star", "gen_symmetric",
+        "gen_tripod", "nested_pair", "random_family_pair", "random_set_pair",
+    ),
+    "hullgeom": (
+        "ConvexCell", "PlanePoint", "cell_intersection", "hull", "linked_cells",
+        "locate", "param_to_point", "point_to_param",
+    ),
+    "render": ("RenderOptions", "render_input_svg", "render_straightened_svg"),
+    "straighten": (
+        "LeafGraph", "MappedTo", "NotInDomain", "OnBoundary", "QuotientReport",
+        "StraightenedDisc", "layout", "leaf_graph", "quotient_check", "straighten_point",
+    ),
+    "symmetry": ("CircleMap", "EquivarianceReport", "apply", "check_equivariance"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CirclePoint", "CircleSet", "INF", "Orientation", "OrientedInterval",
-    "complementary_intervals", "cyclic_order", "in_interval", "link_number",
-    "link_number_counts", "linked", "open_interval", "point", "separates",
-    "CirclinkError", "EmptyLinkedCellError", "FamilyValidationError",
-    "GroupOrderNotTotalError", "InvariantViolation", "MalformedInputError",
-    "NotDisjointError", "NotInteriorError", "NotLinearlyOrderedError", "OutsideDiscError",
-    "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",
-    "IntersectingAt", "NestingReport", "PairIndex", "classify_pair", "especial_disc",
-    "fiber_minus", "fiber_plus", "nesting_report", "prong_count",
-    "separation_interval", "validate",
-    "GenSpec", "gen_figure", "gen_grid", "gen_nested", "gen_star",
-    "gen_symmetric", "gen_tripod", "nested_pair", "random_family_pair",
-    "random_set_pair",
-    "ConvexCell", "PlanePoint", "cell_intersection", "hull", "linked_cells",
-    "locate", "param_to_point", "point_to_param",
-    "RenderOptions", "render_input_svg", "render_straightened_svg",
-    "LeafGraph", "MappedTo", "NotInDomain", "OnBoundary", "QuotientReport",
-    "StraightenedDisc", "layout", "leaf_graph", "quotient_check",
-    "straighten_point",
-    "CircleMap", "EquivarianceReport", "apply", "check_equivariance",
-    "__version__",
-]
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule binds it in this namespace
+        return import_module("." + name, __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(import_module("." + module, __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(_SOURCE))

@@ -13,16 +13,13 @@ import json
 import os
 import re
 import sys
-import tempfile
-from fractions import Fraction
 
+# Each subcommand imports the modules it runs inside its function, so a
+# process pays only for those. render stays here: RenderOptions supplies the
+# argparse defaults.
 from .errors import CirclinkError, FamilyValidationError, MalformedInputError
 from .family import FamilyPair, especial_disc
-from .generators import GenSpec, gen_symmetric
-from .hullgeom import PlanePoint
-from .render import RenderOptions, render_input_svg, render_straightened_svg
-from .straighten import layout, result_to_json, straighten_point
-from .symmetry import CircleMap, check_equivariance
+from .render import RenderOptions
 
 __all__ = ["main"]
 
@@ -50,19 +47,28 @@ def _load_pair(path: str) -> FamilyPair:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".circlink-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".circlink-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise MalformedInputError("cannot write %s: %s" % (path, exc.strerror), path) from None
 
 
-def _parse_point(text: str) -> PlanePoint:
+def _parse_point(text: str):
+    from fractions import Fraction
+
+    from .hullgeom import PlanePoint
+
     parts = text.split(",")
     if len(parts) != 2:
         raise MalformedInputError("point must be \"x,y\" with rational entries", "--point")
@@ -106,14 +112,24 @@ def cmd_disc(args) -> int:
 
 
 def cmd_straighten(args) -> int:
+    from .straighten import result_to_json, straighten_point
+
     fp = _load_pair(args.file)
     _emit(result_to_json(straighten_point(fp, _parse_point(args.point))))
     return 0
 
 
 def cmd_render(args) -> int:
-    fp = _load_pair(args.file)
+    from .render import render_input_svg, render_straightened_svg
+    from .straighten import layout
+
     opts = RenderOptions(width=args.width, height=args.height, labels=args.labels)
+    # the disc radius is min(width, height) / 2 - margin; it must be positive
+    if min(opts.width, opts.height) <= 2 * opts.margin:
+        raise MalformedInputError(
+            "width and height must exceed %d pixels" % (2 * opts.margin),
+            "--width" if opts.width <= opts.height else "--height")
+    fp = _load_pair(args.file)
     input_path = args.out + "-input.svg"
     straight_path = args.out + "-straightened.svg"
     # both pictures read one build of the linked cells, freed before the second
@@ -126,6 +142,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_equivariance(args) -> int:
+    from .symmetry import CircleMap, check_equivariance
+
     fp = _load_pair(args.file)
     g = CircleMap.from_json(_load_json(args.map))
     report = check_equivariance(fp, g)
@@ -134,6 +152,8 @@ def cmd_equivariance(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import GenSpec, gen_symmetric
+
     spec = GenSpec(kind=args.kind, n=args.n, k=args.k, depth=args.depth, seed=args.seed)
     fp = spec.build()
     if args.map_out is not None:
@@ -177,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="write input and straightened SVG files")
     p.add_argument("file")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--width", type=int, default=RenderOptions.width)
-    p.add_argument("--height", type=int, default=RenderOptions.height)
+    defaults = RenderOptions()
+    p.add_argument("--width", type=int, default=defaults.width)
+    p.add_argument("--height", type=int, default=defaults.height)
     p.add_argument("--labels", action="store_true")
     p.set_defaults(func=cmd_render)
 

@@ -1,10 +1,37 @@
-"""Structured errors shared across the library.
+"""Structured errors shared across the library, and the base of its values.
 
 Every error that callers are expected to catch carries enough fields to
 rebuild the offending configuration; messages alone are never the contract.
 """
 
 from __future__ import annotations
+
+
+class Frozen:
+    """Base of the small immutable value classes.
+
+    A subclass lists its fields in __slots__, in constructor order, sets them
+    with object.__setattr__ in __init__, and writes the __eq__ and __hash__
+    a frozen dataclass would generate: equal field tuples within one class,
+    and the hash of the field tuple. This base makes field assignment and
+    deletion raise AttributeError and gives the dataclass repr and pickle
+    and copy support.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, n) for n in self.__slots__))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__,
+                           ", ".join("%s=%r" % (n, getattr(self, n)) for n in self.__slots__))
 
 
 class CirclinkError(Exception):

@@ -15,7 +15,6 @@ of rebuilding it. Predicates run on the rank tuples of the table.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Optional, Sequence, Union
@@ -33,6 +32,7 @@ from .circle import (
 )
 from .errors import (
     FamilyValidationError,
+    Frozen,
     InvariantViolation,
     MalformedInputError,
     NotInteriorError,
@@ -60,16 +60,33 @@ __all__ = [
     "nesting_report",
 ]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Violation:
-    """One violated admissibility clause with the offending indices."""
 
-    kind: str          # WithinFamilyOverlap | WithinFamilyLinked | CrossIntersectionTooBig
-    family: str        # "plus", "minus", or "cross"
-    i: int
-    j: int
-    witness: tuple = ()
+class Violation(Frozen):
+    """One violated admissibility clause with the offending indices.
+
+    kind is WithinFamilyOverlap, WithinFamilyLinked or
+    CrossIntersectionTooBig; family is "plus", "minus" or "cross".
+    """
+
+    __slots__ = ("kind", "family", "i", "j", "witness")
+
+    def __init__(self, kind, family, i, j, witness=()):
+        _set(self, "kind", kind)
+        _set(self, "family", family)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.family, self.i, self.j, self.witness)
+                    == (other.kind, other.family, other.i, other.j, other.witness))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.family, self.i, self.j, self.witness))
 
     def describe(self) -> str:
         if self.witness:
@@ -238,19 +255,50 @@ def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
     return fp
 
 
-@dataclass(frozen=True)
-class IntersectingAt:
-    point: CirclePoint
+class IntersectingAt(Frozen):
+    """The pair meets at the single circle point `point`."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, point):
+        _set(self, "point", point)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.point,) == (other.point,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.point,))
 
 
-@dataclass(frozen=True)
-class DisjointUnlinked:
-    pass
+class DisjointUnlinked(Frozen):
+    """The pair is disjoint and unlinked."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
-class DisjointLinked:
-    n: int
+class DisjointLinked(Frozen):
+    """The pair is disjoint with linking number n > 1."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n,) == (other.n,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
 PairClass = Union[IntersectingAt, DisjointUnlinked, DisjointLinked]
@@ -670,16 +718,32 @@ def prong_count(fp: FamilyPair, z: tuple, disc: Optional[EspecialDisc] = None) -
     return mixed
 
 
-@dataclass(frozen=True)
-class NestingEntry:
-    """Whether one complementary interval of an element is separated from it."""
+class NestingEntry(Frozen):
+    """Whether one complementary interval of an element is separated from it;
+    separator is the separating element's index, or None."""
 
-    family: str
-    element: int
-    interval_start: CirclePoint
-    interval_end: CirclePoint
-    separated: bool
-    separator: Optional[int]
+    __slots__ = ("family", "element", "interval_start", "interval_end", "separated",
+                 "separator")
+
+    def __init__(self, family, element, interval_start, interval_end, separated, separator):
+        _set(self, "family", family)
+        _set(self, "element", element)
+        _set(self, "interval_start", interval_start)
+        _set(self, "interval_end", interval_end)
+        _set(self, "separated", separated)
+        _set(self, "separator", separator)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.family, self.element, self.interval_start, self.interval_end,
+                     self.separated, self.separator)
+                    == (other.family, other.element, other.interval_start, other.interval_end,
+                        other.separated, other.separator))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.element, self.interval_start, self.interval_end,
+                     self.separated, self.separator))
 
     def to_json(self) -> dict:
         return {

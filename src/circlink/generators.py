@@ -7,10 +7,10 @@ validated pairs; the random generators are used to drive the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import INF, CirclePoint, CircleSet, point
+from .errors import Frozen
 from .family import FamilyPair, validate
 from .symmetry import CircleMap
 
@@ -133,15 +133,29 @@ def gen_figure() -> FamilyPair:
     return validate(plus, minus)
 
 
-@dataclass(frozen=True)
-class GenSpec:
+_set = object.__setattr__
+
+
+class GenSpec(Frozen):
     """Fully determined generation request; equal specs build equal pairs."""
 
-    kind: str
-    n: int = 2
-    k: int = 3
-    depth: int = 2
-    seed: int = 0
+    __slots__ = ("kind", "n", "k", "depth", "seed")
+
+    def __init__(self, kind, n=2, k=3, depth=2, seed=0):
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "depth", depth)
+        _set(self, "seed", seed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.n, self.k, self.depth, self.seed)
+                    == (other.kind, other.n, other.k, other.depth, other.seed))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.k, self.depth, self.seed))
 
     def build(self) -> FamilyPair:
         if self.kind == "grid":

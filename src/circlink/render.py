@@ -7,30 +7,47 @@ counts) is deterministic so renders can be snapshot-tested structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from html import escape
-
-from .family import FamilyPair
-from .hullgeom import param_to_point
-from .straighten import StraightenedDisc
+from .errors import Frozen
 
 __all__ = ["RenderOptions", "render_input_svg", "render_straightened_svg"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RenderOptions:
+
+class RenderOptions(Frozen):
     """Stable render defaults; sizes in pixels."""
 
-    width: int = 720
-    height: int = 720
-    margin: int = 24
-    stroke_width: float = 2.0
-    leaf_stroke_width: float = 1.6
-    point_radius: float = 3.0
-    plus_color: str = "#2563eb"
-    minus_color: str = "#dc2626"
-    region_color: str = "#a78bfa"
-    labels: bool = False
+    __slots__ = ("width", "height", "margin", "stroke_width", "leaf_stroke_width",
+                 "point_radius", "plus_color", "minus_color", "region_color", "labels")
+
+    def __init__(self, width=720, height=720, margin=24, stroke_width=2.0,
+                 leaf_stroke_width=1.6, point_radius=3.0, plus_color="#2563eb",
+                 minus_color="#dc2626", region_color="#a78bfa", labels=False):
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "margin", margin)
+        _set(self, "stroke_width", stroke_width)
+        _set(self, "leaf_stroke_width", leaf_stroke_width)
+        _set(self, "point_radius", point_radius)
+        _set(self, "plus_color", plus_color)
+        _set(self, "minus_color", minus_color)
+        _set(self, "region_color", region_color)
+        _set(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.width, self.height, self.margin, self.stroke_width,
+                     self.leaf_stroke_width, self.point_radius, self.plus_color,
+                     self.minus_color, self.region_color, self.labels)
+                    == (other.width, other.height, other.margin, other.stroke_width,
+                        other.leaf_stroke_width, other.point_radius, other.plus_color,
+                        other.minus_color, other.region_color, other.labels))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.width, self.height, self.margin, self.stroke_width,
+                     self.leaf_stroke_width, self.point_radius, self.plus_color,
+                     self.minus_color, self.region_color, self.labels))
 
 
 def _fmt(v: float) -> str:
@@ -99,8 +116,10 @@ class _Canvas:
 
     def text(self, eid: str, h: tuple, content: str, color: str) -> None:
         x, y = self.px(h)
+        # html.escape(content, quote=False), without importing html: "&" first
+        content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.parts.append('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>'
-                          % (eid, x, y, color, escape(content, quote=False)))
+                          % (eid, x, y, color, content))
 
     def open_group(self, gid: str) -> None:
         self.parts.append('<g id="%s">' % gid)
@@ -135,6 +154,8 @@ def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> s
         _draw_cell(canvas, "cell-%d-%d" % (i, j), cells[(i, j)], opts.region_color,
                    opts.region_color, 0.55)
     if opts.labels:
+        from .hullgeom import param_to_point
+
         for name, sets, color in (("plus", fp.plus, opts.plus_color),
                                   ("minus", fp.minus, opts.minus_color)):
             labels = fp.plus_labels if name == "plus" else fp.minus_labels

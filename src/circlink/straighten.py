@@ -10,14 +10,13 @@ missing singular point whenever a fiber straddles several sectors.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 from operator import itemgetter
 from typing import Union
 
-from .circle import CirclePoint, rank_gap, rank_separates
-from .errors import GroupOrderNotTotalError, InvariantViolation
+from .circle import rank_gap, rank_separates
+from .errors import Frozen, GroupOrderNotTotalError, InvariantViolation
 from .family import FamilyPair
 from .hullgeom import PlanePoint, _h_line, _h_mean, _point, locate, param_to_point
 
@@ -36,19 +35,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MappedTo:
-    z: tuple
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class OnBoundary:
-    s: CirclePoint
+class MappedTo(Frozen):
+    """The point collapses to the interior Z-point z."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, z):
+        _set(self, "z", z)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.z,) == (other.z,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.z,))
 
 
-@dataclass(frozen=True)
-class NotInDomain:
-    pass
+class OnBoundary(Frozen):
+    """The point is the shared circle point s of an intersecting pair."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s):
+        _set(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.s,) == (other.s,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s,))
+
+
+class NotInDomain(Frozen):
+    """The point lies in no linked cell and on no shared circle point."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
 StraightenResult = Union[MappedTo, OnBoundary, NotInDomain]

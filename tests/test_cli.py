@@ -377,6 +377,52 @@ def test_render_rejects_invalid_family(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_render_into_missing_directory_is_malformed(tmp_path, capsys):
+    path = write_pair(tmp_path, "tripod.json", TRIPOD)
+    prefix = str(tmp_path / "missing" / "x")
+    code, out = run(capsys, "render", path, "--out", prefix)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "malformed-input"
+    assert err["location"] == prefix + "-input.svg"
+    assert err["message"].startswith("cannot write %s: " % err["location"])
+
+
+def test_gen_map_out_into_missing_directory_is_malformed(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "map.json")
+    code, out = run(capsys, "gen", "--kind", "symmetric", "--map-out", target)
+    assert code == 2
+    err = json.loads(out)
+    assert (err["error"], err["location"]) == ("malformed-input", target)
+    assert not os.path.exists(os.path.dirname(target))
+
+
+@pytest.mark.parametrize("flags,location", [
+    (["--width", "0"], "--width"),
+    (["--width", "-5"], "--width"),
+    (["--height", "48"], "--height"),
+    (["--width", "10", "--height", "20"], "--width"),
+    (["--width", "30", "--height", "20"], "--height"),
+])
+def test_render_rejects_sizes_without_a_disc(tmp_path, capsys, flags, location):
+    # the disc radius min(width, height) / 2 - margin (24) must be positive
+    path = write_pair(tmp_path, "tripod.json", TRIPOD)
+    prefix = str(tmp_path / "small")
+    code, out = run(capsys, "render", path, "--out", prefix, *flags)
+    assert code == 2
+    err = json.loads(out)
+    assert (err["error"], err["location"]) == ("malformed-input", location)
+    assert os.listdir(tmp_path) == ["tripod.json"]
+
+
+def test_render_accepts_the_smallest_disc(tmp_path, capsys):
+    path = write_pair(tmp_path, "tripod.json", TRIPOD)
+    prefix = str(tmp_path / "tiny")
+    code, _ = run(capsys, "render", path, "--out", prefix, "--width", "49", "--height", "49")
+    assert code == 0
+    assert 'r="0.5"' in (tmp_path / "tiny-input.svg").read_text(encoding="utf-8")
+
+
 # ── process-level smoke ──────────────────────────────────────────────────
 
 def test_module_entry_point():
@@ -396,6 +442,19 @@ def test_cli_import_skips_xml_and_urllib():
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", [
+    [], ["validate"], ["classify"], ["disc"], ["straighten"], ["render"], ["equivariance"],
+    ["gen"]])
+def test_help_in_a_fresh_process(command):
+    # argparse builds every subparser and its defaults with only the
+    # modules cli imports at load time
+    proc = subprocess.run([sys.executable, "-m", "circlink"] + command + ["--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: circlink")
 
 
 def _cli_run(tmp_path, flags):

@@ -1,0 +1,120 @@
+"""What a process loads: the lazy package namespace and per-command imports."""
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import circlink
+from circlink import nested_pair
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Imported by no command that only reads a pair: dataclasses pulls in
+# inspect, ast, dis and tokenize; html and tempfile serve render and the
+# file writers only.
+HEAVY = ("dataclasses", "inspect", "html", "tempfile")
+
+
+def _fresh(code, *args):
+    """Run code in a fresh `python -S` process (no site hooks preloading
+    modules) and return the JSON on its last stdout line."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code] + list(args),
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+REPORT = ("import json, sys; print(json.dumps("
+          "[sorted(m for m in sys.modules if m.split('.')[0] == 'circlink'), "
+          "sorted(m for m in %r if m in sys.modules)]))" % (HEAVY,))
+
+
+def test_read_commands_load_only_their_modules(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(nested_pair(3, 0).to_json()), encoding="utf-8")
+    code = ("import sys\n"
+            "from circlink import cli\n"
+            "for cmd in ('validate', 'classify', 'disc'):\n"
+            "    assert cli.main([cmd, sys.argv[1]]) == 0, cmd\n" + REPORT)
+    loaded, heavy = _fresh(code, str(path))
+    assert loaded == ["circlink", "circlink.circle", "circlink.cli", "circlink.errors",
+                      "circlink.family", "circlink.render"]
+    assert heavy == []
+
+
+def test_package_import_loads_no_submodule():
+    loaded, heavy = _fresh("import circlink\n" + REPORT)
+    assert loaded == ["circlink"]
+    assert heavy == []
+
+
+def test_submodule_import_loads_only_its_dependencies():
+    loaded, _ = _fresh("from circlink import straighten\n" + REPORT)
+    assert "circlink.straighten" in loaded
+    for name in ("symmetry", "render", "generators", "cli"):
+        assert "circlink." + name not in loaded
+
+
+def test_no_source_file_imports_dataclasses():
+    package = os.path.join(SRC, "circlink")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", name
+
+
+# ── the lazy namespace ───────────────────────────────────────────────────
+
+def test_every_exported_name_is_its_defining_object():
+    for name in circlink.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(circlink, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("circlink."), name
+        assert getattr(module, name) is obj, name
+
+
+def test_dir_covers_all_names_and_submodules():
+    # in a fresh process, before any name has been read and cached
+    listed, loaded = _fresh(
+        "import json, sys, circlink\n"
+        "print(json.dumps([dir(circlink), sorted(m for m in sys.modules if 'circlink' in m)]))")
+    assert set(circlink.__all__) <= set(listed)
+    assert {"circle", "family", "render", "straighten", "symmetry"} <= set(listed)
+    assert loaded == ["circlink"]
+
+
+def test_star_import_binds_every_name():
+    ns = {}
+    exec("from circlink import *", ns)
+    for name in circlink.__all__:
+        assert ns[name] is getattr(circlink, name), name
+
+
+def test_submodules_resolve_as_attributes_and_by_from_import():
+    from circlink import hullgeom
+
+    assert hullgeom is sys.modules["circlink.hullgeom"]
+    loaded, _ = _fresh("import circlink\n"
+                       "assert circlink.symmetry.CircleMap is circlink.CircleMap\n" + REPORT)
+    assert "circlink.symmetry" in loaded
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circlink.no_such_name
+    with pytest.raises(ImportError):
+        exec("from circlink import no_such_name", {})

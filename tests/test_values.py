@@ -1,0 +1,130 @@
+"""The small value classes keep the contract of the frozen dataclasses they
+replaced: construction, equality, hash, repr and immutability."""
+
+import copy
+import dataclasses
+import inspect
+import pickle
+
+import pytest
+
+from circlink import (
+    DisjointLinked,
+    DisjointUnlinked,
+    GenSpec,
+    IntersectingAt,
+    MappedTo,
+    NotInDomain,
+    OnBoundary,
+    RenderOptions,
+    point,
+)
+from circlink.family import NestingEntry, Violation
+
+# (class, positional arguments, different positional arguments)
+CASES = [
+    (Violation, ("WithinFamilyOverlap", "plus", 0, 1, (point(2),)),
+     ("WithinFamilyOverlap", "plus", 0, 2, (point(2),))),
+    (IntersectingAt, (point(3),), (point(4),)),
+    (DisjointUnlinked, (), None),
+    (DisjointLinked, (2,), (3,)),
+    (NestingEntry, ("minus", 4, point(1), point(2), True, 3),
+     ("minus", 4, point(1), point(2), False, None)),
+    (MappedTo, ((0, 1),), ((1, 0),)),
+    (OnBoundary, (point("-5/2"),), (point("5/2"),)),
+    (NotInDomain, (), None),
+    (RenderOptions, (640, 480, 12, 1.0, 0.5, 2.0, "#000", "#111", "#222", True), (640,)),
+    (GenSpec, ("nested", 2, 3, 4, 5), ("nested", 2, 3, 4, 6)),
+]
+
+# the defaults of the dataclasses, by class
+DEFAULTS = {
+    Violation: {"witness": ()},
+    GenSpec: {"n": 2, "k": 3, "depth": 2, "seed": 0},
+    RenderOptions: {"width": 720, "height": 720, "margin": 24, "stroke_width": 2.0,
+                    "leaf_stroke_width": 1.6, "point_radius": 3.0, "plus_color": "#2563eb",
+                    "minus_color": "#dc2626", "region_color": "#a78bfa", "labels": False},
+}
+
+IDS = [case[0].__name__ for case in CASES]
+
+
+def _fields(cls):
+    return list(inspect.signature(cls).parameters)
+
+
+def _dataclass_twin(cls):
+    """The frozen dataclass with cls's fields and defaults, as it was declared."""
+    spec = []
+    for name, param in inspect.signature(cls).parameters.items():
+        if param.default is inspect.Parameter.empty:
+            spec.append((name, object))
+        else:
+            spec.append((name, object, dataclasses.field(default=param.default)))
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+def test_signatures_keep_the_dataclass_defaults():
+    for cls, args, _ in CASES:
+        params = inspect.signature(cls).parameters
+        defaults = {n: p.default for n, p in params.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert defaults == DEFAULTS.get(cls, {}), cls.__name__
+        assert list(params) == list(cls.__slots__), cls.__name__
+
+
+@pytest.mark.parametrize("cls,args,other", CASES, ids=IDS)
+def test_matches_a_frozen_dataclass(cls, args, other):
+    twin = _dataclass_twin(cls)
+    value, expected = cls(*args), twin(*args)
+    assert repr(value) == repr(expected)
+    assert hash(value) == hash(expected) == hash(tuple(args) + tuple(
+        DEFAULTS.get(cls, {})[f] for f in _fields(cls)[len(args):]))
+    assert value == cls(*args)
+    assert not value != cls(*args)
+    if other is not None:
+        assert value != cls(*other)
+        assert (value == cls(*other)) == (expected == twin(*other))
+
+
+@pytest.mark.parametrize("cls,args,other", CASES, ids=IDS)
+def test_keyword_and_positional_construction_agree(cls, args, other):
+    names = _fields(cls)
+    value = cls(*args)
+    assert cls(**dict(zip(names, args))) == value
+    assert tuple(getattr(value, n) for n in names[:len(args)]) == tuple(args)
+    defaults = DEFAULTS.get(cls, {})
+    for name in names[len(args):]:
+        assert getattr(value, name) == defaults[name]
+
+
+@pytest.mark.parametrize("cls,args,other", CASES, ids=IDS)
+def test_fields_are_read_only(cls, args, other):
+    value = cls(*args)
+    for name in _fields(cls) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(*args)
+
+
+@pytest.mark.parametrize("cls,args,other", CASES, ids=IDS)
+def test_copies_and_pickles(cls, args, other):
+    value = cls(*args)
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and type(clone) is cls
+
+
+def test_equality_only_within_a_class():
+    assert DisjointUnlinked() == DisjointUnlinked()
+    assert DisjointUnlinked() != NotInDomain()
+    assert IntersectingAt(point(1)) != OnBoundary(point(1))
+    assert DisjointLinked(2) != 2 and MappedTo((0, 1)) != (0, 1)
+    assert len({DisjointUnlinked(), DisjointUnlinked(), NotInDomain()}) == 2
+
+
+def test_render_options_defaults_by_keyword():
+    opts = RenderOptions(width=100, labels=True)
+    assert (opts.width, opts.height, opts.margin, opts.labels) == (100, 720, 24, True)
+    assert RenderOptions() == RenderOptions(**DEFAULTS[RenderOptions])
