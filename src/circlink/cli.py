@@ -123,12 +123,11 @@ def cmd_render(args) -> int:
     from .render import render_input_svg, render_straightened_svg
     from .straighten import layout
 
-    opts = RenderOptions(width=args.width, height=args.height, labels=args.labels)
-    # the disc radius is min(width, height) / 2 - margin; it must be positive
-    if min(opts.width, opts.height) <= 2 * opts.margin:
-        raise MalformedInputError(
-            "width and height must exceed %d pixels" % (2 * opts.margin),
-            "--width" if opts.width <= opts.height else "--height")
+    try:
+        opts = RenderOptions(width=args.width, height=args.height, labels=args.labels)
+    except MalformedInputError as exc:
+        # the field's flag is the location
+        raise MalformedInputError(exc.message, "--" + exc.location) from None
     fp = _load_pair(args.file)
     input_path = args.out + "-input.svg"
     straight_path = args.out + "-straightened.svg"

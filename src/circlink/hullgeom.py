@@ -35,6 +35,7 @@ __all__ = [
     "hull",
     "cell_intersection",
     "HullLocator",
+    "in_hull",
     "locate",
     "linked_cells",
 ]
@@ -431,7 +432,9 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
 # straddling t are the root-to-node path of a laminar forest, and they cut
 # the chord in disjoint pieces, outermost nearest INF. A query bisects the
 # ranked points for t, bisects that path on the edges bracketing t, and
-# tests the candidate's other edge: O(log) exact side tests, no float.
+# tests the candidate with in_hull: O(log) exact side tests, no float. A
+# caller that already names the hull skips the search: in_hull alone costs
+# at most two side tests.
 
 
 def _param_position(points: tuple, y: int, x: int) -> int:
@@ -508,12 +511,33 @@ class HullLocator:
                 hi = mid
         if lo == len(path):
             return None
-        # the bisection tested this set's exit edge; its entry edge, the one
-        # bracketing INF, decides (for a set holding INF, the edge from INF,
-        # which the chord lies on or left of)
+        # the outermost set whose exit edge h is not past; in_hull decides
+        # with that edge and the entry edge bracketing INF
         k = path[lo]
-        s = sets[k]
-        return None if _orient(verts[s[-1]], verts[s[0]], h) < 0 else k
+        return k if in_hull(sets, verts, k, h, pos) else None
+
+
+def in_hull(sets, verts, k: int, h: tuple, pos: int) -> bool:
+    """Whether hull k of a family holds h, strictly inside the disc, when the
+    chord parameter of h falls at position pos (see _param_position).
+
+    sets are the family's rank tuples and verts the triple of each rank. The
+    chord from INF through h starts in the closed cap cut off by k's wrap
+    edge (s[-1], s[0]), which brackets INF, and ends in the cap of the edge
+    bracketing pos, or at a vertex of k, where it is left of the edge into
+    that vertex. A segment of the open disc leaves the hull into one cap at
+    each end at most, so h is in the hull exactly when it is on or left of
+    those two edges: two side tests at most. When pos falls in the wrap gap
+    the whole chord is in the wrap cap, and that edge decides alone. A
+    1-point set holds no point inside the disc.
+    """
+    s = sets[k]
+    if len(s) < 2:
+        return False
+    e = bisect_left(s, pos >> 1) % len(s)
+    if _orient(verts[s[e - 1]], verts[s[e]], h) < 0:
+        return False
+    return not e or _orient(verts[s[-1]], verts[s[0]], h) >= 0
 
 
 def locate(fp: FamilyPair, p: PlanePoint) -> tuple:

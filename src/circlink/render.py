@@ -7,7 +7,7 @@ counts) is deterministic so renders can be snapshot-tested structurally.
 
 from __future__ import annotations
 
-from .errors import Frozen
+from .errors import Frozen, MalformedInputError
 
 __all__ = ["RenderOptions", "render_input_svg", "render_straightened_svg"]
 
@@ -15,7 +15,12 @@ _set = object.__setattr__
 
 
 class RenderOptions(Frozen):
-    """Stable render defaults; sizes in pixels."""
+    """Stable render defaults; sizes in pixels.
+
+    The disc radius is min(width, height) / 2 - margin, so a size of at most
+    2 * margin raises MalformedInputError at "width" or "height", whichever
+    is smaller ("width" on a tie).
+    """
 
     __slots__ = ("width", "height", "margin", "stroke_width", "leaf_stroke_width",
                  "point_radius", "plus_color", "minus_color", "region_color", "labels")
@@ -23,6 +28,9 @@ class RenderOptions(Frozen):
     def __init__(self, width=720, height=720, margin=24, stroke_width=2.0,
                  leaf_stroke_width=1.6, point_radius=3.0, plus_color="#2563eb",
                  minus_color="#dc2626", region_color="#a78bfa", labels=False):
+        if min(width, height) <= 2 * margin:
+            raise MalformedInputError("width and height must exceed %d pixels" % (2 * margin),
+                                      "width" if width <= height else "height")
         _set(self, "width", width)
         _set(self, "height", height)
         _set(self, "margin", margin)

@@ -18,7 +18,16 @@ from typing import Union
 from .circle import rank_gap, rank_separates
 from .errors import Frozen, GroupOrderNotTotalError, InvariantViolation
 from .family import FamilyPair
-from .hullgeom import PlanePoint, _h_line, _h_mean, _point, locate, param_to_point
+from .hullgeom import (
+    PlanePoint,
+    _h_line,
+    _h_mean,
+    _param_position,
+    _point,
+    in_hull,
+    locate,
+    param_to_point,
+)
 
 __all__ = [
     "MappedTo",
@@ -110,6 +119,33 @@ def straighten_point(fp: FamilyPair, p: PlanePoint) -> StraightenResult:
         if s is not None and p == param_to_point(s):
             return OnBoundary(s)
     return NotInDomain()
+
+
+def _cell_hulls_test(index):
+    """The test the verifiers make before straighten_point: whether the
+    triple h lies strictly inside the disc, in plus hull i and in minus hull
+    j (hullgeom.in_hull).
+
+    A family's hulls are pairwise disjoint, which the forest sweeps built
+    here check (InvariantViolation("hull-overlap")), so for such h locate
+    returns exactly (i, j). A point that fails the test may still be in
+    the hulls, on the rim; the caller asks straighten_point.
+    """
+    points = index.points
+    verts = index.triples()
+    plus, minus = index.ranks("plus"), index.ranks("minus")
+    index.forest("plus")
+    index.forest("minus")
+
+    def holds(h: tuple, i: int, j: int) -> bool:
+        X, Y, D = h
+        if X * X + Y * Y >= D * D:
+            return False
+        # D + X > 0 strictly inside the disc
+        pos = _param_position(points, Y, X + D)
+        return in_hull(plus, verts, i, h, pos) and in_hull(minus, verts, j, h, pos)
+
+    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -560,23 +596,37 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
     map to the cell's own Z-point); (b) distinct cells map to distinct
     Z-points, judged by where each barycenter lands; (c) every interior
     Z-point is realized by a nonempty cell.
+
+    A family's hulls are pairwise disjoint, so a point strictly inside the
+    disc straightens to z = (i, j) exactly when it lies in plus hull i and
+    in minus hull j: clause (a) tests that containment (hullgeom.in_hull, at
+    most four side tests a point) and runs straighten_point only on a point
+    that fails it, which gives every reported result. A point cell's
+    barycenter is its vertex; it is tested once and sampled twice.
     """
     index = fp.index
     cells = index.cells()
     failures = []
     sampled = 0
     landed = {}
+    holds = _cell_hulls_test(index) if cells else None
     for z in sorted(cells):
         cell = cells[z]
-        for p in list(cell.vertices) + [cell.barycenter()]:
+        hs = cell._h
+        last = got = None
+        for h in hs + (_h_mean(hs),):
             sampled += 1
-            r = straighten_point(fp, p)
-            if r != MappedTo(z):
+            if h != last:
+                last = h
+                got = None if holds(h, *z) else straighten_point(fp, _point(h))
+            if got is not None and got != MappedTo(z):
                 failures.append({"clause": "constant", "z": list(z),
-                                 "point": p.to_json(), "got": result_to_json(r)})
-        # r is the barycenter's result
-        if isinstance(r, MappedTo):
-            landed.setdefault(r.z, []).append(z)
+                                 "point": _point(h).to_json(), "got": result_to_json(got)})
+        # got is the barycenter's result, None when it lies in the cell's hulls
+        if got is None:
+            landed.setdefault(z, []).append(z)
+        elif isinstance(got, MappedTo):
+            landed.setdefault(got.z, []).append(z)
     for target in sorted(landed):
         if len(landed[target]) > 1:
             failures.append({"clause": "injective", "z": list(target),

@@ -16,8 +16,8 @@ from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, prong_count, validate
-from .hullgeom import PlanePoint, _h_in_disc, _h_norm, _point
-from .straighten import MappedTo, straighten_point
+from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _point
+from .straighten import MappedTo, _cell_hulls_test, straighten_point
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
 
@@ -202,6 +202,13 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     index permutation preserves the especial disc and matches the disc of
     the transformed pair, sampled cell points straighten equivariantly, and
     prong counts are constant on orbits.
+
+    A family's hulls are pairwise disjoint, so a point strictly inside the
+    disc straightens to an interior Z-point (i, j) exactly when it lies in
+    plus hull i and in minus hull j. The image of each cell point is tested
+    for containment in the hulls its target names (hullgeom.in_hull, at most
+    four side tests), and only a point that fails, or whose target is not
+    interior, runs straighten_point. Each prong count is computed once.
     """
     failures: list = []
     perm_plus = _match_permutation(fp.plus, g, "plus", failures)
@@ -233,20 +240,35 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
         failures.append({"kind": "DiscMismatch", "clause": "boundary-recomputed"})
 
     cells = index.cells()
+    holds = _cell_hulls_test(index) if cells else None
     for (i, j) in sorted(cells):
         cell = cells[(i, j)]
         target = (perm_plus[i], perm_minus[j])
-        for p in list(cell.vertices) + [cell.barycenter()]:
-            r = straighten_point(fp, g.plane_apply(p))
-            if r != MappedTo(target):
+        named = target in interior
+        hs = cell._h
+        # a point cell's barycenter is its vertex
+        for h in hs + (_h_mean(hs),) if cell.dim else hs:
+            q = g.plane_apply(_point(h))
+            if named and holds(q._h, *target):
+                continue
+            if straighten_point(fp, q) != MappedTo(target):
                 failures.append({"kind": "StraightenMismatch", "z": [i, j],
                                  "expected": list(target)})
                 break
 
+    # each Z-point's count once; a miss still asks prong_count, which raises
+    # NotInteriorError for an image outside the disc
+    prongs = {}
+
+    def prongs_at(z):
+        n = prongs.get(z)
+        if n is None:
+            n = prongs[z] = prong_count(fp, z)
+        return n
+
     for i, j, _n in disc.interior:
-        z = (i, j)
         zg = (perm_plus[i], perm_minus[j])
-        if prong_count(fp, z) != prong_count(fp, zg):
+        if prongs_at((i, j)) != prongs_at(zg):
             failures.append({"kind": "ProngMismatch", "z": [i, j], "image": list(zg)})
 
     return EquivarianceReport(not failures, perm_plus, perm_minus, failures)

@@ -13,11 +13,15 @@ from circlink import (
     DisjointLinked,
     FamilyPair,
     IntersectingAt,
+    MalformedInputError,
+    RenderOptions,
     classify_pair,
     especial_disc,
     gen_grid,
+    gen_tripod,
     nested_pair,
     random_family_pair,
+    render_input_svg,
 )
 from circlink.cli import main
 from circlink.generators import random_circle_map
@@ -421,6 +425,22 @@ def test_render_accepts_the_smallest_disc(tmp_path, capsys):
     code, _ = run(capsys, "render", path, "--out", prefix, "--width", "49", "--height", "49")
     assert code == 0
     assert 'r="0.5"' in (tmp_path / "tiny-input.svg").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kwargs,location", [
+    ({"width": 0}, "width"),
+    ({"height": 48}, "height"),
+    ({"width": 30, "height": 20}, "height"),
+    ({"width": 100, "height": 100, "margin": 50}, "width"),
+])
+def test_render_options_reject_sizes_without_a_disc(kwargs, location):
+    # library callers get the CLI's check: no options, so no SVG with a
+    # negative disc radius
+    with pytest.raises(MalformedInputError) as info:
+        RenderOptions(**kwargs)
+    assert info.value.location == location
+    smallest = RenderOptions(width=49, height=49)
+    assert 'r="0.5"' in render_input_svg(gen_tripod(), smallest)
 
 
 # ── process-level smoke ──────────────────────────────────────────────────

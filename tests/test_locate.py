@@ -25,6 +25,7 @@ from circlink import (
     OutsideDiscError,
     PlanePoint,
     cell_intersection,
+    check_equivariance,
     gen_grid,
     gen_star,
     gen_tripod,
@@ -33,9 +34,9 @@ from circlink import (
     param_to_point,
     random_family_pair,
 )
-from circlink import hullgeom
+from circlink import hullgeom, straighten
 from circlink.generators import random_circle_map
-from circlink.hullgeom import _cell_contains_h, _h_in_disc
+from circlink.hullgeom import _cell_contains_h, _h_in_disc, _param_position, in_hull
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -156,6 +157,72 @@ def test_chord_along_an_edge_through_inf():
     assert_matches_scan(fp, pts)
 
 
+# ── containment in a named hull ──────────────────────────────────────────
+
+def assert_in_hull_matches_scan(fp, pts):
+    """in_hull holds for exactly the hull the scan finds, in each family, at
+    every point strictly inside the disc; returns the (family, set size,
+    answer) triples seen."""
+    index = fp.index
+    points, verts = index.points, index.triples()
+    seen = set()
+    for name in ("plus", "minus"):
+        index.forest(name)  # the sweep checks that the hulls are disjoint
+    for p in pts:
+        X, Y, D = h = p._h
+        if X * X + Y * Y >= D * D:
+            continue
+        pos = _param_position(points, Y, X + D)
+        for name, want in zip(("plus", "minus"), locate_by_scan(fp, p)):
+            sets = index.ranks(name)
+            got = [k for k in range(len(sets)) if in_hull(sets, verts, k, h, pos)]
+            assert got == ([] if want is None else [want]), (name, p, got, want)
+            for k in range(len(sets)):
+                seen.add((name, min(len(sets[k]), 3), k == want))
+    return seen
+
+
+# 1-point and 2-point sets, each family with a set holding INF
+SMALL_SETS = [
+    FamilyPair([CircleSet([INF, 0]), CircleSet([1, 3]), CircleSet([5])],
+               [CircleSet([2, 4]), CircleSet([-1]), CircleSet([6, INF])]),
+    FamilyPair([CircleSet([INF]), CircleSet([0, 4]), CircleSet([1, 2]), CircleSet([F(3, 2)])],
+               [CircleSet([-2, 3, INF]), CircleSet([F(1, 2), F(5, 2)])]),
+    FamilyPair([CircleSet([0, 2, INF]), CircleSet([3, 5])], [CircleSet([1, 4])]),
+]
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=2 ** 32))
+def test_in_hull_matches_hull_scan(kind, seed):
+    fp = drawn_pair(kind, seed)
+    assert_in_hull_matches_scan(fp, sample_points(fp, random.Random(seed)))
+
+
+def test_in_hull_on_small_sets_and_inf_holders():
+    seen = set()
+    for fp in SMALL_SETS:
+        assert fp.index.points[-1].is_infinite
+        for seed in range(8):
+            seen |= assert_in_hull_matches_scan(fp, sample_points(fp, random.Random(seed)))
+    # a 1-point set holds nothing; 2-point and larger sets hold some points
+    assert ("plus", 1, True) not in seen and ("minus", 1, True) not in seen
+    assert {("plus", 1, False), ("minus", 1, False)} <= seen
+    assert {("plus", 2, True), ("minus", 2, True), ("minus", 3, True)} <= seen
+
+
+def test_in_hull_on_edges_and_on_the_chord_from_inf():
+    # points on chords from INF (the one to 2 is an edge of the plus
+    # triangle {0, 2, INF}) and on the edges of every hull
+    fp = FamilyPair([CircleSet([0, 2, INF]), CircleSet([3, 5])], [CircleSet([1, 4])])
+    west = param_to_point(INF)
+    pts = [on_segment(west, param_to_point(u), F(k, 7)) for u in (2, 4, 1) for k in range(1, 7)]
+    for a, b in ((0, 2), (3, 5), (1, 4), (5, 3)):
+        pts += [on_segment(param_to_point(a), param_to_point(b), F(k, 5)) for k in range(1, 5)]
+    seen = assert_in_hull_matches_scan(fp, pts)
+    assert {("plus", 3, True), ("plus", 2, True), ("minus", 2, True)} <= seen
+
+
 # ── laminar check ────────────────────────────────────────────────────────
 
 NON_LAMINAR = [
@@ -231,3 +298,48 @@ def test_side_tests_grow_logarithmically(monkeypatch):
     small = side_tests_per_query(monkeypatch, 16)
     large = side_tests_per_query(monkeypatch, 128)
     assert 0 < small and large <= small + 8, (small, large)
+
+
+def verifier_side_tests(monkeypatch, n):
+    """The most side tests spent on one point by quotient_check and by
+    check_equivariance on gen_grid(n), and how many points each tested.
+
+    Each containment test computes one chord position, which opens a new
+    count; locate is replaced by a failure, so no point takes the search.
+    """
+    fp = gen_grid(n)
+    fp.index.disc
+    counts = []
+    real_orient, real_position = hullgeom._orient, straighten._param_position
+
+    def orient(o, a, b):
+        counts[-1] += 1
+        return real_orient(o, a, b)
+
+    def position(points, y, x):
+        counts.append(0)
+        return real_position(points, y, x)
+
+    def no_search(fp, p):
+        raise AssertionError("locate ran for %s" % (p,))
+
+    monkeypatch.setattr(hullgeom, "_orient", orient)
+    monkeypatch.setattr(straighten, "_param_position", position)
+    monkeypatch.setattr(straighten, "locate", no_search)
+    out = []
+    for verify in (straighten.quotient_check, lambda fp: check_equivariance(fp, CircleMap.identity())):
+        counts.clear()
+        assert verify(fp).ok
+        out.append((max(counts), len(counts)))
+    return out
+
+
+def test_verifiers_make_at_most_four_side_tests_per_point(monkeypatch):
+    # every grid cell is a point, tested once by each verifier, so the cost
+    # per point stays flat from 256 cells to 16 384
+    most = {}
+    for n in (16, 128):
+        (q_most, q_points), (e_most, e_points) = verifier_side_tests(monkeypatch, n)
+        assert q_points == e_points == n * n
+        most[n] = (q_most, e_most)
+    assert most[16] == most[128] and max(most[16]) <= 4, most

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from circlink import (
+    CircleMap,
     CircleSet,
     GroupOrderNotTotalError,
     MappedTo,
@@ -16,9 +17,11 @@ from circlink import (
     OnBoundary,
     OutsideDiscError,
     PlanePoint,
+    check_equivariance,
     layout,
     leaf_graph,
     linked_cells,
+    locate,
     param_to_point,
     point,
     quotient_check,
@@ -26,7 +29,7 @@ from circlink import (
     straighten_point,
     validate,
 )
-from circlink import straighten
+from circlink import hullgeom, straighten
 from circlink.straighten import VIRTUAL, result_to_json
 from plane_oracle import fraction_mean
 
@@ -281,6 +284,48 @@ def test_quotient_check_reports_cells_landing_on_one_z(monkeypatch):
     injective = [f for f in report.failures if f["clause"] == "injective"]
     assert injective == [{"clause": "injective", "z": [0, 0],
                           "cells": [[0, 0], [0, 1], [1, 0], [1, 1]]}]
+
+
+def _jump_cell_first(real):
+    first = []
+
+    def same_cell(*args):
+        # every cell built becomes the first one built
+        if not first:
+            first.append(args)
+        return real(*first[0])
+    return same_cell
+
+
+def _jump_cell_on_rim(real):
+    def rim_cell(*args):
+        # every cell becomes the circle point of parameter 0, a plus vertex
+        return hullgeom._cell(0, (param_to_point(0).key(),))
+    return rim_cell
+
+
+@pytest.mark.parametrize("patch,got,wrong", [
+    (_jump_cell_first, {"result": "mapped", "z": [0, 0]}, [[0, 1], [1, 0], [1, 1]]),
+    (_jump_cell_on_rim, {"result": "not_in_domain"}, [[0, 0], [0, 1], [1, 0], [1, 1]]),
+])
+def test_failed_points_report_what_locate_finds(monkeypatch, patch, got, wrong):
+    # points that fail the containment test are straightened in full, so
+    # each reported result is the one locate and straighten_point give
+    monkeypatch.setattr(hullgeom, "_jump_cell", patch(hullgeom._jump_cell))
+    fp = grid_pair()
+    report = quotient_check(fp)
+    assert report.points_sampled == 8
+    constant = [f for f in report.failures if f["clause"] == "constant"]
+    # a point cell is sampled twice, as vertex and as barycenter
+    assert [f["z"] for f in constant] == [z for z in wrong for _ in range(2)]
+    for f in constant:
+        p = PlanePoint.from_json(f["point"])
+        assert f["got"] == got == result_to_json(straighten_point(fp, p))
+        if got["result"] == "mapped":
+            assert list(locate(fp, p)) == got["z"]
+    equiv = check_equivariance(fp, CircleMap.identity())
+    assert equiv.failures == tuple({"kind": "StraightenMismatch", "z": z, "expected": z}
+                                   for z in wrong)
 
 
 COLLIDING_LAYOUT = """
