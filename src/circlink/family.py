@@ -514,6 +514,25 @@ class LaminarForest:
         self.parent = parent
         self.inner = inner
 
+    def neighbours(self, sets: tuple, a: int, b: int) -> bool:
+        """Whether sets a and b, of this forest's family with rank tuples
+        sets, are neighbours in the nesting tree: one is the other's parent,
+        or they share a parent that does not separate them. The set holding
+        INF is the parent of every other root; when no set holds INF, the
+        roots are siblings under no parent, which separates nothing.
+
+        A third set separates two sets only when it lies on their tree path
+        (see separation_interval). The path of a set and its parent has no
+        third set, and that of two siblings only their parent, so no set
+        separates neighbours.
+        """
+        parent, top = self.parent, self.inf_owner
+        pa = top if parent[a] is None and a != top else parent[a]
+        pb = top if parent[b] is None and b != top else parent[b]
+        if pa == b or pb == a:
+            return True
+        return pa == pb and (pa is None or not rank_separates(sets[pa], sets[a], sets[b]))
+
 
 class PairIndex:
     """What the stages share about one family pair, each piece built once.

@@ -531,13 +531,27 @@ def in_hull(sets, verts, k: int, h: tuple, pos: int) -> bool:
     the whole chord is in the wrap cap, and that edge decides alone. A
     1-point set holds no point inside the disc.
     """
+    return len(sets[k]) > 1 and _hull_cap(sets, verts, k, h, pos) is None
+
+
+def _hull_cap(sets, verts, k: int, h: tuple, pos: int) -> Optional[int]:
+    """The cap of hull k holding h, None when h is in the hull; h and pos
+    are as for in_hull, and the set has at least two points.
+
+    Cap e is the part of the closed disc strictly right of the hull's edge
+    e, from rank s[e - 1] to rank s[e] of the set s (cap 0 beyond the wrap
+    edge), and holds the ranks r with bisect_left(s, r) % len(s) == e. The
+    caps are convex, pairwise disjoint and hold every point of the disc
+    outside the hull, so a segment of the disc misses the hull exactly when
+    both its ends lie in one cap.
+    """
     s = sets[k]
-    if len(s) < 2:
-        return False
     e = bisect_left(s, pos >> 1) % len(s)
     if _orient(verts[s[e - 1]], verts[s[e]], h) < 0:
-        return False
-    return not e or _orient(verts[s[-1]], verts[s[0]], h) >= 0
+        return e
+    if e and _orient(verts[s[-1]], verts[s[0]], h) < 0:
+        return 0
+    return None
 
 
 def locate(fp: FamilyPair, p: PlanePoint) -> tuple:

@@ -9,10 +9,7 @@ missing singular point whenever a fiber straddles several sectors.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import cmp_to_key
-from math import gcd
-from operator import itemgetter
+from bisect import bisect_left
 from typing import Union
 
 from .circle import rank_gap, rank_separates
@@ -20,8 +17,10 @@ from .errors import Frozen, GroupOrderNotTotalError, InvariantViolation
 from .family import FamilyPair
 from .hullgeom import (
     PlanePoint,
-    _h_line,
+    _h_cmp,
     _h_mean,
+    _hull_cap,
+    _orient,
     _param_position,
     _point,
     in_hull,
@@ -316,7 +315,14 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
 
 
 class StraightenedDisc:
-    """Exact layout of Z with its leaf trees and crossing diagnostics."""
+    """Exact layout of Z with its leaf trees and their crossings.
+
+    crossings lists the pairs of edges from distinct leaves that meet other
+    than in one point ending both: a point inside one of them, or a
+    positive length of one line. Each edge is keyed (family, element, edge
+    index), each pair is sorted, so its minus edge comes first, and the
+    list is sorted. layout certifies it locally (see _leaf_crossings).
+    """
 
     __slots__ = ("disc", "layout", "leaves_plus", "leaves_minus",
                  "boundary_anchors", "virtual_positions", "crossings")
@@ -363,159 +369,122 @@ class StraightenedDisc:
         }
 
 
-def _line_key(hp: tuple, hq: tuple) -> tuple:
-    # canonical integer line through two distinct homogeneous points
-    a, b, c = _h_line(hp, hq)
-    g = gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    if (a or b or c) < 0:
-        a, b, c = -a, -b, -c
-    return (a, b, c)
+def _segments_cross(p: tuple, q: tuple, r: tuple, s: tuple) -> bool:
+    """Whether the segments pq and rs, each of positive length, meet other
+    than in one point that ends both: in a point inside one of them, or
+    along a positive length of one line."""
+    o1, o2 = _orient(p, q, r), _orient(p, q, s)
+    if o1 == o2 == 0:
+        # one line, along which lexicographic order is monotone
+        if _h_cmp(p, q) > 0:
+            p, q = q, p
+        if _h_cmp(r, s) > 0:
+            r, s = s, r
+        return _h_cmp(p, s) < 0 and _h_cmp(r, q) < 0
+    o3, o4 = _orient(r, s, p), _orient(r, s, q)
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return False
+    # the lines meet in one point: an end of rs when o1 or o2 is 0, of pq
+    # when o3 or o4 is
+    return not ((o1 == 0 or o2 == 0) and (o3 == 0 or o4 == 0))
 
 
-def _span_cmp(e: tuple, f: tuple) -> int:
-    # exact (lo, hi) order of two spans; denominators are positive
-    d = e[0] * f[1] - f[0] * e[1]
-    if not d:
-        d = e[2] * f[3] - f[2] * e[3]
-    return (d > 0) - (d < 0)
+def _leaf_crossings(index, leaves_plus, leaves_minus, position) -> list:
+    """Every pair of edges from distinct leaves that meet other than in one
+    point ending both, sorted and each pair sorted: the list a test of all
+    edge pairs gives, found from the regions of the Z-points alone.
+    position(family, element, atom) is the laid-out point of a leaf's atom.
 
+    Where leaves lie. Every position of plus leaf i lies in plus hull i: a
+    barycenter in its cell, a boundary anchor at a marked point of both
+    sets, the virtual vertex at a mean of the leaf's ends. So every edge of
+    leaf i lies in hull i. The hulls of one family are pairwise disjoint
+    (the forests built here check it), so leaves of one family never meet,
+    and plus leaf i meets minus leaf j only in R(z), the meet of plus hull i
+    and minus hull j, for a Z-point z = (i, j): the cell of an interior
+    Z-point, or a region holding the shared point of a boundary one. The
+    hulls of other cross pairs are disjoint.
 
-def _sort_spans(entries: list) -> None:
-    """Sort spans (lo_n, lo_d, hi_n, hi_d, leaf, edge, flo, fhi) in place
-    by their exact (lo, hi), stably.
+    Tame edges. An edge of leaf i is tame at z when it ends at the position
+    of z and its other end lies outside R(z). A plus edge and a minus edge
+    tame at z meet only in that position, which ends both: were they one
+    ray from it, the points just past where it leaves R(z) would lie in
+    both hulls.
 
-    flo and fhi are the correctly rounded floats of lo and hi, monotone in
-    the exact values: sorting by them leaves only runs of tied floats out
-    of order, and an exact sort by cross-multiplication then fixes those.
+    Chain edges. A chain edge of plus leaf i joins (i, j1) and (i, j2) and
+    is tame at both. The disc outside minus hull j is the union of disjoint
+    convex caps, one beyond each edge of the hull, so the chain edge meets
+    hull j only when j separates j1 from j2. No set separates two
+    neighbours of the minus forest (LaminarForest.neighbours, one call per
+    chain edge), and then the edge meets only the regions of its ends. A
+    third set can separate consecutive members of a chain, so ends that
+    are not neighbours do occur.
+
+    Open edges. The virtual edges and the chain edges whose ends are not
+    neighbours are tested against the hull of every Z-point of their
+    leaf's fiber (hullgeom._hull_cap): an edge misses a hull when both its
+    ends lie in one cap, and a Z-point end lies in the cap holding its
+    set's arc. An open edge that meets R(z) and is not tame at z is tested
+    exactly (_segments_cross) against every opposite edge meeting R(z):
+    those ending at z and the open ones that meet it. The hull of a 1-point
+    set is its marked point, which ends every edge meeting it, and an edge
+    whose ends are one point meets nothing. A pair with no virtual vertex
+    so costs one neighbour check per edge and no exact test.
     """
-    entries.sort(key=itemgetter(6, 7))
-    if any(a[6] == b[6] for a, b in zip(entries, entries[1:])):
-        entries.sort(key=cmp_to_key(_span_cmp))
-
-
-def _stab(entries, flos, fmaxhi, pn, pd, fpos):
-    """Entries whose closed span contains pn/pd, with pd > 0.
-
-    The float arrays only narrow the scan window; every candidate is
-    confirmed by integer cross-multiplication.
-    """
-    k = bisect_right(flos, fpos + 1e-9) - 1
-    out = []
-    floor = fpos - 1e-9
-    while k >= 0 and fmaxhi[k] >= floor:
-        e = entries[k]
-        # lo <= pos <= hi exactly
-        if e[0] * pd <= pn * e[1] and pn * e[3] <= e[2] * pd:
-            out.append(e)
-        k -= 1
-    return out
-
-
-def _detect_crossings(leaves, position) -> list:
-    """All edge pairs from distinct leaves that meet away from a shared vertex.
-
-    Segments are grouped by supporting line. On one line, a crossing is a
-    positive-length span overlap; endpoint contact collapses to a shared
-    vertex. Across two lines the only candidate is the exact meet of the
-    lines, checked against each group with a stabbing query. Positions along
-    a line are kept as integer numerator/denominator pairs read from the
-    points' triples.
-    """
-    groups = {}
-    boxes = {}
-    for leaf in leaves:
-        lid = (leaf.family, leaf.element)
-        for idx, (u, v) in enumerate(leaf.edges):
-            hp = position(leaf.family, leaf.element, u)._h
-            hq = position(leaf.family, leaf.element, v)._h
-            if hp == hq:
+    verts = index.triples()
+    points = index.points
+    leaves = {"plus": leaves_plus, "minus": leaves_minus}
+    loose = {}      # z -> family -> edges of the leaf meeting R(z) untamed
+    for family, opp, side in (("plus", "minus", 1), ("minus", "plus", 0)):
+        sets = index.ranks(opp)
+        forest = index.forest(opp)
+        for leaf in leaves[family]:
+            el = leaf.element
+            open_edges = [(idx, u, v) for idx, (u, v) in enumerate(leaf.edges)
+                          if u == VIRTUAL or not forest.neighbours(sets, u[side], v[side])]
+            if not open_edges:
                 continue
-            line = _line_key(hp, hq)
-            axis = 0 if abs(line[1]) >= abs(line[0]) else 1
-            # int / int is correctly rounded, as float(Fraction) is
-            pf = (hp[0] / hp[2], hp[1] / hp[2])
-            qf = (hq[0] / hq[2], hq[1] / hq[2])
-            # denominators of normalised triples are positive
-            ln, ld, flo = hp[axis], hp[2], pf[axis]
-            hn, hd, fhi = hq[axis], hq[2], qf[axis]
-            if hn * ld < ln * hd:
-                ln, ld, flo, hn, hd, fhi = hn, hd, fhi, ln, ld, flo
-            groups.setdefault(line, []).append((ln, ld, hn, hd, lid, idx, flo, fhi))
-            x0, x1 = sorted((pf[0], qf[0]))
-            y0, y1 = sorted((pf[1], qf[1]))
-            fb = boxes.get(line)
-            if fb is None:
-                boxes[line] = [x0, x1, y0, y1]
-            else:
-                fb[0] = min(fb[0], x0)
-                fb[1] = max(fb[1], x1)
-                fb[2] = min(fb[2], y0)
-                fb[3] = max(fb[3], y1)
+            fiber = [z for z in index.fiber(family, el) if len(sets[z[side]]) > 1]
+            if leaf.virtual_count:
+                h = position(family, el, VIRTUAL)._h
+                X, Y, D = h
+                # a mean of distinct points of the disc is strictly inside it
+                pos = _param_position(points, Y, X + D)
+                virtual_caps = {z: _hull_cap(sets, verts, z[side], h, pos) for z in fiber}
+
+            for idx, u, v in open_edges:
+                for z in fiber:
+                    ring = sets[z[side]]
+                    # the cap of the hull of ring holding each end, None for
+                    # an end in R(z); a Z-point's is the one holding its
+                    # set's arc
+                    c1, c2 = [None if a == z else virtual_caps[z] if a == VIRTUAL
+                              else bisect_left(ring, sets[a[side]][0]) % len(ring)
+                              for a in (u, v)]
+                    if u == z or v == z:
+                        untamed = c1 is None and c2 is None
+                    else:
+                        untamed = c1 is None or c1 != c2
+                    if untamed:
+                        loose.setdefault(z, {}).setdefault(family, set()).add(idx)
 
     found = set()
-    prepared = []
-    for line in sorted(groups):
-        entries = groups[line]
-        _sort_spans(entries)
-        flos = [e[6] for e in entries]
-        fmaxhi = []
-        running = None
-        for e in entries:
-            if running is None or e[7] > running:
-                running = e[7]
-            fmaxhi.append(running)
-        # collinear case: spans meeting in more than a point always cross
-        for i in range(len(entries)):
-            lo_n, lo_d, hi_n, hi_d, lid_i, idx_i, _, _ = entries[i]
-            for j in range(i + 1, len(entries)):
-                e = entries[j]
-                if e[0] * hi_d >= hi_n * e[1]:
-                    break
-                if e[4] == lid_i:
-                    continue
-                found.add(tuple(sorted(((lid_i[0], lid_i[1], idx_i),
-                                        (e[4][0], e[4][1], e[5])))))
-        box = boxes[line]
-        # float boxes only prune; meets are confirmed exactly below
-        prepared.append((line, entries, flos, fmaxhi,
-                         (box[0] - 1e-9, box[1] + 1e-9,
-                          box[2] - 1e-9, box[3] + 1e-9)))
-
-    for gi in range(len(prepared)):
-        line_a, ent_a, flos_a, fmaxhi_a, box_a = prepared[gi]
-        axis_a = 0 if abs(line_a[1]) >= abs(line_a[0]) else 1
-        for gj in range(gi + 1, len(prepared)):
-            line_b, ent_b, flos_b, fmaxhi_b, box_b = prepared[gj]
-            if box_b[0] > box_a[1] or box_b[1] < box_a[0] \
-                    or box_b[2] > box_a[3] or box_b[3] < box_a[2]:
-                continue
-            pw = line_a[0] * line_b[1] - line_a[1] * line_b[0]
-            if pw == 0:
-                continue
-            px = line_a[1] * line_b[2] - line_a[2] * line_b[1]
-            py = line_a[2] * line_b[0] - line_a[0] * line_b[2]
-            if pw < 0:
-                px, py, pw = -px, -py, -pw
-            pn_a = px if axis_a == 0 else py
-            hits_a = _stab(ent_a, flos_a, fmaxhi_a, pn_a, pw, pn_a / pw)
-            if not hits_a:
-                continue
-            axis_b = 0 if abs(line_b[1]) >= abs(line_b[0]) else 1
-            pn_b = px if axis_b == 0 else py
-            hits_b = _stab(ent_b, flos_b, fmaxhi_b, pn_b, pw, pn_b / pw)
-            if not hits_b:
-                continue
-            for lo_n, lo_d, hi_n, hi_d, lid_i, idx_i, _, _ in hits_a:
-                end_i = pn_a * lo_d == lo_n * pw or pn_a * hi_d == hi_n * pw
-                for e in hits_b:
-                    if e[4] == lid_i:
-                        continue
-                    if end_i and (pn_b * e[1] == e[0] * pw
-                                  or pn_b * e[3] == e[2] * pw):
-                        continue
-                    found.add(tuple(sorted(((lid_i[0], lid_i[1], idx_i),
-                                            (e[4][0], e[4][1], e[5])))))
+    for z, marked in loose.items():
+        near = []
+        for family, el in (("plus", z[0]), ("minus", z[1])):
+            mine = marked.get(family, ())
+            edges = []
+            for idx, (u, v) in enumerate(leaves[family][el].edges):
+                if idx in mine or u == z or v == z:
+                    p = position(family, el, u)._h
+                    q = position(family, el, v)._h
+                    if p != q:
+                        edges.append(((family, el, idx), p, q, idx in mine))
+            near.append(edges)
+        for a, p, q, loose_a in near[0]:
+            for b, r, s, loose_b in near[1]:
+                if (loose_a or loose_b) and _segments_cross(p, q, r, s):
+                    found.add((b, a))      # the minus key sorts first
     return sorted(found)
 
 
@@ -526,6 +495,12 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     Z-points at the embedded shared circle point. Layout is injective: when
     two Z-points land on one position, InvariantViolation("layout-collision")
     carries the first of them as its counts and the second as z.
+
+    Each leaf lies in its element's hull, so two leaves can meet only in
+    the region where the hulls of a Z-point meet. The crossings are found
+    there: the edges that cannot cross by that lemma are skipped, and only
+    the rest are tested exactly (see _leaf_crossings); no scan over all
+    edges of the disc is made.
     """
     index = fp.index
     disc = index.disc
@@ -558,7 +533,7 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
             return virtual_positions[(family, element)]
         return lay[v]
 
-    crossings = _detect_crossings(leaves_plus + leaves_minus, position)
+    crossings = _leaf_crossings(index, leaves_plus, leaves_minus, position)
     return StraightenedDisc(disc, lay, leaves_plus, leaves_minus,
                             anchors, virtual_positions, crossings)
 

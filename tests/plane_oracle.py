@@ -5,7 +5,7 @@ Fractions only on demand; layout averages triples over a common denominator
 and sorts spans by float with exact tie-breaks. This module keeps the
 earlier forms: FractionPoint, which stored the two coordinates as
 Fractions, the Fraction mean, and an all-pairs Fraction crossing test that
-shares no code with straighten._detect_crossings. The tests require equal
+shares no code with crossing_oracle._detect_crossings. The tests require equal
 answers from both.
 """
 

@@ -28,7 +28,8 @@ from circlink import (
 from circlink import render
 from circlink.generators import random_circle_map
 from circlink.render import RenderOptions, _Canvas, _fmt, render_input_svg, render_straightened_svg
-from circlink.straighten import LeafGraph, _detect_crossings, _sort_spans
+from circlink.straighten import LeafGraph
+from crossing_oracle import _detect_crossings, _sort_spans
 from plane_oracle import FractionPoint, crossings_by_pairs
 
 F = Fraction

@@ -357,7 +357,8 @@ def test_layout_collision_is_a_typed_violation(flags):
 
 def test_crossing_detector_on_synthetic_segments():
     # no especial fixture produces a crossing, so drive the detector directly
-    from circlink.straighten import LeafGraph, _detect_crossings
+    from circlink.straighten import LeafGraph
+    from crossing_oracle import _detect_crossings
 
     leaves = [LeafGraph(fam, 0, ((0, 0), (0, 1)), 0, (((0, 0), (0, 1)),))
               for fam in ("plus", "minus")]
