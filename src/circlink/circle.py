@@ -272,7 +272,7 @@ class CircleSet:
 
     @classmethod
     def from_json(cls, data) -> "CircleSet":
-        if not isinstance(data, list) or not data:
+        if not isinstance(data, list) or not data or not all(isinstance(s, str) for s in data):
             raise MalformedInputError("a circle set must be a nonempty list of parameter strings")
         return cls(CirclePoint.from_str(s) for s in data)
 

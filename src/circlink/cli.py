@@ -40,6 +40,8 @@ def _load_json(path: str):
         raise MalformedInputError(
             "invalid JSON: %s" % exc.msg,
             "%s: line %d column %d" % (path, exc.lineno, exc.colno)) from None
+    except RecursionError:
+        raise MalformedInputError("invalid JSON: nested too deeply", path) from None
 
 
 def _load_pair(path: str) -> FamilyPair:
@@ -65,16 +67,14 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _parse_point(text: str):
-    from fractions import Fraction
-
-    from .hullgeom import PlanePoint
+    from .hullgeom import PlanePoint, _parse_frac
 
     parts = text.split(",")
     if len(parts) != 2:
         raise MalformedInputError("point must be \"x,y\" with rational entries", "--point")
     try:
-        return PlanePoint(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
-    except (ValueError, ZeroDivisionError):
+        return PlanePoint(*(_parse_frac(p.strip(), "--point") for p in parts))
+    except MalformedInputError:
         raise MalformedInputError("bad rational in point %r" % text, "--point") from None
 
 

@@ -8,17 +8,51 @@ from __future__ import annotations
 
 
 class Frozen:
-    """Base of the small immutable value classes.
+    """Base of the small immutable value classes, declared by their fields.
 
-    A subclass lists its fields in __slots__, in constructor order, sets them
-    with object.__setattr__ in __init__, and writes the __eq__ and __hash__
-    a frozen dataclass would generate: equal field tuples within one class,
-    and the hash of the field tuple. This base makes field assignment and
-    deletion raise AttributeError and gives the dataclass repr and pickle
-    and copy support.
+    A subclass lists its fields in __slots__, in constructor order, and gives
+    the defaults of trailing fields as class keywords, as in
+    `class GenSpec(Frozen, n=2, k=3, depth=2, seed=0)`. For each subclass
+    this base writes the __init__, __eq__ and __hash__ a frozen dataclass
+    would generate, compiled once: __init__ sets each field with
+    object.__setattr__ and ends by calling __post_init__ when the class has
+    one, equality compares field tuples within one class, and the hash is
+    that of the field tuple. Field assignment and deletion raise
+    AttributeError, and the repr, pickle and copy support are the
+    dataclass's.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        fields = cls.__slots__
+        unknown = sorted(set(defaults) - set(fields))
+        if unknown:
+            raise TypeError("%s has no field %s" % (cls.__qualname__, ", ".join(unknown)))
+
+        def row(obj):
+            return "(%s)" % "".join("%s.%s, " % (obj, f) for f in fields)
+
+        params = "".join(", %s=_defaults[%r]" % (f, f) if f in defaults else ", " + f
+                         for f in fields)
+        lines = ["def __init__(self%s):" % params]
+        lines += ["    _set(self, %r, %s)" % (f, f) for f in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        lines += ["    return None",  # a body for a class with no fields
+                  "def __eq__(self, other):",
+                  "    if other.__class__ is self.__class__:",
+                  "        return %s == %s" % (row("self"), row("other")),
+                  "    return NotImplemented",
+                  "def __hash__(self):",
+                  "    return hash(%s)" % row("self")]
+        namespace = {"__name__": cls.__module__, "_set": object.__setattr__,
+                     "_defaults": defaults}
+        exec("\n".join(lines), namespace)
+        for name in ("__init__", "__eq__", "__hash__"):
+            fn = namespace[name]
+            fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
+            setattr(cls, name, fn)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

@@ -60,10 +60,8 @@ __all__ = [
     "nesting_report",
 ]
 
-_set = object.__setattr__
 
-
-class Violation(Frozen):
+class Violation(Frozen, witness=()):
     """One violated admissibility clause with the offending indices.
 
     kind is WithinFamilyOverlap, WithinFamilyLinked or
@@ -71,22 +69,6 @@ class Violation(Frozen):
     """
 
     __slots__ = ("kind", "family", "i", "j", "witness")
-
-    def __init__(self, kind, family, i, j, witness=()):
-        _set(self, "kind", kind)
-        _set(self, "family", family)
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.family, self.i, self.j, self.witness)
-                    == (other.kind, other.family, other.i, other.j, other.witness))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.family, self.i, self.j, self.witness))
 
     def describe(self) -> str:
         if self.witness:
@@ -260,45 +242,17 @@ class IntersectingAt(Frozen):
 
     __slots__ = ("point",)
 
-    def __init__(self, point):
-        _set(self, "point", point)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.point,) == (other.point,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.point,))
-
 
 class DisjointUnlinked(Frozen):
     """The pair is disjoint and unlinked."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
 
 class DisjointLinked(Frozen):
     """The pair is disjoint with linking number n > 1."""
 
     __slots__ = ("n",)
-
-    def __init__(self, n):
-        _set(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n,) == (other.n,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n,))
 
 
 PairClass = Union[IntersectingAt, DisjointUnlinked, DisjointLinked]
@@ -743,26 +697,6 @@ class NestingEntry(Frozen):
 
     __slots__ = ("family", "element", "interval_start", "interval_end", "separated",
                  "separator")
-
-    def __init__(self, family, element, interval_start, interval_end, separated, separator):
-        _set(self, "family", family)
-        _set(self, "element", element)
-        _set(self, "interval_start", interval_start)
-        _set(self, "interval_end", interval_end)
-        _set(self, "separated", separated)
-        _set(self, "separator", separator)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.family, self.element, self.interval_start, self.interval_end,
-                     self.separated, self.separator)
-                    == (other.family, other.element, other.interval_start, other.interval_end,
-                        other.separated, other.separator))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.element, self.interval_start, self.interval_end,
-                     self.separated, self.separator))
 
     def to_json(self) -> dict:
         return {

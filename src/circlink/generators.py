@@ -133,29 +133,10 @@ def gen_figure() -> FamilyPair:
     return validate(plus, minus)
 
 
-_set = object.__setattr__
-
-
-class GenSpec(Frozen):
+class GenSpec(Frozen, n=2, k=3, depth=2, seed=0):
     """Fully determined generation request; equal specs build equal pairs."""
 
     __slots__ = ("kind", "n", "k", "depth", "seed")
-
-    def __init__(self, kind, n=2, k=3, depth=2, seed=0):
-        _set(self, "kind", kind)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "depth", depth)
-        _set(self, "seed", seed)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.n, self.k, self.depth, self.seed)
-                    == (other.kind, other.n, other.k, other.depth, other.seed))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.k, self.depth, self.seed))
 
     def build(self) -> FamilyPair:
         if self.kind == "grid":

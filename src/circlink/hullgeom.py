@@ -50,8 +50,15 @@ def _ratio_str(n: int, d: int) -> str:
 
 
 def _parse_frac(s, where: str) -> Fraction:
+    """The rational a wire string spells: an integer, p/q or a decimal.
+
+    An exponent is refused, since Fraction would expand "1e999999999" into
+    a billion-digit integer.
+    """
     if not isinstance(s, str):
         raise MalformedInputError("coordinate must be a rational string", where)
+    if "e" in s or "E" in s:
+        raise MalformedInputError("exponent in rational %r" % s, where)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):

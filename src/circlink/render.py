@@ -11,10 +11,10 @@ from .errors import Frozen, MalformedInputError
 
 __all__ = ["RenderOptions", "render_input_svg", "render_straightened_svg"]
 
-_set = object.__setattr__
 
-
-class RenderOptions(Frozen):
+class RenderOptions(Frozen, width=720, height=720, margin=24, stroke_width=2.0,
+                    leaf_stroke_width=1.6, point_radius=3.0, plus_color="#2563eb",
+                    minus_color="#dc2626", region_color="#a78bfa", labels=False):
     """Stable render defaults; sizes in pixels.
 
     The disc radius is min(width, height) / 2 - margin, so a size of at most
@@ -25,37 +25,10 @@ class RenderOptions(Frozen):
     __slots__ = ("width", "height", "margin", "stroke_width", "leaf_stroke_width",
                  "point_radius", "plus_color", "minus_color", "region_color", "labels")
 
-    def __init__(self, width=720, height=720, margin=24, stroke_width=2.0,
-                 leaf_stroke_width=1.6, point_radius=3.0, plus_color="#2563eb",
-                 minus_color="#dc2626", region_color="#a78bfa", labels=False):
-        if min(width, height) <= 2 * margin:
-            raise MalformedInputError("width and height must exceed %d pixels" % (2 * margin),
-                                      "width" if width <= height else "height")
-        _set(self, "width", width)
-        _set(self, "height", height)
-        _set(self, "margin", margin)
-        _set(self, "stroke_width", stroke_width)
-        _set(self, "leaf_stroke_width", leaf_stroke_width)
-        _set(self, "point_radius", point_radius)
-        _set(self, "plus_color", plus_color)
-        _set(self, "minus_color", minus_color)
-        _set(self, "region_color", region_color)
-        _set(self, "labels", labels)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.width, self.height, self.margin, self.stroke_width,
-                     self.leaf_stroke_width, self.point_radius, self.plus_color,
-                     self.minus_color, self.region_color, self.labels)
-                    == (other.width, other.height, other.margin, other.stroke_width,
-                        other.leaf_stroke_width, other.point_radius, other.plus_color,
-                        other.minus_color, other.region_color, other.labels))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.width, self.height, self.margin, self.stroke_width,
-                     self.leaf_stroke_width, self.point_radius, self.plus_color,
-                     self.minus_color, self.region_color, self.labels))
+    def __post_init__(self):
+        if min(self.width, self.height) <= 2 * self.margin:
+            raise MalformedInputError("width and height must exceed %d pixels" % (2 * self.margin),
+                                      "width" if self.width <= self.height else "height")
 
 
 def _fmt(v: float) -> str:

@@ -43,24 +43,10 @@ __all__ = [
 ]
 
 
-_set = object.__setattr__
-
-
 class MappedTo(Frozen):
     """The point collapses to the interior Z-point z."""
 
     __slots__ = ("z",)
-
-    def __init__(self, z):
-        _set(self, "z", z)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.z,) == (other.z,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.z,))
 
 
 class OnBoundary(Frozen):
@@ -68,28 +54,11 @@ class OnBoundary(Frozen):
 
     __slots__ = ("s",)
 
-    def __init__(self, s):
-        _set(self, "s", s)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.s,) == (other.s,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s,))
-
 
 class NotInDomain(Frozen):
     """The point lies in no linked cell and on no shared circle point."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(())
 
 
 StraightenResult = Union[MappedTo, OnBoundary, NotInDomain]

@@ -16,7 +16,7 @@ from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, prong_count, validate
-from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _point
+from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _parse_frac, _point
 from .straighten import MappedTo, _cell_hulls_test, straighten_point
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
@@ -131,11 +131,7 @@ class CircleMap:
                 if not isinstance(raw, str):
                     raise MalformedInputError("matrix entries must be rational strings",
                                               "$.m[%d][%d]" % (r, k))
-                try:
-                    vals.append(Fraction(raw))
-                except (ValueError, ZeroDivisionError):
-                    raise MalformedInputError("bad rational %r" % raw,
-                                              "$.m[%d][%d]" % (r, k)) from None
+                vals.append(_parse_frac(raw, "$.m[%d][%d]" % (r, k)))
         return cls(*vals)
 
 

@@ -27,6 +27,9 @@ from circlink.cli import main
 from circlink.generators import random_circle_map
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -86,10 +89,26 @@ def test_validate_malformed_json(tmp_path, capsys):
 
 
 def test_validate_schema_error_location(tmp_path, capsys):
-    path = write_pair(tmp_path, "schema.json", {"plus": [["0", "zzz"]], "minus": [["1"]]})
-    code, out = run(capsys, "validate", path)
-    assert code == 2
-    assert json.loads(out)["location"] == "$.plus[0]"
+    for bad in ("zzz", 2):
+        path = write_pair(tmp_path, "schema.json", {"plus": [["0", bad]], "minus": [["1"]]})
+        code, out = run(capsys, "validate", path)
+        assert code == 2
+        err = json.loads(out)
+        assert (err["error"], err["location"]) == ("malformed-input", "$.plus[0]")
+
+
+def test_deeply_nested_json_is_malformed(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit, as a pair and as a map
+    deep = str(tmp_path / "deep.json")
+    with open(deep, "w", encoding="utf-8") as fh:
+        fh.write("[" * 200000)
+    pair = write_pair(tmp_path, "grid.json", GRID2)
+    for argv in (["validate", deep], ["equivariance", pair, "--map", deep]):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        err = json.loads(out)
+        assert (err["error"], err["location"]) == ("malformed-input", deep)
+        assert err["message"].startswith("invalid JSON: ")
 
 
 def test_missing_file(capsys):
@@ -191,6 +210,37 @@ def test_straighten_bad_point(tmp_path, capsys):
         code, out = run(capsys, "straighten", path, "--point", bad)
         assert code == 2
         assert json.loads(out)["error"] == "malformed-input"
+
+
+def test_straighten_point_takes_integers_fractions_and_decimals(tmp_path, capsys):
+    path = write_pair(tmp_path, "grid.json", GRID2)
+    code, out = run(capsys, "straighten", path, "--point", "-0.5,1/4")
+    assert code == 0
+    code, same = run(capsys, "straighten", path, "--point", "-1/2,0.25")
+    assert (code, same) == (0, out)
+
+
+def _cli_process(*argv):
+    # a process, so that a parser which expands the exponent times out
+    # instead of hanging the suite
+    proc = subprocess.run([sys.executable, "-m", "circlink"] + list(argv),
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("where", ["--point", "$.m[0][0]"])
+def test_exponent_rationals_are_malformed(tmp_path, where):
+    pair = write_pair(tmp_path, "grid.json", GRID2)
+    if where == "--point":
+        argv = ["straighten", pair, "--point", "1e999999999,0"]
+    else:
+        huge = write_pair(tmp_path, "map.json", {"m": [["1e999999999", "0"], ["0", "1"]]})
+        argv = ["equivariance", pair, "--map", huge]
+    code, out, err = _cli_process(*argv)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert (report["error"], report["location"]) == ("malformed-input", where)
 
 
 # ── equivariance ─────────────────────────────────────────────────────────
@@ -450,9 +500,6 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == TRIPOD
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_cli_import_skips_xml_and_urllib():

@@ -287,6 +287,10 @@ def test_from_json_reports_locations():
     assert info.value.location == "$.plus"
 
     with pytest.raises(MalformedInputError) as info:
+        FamilyPair.from_json({"plus": [[1, 2]], "minus": [["3"]]})
+    assert info.value.location == "$.plus[0]"
+
+    with pytest.raises(MalformedInputError) as info:
         FamilyPair.from_json({"plus": [["0", "3"]], "minus": [["2", "5"]],
                               "plus_labels": ["a", "b"]})
     assert info.value.location == "$.plus_labels"

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from circlink import (
     INF,
+    CircleMap,
     CircleSet,
     ConvexCell,
+    MalformedInputError,
     Orientation,
     OutsideDiscError,
     PlanePoint,
@@ -347,3 +349,17 @@ def test_plane_point_json():
     p = pp(F(-13, 17), F(10, 17))
     assert p.to_json() == ["-13/17", "10/17"]
     assert PlanePoint.from_json(["-13/17", "10/17"]) == p
+
+
+def test_wire_rationals_refuse_exponents():
+    # integers, p/q and decimals parse; an exponent is refused before
+    # Fraction can expand it into a huge integer
+    assert PlanePoint.from_json(["-0.5", "3"]) == pp(F(-1, 2), 3)
+    assert CircleMap.from_json({"m": [["0.5", "0"], ["0", "1/2"]]}).is_identity()
+    for bad, where in ((["1e999", "0"], "$[0]"), (["0", "-2E3"], "$[1]")):
+        with pytest.raises(MalformedInputError) as info:
+            PlanePoint.from_json(bad)
+        assert info.value.location == where
+    with pytest.raises(MalformedInputError) as info:
+        CircleMap.from_json({"m": [["1", "0"], ["0", "1e999"]]})
+    assert info.value.location == "$.m[1][1]"

@@ -75,6 +75,40 @@ def test_no_source_file_imports_dataclasses():
                 assert node.module != "dataclasses", name
 
 
+def test_value_classes_declare_only_their_fields():
+    # Frozen writes __init__, __eq__ and __hash__; a value class adds at
+    # most a __post_init__ check
+    package = os.path.join(SRC, "circlink")
+    post_init = []
+    values = 0
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef)
+                    and any(isinstance(b, ast.Name) and b.id == "Frozen" for b in node.bases)):
+                continue
+            values += 1
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            assert not methods & {"__init__", "__eq__", "__hash__"}, node.name
+            if "__post_init__" in methods:
+                post_init.append(node.name)
+    assert values == 10
+    assert post_init == ["RenderOptions"]
+
+
+def test_value_contract_holds_under_optimize():
+    # the generated methods keep the dataclass contract with asserts stripped
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           os.path.join(tests, "test_values.py")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # ── the lazy namespace ───────────────────────────────────────────────────
 
 def test_every_exported_name_is_its_defining_object():
