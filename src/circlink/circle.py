@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, inf
 from typing import Iterable, Iterator
@@ -82,9 +81,14 @@ class CirclePoint:
 
     @property
     def frac(self) -> Fraction:
+        # fractions, which loads decimal, is imported only where a Fraction
+        # is made or tested, never by the commands that only read a pair;
+        # a plain import of a loaded module costs a fraction of a from-import
+        import fractions
+
         if self.den == 0:
             raise ValueError("INF has no finite value")
-        return Fraction(self.num, self.den)
+        return fractions.Fraction(self.num, self.den)
 
     @classmethod
     def from_str(cls, text: str) -> "CirclePoint":
@@ -93,12 +97,15 @@ class CirclePoint:
             return INF
         if not _PARAM_RE.match(s):
             raise MalformedInputError("not a circle parameter: %r" % text)
-        if "/" in s:
-            a, b = s.split("/")
-            if int(b) == 0:
-                raise MalformedInputError("zero denominator in %r" % text)
-            return cls(int(a), int(b))
-        return cls(int(s))
+        a, _, b = s.partition("/")
+        try:
+            num, den = int(a), int(b or "1")
+        except ValueError:
+            # the pattern matched, so int() refused the digit count
+            raise MalformedInputError("circle parameter too long (%d characters)" % len(s)) from None
+        if den == 0:
+            raise MalformedInputError("zero denominator in %r" % text)
+        return cls(num, den)
 
     def __str__(self) -> str:
         if self.den == 0:
@@ -145,10 +152,12 @@ def point(value) -> CirclePoint:
         return value
     if isinstance(value, int):
         return CirclePoint(value)
-    if isinstance(value, Fraction):
-        return CirclePoint(value.numerator, value.denominator)
     if isinstance(value, str):
         return CirclePoint.from_str(value)
+    import fractions
+
+    if isinstance(value, fractions.Fraction):
+        return CirclePoint(value.numerator, value.denominator)
     raise TypeError("cannot make a CirclePoint from %r" % (value,))
 
 
@@ -418,8 +427,8 @@ def _home(barrier: tuple, s: tuple):
     i = bisect_left(barrier, s[0])
     k = bisect_left(barrier, s[-1])
     if i == k:
-        # s lies between the same two barrier ranks
-        return rank_gap(barrier, s[0])
+        # s lies between the same two barrier ranks (rank_gap of s[0])
+        return i - 1 if 0 < i < m else m - 1
     if i == 0 and k == m and bisect_left(s, barrier[0]) == bisect_left(s, barrier[-1]):
         # s wraps around, with no rank between barrier[0] and barrier[-1]
         return m - 1

@@ -3,7 +3,8 @@
 Exit codes are part of the contract: 0 on success, 1 for semantic problems
 (validation violations, failed equivariance, points outside the disc), 2 for
 malformed input (bad JSON, bad schema, bad argument syntax). All JSON output
-is key-sorted with a fixed layout, so identical inputs give identical bytes.
+is key-sorted with a fixed layout, so identical inputs give identical bytes:
+those of json.dumps(obj, sort_keys=True, indent=2), written by _dumps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 # Each subcommand imports the modules it runs inside its function, so a
 # process pays only for those. render stays here: RenderOptions supplies the
@@ -24,8 +26,82 @@ from .render import RenderOptions
 __all__ = ["main"]
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# how _dumps spells a scalar, by its exact type
+_SCALARS = {str: _json_str, int: int.__repr__, float: _json_float,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for values
+    whose dict keys are all str; a key of another type raises TypeError.
+
+    The json module of CPython 3.10 to 3.12 runs its pure-Python encoder
+    whenever indent is set. This writer spells each scalar in the list or
+    dict holding it, and each key with its separator once per call.
+    """
+    out = []
+    put = out.append
+    scalar = _SCALARS.get
+    keys = {}
+
+    def write(o, nl):
+        inner = nl + "  "
+        if isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                key = keys.get(k)
+                if key is None:
+                    if not isinstance(k, str):
+                        raise TypeError("keys must be str, not %s" % type(k).__name__)
+                    key = keys[k] = _json_str(k) + ": "
+                enc = scalar(type(v))
+                if enc is None:
+                    put(sep + key)
+                    write(v, inner)
+                else:
+                    put(sep + key + enc(v))
+                sep = "," + inner
+            put(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            sep = "[" + inner
+            for v in o:
+                enc = scalar(type(v))
+                if enc is None:
+                    put(sep)
+                    write(v, inner)
+                else:
+                    put(sep + enc(v))
+                sep = "," + inner
+            put(nl + "]")
+        else:
+            # a scalar at the top, or a subclass of str, int or float
+            enc = scalar(type(o)) or next(
+                (_SCALARS[t] for t in (str, int, float) if isinstance(o, t)), None)
+            if enc is None:
+                raise TypeError("Object of type %s is not JSON serializable"
+                                % type(o).__name__)
+            put(enc(o))
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _load_json(path: str):
@@ -159,7 +235,7 @@ def cmd_gen(args) -> int:
         if args.kind != "symmetric":
             raise MalformedInputError("--map-out only applies to --kind symmetric", "--map-out")
         _atomic_write(args.map_out,
-                      json.dumps(gen_symmetric()[1].to_json(), sort_keys=True, indent=2) + "\n")
+                      _dumps(gen_symmetric()[1].to_json()) + "\n")
     _emit(fp.to_json())
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Union
 
-from .circle import rank_gap, rank_separates
+from .circle import rank_separates
 from .errors import Frozen, GroupOrderNotTotalError, InvariantViolation
 from .family import FamilyPair
 from .hullgeom import (
@@ -200,50 +200,58 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     index = fp.index
     fiber = index.fiber(family, element)
     lam = index.ranks(family)[element]
-    if family == "plus":
-        opp_sets = index.ranks("minus")
-        opp_of = lambda z: z[1]
-    else:
-        opp_sets = index.ranks("plus")
-        opp_of = lambda z: z[0]
+    # a Z-point's opposite element is its component in the other family
+    side = 1 if family == "plus" else 0
+    opp_sets = index.ranks("minus" if side else "plus")
     if not fiber:
         return LeafGraph(family, element, (), 0, ())
 
-    # sector signature: which complementary intervals of lam the opposite
-    # element meets (shared marked points sit on lam itself and don't count)
-    on_lam = set(lam)
-    gap_pts = {}
-    for z in fiber:
-        gap_pts[z] = [(rank_gap(lam, r), r) for r in opp_sets[opp_of(z)] if r not in on_lam]
-
+    # one pass over each member's opposite ranks, in order, gives its sector
+    # signature: the complementary intervals of lam that the opposite element
+    # meets (shared marked points sit on lam itself and don't count), and
+    # the arc key of its first rank in the first of them, counted from that
+    # interval's start lam[g0]. Interval t runs from lam[t] to lam[t + 1];
+    # the wrap interval, the last, holds the ranks before lam[0] and past
+    # lam[-1], and arc order there takes those past lam[-1] first.
+    m = len(lam)
     groups = {}
     for z in fiber:
-        sig = frozenset(g for g, _ in gap_pts[z])
-        key = (tuple(sorted(sig)), z) if not sig else (tuple(sorted(sig)),)
-        groups.setdefault(key, []).append(z)
-    group_keys = sorted(groups)
+        sig = []
+        low = high = arc = None
+        for r in opp_sets[z[side]]:
+            i = bisect_left(lam, r)
+            if i == m:
+                high = r            # every later rank lies past lam[-1] too
+                break
+            if lam[i] == r:
+                continue
+            if i == 0:
+                if low is None:
+                    low = r
+            elif not sig:
+                sig.append(i - 1)
+                arc = (0, r)
+            elif sig[-1] != i - 1:
+                sig.append(i - 1)
+        if high is not None or low is not None:
+            if not sig:
+                arc = (0, high) if high is not None else (1, low)
+            sig.append(m - 1)
+        key = (tuple(sig),) if sig else ((), z)
+        groups.setdefault(key, []).append((arc, z))
 
     chains = []
-    for key in group_keys:
+    for key in sorted(groups):
         members = groups[key]
         if len(members) == 1:
-            chains.append(members)
+            chains.append([members[0][1]])
             continue
-        g0 = key[0][0]
-        start = lam[g0]
-
-        def arc_key(r):
-            # order along the circle starting just after lam[g0]
-            return (0 if start < r else 1, r)
-
-        def first_point(z):
-            return min((r for g, r in gap_pts[z] if g == g0), key=arc_key)
-
-        chain = sorted(members, key=lambda z: arc_key(first_point(z)))
+        # members arrive in fiber order, which breaks ties as a stable sort
+        chain = [z for _, z in sorted(members)]
         for t in range(1, len(chain) - 1):
-            a = opp_sets[opp_of(chain[t - 1])]
-            b = opp_sets[opp_of(chain[t])]
-            c = opp_sets[opp_of(chain[t + 1])]
+            a = opp_sets[chain[t - 1][side]]
+            b = opp_sets[chain[t][side]]
+            c = opp_sets[chain[t + 1][side]]
             if not rank_separates(b, a, c):
                 raise GroupOrderNotTotalError((chain[t - 1], chain[t], chain[t + 1]))
         chains.append(chain)
@@ -262,14 +270,14 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
                 edges.append((VIRTUAL, chain[0]))
                 continue
             anchor_chain = chains[0] if gi != 0 else chains[1]
-            anchor = opp_sets[opp_of(anchor_chain[0])]
+            anchor = opp_sets[anchor_chain[0][side]]
 
             def inner(end_z, next_z):
                 # the chain passed its neighbour checks, so it is a path in
                 # the family's nesting tree: some member separates the end
                 # from the anchor exactly when the end's neighbour does
-                return not rank_separates(opp_sets[opp_of(next_z)],
-                                          opp_sets[opp_of(end_z)], anchor)
+                return not rank_separates(opp_sets[next_z[side]],
+                                          opp_sets[end_z[side]], anchor)
 
             lo, hi = inner(chain[0], chain[1]), inner(chain[-1], chain[-2])
             if lo == hi:

@@ -97,6 +97,18 @@ def test_validate_schema_error_location(tmp_path, capsys):
         assert (err["error"], err["location"]) == ("malformed-input", "$.plus[0]")
 
 
+@pytest.mark.parametrize("param", ["1" + "0" * 5000, "1/1" + "0" * 5000],
+                         ids=["numerator", "denominator"])
+def test_oversized_parameter_is_malformed(tmp_path, capsys, param):
+    # more digits than int() converts from a string
+    path = write_pair(tmp_path, "big.json", {"plus": [["0", param]], "minus": [["3"]]})
+    code, out = run(capsys, "validate", path)
+    assert code == 2
+    err = json.loads(out)
+    assert (err["error"], err["location"]) == ("malformed-input", "$.plus[0]")
+    assert len(out) < 200
+
+
 def test_deeply_nested_json_is_malformed(tmp_path, capsys):
     # deeper than the JSON decoder's recursion limit, as a pair and as a map
     deep = str(tmp_path / "deep.json")

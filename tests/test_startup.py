@@ -16,8 +16,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Imported by no command that only reads a pair: dataclasses pulls in
 # inspect, ast, dis and tokenize; html and tempfile serve render and the
-# file writers only.
-HEAVY = ("dataclasses", "inspect", "html", "tempfile")
+# file writers only; fractions, which loads decimal, serves the plane
+# geometry and Fraction inputs.
+HEAVY = ("dataclasses", "inspect", "html", "tempfile", "fractions", "decimal")
 
 
 def _fresh(code, *args):
