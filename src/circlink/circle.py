@@ -190,7 +190,8 @@ class OrientedInterval:
         self.closed_a = closed_a
         self.closed_b = closed_b
 
-    def __contains__(self, x: CirclePoint) -> bool:
+    def __contains__(self, x) -> bool:
+        x = point(x)
         if self.a == self.b:
             if self.closed_a or self.closed_b:
                 return True
@@ -261,12 +262,13 @@ class CircleSet:
     def __repr__(self) -> str:
         return "CircleSet({%s})" % ", ".join(str(p) for p in self.points)
 
-    def gap_index(self, x: CirclePoint) -> int:
+    def gap_index(self, x) -> int:
         """Index of the complementary interval containing x; x must not be a member.
 
         Interval t runs from points[t] to points[(t + 1) % len]; anything
         past the last point or before the first belongs to the wrap interval.
         """
+        x = point(x)
         if x in self:
             raise ValueError("%s is a member, not in any complementary interval" % x)
         mine, (r,) = rank_table((self.points, (x,)))[1]

@@ -468,6 +468,12 @@ class LaminarForest:
         self.parent = parent
         self.inner = inner
 
+    def tree_parent(self, k: int) -> Optional[int]:
+        """k's parent in the nesting tree: its forest parent, except that
+        the set holding INF encloses, and so adopts, every other root."""
+        p = self.parent[k]
+        return self.inf_owner if p is None and k != self.inf_owner else p
+
     def neighbours(self, sets: tuple, a: int, b: int) -> bool:
         """Whether sets a and b, of this forest's family with rank tuples
         sets, are neighbours in the nesting tree: one is the other's parent,
@@ -480,9 +486,7 @@ class LaminarForest:
         third set, and that of two siblings only their parent, so no set
         separates neighbours.
         """
-        parent, top = self.parent, self.inf_owner
-        pa = top if parent[a] is None and a != top else parent[a]
-        pb = top if parent[b] is None and b != top else parent[b]
+        pa, pb = self.tree_parent(a), self.tree_parent(b)
         if pa == b or pb == a:
             return True
         return pa == pb and (pa is None or not rank_separates(sets[pa], sets[a], sets[b]))
@@ -497,11 +501,11 @@ class PairIndex:
     for its within-family checks). The disc comes from especial_disc;
     interior and boundary map (i, j) to the linking number and to the shared
     circle point; fiber() gives the Z-points of one element (the disc's
-    fibers); forest() gives how one family's sets nest, triples() the
-    point of each rank in the plane, hulls() one family's convex hulls and
-    locator() the point location over them, each built once. Maps are
-    read-only views and sequences are tuples, so no consumer can change what
-    the others read.
+    fibers); forest() gives how one family's sets nest, which point
+    location also reads, triples() the point of each rank in the plane and
+    hulls() one family's convex hulls, each built once. Maps are read-only
+    views and sequences are tuples, so no consumer can change what the
+    others read.
 
     The linked cells are the largest piece, so the index keeps them only
     while a keep_cells() block is open; outside one, cells() builds them
@@ -509,7 +513,7 @@ class PairIndex:
     """
 
     __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_forests",
-                 "_triples", "_hulls", "_locators", "_cells", "_cell_keepers")
+                 "_triples", "_hulls", "_cells", "_cell_keepers")
 
     def __init__(self, fp: FamilyPair):
         self.fp = fp
@@ -520,7 +524,6 @@ class PairIndex:
         self._forests = {}
         self._triples = None
         self._hulls = None
-        self._locators = {}
         self._cells = None
         self._cell_keepers = 0
 
@@ -586,14 +589,6 @@ class PairIndex:
                            for name in ("plus", "minus")}
         return self._hulls[family]
 
-    def locator(self, family: str):
-        """One family's exact point locator over its hulls (hullgeom.HullLocator)."""
-        loc = self._locators.get(family)
-        if loc is None:
-            from .hullgeom import HullLocator
-            loc = self._locators[family] = HullLocator(self, family)
-        return loc
-
     def cells(self) -> MappingProxyType:
         """The linked cell of every interior Z-point (see linked_cells)."""
         cells = self._cells
@@ -646,13 +641,12 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     _check_index(n, j, family)
     sets = fp.index.ranks(family)
     forest = fp.index.forest(family)
-    parent, top = forest.parent, forest.inf_owner
 
     def up(k: int) -> list:
         path = []
         while k is not None:
             path.append(k)
-            k = top if parent[k] is None and k != top else parent[k]
+            k = forest.tree_parent(k)
         return path
 
     left, right = up(i), up(j)

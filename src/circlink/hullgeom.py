@@ -34,7 +34,6 @@ __all__ = [
     "point_to_param",
     "hull",
     "cell_intersection",
-    "HullLocator",
     "in_hull",
     "locate",
     "linked_cells",
@@ -438,10 +437,11 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
 # is one of its edges. The sets of a family with disjoint hulls nest: those
 # straddling t are the root-to-node path of a laminar forest, and they cut
 # the chord in disjoint pieces, outermost nearest INF. A query bisects the
-# ranked points for t, bisects that path on the edges bracketing t, and
-# tests the candidate with in_hull: O(log) exact side tests, no float. A
-# caller that already names the hull skips the search: in_hull alone costs
-# at most two side tests.
+# ranked points for t, walks that path up the pair's LaminarForest, bisects
+# it on the edges bracketing t, and tests the candidate with in_hull:
+# O(log) exact side tests, no float, and an O(depth) walk of parent
+# pointers, with no table of paths kept. A caller that already names the
+# hull skips the search: in_hull alone costs at most two side tests.
 
 
 def _param_position(points: tuple, y: int, x: int) -> int:
@@ -464,64 +464,44 @@ def _param_position(points: tuple, y: int, x: int) -> int:
     return 2 * lo
 
 
-class HullLocator:
-    """Exact point location among the hulls of one family of a pair.
+def _find(index, family: str, h: tuple, pos: int) -> Optional[int]:
+    """The set of one family whose hull holds h, strictly inside the disc,
+    when the chord parameter of h falls at position pos.
 
-    It reads the family's laminar forest (family.LaminarForest), whose sweep
-    checks that the hulls are pairwise disjoint and raises
-    InvariantViolation("hull-overlap") when they are not. paths[pos] lists
-    the sets straddling the parameter position pos (see _param_position),
-    outermost first: the forest's innermost straddler and its ancestors. At
-    a rank of the set holding INF it is that set alone, since the chord from
-    INF to the rank is an edge or a diagonal of its hull.
+    The sets straddling pos are the forest's innermost straddler and its
+    parent chain, walked here and bisected outermost first. At a finite
+    rank of the set holding INF that set alone is tested, since the chord
+    from INF to the rank is an edge or a diagonal of its hull.
     """
-
-    __slots__ = ("sets", "verts", "paths")
-
-    def __init__(self, index, family: str):
-        forest = index.forest(family)
-        self.sets = index.ranks(family)
-        self.verts = index.triples()
-        # a set is first innermost just after its first rank, and its parent
-        # was innermost there, so each parent's path exists before its child's
-        made = {None: ()}
-        paths = []
-        for k in forest.inner:
-            path = made.get(k)
-            if path is None:
-                path = made[k] = made[forest.parent[k]] + (k,)
-            paths.append(path)
-        k = forest.inf_owner
-        if k is not None:
-            for r in self.sets[k][:-1]:
-                paths[2 * r + 1] = (k,)
-        self.paths = paths
-
-    def find(self, h: tuple, pos: int) -> Optional[int]:
-        """The set whose hull holds h, strictly inside the disc, when the
-        chord parameter of h falls at position pos."""
-        path = self.paths[pos]
-        sets = self.sets
-        verts = self.verts
-        # first set on the path that h is not past the exit edge of: the
-        # edge bracketing pos, or the edge into pos when pos is a vertex of
-        # the set, which the whole chord lies left of
-        r = pos >> 1
-        lo, hi = 0, len(path)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            s = sets[path[mid]]
-            i = bisect_left(s, r)
-            if _orient(verts[s[i - 1]], verts[s[i]], h) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(path):
-            return None
-        # the outermost set whose exit edge h is not past; in_hull decides
-        # with that edge and the entry edge bracketing INF
-        k = path[lo]
-        return k if in_hull(sets, verts, k, h, pos) else None
+    forest = index.forest(family)
+    sets = index.ranks(family)
+    verts = index.triples()
+    top = forest.inf_owner
+    k = top if top is not None and pos & 1 and forest.owner[pos >> 1] == top else forest.inner[pos]
+    path = []
+    while k is not None:
+        path.append(k)
+        k = forest.parent[k]
+    path.reverse()
+    # first set on the path that h is not past the exit edge of: the edge
+    # bracketing pos, or the edge into pos when pos is a vertex of the set,
+    # which the whole chord lies left of
+    r = pos >> 1
+    lo, hi = 0, len(path)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        s = sets[path[mid]]
+        i = bisect_left(s, r)
+        if _orient(verts[s[i - 1]], verts[s[i]], h) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == len(path):
+        return None
+    # the outermost set whose exit edge h is not past; in_hull decides with
+    # that edge and the entry edge bracketing INF
+    k = path[lo]
+    return k if in_hull(sets, verts, k, h, pos) else None
 
 
 def in_hull(sets, verts, k: int, h: tuple, pos: int) -> bool:
@@ -566,8 +546,8 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
 
     A point on the circle is in a hull only at a vertex, so it needs the
     rank of its parameter and the owner of that rank in each family's
-    laminar forest; an interior point asks each family's HullLocator, built
-    once by the pair's index.
+    laminar forest; for an interior point, _find walks each family's forest
+    from the innermost set straddling its chord parameter.
     """
     h = p._h
     X, Y, D = h
@@ -580,7 +560,7 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     if rim == 0:
         plus, minus = index.forest("plus").owner, index.forest("minus").owner
         return (plus[pos >> 1], minus[pos >> 1]) if pos & 1 else (None, None)
-    return index.locator("plus").find(h, pos), index.locator("minus").find(h, pos)
+    return _find(index, "plus", h, pos), _find(index, "minus", h, pos)
 
 
 def _edge_lines(ranks: tuple, verts: tuple) -> tuple:

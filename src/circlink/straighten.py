@@ -505,14 +505,9 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
             virtual_positions[(leaf.family, leaf.element)] = _point(
                 _h_mean([lay[e]._h for e in ends]))
 
-    def position(family, element, v):
-        if isinstance(v, str):
-            return virtual_positions[(family, element)]
-        return lay[v]
-
-    crossings = _leaf_crossings(index, leaves_plus, leaves_minus, position)
-    return StraightenedDisc(disc, lay, leaves_plus, leaves_minus,
-                            anchors, virtual_positions, crossings)
+    sd = StraightenedDisc(disc, lay, leaves_plus, leaves_minus, anchors, virtual_positions, ())
+    sd.crossings = tuple(_leaf_crossings(index, leaves_plus, leaves_minus, sd.position))
+    return sd
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from circlink import (
     INF,
     CircleSet,
     NotDisjointError,
+    OrientedInterval,
     Orientation,
     complementary_intervals,
     cyclic_order,
@@ -229,6 +230,29 @@ def test_gap_index_agrees_with_intervals(a_set, x):
     else:
         t = a_set.gap_index(x)
         assert in_interval(x, gaps[t])
+
+
+@pytest.mark.parametrize("x", [3, 4, 0, -1])
+def test_gap_index_and_interval_coerce_like_membership(x):
+    # an int, its string, its Fraction and its CirclePoint are one point to
+    # CircleSet.__contains__, and so to gap_index and interval membership
+    spellings = [x, str(x), Fraction(x), point(x)]
+    a_set = CircleSet([0, 2, 4])
+
+    def gap(y):
+        try:
+            return a_set.gap_index(y)
+        except ValueError:
+            return "member"
+
+    assert len({y in a_set for y in spellings}) == 1
+    assert len({gap(y) for y in spellings}) == 1
+    closed = OrientedInterval(point(0), point(4), closed_a=True)
+    for interval in (open_interval(0, 5), open_interval(4, 4), closed):
+        assert len({y in interval for y in spellings}) == 1
+    half = [Fraction(7, 2), "7/2", point("7/2")]
+    assert {a_set.gap_index(y) for y in half} == {1}
+    assert {y in open_interval(0, 5) for y in half} == {True}
 
 
 def test_point_parsing_round_trip():
