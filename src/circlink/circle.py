@@ -125,22 +125,36 @@ class CirclePoint:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    # Linear order with INF greatest; cyclic predicates build on this.
-    def __lt__(self, other: "CirclePoint") -> bool:
-        if self.den == 0:
-            return False
-        if other.den == 0:
-            return True
-        return self.num * other.den < other.num * self.den
+    # Linear order with INF greatest; cyclic predicates build on this. With
+    # den >= 0 and INF = 1/0, cross-multiplying orders INF too. An int, str
+    # or Fraction on either side is coerced through point(); __lt__ between
+    # two CirclePoints, which CircleSet sorts with, compares directly.
+    def _cmp(self, other):
+        if not isinstance(other, CirclePoint):
+            try:
+                other = point(other)
+            except TypeError:
+                return NotImplemented
+        a, b = self.num * other.den, other.num * self.den
+        return (a > b) - (a < b)
 
-    def __le__(self, other: "CirclePoint") -> bool:
-        return self == other or self < other
+    def __lt__(self, other) -> bool:
+        if isinstance(other, CirclePoint):
+            return self.num * other.den < other.num * self.den
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
-    def __gt__(self, other: "CirclePoint") -> bool:
-        return other < self
+    def __le__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
-    def __ge__(self, other: "CirclePoint") -> bool:
-        return other <= self
+    def __gt__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other) -> bool:
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
 
 INF = CirclePoint(1, 0)
@@ -184,9 +198,9 @@ class OrientedInterval:
 
     __slots__ = ("a", "b", "closed_a", "closed_b")
 
-    def __init__(self, a: CirclePoint, b: CirclePoint, closed_a: bool = False, closed_b: bool = False):
-        self.a = a
-        self.b = b
+    def __init__(self, a, b, closed_a: bool = False, closed_b: bool = False):
+        self.a = point(a)
+        self.b = point(b)
         self.closed_a = closed_a
         self.closed_b = closed_b
 
@@ -218,7 +232,7 @@ class OrientedInterval:
 
 
 def open_interval(a, b) -> OrientedInterval:
-    return OrientedInterval(point(a), point(b))
+    return OrientedInterval(a, b)
 
 
 def in_interval(x: CirclePoint, interval: OrientedInterval) -> bool:

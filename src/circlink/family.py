@@ -325,12 +325,6 @@ class EspecialDisc:
         _check_index(len(fibers), element, family)
         return fibers[element]
 
-    def interior_map(self) -> dict:
-        return {(i, j): n for i, j, n in self.interior}
-
-    def boundary_map(self) -> dict:
-        return {(i, j): s for i, j, s in self.boundary}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EspecialDisc):
             return NotImplemented
@@ -664,17 +658,18 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     return chain
 
 
-def prong_count(fp: FamilyPair, z: tuple, disc: Optional[EspecialDisc] = None) -> int:
+def prong_count(fp: FamilyPair, z: tuple) -> int:
     """Number of prongs at an interior Z-point: twice its linking number.
 
     The count is the number of mixed complementary intervals of the union
     (those running from one set to the other, in either direction), checked
-    against the stored linking number: InvariantViolation carries both when
-    the count is not 2 * n. Without a disc, the pair's index supplies the
-    linking numbers.
+    against the index's linking number: InvariantViolation carries both
+    when the count is not 2 * n. That n comes from agreed_link_number on the
+    same ranks, which demands c3 = c4 = n, so a count is always 2 n(z) and
+    check_equivariance compares linking numbers instead.
     """
     index = fp.index
-    interior = index.interior if disc is None else disc.interior_map()
+    interior = index.interior
     if tuple(z) not in interior:
         raise NotInteriorError(tuple(z))
     i, j = z

@@ -15,7 +15,7 @@ from typing import Optional
 from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import InvariantViolation, MalformedInputError, OutsideDiscError
-from .family import FamilyPair, especial_disc, prong_count, validate
+from .family import FamilyPair, especial_disc, validate
 from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _parse_frac, _point
 from .straighten import MappedTo, _cell_hulls_test, straighten_point
 
@@ -194,17 +194,21 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     """Verify that g respects the whole straightening pipeline.
 
     First g must permute each family setwise; failing elements are reported
-    as NotInvariant. Then three clauses are checked exactly: the induced
-    index permutation preserves the especial disc and matches the disc of
-    the transformed pair, sampled cell points straighten equivariantly, and
-    prong counts are constant on orbits.
+    as NotInvariant, and two elements sent to one raise
+    InvariantViolation("permutation-collision"). Then the induced index
+    permutation must preserve the especial disc and match the disc of the
+    transformed pair (four DiscMismatch clauses), and sampled cell points
+    must straighten equivariantly (StraightenMismatch). Prong counts need
+    no clause: prong_count(fp, z) is 2 n(z) or raises, so counts differing
+    at z and g z mean n(z) != n(g z), which interior-permutation reports.
 
     A family's hulls are pairwise disjoint, so a point strictly inside the
     disc straightens to an interior Z-point (i, j) exactly when it lies in
     plus hull i and in minus hull j. The image of each cell point is tested
-    for containment in the hulls its target names (hullgeom.in_hull, at most
-    four side tests), and only a point that fails, or whose target is not
-    interior, runs straighten_point. Each prong count is computed once.
+    for containment in the hulls of its target (hullgeom.in_hull, at most
+    four side tests), and only a point that fails runs straighten_point.
+    The targets are the permuted interior Z-points, so each is interior
+    unless interior-permutation has already failed the report.
     """
     failures: list = []
     perm_plus = _match_permutation(fp.plus, g, "plus", failures)
@@ -240,31 +244,15 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     for (i, j) in sorted(cells):
         cell = cells[(i, j)]
         target = (perm_plus[i], perm_minus[j])
-        named = target in interior
         hs = cell._h
         # a point cell's barycenter is its vertex
         for h in hs + (_h_mean(hs),) if cell.dim else hs:
             q = g.plane_apply(_point(h))
-            if named and holds(q._h, *target):
+            if holds(q._h, *target):
                 continue
             if straighten_point(fp, q) != MappedTo(target):
                 failures.append({"kind": "StraightenMismatch", "z": [i, j],
                                  "expected": list(target)})
                 break
-
-    # each Z-point's count once; a miss still asks prong_count, which raises
-    # NotInteriorError for an image outside the disc
-    prongs = {}
-
-    def prongs_at(z):
-        n = prongs.get(z)
-        if n is None:
-            n = prongs[z] = prong_count(fp, z)
-        return n
-
-    for i, j, _n in disc.interior:
-        zg = (perm_plus[i], perm_minus[j])
-        if prongs_at((i, j)) != prongs_at(zg):
-            failures.append({"kind": "ProngMismatch", "z": [i, j], "image": list(zg)})
 
     return EquivarianceReport(not failures, perm_plus, perm_minus, failures)

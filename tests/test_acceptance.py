@@ -55,7 +55,7 @@ def test_two_by_two_grid_disc_and_crossing_point():
     assert disc.boundary == ()
     assert disc.interior == ((0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2))
     for i, j, _ in disc.interior:
-        assert prong_count(fp, (i, j), disc) == 4
+        assert prong_count(fp, (i, j)) == 4
     cross = cell_intersection(hull(fp.plus[0]), hull(fp.minus[0]))
     assert cross is not None and cross.dim == 0
     want = PlanePoint(F(-13, 17), F(10, 17))
@@ -70,7 +70,7 @@ def test_star_families_give_single_point_with_doubled_prongs():
         disc = especial_disc(fp)
         assert disc.interior == ((0, 0, k),)
         assert disc.boundary == ()
-        assert prong_count(fp, (0, 0), disc) == 2 * k
+        assert prong_count(fp, (0, 0)) == 2 * k
     print("stars 3..8: one interior point each, prongs doubled")
 
 

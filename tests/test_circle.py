@@ -255,6 +255,36 @@ def test_gap_index_and_interval_coerce_like_membership(x):
     assert {y in open_interval(0, 5) for y in half} == {True}
 
 
+def spellings(p):
+    """p as each operand type that point() coerces."""
+    if p.is_infinite:
+        return [p, "inf"]
+    return [p, str(p), p.frac] + ([p.num] if p.den == 1 else [])
+
+
+@given(a=points, b=points, point_on_left=st.booleans(), data=st.data())
+def test_order_matches_fractions_over_mixed_operands(a, b, point_on_left, data):
+    # one side is a CirclePoint, the other any spelling of a point; the
+    # order is the Fraction order with INF greatest
+    if point_on_left:
+        x, y = a, data.draw(st.sampled_from(spellings(b)))
+    else:
+        x, y = data.draw(st.sampled_from(spellings(a))), b
+
+    def key(p):
+        return (1, 0) if p.is_infinite else (0, p.frac)
+
+    ka, kb = key(a), key(b)
+    assert ((x < y), (x <= y), (x > y), (x >= y)) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+
+
+def test_order_with_an_int_neither_recurses_nor_fails():
+    assert point(2) > 0 and 0 < point(2) and not point(2) < 0 and point(2) <= 3
+    assert 2 in OrientedInterval(0, 4) and "5" not in OrientedInterval("0", 4)
+    with pytest.raises(TypeError):
+        point(2) < 2.5
+
+
 def test_point_parsing_round_trip():
     for text in ["0", "7", "-3", "1/2", "-13/17", "inf"]:
         assert str(point(text)) == text

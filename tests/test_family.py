@@ -221,7 +221,7 @@ def test_separation_interval_reports_the_misordered_triple(monkeypatch):
 def test_prong_counts():
     fp = grid_pair()
     d = especial_disc(fp)
-    assert all(prong_count(fp, (i, j), d) == 4 for i, j, _ in d.interior)
+    assert all(prong_count(fp, (i, j)) == 4 for i, j, _ in d.interior)
     assert prong_count(tripod_pair(), (0, 0)) == 6
     fp8 = validate([CircleSet([0, 2, 4, 6])], [CircleSet([1, 3, 5, 7])])
     assert prong_count(fp8, (0, 0)) == 8

@@ -48,7 +48,7 @@ def test_grid_counts_and_prongs():
         assert d.boundary == ()
         assert all(m == 2 for _, _, m in d.interior)
         for i, j, _ in d.interior:
-            assert prong_count(fp, (i, j), d) == 4
+            assert prong_count(fp, (i, j)) == 4
 
 
 # ── stars ────────────────────────────────────────────────────────────────
@@ -62,7 +62,7 @@ def test_star_prongs():
         fp = gen_star(k)
         d = especial_disc(fp)
         assert d.interior == ((0, 0, k),)
-        assert prong_count(fp, (0, 0), d) == 2 * k
+        assert prong_count(fp, (0, 0)) == 2 * k
 
 
 def test_star_beside_grid_block():

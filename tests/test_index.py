@@ -67,8 +67,8 @@ def assert_index_matches_oracles(fp):
     disc = oracle.especial_disc(fp)
     assert index.disc == disc
     assert especial_disc(fp) is index.disc
-    assert dict(index.interior) == disc.interior_map()
-    assert dict(index.boundary) == disc.boundary_map()
+    assert dict(index.interior) == {(i, j): n for i, j, n in disc.interior}
+    assert dict(index.boundary) == {(i, j): s for i, j, s in disc.boundary}
     # each fiber against a full scan of the disc; fiber_plus and fiber_minus
     # of the pair's own disc view the index's fibers
     for i in range(len(fp.plus)):

@@ -23,7 +23,6 @@ import pointwise_oracle as oracle
 from circlink import (
     INF,
     CircleSet,
-    EspecialDisc,
     FamilyPair,
     FamilyValidationError,
     InvariantViolation,
@@ -318,12 +317,12 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
 
 # ── typed invariants ─────────────────────────────────────────────────────
 
-def test_prong_count_raises_typed_violation_on_wrong_link_number():
-    fp = gen_grid(2)
-    bad = EspecialDisc(2, 2, [(i, j, 3) for i, j, _ in fp.index.disc.interior], [])
+def test_prong_count_raises_typed_violation_on_wrong_link_number(monkeypatch):
+    # three mixed runs on each side where the index's n is 2
+    monkeypatch.setattr(family, "rank_mixed", lambda a, b: 6)
     with pytest.raises(InvariantViolation) as info:
-        prong_count(fp, (0, 1), disc=bad)
-    assert info.value.counts == (4, 3)
+        prong_count(gen_grid(2), (0, 1))
+    assert info.value.counts == (6, 2)
     assert info.value.z == (0, 1)
 
 
@@ -345,11 +344,10 @@ def test_disagreeing_counts_raise_typed_violation(monkeypatch, tmp_path, capsys)
 
 
 OPTIMISED_CHECK = """
-from circlink import EspecialDisc, InvariantViolation, gen_grid, prong_count
-fp = gen_grid(2)
-bad = EspecialDisc(2, 2, [(i, j, 3) for i, j, _ in fp.index.disc.interior], [])
+from circlink import InvariantViolation, family, gen_grid, prong_count
+family.rank_mixed = lambda a, b: 6
 try:
-    prong_count(fp, (0, 1), disc=bad)
+    prong_count(gen_grid(2), (0, 1))
 except InvariantViolation as exc:
     print(exc.counts, exc.z)
 """
@@ -361,4 +359,4 @@ def test_invariant_holds_with_and_without_optimisation(flags):
     proc = subprocess.run([sys.executable] + flags + ["-c", OPTIMISED_CHECK],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(4, 3) (0, 1)\n"
+    assert proc.stdout == "(6, 2) (0, 1)\n"
