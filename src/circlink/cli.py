@@ -101,7 +101,10 @@ def _dumps(obj) -> str:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(_dumps(obj) + "\n")
+    # two writes: the answer is not copied once more to append its newline
+    out = sys.stdout
+    out.write(_dumps(obj))
+    out.write("\n")
 
 
 def _load_json(path: str):
@@ -124,7 +127,9 @@ def _load_pair(path: str) -> FamilyPair:
     return FamilyPair.from_json(_load_json(path))
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, emit) -> None:
+    """Call emit with the write of a temporary file beside path, then rename
+    the file to path; if emit or the write raises, the file is removed."""
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -132,7 +137,7 @@ def _atomic_write(path: str, data: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".circlink-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(data)
+                emit(fh.write)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -196,7 +201,7 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import render_input_svg, render_straightened_svg
+    from .render import _write_input, _write_straightened
     from .straighten import layout
 
     try:
@@ -207,11 +212,12 @@ def cmd_render(args) -> int:
     fp = _load_pair(args.file)
     input_path = args.out + "-input.svg"
     straight_path = args.out + "-straightened.svg"
-    # both pictures read one build of the linked cells, freed before the second
+    # both pictures read one build of the linked cells, freed before the
+    # second; each streams into its file element by element
     with fp.index.keep_cells():
         sd = layout(fp)
-        _atomic_write(input_path, render_input_svg(fp, opts))
-    _atomic_write(straight_path, render_straightened_svg(sd, opts))
+        _atomic_write(input_path, lambda write: _write_input(fp, opts, write))
+    _atomic_write(straight_path, lambda write: _write_straightened(sd, opts, write))
     _emit({"written": [input_path, straight_path]})
     return 0
 
@@ -234,8 +240,8 @@ def cmd_gen(args) -> int:
     if args.map_out is not None:
         if args.kind != "symmetric":
             raise MalformedInputError("--map-out only applies to --kind symmetric", "--map-out")
-        _atomic_write(args.map_out,
-                      _dumps(gen_symmetric()[1].to_json()) + "\n")
+        text = _dumps(gen_symmetric()[1].to_json()) + "\n"
+        _atomic_write(args.map_out, lambda write: write(text))
     _emit(fp.to_json())
     return 0
 

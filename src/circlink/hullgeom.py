@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .circle import INF, CirclePoint, CircleSet
@@ -144,12 +144,30 @@ def _h_in_disc(h: tuple) -> bool:
 
 
 def _h_mean(hs) -> tuple:
-    """The mean of the points hs, summed over a common denominator."""
+    """The mean of the points hs, summed in pairs.
+
+    Two unreduced sums (X1, Y1, D1) and (X2, Y2, D2) merge over
+    lcm(D1, D2), so every partial sum keeps the lcm of its points'
+    denominators and the total is the one summed over the lcm of all of
+    them. Merging in balanced rounds costs O(k log k) word operations for
+    k points, where k big-by-small products over that lcm cost O(k^2).
+    """
     if len(hs) == 1:
         return hs[0]
-    common = lcm(*(h[2] for h in hs))
-    return _h_norm(sum(h[0] * (common // h[2]) for h in hs),
-                   sum(h[1] * (common // h[2]) for h in hs), common * len(hs))
+    sums = list(hs)
+    while len(sums) > 1:
+        merged = []
+        for i in range(1, len(sums), 2):
+            X1, Y1, D1 = sums[i - 1]
+            X2, Y2, D2 = sums[i]
+            g = gcd(D1, D2)
+            a, b = D2 // g, D1 // g
+            merged.append((X1 * a + X2 * b, Y1 * a + Y2 * b, D1 * a))
+        if len(sums) % 2:
+            merged.append(sums[-1])
+        sums = merged
+    X, Y, D = sums[0]
+    return _h_norm(X, Y, D * len(hs))
 
 
 def _h_cmp(p: tuple, q: tuple) -> int:

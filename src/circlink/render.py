@@ -36,20 +36,20 @@ def _fmt(v: float) -> str:
 
 
 class _Canvas:
-    """SVG parts in drawing order; points are homogeneous triples (X, Y, D)."""
+    """An SVG picture handed to write as it is drawn, one element per line
+    (each ending in a newline); points are homogeneous triples (X, Y, D)."""
 
-    def __init__(self, opts: RenderOptions):
+    def __init__(self, opts: RenderOptions, write):
         self.opts = opts
+        self.write = write
         self.cx = opts.width / 2.0
         self.cy = opts.height / 2.0
         self.radius = min(opts.width, opts.height) / 2.0 - opts.margin
-        self.parts = [
-            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            'width="%d" height="%d" viewBox="0 0 %d %d">'
-            % (opts.width, opts.height, opts.width, opts.height)
-        ]
         self._px = {}
         self._num = {}
+        write('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+              'width="%d" height="%d" viewBox="0 0 %d %d">\n'
+              % (opts.width, opts.height, opts.width, opts.height))
 
     def num(self, v: float) -> str:
         """v formatted, once per canvas: widths and radii repeat per element."""
@@ -68,21 +68,21 @@ class _Canvas:
         return xy
 
     def boundary(self) -> None:
-        self.parts.append(
+        self.write(
             '<circle id="boundary" cx="%s" cy="%s" r="%s" fill="none" '
-            'stroke="#111111" stroke-width="%s"/>'
+            'stroke="#111111" stroke-width="%s"/>\n'
             % (_fmt(self.cx), _fmt(self.cy), _fmt(self.radius), _fmt(self.opts.stroke_width)))
 
     def dot(self, eid: str, h: tuple, color: str, r: float) -> None:
         x, y = self.px(h)
-        self.parts.append('<circle id="%s" cx="%s" cy="%s" r="%s" fill="%s"/>'
-                          % (eid, x, y, self.num(r), color))
+        self.write('<circle id="%s" cx="%s" cy="%s" r="%s" fill="%s"/>\n'
+                   % (eid, x, y, self.num(r), color))
 
     def line(self, eid: str, p: tuple, q: tuple, color: str, width: float) -> None:
         x1, y1 = self.px(p)
         x2, y2 = self.px(q)
-        self.parts.append(
-            '<line id="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>'
+        self.write(
+            '<line id="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>\n'
             % (eid, x1, y1, x2, y2, color, self.num(width)))
 
     def polygon(self, eid: str, pts, color: str, fill: str, opacity: float) -> None:
@@ -93,24 +93,23 @@ class _Canvas:
         else:
             style = 'fill="%s" fill-opacity="%s" stroke="%s" stroke-width="1"' % (
                 fill, self.num(opacity), color)
-        self.parts.append('<polygon id="%s" points="%s" %s/>' % (eid, coords, style))
+        self.write('<polygon id="%s" points="%s" %s/>\n' % (eid, coords, style))
 
     def text(self, eid: str, h: tuple, content: str, color: str) -> None:
         x, y = self.px(h)
         # html.escape(content, quote=False), without importing html: "&" first
         content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        self.parts.append('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>'
-                          % (eid, x, y, color, content))
+        self.write('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>\n'
+                   % (eid, x, y, color, content))
 
     def open_group(self, gid: str) -> None:
-        self.parts.append('<g id="%s">' % gid)
+        self.write('<g id="%s">\n' % gid)
 
     def close_group(self) -> None:
-        self.parts.append('</g>')
+        self.write('</g>\n')
 
-    def finish(self) -> str:
-        self.parts.append('</svg>')
-        return "\n".join(self.parts) + "\n"
+    def finish(self) -> None:
+        self.write('</svg>\n')
 
 
 def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, fill: str, opacity: float) -> None:
@@ -123,9 +122,9 @@ def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, fill: str, opacity: 
         canvas.polygon(eid, hv, color, fill, opacity)
 
 
-def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> str:
+def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
     """The embedded picture: circle, hulls, and the shaded linked region."""
-    canvas = _Canvas(opts)
+    canvas = _Canvas(opts, write)
     canvas.boundary()
     for name, color in (("plus", opts.plus_color), ("minus", opts.minus_color)):
         for i, h in enumerate(fp.index.hulls(name)):
@@ -143,12 +142,12 @@ def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> s
             for i, s in enumerate(sets):
                 tag = labels[i] if labels else "%s%d" % (name, i)
                 canvas.text("label-%s-%d" % (name, i), param_to_point(s.points[0])._h, tag, color)
-    return canvas.finish()
+    canvas.finish()
 
 
-def render_straightened_svg(sd: StraightenedDisc, opts: RenderOptions = RenderOptions()) -> str:
+def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> None:
     """The straightened picture: circle, leaf trees, Z-points."""
-    canvas = _Canvas(opts)
+    canvas = _Canvas(opts, write)
     canvas.boundary()
     for leaves, color in ((sd.leaves_plus, opts.plus_color),
                           (sd.leaves_minus, opts.minus_color)):
@@ -169,4 +168,18 @@ def render_straightened_svg(sd: StraightenedDisc, opts: RenderOptions = RenderOp
     if opts.labels:
         for (i, j) in sorted(sd.layout):
             canvas.text("zlabel-%d-%d" % (i, j), sd.layout[(i, j)]._h, "(%d,%d)" % (i, j), "#374151")
-    return canvas.finish()
+    canvas.finish()
+
+
+def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> str:
+    """The embedded picture as one string; the CLI streams it to its file."""
+    lines = []
+    _write_input(fp, opts, lines.append)
+    return "".join(lines)
+
+
+def render_straightened_svg(sd: StraightenedDisc, opts: RenderOptions = RenderOptions()) -> str:
+    """The straightened picture as one string; the CLI streams it to its file."""
+    lines = []
+    _write_straightened(sd, opts, lines.append)
+    return "".join(lines)

@@ -4,14 +4,17 @@ PlanePoint keeps one normalised homogeneous triple (X, Y, D) and builds
 Fractions only on demand; layout averages triples over a common denominator
 and sorts spans by float with exact tie-breaks. This module keeps the
 earlier forms: FractionPoint, which stored the two coordinates as
-Fractions, the Fraction mean, and an all-pairs Fraction crossing test that
+Fractions, the Fraction mean, the mean of triples summed over the lcm of
+all their denominators (hullgeom._h_mean sums in pairs), and an all-pairs Fraction crossing test that
 shares no code with crossing_oracle._detect_crossings. The tests require equal
 answers from both.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from circlink import PlanePoint
+from circlink.hullgeom import _h_norm
 
 
 def _frac_str(q: Fraction) -> str:
@@ -53,6 +56,15 @@ class FractionPoint:
 def fraction_mean(points) -> PlanePoint:
     n = len(points)
     return PlanePoint(sum(p.x for p in points) / n, sum(p.y for p in points) / n)
+
+
+def lcm_mean(hs) -> tuple:
+    """The mean of the triples hs, as _h_mean took it before."""
+    if len(hs) == 1:
+        return hs[0]
+    common = lcm(*(h[2] for h in hs))
+    return _h_norm(sum(h[0] * (common // h[2]) for h in hs),
+                   sum(h[1] * (common // h[2]) for h in hs), common * len(hs))
 
 
 def _cross(ax, ay, bx, by):

@@ -25,18 +25,26 @@ from circlink import (
     PlanePoint,
     cell_intersection,
     cyclic_order,
+    gen_figure,
+    gen_grid,
+    gen_star,
+    gen_tripod,
     hull,
     linked,
     linked_cells,
     locate,
+    nested_pair,
     param_to_point,
     point,
     point_to_param,
+    random_family_pair,
     random_set_pair,
     validate,
 )
-from circlink.hullgeom import _cell_contains_h, _cell_from_h, _seg_seg
-from plane_oracle import fraction_mean
+from circlink import straighten, symmetry
+from circlink.generators import random_circle_map
+from circlink.hullgeom import _cell_contains_h, _cell_from_h, _h_mean, _h_norm, _seg_seg
+from plane_oracle import fraction_mean, lcm_mean
 
 F = Fraction
 
@@ -363,3 +371,44 @@ def test_wire_rationals_refuse_exponents():
     with pytest.raises(MalformedInputError) as info:
         CircleMap.from_json({"m": [["1", "0"], ["0", "1e999"]]})
     assert info.value.location == "$.m[1][1]"
+
+
+# ── barycenters: pairwise sums against the lcm form ───────────────────────
+
+triple = st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 80, 2 ** 80),
+                   st.integers(1, 2 ** 64) | st.sampled_from([1, 2, 6, 2 ** 61 - 1])
+                   ).map(lambda h: _h_norm(*h))
+
+
+@settings(max_examples=400)
+@given(st.lists(triple, min_size=1, max_size=40))
+@example([(1, 0, 1), (0, 1, 1), (-1, 0, 1)])                 # odd count, one round carries
+@example([(1, 0, 3)] * 7)                                     # equal denominators
+@example([(1, 1, 2 ** 64), (-1, -1, 2 ** 64 - 1), (0, 0, 1)])
+def test_pairwise_mean_is_the_lcm_mean(hs):
+    assert _h_mean(hs) == lcm_mean(hs)
+
+
+def _corpus():
+    g = random_circle_map(0)
+    yield "grid(120) image", g.apply_pair(gen_grid(120))
+    yield "star(200) image", g.apply_pair(gen_star(200))
+    yield "star(1600) image", g.apply_pair(gen_star(1600))
+    yield "tripod", gen_tripod()
+    yield "figure", gen_figure()
+    for depth in (2, 4):
+        yield "nested(%d)" % depth, nested_pair(depth, depth)
+    for seed in range(60):
+        yield "random(%d)" % seed, random_family_pair(seed)
+
+
+def test_every_generated_cell_has_the_lcm_barycenter():
+    # the verifiers import _h_mean by name and tests patch it there
+    assert straighten._h_mean is _h_mean and symmetry._h_mean is _h_mean
+    sizes = set()
+    for name, fp in _corpus():
+        for z, cell in fp.index.cells().items():
+            hs = cell._h
+            sizes.add(len(hs))
+            assert _h_mean(hs) == lcm_mean(hs), (name, z)
+    assert {1, 400, 3200} <= sizes and len(sizes) > 6

@@ -100,7 +100,7 @@ def test_int_division_is_the_fraction_float(num, den, shift):
     for X, D in ((num, den), (num, den << shift), (num % den, den)):
         assert _float_or_overflow(lambda: X / D) == _float_or_overflow(
             lambda: float(Fraction(X, D)))
-    canvas = _Canvas(RenderOptions())
+    canvas = _Canvas(RenderOptions(), [].append)
     p = PlanePoint(F(num % den, den), F(-num % den, den << shift))
     x, y = p.x, p.y
     assert canvas.px(p.key()) == (_fmt(canvas.cx + canvas.radius * float(x)),
@@ -108,7 +108,7 @@ def test_int_division_is_the_fraction_float(num, den, shift):
 
 
 def test_canvas_formats_each_point_once():
-    canvas = _Canvas(RenderOptions())
+    canvas = _Canvas(RenderOptions(), [].append)
     first = canvas.px((1, 1, 2))
     assert canvas.px((1, 1, 2)) is first
     assert canvas.px((1, 1, 3)) == (_fmt(canvas.cx + canvas.radius * (1 / 3)),
