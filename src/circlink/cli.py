@@ -129,14 +129,24 @@ def _load_pair(path: str) -> FamilyPair:
 
 def _atomic_write(path: str, emit) -> None:
     """Call emit with the write of a temporary file beside path, then rename
-    the file to path; if emit or the write raises, the file is removed."""
-    import tempfile
+    the file to path; if emit or the write raises, the file is removed.
 
-    directory = os.path.dirname(os.path.abspath(path))
+    The file gets the mode of the path it replaces, or, for a new path, the
+    mode a plain open() gives: 0o666 less the umask.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       ".circlink-%s.tmp" % os.urandom(8).hex())
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".circlink-")
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            mode = None
+        # O_EXCL, as mkstemp opens, but with open()'s 0o666 for the umask to cut
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                if mode is not None:
+                    os.chmod(tmp, mode)
                 emit(fh.write)
             os.replace(tmp, path)
         except BaseException:
@@ -148,13 +158,13 @@ def _atomic_write(path: str, emit) -> None:
 
 
 def _parse_point(text: str):
-    from .hullgeom import PlanePoint, _parse_frac
+    from .hullgeom import _h_from_ratios, _parse_frac, _point
 
     parts = text.split(",")
     if len(parts) != 2:
         raise MalformedInputError("point must be \"x,y\" with rational entries", "--point")
     try:
-        return PlanePoint(*(_parse_frac(p.strip(), "--point") for p in parts))
+        return _point(_h_from_ratios(*(_parse_frac(p.strip(), "--point") for p in parts)))
     except MalformedInputError:
         raise MalformedInputError("bad rational in point %r" % text, "--point") from None
 

@@ -7,9 +7,7 @@ validated pairs; the random generators are used to drive the oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .circle import INF, CirclePoint, CircleSet, point
+from .circle import INF, CirclePoint, CircleSet
 from .errors import Frozen
 from .family import FamilyPair, validate
 from .symmetry import CircleMap
@@ -90,32 +88,46 @@ def gen_nested(depth: int, seed: int) -> list:
     inside the interval to its right, so every chord separates its inner
     subtree from its outer one. Endpoints are dyadic and seed-determined.
     """
+    scale, ends = _nested_ends(depth, seed)
+    return [CircleSet([CirclePoint(a, scale), CirclePoint(b, scale)]) for a, b in ends]
+
+
+def _nested_ends(depth: int, seed: int) -> tuple:
+    """The chords of gen_nested as (S, [(a, b), ...]): endpoint numerators
+    over the common denominator S = 2^(20 (depth + 1)).
+
+    Each level splits its interval at t / 2^20, so the endpoints of a chord
+    at level L are multiples of 2^(20 (depth + 1 - L)) and every split is
+    exact.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rng = SplitMix64(seed)
     out = []
 
-    def build(lo: Fraction, hi: Fraction, level: int) -> None:
+    def build(lo: int, hi: int, level: int) -> None:
         w = hi - lo
-        t1 = Fraction((1 << 18) + rng.bits(18), 1 << 20)       # [1/4, 1/2)
-        t2 = Fraction((1 << 19) + 1 + rng.bits(18), 1 << 20)   # (1/2, 3/4]
-        a = lo + t1 * w
-        b = lo + t2 * w
-        out.append(CircleSet([a, b]))
+        a = lo + (((1 << 18) + rng.bits(18)) * w >> 20)       # t in [1/4, 1/2)
+        b = lo + (((1 << 19) + 1 + rng.bits(18)) * w >> 20)   # t in (1/2, 3/4]
+        out.append((a, b))
         if level < depth:
             build(a, b, level + 1)
             build(b, hi, level + 1)
 
-    build(Fraction(0), Fraction(1), 0)
-    return out
+    scale = 1 << 20 * (depth + 1)
+    build(0, scale, 0)
+    return scale, out
 
 
 def nested_pair(depth: int, seed: int) -> FamilyPair:
     """Two independent nested families; the second is shifted by 1/3 so its
     3-adic endpoints can never collide with the dyadic first family."""
     plus = gen_nested(depth, seed)
-    shift = Fraction(1, 3)
-    minus = [CircleSet([p.frac + shift for p in s.points]) for s in gen_nested(depth, seed + 1)]
+    scale, ends = _nested_ends(depth, seed + 1)
+    # a / S + 1/3 = (3 a + S) / 3 S
+    den = 3 * scale
+    minus = [CircleSet([CirclePoint(3 * a + scale, den), CirclePoint(3 * b + scale, den)])
+             for a, b in ends]
     return validate(plus, minus)
 
 
@@ -129,7 +141,7 @@ def gen_figure() -> FamilyPair:
     """Two 3-linked pairs sharing the plus element: a pair of 6-prong points
     on one leaf, the saddle-connection picture."""
     plus = [CircleSet([0, 2, 4, 6])]
-    minus = [CircleSet([1, 3, 5]), CircleSet([Fraction(1, 2), Fraction(11, 2), 7])]
+    minus = [CircleSet([1, 3, 5]), CircleSet([CirclePoint(1, 2), CirclePoint(11, 2), 7])]
     return validate(plus, minus)
 
 
@@ -194,7 +206,7 @@ def _jitter(fp: FamilyPair, rng: SplitMix64) -> FamilyPair:
     parameters are at least 1/2 apart, so the displacement map is strictly
     increasing and all cyclic structure survives untouched."""
     marked = sorted({p for s in list(fp.plus) + list(fp.minus) for p in s.points})
-    moved = {p: point(p.frac + Fraction(rng.bits(16), 1 << 17)) for p in marked}
+    moved = {p: CirclePoint((p.num << 17) + rng.bits(16) * p.den, p.den << 17) for p in marked}
     plus = [CircleSet([moved[p] for p in s.points]) for s in fp.plus]
     minus = [CircleSet([moved[p] for p in s.points]) for s in fp.minus]
     return validate(plus, minus)
@@ -208,8 +220,9 @@ def _compose_blocks(rng: SplitMix64) -> FamilyPair:
     grid = gen_grid(n)
     star = gen_star(k)
     off = 4 * n
-    plus = list(grid.plus) + [CircleSet([p.frac + off for p in s.points]) for s in star.plus]
-    minus = list(grid.minus) + [CircleSet([p.frac + off for p in s.points]) for s in star.minus]
+    # the star's parameters are integers
+    plus = list(grid.plus) + [CircleSet([p.num + off for p in s.points]) for s in star.plus]
+    minus = list(grid.minus) + [CircleSet([p.num + off for p in s.points]) for s in star.minus]
     return validate(plus, minus)
 
 

@@ -5,14 +5,16 @@ so every marked point has rational coordinates and cyclic order becomes
 counterclockwise order. All predicates are exact and work on homogeneous
 integer triples (X, Y, D) standing for (X/D, Y/D): a PlanePoint stores its
 triple normalised to D > 0 and gcd(X, Y, D) = 1, and each vertex of a cell
-made from others is the integer meet of two lines. A Fraction is built only
-when a point is made from one or a caller reads .x or .y.
+made from others is the integer meet of two lines. Wire rationals parse
+straight into integer pairs (_parse_frac), so this module imports no
+fractions: a Fraction is built only when a point is made from a non-integer
+or a caller reads .x or .y.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import Optional
@@ -48,48 +50,91 @@ def _ratio_str(n: int, d: int) -> str:
     return "%d/%d" % (n // g, d // g)
 
 
-def _parse_frac(s, where: str) -> Fraction:
-    """The rational a wire string spells: an integer, p/q or a decimal.
+# The wire rational: the string grammar of Python 3.11's Fraction less its
+# exponent. Optional whitespace, a sign, then an integer, p/q or a decimal;
+# digits may be any Unicode decimal digits, grouped by single underscores as
+# in int literals.
+_RATIONAL_RE = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)
+    (?=\d|\.\d)
+    (?P<num>\d*|\d+(_\d+)*)
+    (?:/(?P<den>\d+(_\d+)*)|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE)
 
-    An exponent is refused, since Fraction would expand "1e999999999" into
-    a billion-digit integer.
+
+def _parse_frac(s, where: str) -> tuple:
+    """The rational a wire string spells, as (num, den) in lowest terms with
+    den > 0: an integer, p/q or a decimal.
+
+    An exponent is refused, since "1e999999999" would expand into a
+    billion-digit integer. Every other string reads as Fraction(s) reads it
+    on Python 3.11, or is refused where Fraction(s) raises.
     """
     if not isinstance(s, str):
         raise MalformedInputError("coordinate must be a rational string", where)
     if "e" in s or "E" in s:
         raise MalformedInputError("exponent in rational %r" % s, where)
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInputError("bad rational %r" % s, where) from None
+    m = _RATIONAL_RE.match(s)
+    num = den = 0
+    if m is not None:
+        try:
+            num = int(m["num"] or "0")
+            den = int(m["den"] or "1")
+            decimal = m["decimal"]
+            if decimal:
+                den = 10 ** len(decimal.replace("_", ""))
+                num = num * den + int(decimal)
+        except ValueError:
+            # int() refused the digit count, as it does inside Fraction
+            den = 0
+    if not den:
+        raise MalformedInputError("bad rational %r" % s, where)
+    if m["sign"] == "-":
+        num = -num
+    g = gcd(num, den)
+    return (num // g, den // g)
+
+
+def _h_from_ratios(x: tuple, y: tuple) -> tuple:
+    # the normalised triple of the point (xn/xd, yn/yd), both in lowest terms
+    # with positive denominators: any prime of the common denominator d
+    # divides xd or yd in full power and not its numerator
+    (xn, xd), (yn, yd) = x, y
+    d = xd // gcd(xd, yd) * yd
+    return (xn * (d // xd), yn * (d // yd), d)
 
 
 class PlanePoint:
     """Exact point of the plane, stored as its normalised homogeneous triple.
 
-    The coordinates are anything Fraction accepts; .x and .y rebuild them as
-    Fractions on demand. Equality, hashing and key() use the triple, which
-    is unique to the point.
+    The coordinates are ints, or anything Fraction accepts; .x and .y
+    rebuild them as Fractions on demand. Equality, hashing and key() use
+    the triple, which is unique to the point.
     """
 
     __slots__ = ("_h",)
 
     def __init__(self, x, y):
-        x = Fraction(x)
-        y = Fraction(y)
-        xd = x.denominator
-        yd = y.denominator
-        d = xd // gcd(xd, yd) * yd
-        # any prime of d divides xd or yd in full power and not its numerator
-        self._h = (x.numerator * (d // xd), y.numerator * (d // yd), d)
+        if type(x) is int and type(y) is int:
+            self._h = (x, y, 1)
+            return
+        import fractions
+
+        x = fractions.Fraction(x)
+        y = fractions.Fraction(y)
+        self._h = _h_from_ratios((x.numerator, x.denominator), (y.numerator, y.denominator))
 
     @property
     def x(self) -> Fraction:
-        return Fraction(self._h[0], self._h[2])
+        import fractions
+
+        return fractions.Fraction(self._h[0], self._h[2])
 
     @property
     def y(self) -> Fraction:
-        return Fraction(self._h[1], self._h[2])
+        import fractions
+
+        return fractions.Fraction(self._h[1], self._h[2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanePoint):
@@ -116,7 +161,8 @@ class PlanePoint:
     def from_json(cls, data, where: str = "$") -> "PlanePoint":
         if not isinstance(data, list) or len(data) != 2:
             raise MalformedInputError("point must be a [x, y] pair", where)
-        return cls(_parse_frac(data[0], where + "[0]"), _parse_frac(data[1], where + "[1]"))
+        return _point(_h_from_ratios(_parse_frac(data[0], where + "[0]"),
+                                     _parse_frac(data[1], where + "[1]")))
 
 
 # ---------------------------------------------------------------------------

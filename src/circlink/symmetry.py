@@ -8,7 +8,6 @@ of the whole pipeline can be checked with no tolerance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -22,17 +21,30 @@ from .straighten import MappedTo, _cell_hulls_test, straighten_point
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
 
 
+def _common_scale(ratios) -> list:
+    # (num, den) pairs, den > 0, times the lcm of their denominators
+    scale = 1
+    for _, d in ratios:
+        scale = scale // gcd(scale, d) * d
+    return [n * (scale // d) for n, d in ratios]
+
+
 class CircleMap:
-    """Projective circle symmetry with a canonical primitive integer matrix."""
+    """Projective circle symmetry with a canonical primitive integer matrix.
+
+    The entries are ints, or anything Fraction accepts; the matrix is
+    scaled to primitive integers with a positive first nonzero entry.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        entries = [Fraction(v) for v in (a, b, c, d)]
-        scale = 1
-        for e in entries:
-            scale = scale // gcd(scale, e.denominator) * e.denominator
-        ints = [int(e * scale) for e in entries]
+        ints = [a, b, c, d]
+        if not all(type(v) is int for v in ints):
+            import fractions
+
+            ints = _common_scale([(f.numerator, f.denominator)
+                                  for f in map(fractions.Fraction, ints)])
         g = 0
         for v in ints:
             g = gcd(g, abs(v))
@@ -124,15 +136,15 @@ class CircleMap:
                 or not isinstance(data["m"], list) or len(data["m"]) != 2
                 or any(not isinstance(r, list) or len(r) != 2 for r in data["m"])):
             raise MalformedInputError("map must be {\"m\": [[a,b],[c,d]]}", "$")
-        vals = []
+        ratios = []
         for r in range(2):
             for k in range(2):
                 raw = data["m"][r][k]
                 if not isinstance(raw, str):
                     raise MalformedInputError("matrix entries must be rational strings",
                                               "$.m[%d][%d]" % (r, k))
-                vals.append(_parse_frac(raw, "$.m[%d][%d]" % (r, k)))
-        return cls(*vals)
+                ratios.append(_parse_frac(raw, "$.m[%d][%d]" % (r, k)))
+        return cls(*_common_scale(ratios))
 
 
 def apply(g: CircleMap, x):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -315,6 +316,42 @@ def test_gen_symmetric_map_out(tmp_path, capsys):
 def test_gen_map_out_requires_symmetric(capsys):
     code, out = run(capsys, "gen", "--kind", "grid", "--map-out", "/tmp/never.json")
     assert code == 2
+
+
+def _write_every_file(capsys, pair, map_path, prefix, umask):
+    old = os.umask(umask)
+    try:
+        assert run(capsys, "gen", "--kind", "symmetric", "--map-out", map_path)[0] == 0
+        assert run(capsys, "render", pair, "--out", prefix)[0] == 0
+    finally:
+        os.umask(old)
+    return [map_path, prefix + "-input.svg", prefix + "-straightened.svg"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_files_get_the_mode_open_gives(tmp_path, capsys, umask):
+    pair = write_pair(tmp_path, "tripod.json", TRIPOD)
+    paths = _write_every_file(capsys, pair, str(tmp_path / "g.json"), str(tmp_path / "pic"), umask)
+    for path in paths:
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask, path
+    assert not [n for n in os.listdir(tmp_path) if n.startswith(".circlink-")]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_replaced_files_keep_their_mode(tmp_path, capsys, umask):
+    pair = write_pair(tmp_path, "tripod.json", TRIPOD)
+    paths = [str(tmp_path / "g.json"), str(tmp_path / "pic-input.svg"),
+             str(tmp_path / "pic-straightened.svg")]
+    modes = [0o604, 0o640, 0o755]
+    for path, mode in zip(paths, modes):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("old\n")
+        os.chmod(path, mode)
+    _write_every_file(capsys, pair, paths[0], str(tmp_path / "pic"), umask)
+    for path, mode in zip(paths, modes):
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() != "old\n"
 
 
 # ── render ───────────────────────────────────────────────────────────────

@@ -3,6 +3,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+import generator_oracle as oracle
 from circlink import (
     CircleSet,
     GenSpec,
@@ -182,3 +185,20 @@ def test_random_family_pair_mixes_shapes():
     sizes = {(len(random_family_pair(s).plus), len(random_family_pair(s).minus))
              for s in range(60)}
     assert len(sizes) >= 5
+
+
+# ── integer constructions against the Fraction oracle ───────────────────
+
+@pytest.mark.parametrize("depth", range(9))
+def test_nested_pair_matches_fraction_oracle(depth):
+    for seed in range(10):
+        assert nested_pair(depth, seed) == oracle.nested_pair(depth, seed), seed
+
+
+def test_random_family_pair_matches_fraction_oracle():
+    for seed in range(300):
+        assert random_family_pair(seed) == oracle.random_family_pair(seed), seed
+
+
+def test_figure_matches_fraction_oracle():
+    assert gen_figure() == oracle.gen_figure()

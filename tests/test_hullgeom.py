@@ -7,11 +7,12 @@ cell holds of the other plus every edge-by-edge meet, hulled.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlink import (
@@ -43,7 +44,14 @@ from circlink import (
 )
 from circlink import straighten, symmetry
 from circlink.generators import random_circle_map
-from circlink.hullgeom import _cell_contains_h, _cell_from_h, _h_mean, _h_norm, _seg_seg
+from circlink.hullgeom import (
+    _cell_contains_h,
+    _cell_from_h,
+    _h_mean,
+    _h_norm,
+    _parse_frac,
+    _seg_seg,
+)
 from plane_oracle import fraction_mean, lcm_mean
 
 F = Fraction
@@ -371,6 +379,73 @@ def test_wire_rationals_refuse_exponents():
     with pytest.raises(MalformedInputError) as info:
         CircleMap.from_json({"m": [["1", "0"], ["0", "1e999"]]})
     assert info.value.location == "$.m[1][1]"
+
+
+# Wire strings: ASCII and other Unicode digits, underscores, ASCII and
+# Unicode whitespace, signs, slashes, points and exponent marks, drawn freely
+# and in the shapes of integers, p/q, decimals and exponents.
+WIRE_CHARS = "0123456789\u0663\u06f4\u0966_ \t\n\x0b\x1c\x85\xa0\u3000+-/.eEdD"
+digit_run = st.text(alphabet="0123456789\u0663\u0966", min_size=1, max_size=4)
+grouped = st.lists(digit_run, min_size=1, max_size=3).map("_".join) | digit_run
+space = st.sampled_from(["", " ", "\t", "\n", "\xa0", "\u3000", "\x1c", "\x85"])
+tail = st.one_of(st.just(""), grouped.map("/".__add__), (grouped | st.just("")).map(".".__add__),
+                 grouped.map("e".__add__), st.builds("{} / {}".format, st.just(""), grouped))
+shaped = st.builds("{}{}{}{}{}".format, space, st.sampled_from(["", "+", "-"]),
+                   grouped | st.just(""), tail, space)
+wire_strings = st.text(alphabet=WIRE_CHARS, max_size=12) | shaped
+
+
+def fraction_reading(s):
+    """What the wire reads from s by Fraction: (num, den), or the message."""
+    if "e" in s or "E" in s:
+        return "exponent in rational %r" % s
+    try:
+        f = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return "bad rational %r" % s
+    return (f.numerator, f.denominator)
+
+
+def wire_reading(s, where):
+    try:
+        return _parse_frac(s, where)
+    except MalformedInputError as exc:
+        assert exc.location == where
+        return exc.message
+
+
+@settings(max_examples=800)
+@given(wire_strings, st.sampled_from(["$[0]", "$.m[1][0]", "--point"]))
+@example("1_000/3_0", "$[1]")
+@example(" -.5_0\u3000", "$[0]")
+@example("\u0663/\u0966", "$[0]")                      # Arabic-Indic 3 over Devanagari 0
+@example("1.", "$[0]")
+@example(".", "$[0]")
+@example("1.d", "$[0]")
+@example("1" * 4301, "$[0]")                           # past int()'s digit limit
+@example("0." + "1" * 4301, "$[0]")
+@example("2" * 3000 + "." + "1" * 3000, "$[0]")
+def test_wire_rationals_read_as_fraction_does(s, where):
+    # the wire grammar is Fraction's of Python 3.11, whose Fraction first
+    # read underscores between digits
+    assume(sys.version_info >= (3, 11) or "_" not in s)
+    assert wire_reading(s, where) == fraction_reading(s)
+
+
+@pytest.mark.parametrize("s, value", [
+    ("1_000", (1000, 1)), ("-1_0/2_0", (-1, 2)), (".5_0", (1, 2)), ("+0_0.2_5", (1, 4)),
+    ("1__0", None), ("_1", None), ("1_", None), ("1_/2", None), ("1/_2", None), ("1._5", None),
+])
+def test_wire_rationals_group_digits_by_single_underscores(s, value):
+    assert wire_reading(s, "$") == (value or "bad rational %r" % s)
+
+
+def test_wire_rationals_must_be_strings():
+    for raw in (1, 0.5, None, ["1"], F(1, 2)):
+        with pytest.raises(MalformedInputError) as info:
+            _parse_frac(raw, "$.m[0][1]")
+        assert info.value.message == "coordinate must be a rational string"
+        assert info.value.location == "$.m[0][1]"
 
 
 # ── barycenters: pairwise sums against the lcm form ───────────────────────

@@ -14,10 +14,12 @@ from circlink import nested_pair
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Imported by no command that only reads a pair: dataclasses pulls in
-# inspect, ast, dis and tokenize; html and tempfile serve render and the
-# file writers only; fractions, which loads decimal, serves the plane
-# geometry and Fraction inputs.
+# Imported by no command: dataclasses pulls in inspect, ast, dis and
+# tokenize; render escapes text itself instead of importing html, and the
+# file writers open their temporary files without tempfile; fractions, which
+# loads decimal, is imported only where a caller hands the library a
+# Fraction or other non-integer, or reads one back (CirclePoint.frac,
+# PlanePoint.x and .y), since wire rationals parse into integer pairs.
 HEAVY = ("dataclasses", "inspect", "html", "tempfile", "fractions", "decimal")
 
 
@@ -46,6 +48,36 @@ def test_read_commands_load_only_their_modules(tmp_path):
     loaded, heavy = _fresh(code, str(path))
     assert loaded == ["circlink", "circlink.circle", "circlink.cli", "circlink.errors",
                       "circlink.family", "circlink.render"]
+    assert heavy == []
+
+
+@pytest.mark.parametrize("command", ["render", "equivariance", "straighten", "gen",
+                                     "quotient_check"])
+def test_commands_load_no_heavy_module(tmp_path, command):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(nested_pair(3, 0).to_json()), encoding="utf-8")
+    # the identity, spelled with a decimal and a fraction
+    identity = tmp_path / "map.json"
+    identity.write_text('{"m": [["0.5", "0"], ["0", "1/2"]]}', encoding="utf-8")
+    argv = {
+        "render": ["render", str(pair), "--out", str(tmp_path / "pic")],
+        "equivariance": ["equivariance", str(pair), "--map", str(identity)],
+        "straighten": ["straighten", str(pair), "--point", "-1/3,0.25"],
+        "gen": ["gen", "--kind", "nested", "--depth", "3"],
+    }
+    if command == "quotient_check":
+        # as bench/qcheck.py runs it, with no subcommand
+        code = ("import json, sys\n"
+                "from circlink import straighten\n"
+                "from circlink.family import FamilyPair\n"
+                "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+                "    assert straighten.quotient_check(FamilyPair.from_json(json.load(fh))).ok\n"
+                + REPORT)
+        loaded, heavy = _fresh(code, str(pair))
+    else:
+        code = "import sys\nfrom circlink import cli\nassert cli.main(sys.argv[1:]) == 0\n" + REPORT
+        loaded, heavy = _fresh(code, *argv[command])
+    assert "circlink.hullgeom" in loaded
     assert heavy == []
 
 
