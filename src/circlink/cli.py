@@ -131,14 +131,15 @@ def _atomic_write(path: str, emit) -> None:
     """Call emit with the write of a temporary file beside path, then rename
     the file to path; if emit or the write raises, the file is removed.
 
-    The file gets the mode of the path it replaces, or, for a new path, the
-    mode a plain open() gives: 0o666 less the umask.
+    The file gets the permission bits of the path it replaces, without its
+    setuid, setgid and sticky bits, or, for a new path, the mode a plain
+    open() gives: 0o666 less the umask.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        ".circlink-%s.tmp" % os.urandom(8).hex())
     try:
         try:
-            mode = os.stat(path).st_mode & 0o7777
+            mode = os.stat(path).st_mode & 0o777
         except FileNotFoundError:
             mode = None
         # O_EXCL, as mkstemp opens, but with open()'s 0o666 for the umask to cut
@@ -146,7 +147,7 @@ def _atomic_write(path: str, emit) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 if mode is not None:
-                    os.chmod(tmp, mode)
+                    os.fchmod(fd, mode)
                 emit(fh.write)
             os.replace(tmp, path)
         except BaseException:
@@ -158,13 +159,13 @@ def _atomic_write(path: str, emit) -> None:
 
 
 def _parse_point(text: str):
-    from .hullgeom import _h_from_ratios, _parse_frac, _point
+    from .hullgeom import _over_lcm, _parse_frac, _point
 
     parts = text.split(",")
     if len(parts) != 2:
         raise MalformedInputError("point must be \"x,y\" with rational entries", "--point")
     try:
-        return _point(_h_from_ratios(*(_parse_frac(p.strip(), "--point") for p in parts)))
+        return _point(_over_lcm([_parse_frac(p.strip(), "--point") for p in parts]))
     except MalformedInputError:
         raise MalformedInputError("bad rational in point %r" % text, "--point") from None
 

@@ -6,9 +6,9 @@ counterclockwise order. All predicates are exact and work on homogeneous
 integer triples (X, Y, D) standing for (X/D, Y/D): a PlanePoint stores its
 triple normalised to D > 0 and gcd(X, Y, D) = 1, and each vertex of a cell
 made from others is the integer meet of two lines. Wire rationals parse
-straight into integer pairs (_parse_frac), so this module imports no
-fractions: a Fraction is built only when a point is made from a non-integer
-or a caller reads .x or .y.
+into integer pairs (_parse_frac), and integers and p/q without Fraction, so
+this module imports fractions only when a string needs Fraction's grammar,
+a PlanePoint is made from coordinates or a caller reads .x or .y.
 """
 
 from __future__ import annotations
@@ -50,79 +50,68 @@ def _ratio_str(n: int, d: int) -> str:
     return "%d/%d" % (n // g, d // g)
 
 
-# The wire rational: the string grammar of Python 3.11's Fraction less its
-# exponent. Optional whitespace, a sign, then an integer, p/q or a decimal;
-# digits may be any Unicode decimal digits, grouped by single underscores as
-# in int literals.
-_RATIONAL_RE = re.compile(r"""
-    \A\s*(?P<sign>[-+]?)
-    (?=\d|\.\d)
-    (?P<num>\d*|\d+(_\d+)*)
-    (?:/(?P<den>\d+(_\d+)*)|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?)
-    \s*\Z""", re.VERBOSE)
+# An integer or p/q in ASCII digits, which Fraction reads alike on every
+# Python version
+_RATIO_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_frac(s, where: str) -> tuple:
     """The rational a wire string spells, as (num, den) in lowest terms with
-    den > 0: an integer, p/q or a decimal.
+    den > 0: whatever Fraction(s) reads, such as an integer, p/q or a decimal.
 
-    An exponent is refused, since "1e999999999" would expand into a
-    billion-digit integer. Every other string reads as Fraction(s) reads it
-    on Python 3.11, or is refused where Fraction(s) raises.
+    An exponent is refused, since Fraction would expand "1e999999999" into
+    a billion-digit integer. An integer or p/q in ASCII digits is read
+    without Fraction, so a command given only those imports no fractions.
     """
     if not isinstance(s, str):
         raise MalformedInputError("coordinate must be a rational string", where)
     if "e" in s or "E" in s:
         raise MalformedInputError("exponent in rational %r" % s, where)
-    m = _RATIONAL_RE.match(s)
-    num = den = 0
-    if m is not None:
-        try:
-            num = int(m["num"] or "0")
-            den = int(m["den"] or "1")
-            decimal = m["decimal"]
-            if decimal:
-                den = 10 ** len(decimal.replace("_", ""))
-                num = num * den + int(decimal)
-        except ValueError:
-            # int() refused the digit count, as it does inside Fraction
-            den = 0
+    m = _RATIO_RE.fullmatch(s)
+    try:
+        if m is None:
+            import fractions
+
+            f = fractions.Fraction(s)
+            return (f.numerator, f.denominator)
+        num, den = int(m[1]), int(m[2] or "1")
+    except (ValueError, ZeroDivisionError):
+        den = 0
     if not den:
         raise MalformedInputError("bad rational %r" % s, where)
-    if m["sign"] == "-":
-        num = -num
     g = gcd(num, den)
     return (num // g, den // g)
 
 
-def _h_from_ratios(x: tuple, y: tuple) -> tuple:
-    # the normalised triple of the point (xn/xd, yn/yd), both in lowest terms
-    # with positive denominators: any prime of the common denominator d
-    # divides xd or yd in full power and not its numerator
-    (xn, xd), (yn, yd) = x, y
-    d = xd // gcd(xd, yd) * yd
-    return (xn * (d // xd), yn * (d // yd), d)
+def _over_lcm(ratios) -> tuple:
+    """The numerators of the (num, den) pairs ratios, each den > 0, over the
+    lcm of their denominators, followed by that lcm.
+
+    For pairs in lowest terms the result has gcd 1: any prime of the lcm
+    divides some den in full power and not its numerator. So two
+    coordinates give a normalised plane triple.
+    """
+    d = 1
+    for _, q in ratios:
+        d = d // gcd(d, q) * q
+    return tuple([n * (d // q) for n, q in ratios]) + (d,)
 
 
 class PlanePoint:
     """Exact point of the plane, stored as its normalised homogeneous triple.
 
-    The coordinates are ints, or anything Fraction accepts; .x and .y
-    rebuild them as Fractions on demand. Equality, hashing and key() use
-    the triple, which is unique to the point.
+    The coordinates are anything Fraction accepts; .x and .y rebuild them as
+    Fractions on demand. Equality, hashing and key() use the triple, which
+    is unique to the point.
     """
 
     __slots__ = ("_h",)
 
     def __init__(self, x, y):
-        if type(x) is int and type(y) is int:
-            self._h = (x, y, 1)
-            return
         import fractions
 
-        x = fractions.Fraction(x)
-        y = fractions.Fraction(y)
-        self._h = _h_from_ratios((x.numerator, x.denominator), (y.numerator, y.denominator))
+        self._h = _over_lcm([(f.numerator, f.denominator)
+                             for f in map(fractions.Fraction, (x, y))])
 
     @property
     def x(self) -> Fraction:
@@ -161,8 +150,8 @@ class PlanePoint:
     def from_json(cls, data, where: str = "$") -> "PlanePoint":
         if not isinstance(data, list) or len(data) != 2:
             raise MalformedInputError("point must be a [x, y] pair", where)
-        return _point(_h_from_ratios(_parse_frac(data[0], where + "[0]"),
-                                     _parse_frac(data[1], where + "[1]")))
+        return _point(_over_lcm([_parse_frac(data[0], where + "[0]"),
+                                 _parse_frac(data[1], where + "[1]")]))
 
 
 # ---------------------------------------------------------------------------

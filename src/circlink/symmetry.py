@@ -15,18 +15,10 @@ from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, validate
-from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _parse_frac, _point
+from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _parse_frac, _point
 from .straighten import MappedTo, _cell_hulls_test, straighten_point
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
-
-
-def _common_scale(ratios) -> list:
-    # (num, den) pairs, den > 0, times the lcm of their denominators
-    scale = 1
-    for _, d in ratios:
-        scale = scale // gcd(scale, d) * d
-    return [n * (scale // d) for n, d in ratios]
 
 
 class CircleMap:
@@ -43,8 +35,8 @@ class CircleMap:
         if not all(type(v) is int for v in ints):
             import fractions
 
-            ints = _common_scale([(f.numerator, f.denominator)
-                                  for f in map(fractions.Fraction, ints)])
+            ints = _over_lcm([(f.numerator, f.denominator)
+                              for f in map(fractions.Fraction, ints)])[:4]
         g = 0
         for v in ints:
             g = gcd(g, abs(v))
@@ -144,7 +136,7 @@ class CircleMap:
                     raise MalformedInputError("matrix entries must be rational strings",
                                               "$.m[%d][%d]" % (r, k))
                 ratios.append(_parse_frac(raw, "$.m[%d][%d]" % (r, k)))
-        return cls(*_common_scale(ratios))
+        return cls(*_over_lcm(ratios)[:4])
 
 
 def apply(g: CircleMap, x):

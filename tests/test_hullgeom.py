@@ -7,12 +7,11 @@ cell holds of the other plus every edge-by-edge meet, hulled.
 """
 
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlink import (
@@ -414,9 +413,10 @@ def wire_reading(s, where):
         return exc.message
 
 
-@settings(max_examples=800)
+@settings(max_examples=300)
 @given(wire_strings, st.sampled_from(["$[0]", "$.m[1][0]", "--point"]))
 @example("1_000/3_0", "$[1]")
+@example("-0/00", "$[1]")                             # a zero denominator
 @example(" -.5_0\u3000", "$[0]")
 @example("\u0663/\u0966", "$[0]")                      # Arabic-Indic 3 over Devanagari 0
 @example("1.", "$[0]")
@@ -426,18 +426,7 @@ def wire_reading(s, where):
 @example("0." + "1" * 4301, "$[0]")
 @example("2" * 3000 + "." + "1" * 3000, "$[0]")
 def test_wire_rationals_read_as_fraction_does(s, where):
-    # the wire grammar is Fraction's of Python 3.11, whose Fraction first
-    # read underscores between digits
-    assume(sys.version_info >= (3, 11) or "_" not in s)
     assert wire_reading(s, where) == fraction_reading(s)
-
-
-@pytest.mark.parametrize("s, value", [
-    ("1_000", (1000, 1)), ("-1_0/2_0", (-1, 2)), (".5_0", (1, 2)), ("+0_0.2_5", (1, 4)),
-    ("1__0", None), ("_1", None), ("1_", None), ("1_/2", None), ("1/_2", None), ("1._5", None),
-])
-def test_wire_rationals_group_digits_by_single_underscores(s, value):
-    assert wire_reading(s, "$") == (value or "bad rational %r" % s)
 
 
 def test_wire_rationals_must_be_strings():

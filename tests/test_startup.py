@@ -14,12 +14,13 @@ from circlink import nested_pair
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Imported by no command: dataclasses pulls in inspect, ast, dis and
-# tokenize; render escapes text itself instead of importing html, and the
-# file writers open their temporary files without tempfile; fractions, which
-# loads decimal, is imported only where a caller hands the library a
-# Fraction or other non-integer, or reads one back (CirclePoint.frac,
-# PlanePoint.x and .y), since wire rationals parse into integer pairs.
+# Imported by no command given integers and p/q: dataclasses pulls in
+# inspect, ast, dis and tokenize; render escapes text itself instead of
+# importing html, and the file writers open their temporary files without
+# tempfile; fractions, which loads decimal, is imported only to read a wire
+# rational of Fraction's wider grammar (a decimal, say), where a caller hands
+# the library a Fraction or other non-integer, or where one is read back
+# (CirclePoint.frac, PlanePoint.x and .y).
 HEAVY = ("dataclasses", "inspect", "html", "tempfile", "fractions", "decimal")
 
 
@@ -56,13 +57,13 @@ def test_read_commands_load_only_their_modules(tmp_path):
 def test_commands_load_no_heavy_module(tmp_path, command):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(nested_pair(3, 0).to_json()), encoding="utf-8")
-    # the identity, spelled with a decimal and a fraction
+    # the identity, spelled with unreduced fractions
     identity = tmp_path / "map.json"
-    identity.write_text('{"m": [["0.5", "0"], ["0", "1/2"]]}', encoding="utf-8")
+    identity.write_text('{"m": [["1/2", "0"], ["0", "2/4"]]}', encoding="utf-8")
     argv = {
         "render": ["render", str(pair), "--out", str(tmp_path / "pic")],
         "equivariance": ["equivariance", str(pair), "--map", str(identity)],
-        "straighten": ["straighten", str(pair), "--point", "-1/3,0.25"],
+        "straighten": ["straighten", str(pair), "--point", "-1/3,1/4"],
         "gen": ["gen", "--kind", "nested", "--depth", "3"],
     }
     if command == "quotient_check":

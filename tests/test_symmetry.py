@@ -196,6 +196,9 @@ def test_map_json_round_trip():
     assert g.to_json() == {"m": [["0", "1"], ["-1", "0"]]}
     assert CircleMap.from_json(g.to_json()) == g
     assert CircleMap.from_json({"m": [["1/2", "0"], ["0", "1/2"]]}).is_identity()
+    # entries over different denominators scale by their lcm
+    assert CircleMap.from_json({"m": [["1/3", "2/3"], ["0", "1"]]}) == CircleMap(1, 2, 0, 3)
+    assert CircleMap.from_json({"m": [["1/2", "-0.25"], ["0", "3"]]}) == CircleMap(2, -1, 0, 12)
 
 
 def test_map_json_rejects_bad_input():
