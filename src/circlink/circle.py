@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cmp_to_key
@@ -52,12 +53,17 @@ class Orientation(Enum):
 
 _PARAM_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
 
 class CirclePoint:
     """One circle parameter: a reduced rational num/den, or INF when den == 0.
 
     Instances are immutable by convention, totally comparable in the linear
-    order that puts INF above every finite value, and hashable.
+    order that puts INF above every finite value, and hashable. A finite
+    point equals the int or Fraction of its value and hashes as it does; INF
+    equals no number.
     """
 
     __slots__ = ("num", "den")
@@ -118,12 +124,27 @@ class CirclePoint:
         return "CirclePoint(%s)" % self
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CirclePoint):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, CirclePoint):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        # a Fraction exists only once fractions is loaded; a str is not
+        # coerced, as no hash could agree with both its value and str's
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(other, fractions.Fraction):
+            return self.num == other.numerator and self.den == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # hash(Fraction(num, den)): num times the inverse of den modulo the
+        # hash modulus, which int's hash reduces with the sign of num
+        if self.den == 1:
+            return hash(self.num)
+        try:
+            return hash(self.num * pow(self.den, -1, _HASH_MODULUS))
+        except ValueError:
+            # den has no inverse: INF, or a multiple of the modulus
+            return _HASH_INF if self.num > 0 else -_HASH_INF
 
     # Linear order with INF greatest; cyclic predicates build on this. With
     # den >= 0 and INF = 1/0, cross-multiplying orders INF too. An int, str
@@ -249,10 +270,13 @@ class CircleSet:
     __slots__ = ("points",)
 
     def __init__(self, pts: Iterable):
-        ordered = sorted({point(p) for p in pts})
+        ordered = sorted(map(point, pts))
         if not ordered:
             raise ValueError("a CircleSet must be nonempty")
-        self.points = tuple(ordered)
+        # equal points are neighbours once sorted; comparing their fields
+        # costs less than hashing a point with a long denominator
+        self.points = tuple([p for p, q in zip(ordered, ordered[1:])
+                             if p.num != q.num or p.den != q.den] + ordered[-1:])
 
     def __len__(self) -> int:
         return len(self.points)

@@ -203,15 +203,16 @@ def _within_family_violations(index: "PairIndex", name: str) -> list:
 
 def _cross_violations(plus: Sequence[CircleSet], minus: Sequence[CircleSet]) -> list:
     # the points each cross pair shares, found from the plus sets holding each
-    # point rather than pair by pair; witnesses keep the minus set's order
+    # point rather than pair by pair; witnesses keep the minus set's order.
+    # Points are keyed by (num, den), which hashes faster than a point
     holders = {}
     for i, s in enumerate(plus):
         for p in s.points:
-            holders.setdefault(p, []).append(i)
+            holders.setdefault((p.num, p.den), []).append(i)
     shared = {}
     for j, s in enumerate(minus):
         for q in s.points:
-            for i in holders.get(q, ()):
+            for i in holders.get((q.num, q.den), ()):
                 shared.setdefault((i, j), []).append(q)
     return [Violation("CrossIntersectionTooBig", "cross", i, j, tuple(pts))
             for (i, j), pts in sorted(shared.items()) if len(pts) > 1]

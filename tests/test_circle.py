@@ -5,6 +5,7 @@ prefix-sum or gap-index shortcuts used by the library, so agreement is
 meaningful.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -283,6 +284,34 @@ def test_order_with_an_int_neither_recurses_nor_fails():
     assert 2 in OrientedInterval(0, 4) and "5" not in OrientedInterval("0", 4)
     with pytest.raises(TypeError):
         point(2) < 2.5
+
+
+# any size, and denominators that are multiples of the hash modulus, which
+# have no inverse modulo it
+wide_fractions = st.builds(
+    Fraction, st.integers(),
+    st.integers(min_value=1) | st.integers(min_value=1, max_value=9).map(
+        lambda k: k * sys.hash_info.modulus))
+
+
+@given(f=wide_fractions, g=wide_fractions)
+def test_equality_and_hash_match_fractions(f, g):
+    p, q = point(f), point(g)
+    assert hash(p) == hash(f)
+    assert {p: "p"}.get(f) == "p" and {f: "f"}.get(p) == "f"
+    for other in [q, g] + ([g.numerator] if g.denominator == 1 else []):
+        assert (p == other, other == p, p != other, other != p) == (f == g, f == g,
+                                                                    f != g, f != g)
+    # a string is not coerced, and INF equals no number
+    assert p != str(f) and str(f) != p
+    assert INF != f and f != INF and INF != g.numerator and g.numerator != INF
+    assert INF == point("inf") and INF != point(1)
+
+
+def test_a_point_equals_its_int_as_it_orders():
+    assert point(2) == 2 and 2 == point(2) and point(2) <= 2 and point(2) >= 2
+    assert point(-1) == -1 and hash(point(-1)) == hash(-1) == -2
+    assert {point(2), 2, Fraction(2), point("4/2")} == {2}
 
 
 def test_point_parsing_round_trip():
