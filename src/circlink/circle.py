@@ -138,8 +138,6 @@ class CirclePoint:
     def __hash__(self) -> int:
         # hash(Fraction(num, den)): num times the inverse of den modulo the
         # hash modulus, which int's hash reduces with the sign of num
-        if self.den == 1:
-            return hash(self.num)
         try:
             return hash(self.num * pow(self.den, -1, _HASH_MODULUS))
         except ValueError:

@@ -258,89 +258,65 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# the subcommands, in the order the full parser lists them
-COMMANDS = ("validate", "classify", "disc", "straighten", "render", "equivariance", "gen")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given one of COMMANDS, it builds that
-    subcommand's subparser alone."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circlink",
         description="Exact linking analysis and straightening of chord families on the circle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary):
-        if command is not None and command != name:
-            return None
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        return p
+    p = sub.add_parser("validate", help="check a family pair file")
+    p.add_argument("file")
+    p.set_defaults(func=cmd_validate)
 
-    if p := add("validate", cmd_validate, "check a family pair file"):
-        p.add_argument("file")
+    p = sub.add_parser("classify", help="classify every cross pair")
+    p.add_argument("file")
+    p.set_defaults(func=cmd_classify)
 
-    if p := add("classify", cmd_classify, "classify every cross pair"):
-        p.add_argument("file")
+    p = sub.add_parser("disc", help="compute the classification disc")
+    p.add_argument("file")
+    p.set_defaults(func=cmd_disc)
 
-    if p := add("disc", cmd_disc, "compute the classification disc"):
-        p.add_argument("file")
+    p = sub.add_parser("straighten", help="straighten one plane point")
+    p.add_argument("file")
+    p.add_argument("--point", required=True, help="\"x,y\" with rational entries like -13/17,10/17")
+    # let --point values with a leading minus (negative rationals) parse as
+    # values instead of option strings
+    matcher = re.compile(r"^-\d[\d/.,-]*$")
+    for sp in (parser, p):
+        if hasattr(sp, "_negative_number_matcher"):
+            sp._negative_number_matcher = matcher
+    p.set_defaults(func=cmd_straighten)
 
-    if p := add("straighten", cmd_straighten, "straighten one plane point"):
-        p.add_argument("file")
-        p.add_argument("--point", required=True,
-                       help="\"x,y\" with rational entries like -13/17,10/17")
-        # let --point values with a leading minus (negative rationals) parse as
-        # values instead of option strings
-        matcher = re.compile(r"^-\d[\d/.,-]*$")
-        for sp in (parser, p):
-            if hasattr(sp, "_negative_number_matcher"):
-                sp._negative_number_matcher = matcher
+    p = sub.add_parser("render", help="write input and straightened SVG files")
+    p.add_argument("file")
+    p.add_argument("--out", required=True, help="output path prefix")
+    defaults = RenderOptions()
+    p.add_argument("--width", type=int, default=defaults.width)
+    p.add_argument("--height", type=int, default=defaults.height)
+    p.add_argument("--labels", action="store_true")
+    p.set_defaults(func=cmd_render)
 
-    if p := add("render", cmd_render, "write input and straightened SVG files"):
-        p.add_argument("file")
-        p.add_argument("--out", required=True, help="output path prefix")
-        defaults = RenderOptions()
-        p.add_argument("--width", type=int, default=defaults.width)
-        p.add_argument("--height", type=int, default=defaults.height)
-        p.add_argument("--labels", action="store_true")
+    p = sub.add_parser("equivariance", help="check a symmetry against a family pair")
+    p.add_argument("file")
+    p.add_argument("--map", required=True, help="JSON file with the projective map")
+    p.set_defaults(func=cmd_equivariance)
 
-    if p := add("equivariance", cmd_equivariance, "check a symmetry against a family pair"):
-        p.add_argument("file")
-        p.add_argument("--map", required=True, help="JSON file with the projective map")
-
-    if p := add("gen", cmd_gen, "emit a generated family pair as JSON"):
-        p.add_argument("--kind", required=True,
-                       choices=["grid", "tripod", "star", "nested", "symmetric", "figure"])
-        p.add_argument("--n", type=int, default=2, help="grid size")
-        p.add_argument("--k", type=int, default=3, help="star valence")
-        p.add_argument("--depth", type=int, default=2, help="nesting depth")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--map-out", default=None,
-                       help="with --kind symmetric, also write the symmetry map here")
+    p = sub.add_parser("gen", help="emit a generated family pair as JSON")
+    p.add_argument("--kind", required=True,
+                   choices=["grid", "tripod", "star", "nested", "symmetric", "figure"])
+    p.add_argument("--n", type=int, default=2, help="grid size")
+    p.add_argument("--k", type=int, default=3, help="star valence")
+    p.add_argument("--depth", type=int, default=2, help="nesting depth")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--map-out", default=None,
+                   help="with --kind symmetric, also write the symmetry map here")
+    p.set_defaults(func=cmd_gen)
 
     return parser
 
 
-def _parse_args(argv):
-    """Parse argv with only the parser of the subcommand it names.
-
-    Help at the top, a missing or unknown command and unrecognized arguments
-    are answered by the full parser, whose usage line lists every command; a
-    subparser's own help and errors name only itself, so they read the same
-    from either parser.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MalformedInputError as exc:

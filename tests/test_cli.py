@@ -566,7 +566,7 @@ def test_cli_import_skips_xml_and_urllib():
     [], ["validate"], ["classify"], ["disc"], ["straighten"], ["render"], ["equivariance"],
     ["gen"]])
 def test_help_in_a_fresh_process(command):
-    # argparse builds the subparsers and their defaults with only the
+    # argparse builds every subparser and its defaults with only the
     # modules cli imports at load time
     proc = subprocess.run([sys.executable, "-m", "circlink"] + command + ["--help"],
                           capture_output=True, text=True, timeout=60,

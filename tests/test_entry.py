@@ -1,6 +1,5 @@
-"""The process entry: the narrowed parser, the frozen heap, a closed stdout."""
+"""The process entry: the frozen heap, a closed stdout, one entry function."""
 
-import argparse
 import gc
 import importlib
 import json
@@ -30,90 +29,6 @@ def files(tmp_path):
     return {"pair": _write(tmp_path / "pair.json", nested_pair(3, 0).to_json()),
             "map": _write(tmp_path / "map.json", {"m": [["1", "0"], ["0", "1"]]}),
             "out": str(tmp_path / "pic")}
-
-
-# each subcommand's arguments for a run that succeeds
-GOOD = {
-    "validate": ["{pair}"],
-    "classify": ["{pair}"],
-    "disc": ["{pair}"],
-    "straighten": ["{pair}", "--point", "-1/3,1/4"],
-    "render": ["{pair}", "--out", "{out}"],
-    "equivariance": ["{pair}", "--map", "{map}"],
-    "gen": ["--kind", "tripod"],
-}
-
-CASES = [[], ["-h"], ["--help"], ["nope"], ["nope", "{pair}"], ["-x"], ["--", "validate", "{pair}"]]
-for _cmd, _good in GOOD.items():
-    CASES += [
-        [_cmd],                                  # missing arguments
-        [_cmd] + _good,
-        [_cmd] + _good + ["extra"],
-        [_cmd] + _good + ["--bogus"],
-        [_cmd] + _good + ["--bogus", "1"],
-        [_cmd] + _good + ["--", "x"],
-        [_cmd, "-h"],
-        [_cmd] + _good + ["--help"],
-        [_cmd, "--bogus"] + _good,
-    ]
-CASES += [
-    ["render", "{pair}", "--out", "{out}", "--width", "abc"],
-    ["render", "{pair}", "--out", "{out}", "--width"],
-    ["render", "{pair}", "--out", "{out}", "--width", "-5"],
-    ["render", "{pair}", "--ou", "{out}", "--labels"],
-    ["gen", "--kind", "nope"],
-    ["gen", "--kind"],
-    ["gen", "--kind", "nested", "--depth", "x"],
-    ["straighten", "{pair}", "--point", "-5"],
-    ["straighten", "{pair}", "--point", "-1/3"],
-    ["straighten", "{pair}", "--point"],
-    ["straighten", "--point", "-1/3,-1/4", "{pair}"],
-    ["straighten", "{pair}", "--point", "-1/3,1/4", "-2"],
-    ["equivariance", "{pair}"],
-]
-
-
-def _outcome(argv, parse, capsys, monkeypatch):
-    """Exit code, stdout and stderr of cli.main(argv) parsing with parse."""
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_parse_args", parse)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("case", CASES, ids=" ".join)
-def test_narrowed_parse_answers_as_the_full_parser(case, files, capsys, monkeypatch):
-    argv = [a.format(**files) for a in case]
-    full = _outcome(argv, lambda a: cli.build_parser().parse_args(a), capsys, monkeypatch)
-    assert _outcome(argv, cli._parse_args, capsys, monkeypatch) == full
-
-
-def test_commands_are_the_full_parsers_choices():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert tuple(sub.choices) == cli.COMMANDS == tuple(GOOD)
-
-
-@pytest.mark.parametrize("command", list(GOOD))
-def test_a_known_command_builds_two_parsers(command, files, capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert cli.main([command] + [a.format(**files) for a in GOOD[command]]) == 0
-    assert len(built) == 2
-    with pytest.raises(SystemExit):
-        cli.main([command] + [a.format(**files) for a in GOOD[command]] + ["extra"])
-    # the narrowed parse, then the full one with every subparser for its error
-    assert len(built) == 2 + 2 + 1 + len(cli.COMMANDS)
 
 
 def test_main_leaves_the_heap_unfrozen(files, capsys):
