@@ -4,7 +4,7 @@ The library works over the rational circle (one point compactification of the
 rationals) with exact arithmetic throughout: no floats enter any predicate.
 Top level API, roughly in dependency order:
 
-- circle: points, cyclic order, intervals, finite point sets, linking.
+- circle: points, finite point sets, linking.
 - family: admissible family pairs, pair classification, the especial disc.
 - hullgeom: convex hulls of marked points inside the closed unit disc.
 - straighten: the straightening map, leaf trees, quotient verification.
@@ -20,9 +20,8 @@ from importlib import import_module
 # circlink` loads no submodule and each command loads only what it uses.
 _EXPORTS = {
     "circle": (
-        "CirclePoint", "CircleSet", "INF", "Orientation", "OrientedInterval",
-        "complementary_intervals", "cyclic_order", "in_interval", "link_number",
-        "link_number_counts", "linked", "open_interval", "point", "separates",
+        "CirclePoint", "CircleSet", "INF", "complementary_intervals", "link_number",
+        "link_number_counts", "linked", "point", "separates",
     ),
     "errors": (
         "CirclinkError", "EmptyLinkedCellError", "FamilyValidationError",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from functools import cmp_to_key
 from math import gcd, inf
 from typing import Iterable, Iterator
@@ -21,15 +20,10 @@ from typing import Iterable, Iterator
 from .errors import InvariantViolation, MalformedInputError, NotDisjointError
 
 __all__ = [
-    "Orientation",
     "CirclePoint",
     "INF",
     "point",
-    "OrientedInterval",
-    "open_interval",
     "CircleSet",
-    "cyclic_order",
-    "in_interval",
     "complementary_intervals",
     "linked",
     "link_number",
@@ -39,16 +33,9 @@ __all__ = [
     "rank_gap",
     "rank_linked",
     "rank_counts",
-    "rank_mixed",
     "agreed_link_number",
     "rank_separates",
 ]
-
-
-class Orientation(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    DEGENERATE = "degenerate"
 
 
 _PARAM_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -60,10 +47,10 @@ _HASH_INF = sys.hash_info.inf
 class CirclePoint:
     """One circle parameter: a reduced rational num/den, or INF when den == 0.
 
-    Instances are immutable by convention, totally comparable in the linear
-    order that puts INF above every finite value, and hashable. A finite
-    point equals the int or Fraction of its value and hashes as it does; INF
-    equals no number.
+    Instances are immutable by convention and hashable. Points order against
+    points only, linearly with INF above every finite value. A finite point
+    equals the int or Fraction of its value and hashes as it does; INF equals
+    no number.
     """
 
     __slots__ = ("num", "den")
@@ -144,36 +131,18 @@ class CirclePoint:
             # den has no inverse: INF, or a multiple of the modulus
             return _HASH_INF if self.num > 0 else -_HASH_INF
 
-    # Linear order with INF greatest; cyclic predicates build on this. With
-    # den >= 0 and INF = 1/0, cross-multiplying orders INF too. An int, str
-    # or Fraction on either side is coerced through point(); __lt__ between
-    # two CirclePoints, which CircleSet sorts with, compares directly.
-    def _cmp(self, other):
-        if not isinstance(other, CirclePoint):
-            try:
-                other = point(other)
-            except TypeError:
-                return NotImplemented
-        a, b = self.num * other.den, other.num * self.den
-        return (a > b) - (a < b)
-
+    # Linear order with INF greatest, for sorted and bisect: with den >= 0
+    # and INF = 1/0, cross-multiplying orders INF too. Reflection gives > and
+    # >=; any other operand is unordered.
     def __lt__(self, other) -> bool:
         if isinstance(other, CirclePoint):
             return self.num * other.den < other.num * self.den
-        c = self._cmp(other)
-        return c if c is NotImplemented else c < 0
+        return NotImplemented
 
     def __le__(self, other) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c <= 0
-
-    def __gt__(self, other) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c > 0
-
-    def __ge__(self, other) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c >= 0
+        if isinstance(other, CirclePoint):
+            return self.num * other.den <= other.num * self.den
+        return NotImplemented
 
 
 INF = CirclePoint(1, 0)
@@ -192,70 +161,6 @@ def point(value) -> CirclePoint:
     if isinstance(value, fractions.Fraction):
         return CirclePoint(value.numerator, value.denominator)
     raise TypeError("cannot make a CirclePoint from %r" % (value,))
-
-
-def cyclic_order(a: CirclePoint, b: CirclePoint, c: CirclePoint) -> Orientation:
-    """Orientation of the triple (a, b, c).
-
-    POSITIVE means walking the positive direction from a meets b strictly
-    before c. DEGENERATE means two of the arguments coincide.
-    """
-    if a == b or b == c or a == c:
-        return Orientation.DEGENERATE
-    if (a < b and b < c) or (b < c and c < a) or (c < a and a < b):
-        return Orientation.POSITIVE
-    return Orientation.NEGATIVE
-
-
-class OrientedInterval:
-    """Interval from a to b in the positive direction, with endpoint flags.
-
-    Degenerate conventions: the open interval (a, a) is the complement of
-    the single point a, while any interval from a to a that includes an
-    endpoint is the whole circle.
-    """
-
-    __slots__ = ("a", "b", "closed_a", "closed_b")
-
-    def __init__(self, a, b, closed_a: bool = False, closed_b: bool = False):
-        self.a = point(a)
-        self.b = point(b)
-        self.closed_a = closed_a
-        self.closed_b = closed_b
-
-    def __contains__(self, x) -> bool:
-        x = point(x)
-        if self.a == self.b:
-            if self.closed_a or self.closed_b:
-                return True
-            return x != self.a
-        if x == self.a:
-            return self.closed_a
-        if x == self.b:
-            return self.closed_b
-        return cyclic_order(self.a, x, self.b) is Orientation.POSITIVE
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrientedInterval):
-            return NotImplemented
-        return (self.a, self.b, self.closed_a, self.closed_b) == (
-            other.a, other.b, other.closed_a, other.closed_b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.closed_a, self.closed_b))
-
-    def __repr__(self) -> str:
-        left = "[" if self.closed_a else "("
-        right = "]" if self.closed_b else ")"
-        return "%s%s, %s%s" % (left, self.a, self.b, right)
-
-
-def open_interval(a, b) -> OrientedInterval:
-    return OrientedInterval(a, b)
-
-
-def in_interval(x: CirclePoint, interval: OrientedInterval) -> bool:
-    return x in interval
 
 
 class CircleSet:
@@ -325,13 +230,13 @@ class CircleSet:
 
 
 def complementary_intervals(a_set: CircleSet) -> list:
-    """Open arcs between cyclically consecutive points, in cyclic order.
+    """Open arcs between cyclically consecutive points, in cyclic order, as
+    (start, end) pairs running in the positive direction.
 
-    A singleton yields the single open interval (a, a), the complement of a.
+    A singleton yields the single arc (a, a), the complement of a.
     """
     pts = a_set.points
-    m = len(pts)
-    return [OrientedInterval(pts[t], pts[(t + 1) % m]) for t in range(m)]
+    return list(zip(pts, pts[1:] + pts[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +342,6 @@ def rank_counts(a: tuple, b: tuple) -> tuple:
     c2 = len({bisect_left(b, x) % k for x in a})
     c3, c4 = _runs(a, b)
     return c1, c2, c3, c4
-
-
-def rank_mixed(a: tuple, b: tuple) -> int:
-    """Complementary intervals of the union of disjoint a and b that run from
-    one to the other, in either direction (c3 + c4)."""
-    a_to_b, b_to_a = _runs(a, b)
-    return a_to_b + b_to_a
 
 
 def agreed_link_number(counts: tuple, z=None) -> int:

@@ -280,11 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--point", required=True, help="\"x,y\" with rational entries like -13/17,10/17")
     # let --point values with a leading minus (negative rationals) parse as
-    # values instead of option strings
-    matcher = re.compile(r"^-\d[\d/.,-]*$")
-    for sp in (parser, p):
-        if hasattr(sp, "_negative_number_matcher"):
-            sp._negative_number_matcher = matcher
+    # values instead of option strings; the top-level parser hands every
+    # argument after the command name to this one unclassified
+    p._negative_number_matcher = re.compile(r"^-\d[\d/.,-]*$")
     p.set_defaults(func=cmd_straighten)
 
     p = sub.add_parser("render", help="write input and straightened SVG files")

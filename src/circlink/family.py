@@ -26,7 +26,6 @@ from .circle import (
     complementary_intervals,
     rank_counts,
     rank_linked,
-    rank_mixed,
     rank_separates,
     rank_table,
 )
@@ -662,23 +661,17 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
 def prong_count(fp: FamilyPair, z: tuple) -> int:
     """Number of prongs at an interior Z-point: twice its linking number.
 
-    The count is the number of mixed complementary intervals of the union
-    (those running from one set to the other, in either direction), checked
-    against the index's linking number: InvariantViolation carries both
-    when the count is not 2 * n. That n comes from agreed_link_number on the
-    same ranks, which demands c3 = c4 = n, so a count is always 2 n(z) and
-    check_equivariance compares linking numbers instead.
+    The prongs are the mixed complementary intervals of the union, those
+    running from one set to the other in either direction: c3 + c4 of the
+    four interval counts. agreed_link_number made the index's n(z) only once
+    c3 = c4 = n, so the count is 2 n(z) and check_equivariance compares
+    linking numbers instead.
     """
-    index = fp.index
-    interior = index.interior
-    if tuple(z) not in interior:
-        raise NotInteriorError(tuple(z))
-    i, j = z
-    n = interior[(i, j)]
-    mixed = rank_mixed(index.ranks("plus")[i], index.ranks("minus")[j])
-    if mixed != 2 * n:
-        raise InvariantViolation("mixed intervals = 2n", (mixed, n), (i, j))
-    return mixed
+    z = tuple(z)
+    interior = fp.index.interior
+    if z not in interior:
+        raise NotInteriorError(z)
+    return 2 * interior[z]
 
 
 class NestingEntry(Frozen):
@@ -767,8 +760,8 @@ def nesting_report(fp: FamilyPair) -> NestingReport:
         head = list(accumulate(least, min, initial=none))
         tail = list(accumulate(reversed(least), min, initial=none))[::-1]
         for e, lam in enumerate(sets):
-            intervals = complementary_intervals(fp.family(name)[e])
-            for g, interval in enumerate(intervals):
+            arcs = complementary_intervals(fp.family(name)[e])
+            for g, (a, b) in enumerate(arcs):
                 if g + 1 < len(lam):
                     best = none
                     q, stop = start[lam[g] + 1], start[lam[g + 1]]
@@ -778,6 +771,6 @@ def nesting_report(fp: FamilyPair) -> NestingReport:
                 else:
                     best = min(head[start[lam[0]]], tail[start[lam[-1] + 1]])
                 separator = best if best < none else None
-                entries.append(NestingEntry(name, e, interval.a, interval.b,
-                                            separator is not None, separator))
+                entries.append(NestingEntry(name, e, a, b, separator is not None,
+                                            separator))
     return NestingReport(entries)

@@ -203,8 +203,8 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     permutation must preserve the especial disc and match the disc of the
     transformed pair (four DiscMismatch clauses), and sampled cell points
     must straighten equivariantly (StraightenMismatch). Prong counts need
-    no clause: prong_count(fp, z) is 2 n(z) or raises, so counts differing
-    at z and g z mean n(z) != n(g z), which interior-permutation reports.
+    no clause: prong_count(fp, z) is 2 n(z), so counts differing at z and
+    g z mean n(z) != n(g z), which interior-permutation reports.
 
     A family's hulls are pairwise disjoint, so a point strictly inside the
     disc straightens to an interior Z-point (i, j) exactly when it lies in

@@ -16,9 +16,10 @@ from circlink import (
     GroupOrderNotTotalError,
     NotLinearlyOrderedError,
 )
-from circlink.circle import complementary_intervals, rank_gap, rank_separates
+from circlink.circle import rank_gap, rank_separates
 from circlink.family import NestingEntry, NestingReport, _check_index, _meet_or_link
 from circlink.straighten import VIRTUAL
+from pointwise_oracle import arcs
 
 
 def especial_disc(fp) -> EspecialDisc:
@@ -53,8 +54,7 @@ def nesting_report(fp) -> NestingReport:
                 # family validity forces every other element into one gap
                 assert len(gaps) == 1
                 buckets[gaps.pop()].append(k)
-            intervals = complementary_intervals(fp.family(name)[e])
-            for g, interval in enumerate(intervals):
+            for g, (a, b) in enumerate(arcs(fp.family(name)[e])):
                 inside = buckets[g]
                 separator = None
                 for k in inside:
@@ -64,8 +64,8 @@ def nesting_report(fp) -> NestingReport:
                             break
                     if separator is not None:
                         break
-                entries.append(NestingEntry(name, e, interval.a, interval.b,
-                                            separator is not None, separator))
+                entries.append(NestingEntry(name, e, a, b, separator is not None,
+                                            separator))
     return NestingReport(entries)
 
 

@@ -5,6 +5,9 @@ This module keeps the earlier implementation, which compares CirclePoint
 objects directly, together with the all-pairs validation and classification
 loops built on it. The tests run both and require identical answers, so the
 rank kernels never drift from the definitions they stand for.
+
+cyclic_sign, in_open_arc and arcs define the cyclic order from scratch, on
+Fraction values with INF greatest, and never compare two CirclePoints.
 """
 
 from bisect import bisect_left
@@ -12,6 +15,36 @@ from itertools import accumulate
 
 from circlink import CircleSet, EspecialDisc, NotDisjointError
 from circlink.family import Violation
+
+
+def value(p) -> tuple:
+    """The linear order of the circle: a point's Fraction value, INF last."""
+    return (1, 0) if p.is_infinite else (0, p.frac)
+
+
+def cyclic_sign(a, b, c) -> int:
+    """1 when the positive direction from a meets b strictly before c, -1
+    when it meets c first, 0 when two of the points coincide."""
+    x, y, z = value(a), value(b), value(c)
+    if x == y or y == z or x == z:
+        return 0
+    # the rotations of the increasing triple are the positive ones
+    return 1 if x < y < z or y < z < x or z < x < y else -1
+
+
+def in_open_arc(x, a, b) -> bool:
+    """x lies on the open arc from a to b; the arc from a to a is the circle
+    without a."""
+    if value(a) == value(b):
+        return value(x) != value(a)
+    return cyclic_sign(a, x, b) == 1
+
+
+def arcs(a_set: CircleSet) -> list:
+    """The open arcs between cyclically consecutive points of a set, as
+    (start, end) pairs from the least finite point on."""
+    pts = sorted(a_set.points, key=value)
+    return list(zip(pts, pts[1:] + pts[:1]))
 
 
 def gap_index(a_set: CircleSet, x) -> int:

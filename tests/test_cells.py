@@ -7,7 +7,6 @@ other and shares none of that code.
 """
 
 import cProfile
-import os
 import pstats
 import subprocess
 import sys
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from childenv import child_env
 from circlink import (
     CircleSet,
     FamilyPair,
@@ -30,9 +30,6 @@ from circlink import (
 )
 from circlink.generators import random_circle_map
 from test_locate import KINDS, drawn_pair, to_inf
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
 def assert_cells_match_clipping(fp):
@@ -133,7 +130,7 @@ def test_walk_that_does_not_close_raises(flags):
     # a walk told fewer rounds than the pair alternates does not close, one
     # told more closes early, and an unlinked pair's walk closes after one
     # round: a linked cell needs at least two.
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = child_env()
     proc = subprocess.run([sys.executable] + flags + ["-c", OPEN_WALK],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

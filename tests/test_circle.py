@@ -1,10 +1,11 @@
 """Circle-level predicates against brute-force oracles.
 
-The oracles here only use cyclic_order and interval membership, never the
-prefix-sum or gap-index shortcuts used by the library, so agreement is
-meaningful.
+The oracles here only use pointwise_oracle's cyclic sign and open-arc
+membership, computed from Fraction values, never the library's point order
+or its rank kernels, so agreement is meaningful.
 """
 
+import operator
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -17,18 +18,14 @@ from circlink import (
     INF,
     CircleSet,
     NotDisjointError,
-    OrientedInterval,
-    Orientation,
     complementary_intervals,
-    cyclic_order,
-    in_interval,
     link_number,
     link_number_counts,
     linked,
-    open_interval,
     point,
     separates,
 )
+from pointwise_oracle import arcs, cyclic_sign, in_open_arc, value
 
 # ── oracles ──────────────────────────────────────────────────────────────
 
@@ -38,8 +35,8 @@ def oracle_linked(a_set, b_set):
         for b1, b2 in combinations(b_set.points, 2):
             if len({a1, a2, b1, b2}) < 4:
                 continue
-            s1 = cyclic_order(a1, b1, a2) is Orientation.POSITIVE
-            s2 = cyclic_order(a1, b2, a2) is Orientation.POSITIVE
+            s1 = cyclic_sign(a1, b1, a2) == 1
+            s2 = cyclic_sign(a1, b2, a2) == 1
             if s1 != s2:
                 return True
     return False
@@ -48,17 +45,17 @@ def oracle_linked(a_set, b_set):
 def oracle_link_number(a_set, b_set):
     """Count complementary intervals of A that meet B, via interval membership."""
     n = 0
-    for gap in complementary_intervals(a_set):
-        if any(in_interval(q, gap) for q in b_set.points):
+    for a, b in arcs(a_set):
+        if any(in_open_arc(q, a, b) for q in b_set.points):
             n += 1
     return n
 
 
 def oracle_separates(barrier, first, second):
-    homes_first = [t for t, gap in enumerate(complementary_intervals(barrier))
-                   if all(in_interval(p, gap) for p in first.points)]
-    homes_second = [t for t, gap in enumerate(complementary_intervals(barrier))
-                    if all(in_interval(p, gap) for p in second.points)]
+    homes_first = [t for t, (a, b) in enumerate(arcs(barrier))
+                   if all(in_open_arc(p, a, b) for p in first.points)]
+    homes_second = [t for t, (a, b) in enumerate(arcs(barrier))
+                    if all(in_open_arc(p, a, b) for p in second.points)]
     return bool(homes_first) and bool(homes_second) and homes_first != homes_second
 
 
@@ -77,64 +74,64 @@ def _disjoint(*xs):
     return True
 
 
-# ── cyclic order and intervals ───────────────────────────────────────────
+# ── the oracle's cyclic order ────────────────────────────────────────────
+# Every oracle below rests on these two functions, so they are pinned to the
+# circle's conventions here.
 
 def test_cyclic_order_examples():
-    assert cyclic_order(point(0), point(1), point(2)) is Orientation.POSITIVE
-    assert cyclic_order(point(0), point(1), INF) is Orientation.POSITIVE
-    assert cyclic_order(point(0), INF, point(1)) is Orientation.NEGATIVE
-    assert cyclic_order(point(3), point(3), point(5)) is Orientation.DEGENERATE
+    assert cyclic_sign(point(0), point(1), point(2)) == 1
+    assert cyclic_sign(point(0), point(1), INF) == 1
+    assert cyclic_sign(point(0), INF, point(1)) == -1
+    assert cyclic_sign(point(3), point(3), point(5)) == 0
 
 
 def test_cyclic_order_wraps_through_inf():
     # compactification: finite values in order, INF between largest and smallest
-    assert cyclic_order(point(3), INF, point(0)) is Orientation.POSITIVE
-    assert cyclic_order(INF, point(-5), point(5)) is Orientation.POSITIVE
+    assert cyclic_sign(point(3), INF, point(0)) == 1
+    assert cyclic_sign(INF, point(-5), point(5)) == 1
 
 
 @given(a=points, b=points, c=points)
 def test_cyclic_order_rotation_invariant(a, b, c):
-    assert cyclic_order(a, b, c) is cyclic_order(b, c, a)
+    assert cyclic_sign(a, b, c) == cyclic_sign(b, c, a)
 
 
 @given(a=points, b=points, c=points)
 def test_cyclic_order_swap_flips(a, b, c):
-    r = cyclic_order(a, b, c)
-    if r is Orientation.DEGENERATE:
-        assert cyclic_order(a, c, b) is Orientation.DEGENERATE
-    else:
-        assert cyclic_order(a, c, b) is not r
+    assert cyclic_sign(a, c, b) == -cyclic_sign(a, b, c)
 
 
 def test_in_interval_examples():
-    assert in_interval(point(Fraction(1, 2)), open_interval(0, 1))
-    assert not in_interval(point(0), open_interval(0, 0))
-    assert in_interval(point(1), open_interval(0, 0))
-    assert in_interval(INF, open_interval(3, 0))
+    assert in_open_arc(point(Fraction(1, 2)), point(0), point(1))
+    assert not in_open_arc(point(0), point(0), point(0))
+    assert in_open_arc(point(1), point(0), point(0))
+    assert in_open_arc(INF, point(3), point(0))
 
 
 def test_degenerate_interval_conventions():
-    from circlink import OrientedInterval
-    # [a, a] with either end closed is the whole circle
-    full = OrientedInterval(point(2), point(2), closed_a=True)
-    assert in_interval(point(2), full) and in_interval(INF, full)
-    punctured = open_interval(2, 2)
-    assert not in_interval(point(2), punctured)
-    assert in_interval(point(-7), punctured)
+    # the open arc from a to a, which a singleton's complement is, is the
+    # circle without a
+    assert not in_open_arc(point(2), point(2), point(2))
+    assert in_open_arc(point(-7), point(2), point(2))
+    assert in_open_arc(INF, point(2), point(2))
 
+
+# ── complementary intervals ──────────────────────────────────────────────
 
 def test_complementary_intervals_examples():
-    assert complementary_intervals(CircleSet([0])) == [open_interval(0, 0)]
-    assert complementary_intervals(CircleSet([0, 1])) == [open_interval(0, 1), open_interval(1, 0)]
+    p = {k: point(k) for k in range(5)}
+    assert complementary_intervals(CircleSet([0])) == [(p[0], p[0])]
+    assert complementary_intervals(CircleSet([1, 0])) == [(p[0], p[1]), (p[1], p[0])]
     assert complementary_intervals(CircleSet([0, 2, 4])) == [
-        open_interval(0, 2), open_interval(2, 4), open_interval(4, 0)]
+        (p[0], p[2]), (p[2], p[4]), (p[4], p[0])]
+    assert complementary_intervals(CircleSet([INF, 3])) == [(p[3], INF), (INF, p[3])]
 
 
 @given(a_set=sets, x=points)
 def test_complementary_intervals_partition(a_set, x):
     gaps = complementary_intervals(a_set)
-    assert len(gaps) == len(a_set)
-    hits = sum(1 for gap in gaps if in_interval(x, gap))
+    assert gaps == arcs(a_set)
+    hits = sum(1 for a, b in gaps if in_open_arc(x, a, b))
     if x in a_set:
         assert hits == 0
     else:
@@ -230,13 +227,13 @@ def test_gap_index_agrees_with_intervals(a_set, x):
             a_set.gap_index(x)
     else:
         t = a_set.gap_index(x)
-        assert in_interval(x, gaps[t])
+        assert in_open_arc(x, *gaps[t])
 
 
 @pytest.mark.parametrize("x", [3, 4, 0, -1])
 def test_gap_index_and_interval_coerce_like_membership(x):
     # an int, its string, its Fraction and its CirclePoint are one point to
-    # CircleSet.__contains__, and so to gap_index and interval membership
+    # CircleSet.__contains__, and so to gap_index
     spellings = [x, str(x), Fraction(x), point(x)]
     a_set = CircleSet([0, 2, 4])
 
@@ -248,42 +245,29 @@ def test_gap_index_and_interval_coerce_like_membership(x):
 
     assert len({y in a_set for y in spellings}) == 1
     assert len({gap(y) for y in spellings}) == 1
-    closed = OrientedInterval(point(0), point(4), closed_a=True)
-    for interval in (open_interval(0, 5), open_interval(4, 4), closed):
-        assert len({y in interval for y in spellings}) == 1
     half = [Fraction(7, 2), "7/2", point("7/2")]
     assert {a_set.gap_index(y) for y in half} == {1}
-    assert {y in open_interval(0, 5) for y in half} == {True}
 
 
-def spellings(p):
-    """p as each operand type that point() coerces."""
+def other_spellings(p):
+    """p as each operand type that point() coerces, but a CirclePoint."""
     if p.is_infinite:
-        return [p, "inf"]
-    return [p, str(p), p.frac] + ([p.num] if p.den == 1 else [])
+        return ["inf"]
+    return [str(p), p.frac] + ([p.num] if p.den == 1 else [])
 
 
-@given(a=points, b=points, point_on_left=st.booleans(), data=st.data())
-def test_order_matches_fractions_over_mixed_operands(a, b, point_on_left, data):
-    # one side is a CirclePoint, the other any spelling of a point; the
-    # order is the Fraction order with INF greatest
-    if point_on_left:
-        x, y = a, data.draw(st.sampled_from(spellings(b)))
-    else:
-        x, y = data.draw(st.sampled_from(spellings(a))), b
-
-    def key(p):
-        return (1, 0) if p.is_infinite else (0, p.frac)
-
-    ka, kb = key(a), key(b)
-    assert ((x < y), (x <= y), (x > y), (x >= y)) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
-
-
-def test_order_with_an_int_neither_recurses_nor_fails():
-    assert point(2) > 0 and 0 < point(2) and not point(2) < 0 and point(2) <= 3
-    assert 2 in OrientedInterval(0, 4) and "5" not in OrientedInterval("0", 4)
-    with pytest.raises(TypeError):
-        point(2) < 2.5
+@given(a=points, b=points, data=st.data())
+def test_order_matches_fractions_over_mixed_operands(a, b, data):
+    # between two CirclePoints the order is the Fraction order with INF
+    # greatest; a CirclePoint and any other spelling of a point, on either
+    # side, are unordered: a TypeError, never a RecursionError
+    ka, kb = value(a), value(b)
+    assert ((a < b), (a <= b), (a > b), (a >= b)) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    y = data.draw(st.sampled_from(other_spellings(b)))
+    for left, right in ((a, y), (y, a)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 # any size, and denominators that are multiples of the hash modulus, which
@@ -309,7 +293,7 @@ def test_equality_and_hash_match_fractions(f, g):
 
 
 def test_a_point_equals_its_int_as_it_orders():
-    assert point(2) == 2 and 2 == point(2) and point(2) <= 2 and point(2) >= 2
+    assert point(2) == 2 and 2 == point(2) and point(2) <= point("4/2") <= point(2)
     assert point(-1) == -1 and hash(point(-1)) == hash(-1) == -2
     assert {point(2), 2, Fraction(2), point("4/2")} == {2}
 

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from childenv import child_env
 from circlink import (
     DisjointLinked,
     FamilyPair,
@@ -26,9 +27,6 @@ from circlink import (
 )
 from circlink.cli import main
 from circlink.generators import random_circle_map
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -238,7 +236,7 @@ def _cli_process(*argv):
     # instead of hanging the suite
     proc = subprocess.run([sys.executable, "-m", "circlink"] + list(argv),
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          env=child_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -557,7 +555,7 @@ def test_cli_import_skips_xml_and_urllib():
     code = ("import sys, circlink.cli; "
             "print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -570,7 +568,7 @@ def test_help_in_a_fresh_process(command):
     # modules cli imports at load time
     proc = subprocess.run([sys.executable, "-m", "circlink"] + command + ["--help"],
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: circlink")
 
@@ -579,7 +577,7 @@ def _cli_run(tmp_path, flags):
     # validate, classify, disc and render on two fixtures in a fresh process
     # each; returns every stdout and every SVG, as bytes
     out = {}
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = child_env()
     for name, fp in (("grid6", gen_grid(6)), ("nested", nested_pair(3, 0))):
         work = tmp_path / name
         work.mkdir()

@@ -11,11 +11,11 @@ import sys
 
 import pytest
 
+from childenv import child_env
 from circlink import cli, gen_grid, nested_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-ENV = dict(os.environ, PYTHONPATH=SRC)
+ENV = child_env()
 SVGS = ("pic-input.svg", "pic-straightened.svg")
 
 

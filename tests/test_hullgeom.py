@@ -20,11 +20,9 @@ from circlink import (
     CircleSet,
     ConvexCell,
     MalformedInputError,
-    Orientation,
     OutsideDiscError,
     PlanePoint,
     cell_intersection,
-    cyclic_order,
     gen_figure,
     gen_grid,
     gen_star,
@@ -52,6 +50,7 @@ from circlink.hullgeom import (
     _seg_seg,
 )
 from plane_oracle import fraction_mean, lcm_mean
+from pointwise_oracle import cyclic_sign
 
 F = Fraction
 
@@ -101,7 +100,7 @@ def test_param_preserves_cyclic_order():
 
     pts = [point(0), point(1), point(-2), point(F(1, 2)), INF, point(5), point(F(-8, 3))]
     for a, b, c in combinations(pts, 3):
-        want = cyclic_order(a, b, c) is Orientation.POSITIVE
+        want = cyclic_sign(a, b, c) == 1
         got = ccw(param_to_point(a), param_to_point(b), param_to_point(c)) > 0
         assert want == got
 

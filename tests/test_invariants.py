@@ -14,8 +14,8 @@ from collections import Counter
 
 import pytest
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
+from childenv import SRC, child_env
+
 
 PRELUDE = """
 from circlink import (CircleMap, CircleSet, CirclinkError, ConvexCell, EspecialDisc,
@@ -57,7 +57,7 @@ CHECKS = [
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["normal", "optimized"])
 @pytest.mark.parametrize("check,call,printed", CHECKS, ids=[c[0] for c in CHECKS])
 def test_invariant_is_a_typed_check(check, call, printed, flags):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = child_env()
     proc = subprocess.run([sys.executable] + flags + ["-c", PRELUDE.format(call=call)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,6 @@ tested every hull of both families for every query and required at most one
 hit per family.
 """
 
-import os
 import random
 import subprocess
 import sys
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from childenv import child_env
 from circlink import (
     INF,
     CircleMap,
@@ -38,8 +38,6 @@ from circlink import hullgeom, straighten
 from circlink.generators import random_circle_map
 from circlink.hullgeom import _cell_contains_h, _h_in_disc, _param_position, in_hull
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
 F = Fraction
 
 
@@ -258,7 +256,7 @@ except InvariantViolation as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_overlap_check_holds_with_and_without_optimisation(flags):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = child_env()
     proc = subprocess.run([sys.executable] + flags + ["-c", OVERLAP_CHECK],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

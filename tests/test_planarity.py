@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossing_oracle
+from childenv import child_env
 from circlink import (
     CircleSet,
     PlanePoint,
@@ -46,7 +47,6 @@ from plane_oracle import FractionPoint, crossings_by_pairs, segments_cross
 from test_locate import KINDS, drawn_pair
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 # the pairs of the scratch census (drawn_pair kinds x 60 seeds,
 # random_family_pair 0-299, gen_figure, nested_pair depths 1-4) in which a
@@ -373,7 +373,7 @@ print(sum(got), len(got))
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_planarity_under_flags(flags):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS)))
+    env = child_env(TESTS)
     proc = subprocess.run([sys.executable] + flags + ["-c", UNDER_FLAGS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointwise_oracle as oracle
+from childenv import child_env
 from circlink import (
     INF,
     CircleSet,
@@ -40,7 +41,6 @@ from circlink import (
     linked,
     nested_pair,
     point,
-    prong_count,
     random_family_pair,
     separates,
     validate,
@@ -50,7 +50,6 @@ from circlink.circle import (
     rank_counts,
     rank_gap,
     rank_linked,
-    rank_mixed,
     rank_separates,
     rank_table,
 )
@@ -58,7 +57,6 @@ from circlink.cli import main
 from circlink.generators import random_circle_map
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
 
 # a small pool, so that random sets often share points
 POOL = list(dict.fromkeys(point(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2))) + [INF]
@@ -92,7 +90,6 @@ def test_linked_and_counts_match_oracle(a_set, b_set):
     if not a_set.intersection(b_set):
         counts = oracle.link_number_counts(a_set, b_set)
         assert rank_counts(a, b) == counts
-        assert rank_mixed(a, b) == counts[2] + counts[3]
         assert link_number(a_set, b_set) == counts[0]
 
 
@@ -317,15 +314,6 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
 
 # ── typed invariants ─────────────────────────────────────────────────────
 
-def test_prong_count_raises_typed_violation_on_wrong_link_number(monkeypatch):
-    # three mixed runs on each side where the index's n is 2
-    monkeypatch.setattr(family, "rank_mixed", lambda a, b: 6)
-    with pytest.raises(InvariantViolation) as info:
-        prong_count(gen_grid(2), (0, 1))
-    assert info.value.counts == (6, 2)
-    assert info.value.z == (0, 1)
-
-
 def test_disagreeing_counts_raise_typed_violation(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(circle, "rank_counts", lambda a, b: (2, 2, 2, 3))
     with pytest.raises(InvariantViolation) as info:
@@ -344,10 +332,10 @@ def test_disagreeing_counts_raise_typed_violation(monkeypatch, tmp_path, capsys)
 
 
 OPTIMISED_CHECK = """
-from circlink import InvariantViolation, family, gen_grid, prong_count
-family.rank_mixed = lambda a, b: 6
+from circlink import InvariantViolation, especial_disc, family, gen_grid
+family.rank_counts = lambda a, b: (1, 1, 2, 2)
 try:
-    prong_count(gen_grid(2), (0, 1))
+    especial_disc(gen_grid(2))
 except InvariantViolation as exc:
     print(exc.counts, exc.z)
 """
@@ -355,8 +343,8 @@ except InvariantViolation as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_invariant_holds_with_and_without_optimisation(flags):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = child_env()
     proc = subprocess.run([sys.executable] + flags + ["-c", OPTIMISED_CHECK],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(6, 2) (0, 1)\n"
+    assert proc.stdout == "(1, 1, 2, 2) (0, 0)\n"

@@ -10,9 +10,9 @@ import sys
 import pytest
 
 import circlink
+from childenv import SRC, child_env
 from circlink import nested_pair
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Imported by no command given integers and p/q: dataclasses pulls in
 # inspect, ast, dis and tokenize; render escapes text itself instead of
@@ -29,7 +29,7 @@ def _fresh(code, *args):
     modules) and return the JSON on its last stdout line."""
     proc = subprocess.run([sys.executable, "-S", "-c", code] + list(args),
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -139,7 +139,7 @@ def test_value_contract_holds_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            os.path.join(tests, "test_values.py")],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          env=child_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

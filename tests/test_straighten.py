@@ -1,13 +1,13 @@
 """Straightening map, layout, leaf trees, and the quotient report."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from childenv import child_env
 from circlink import (
     CircleMap,
     CircleSet,
@@ -34,7 +34,6 @@ from circlink.straighten import VIRTUAL, result_to_json
 from plane_oracle import fraction_mean
 
 F = Fraction
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def pp(x, y):
@@ -347,7 +346,7 @@ except InvariantViolation as exc:
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_layout_collision_is_a_typed_violation(flags):
     # the check is not an assert, so it holds under -O as well
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = child_env()
     proc = subprocess.run([sys.executable] + flags + ["-c", COLLIDING_LAYOUT],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

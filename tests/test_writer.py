@@ -3,7 +3,6 @@ indent=2) byte for byte, without the json module's pure-Python encoder."""
 
 import enum
 import json
-import os
 import subprocess
 import sys
 
@@ -11,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from childenv import child_env
 from circlink.cli import _dumps
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def oracle(value):
@@ -145,7 +143,7 @@ print(json.dumps(report))
 def test_commands_never_run_the_json_encoder(tmp_path, flags):
     proc = subprocess.run([sys.executable] + flags + ["-c", PROBE, str(tmp_path)],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert [code for _, code, _, _ in report] == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0]
