@@ -114,6 +114,9 @@ def _load_json(path: str):
             text = fh.read()
     except OSError as exc:
         raise MalformedInputError("cannot read %s: %s" % (path, exc.strerror), path) from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError("%s is not UTF-8: byte 0x%02x at offset %d"
+                                  % (path, exc.object[exc.start], exc.start), path) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -224,11 +227,9 @@ def cmd_render(args) -> int:
     fp = _load_pair(args.file)
     input_path = args.out + "-input.svg"
     straight_path = args.out + "-straightened.svg"
-    # both pictures read one build of the linked cells, freed before the
-    # second; each streams into its file element by element
-    with fp.index.keep_cells():
-        sd = layout(fp)
-        _atomic_write(input_path, lambda write: _write_input(fp, opts, write))
+    # each picture streams into its file element by element
+    sd = layout(fp)
+    _atomic_write(input_path, lambda write: _write_input(fp, opts, write))
     _atomic_write(straight_path, lambda write: _write_straightened(sd, opts, write))
     _emit({"written": [input_path, straight_path]})
     return 0

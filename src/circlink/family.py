@@ -7,14 +7,15 @@ two families produces the finite analogue of a decomposition disc: interior
 points are the disjoint linked pairs, boundary points the intersecting ones.
 
 Everything derived from one pair (the rank table, the disc, its lookup maps,
-the fibers, the hulls and the linked cells) lives in the pair's PairIndex,
-built on first use and at most once, so every stage reads one copy instead
-of rebuilding it. Predicates run on the rank tuples of the table.
+the laminar forests, the vertex triples and the linked cells) lives in the
+pair's PairIndex, built on first use and kept as long as the pair, so every
+stage reads one copy instead of rebuilding it. Predicates run on the rank
+tuples of the table.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import re
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Optional, Sequence, Union
@@ -171,7 +172,18 @@ class FamilyPair:
                         or len(labels) != len(sets)
                         or not all(isinstance(x, str) for x in labels)):
                     raise MalformedInputError("%s must list one string per element" % name, "$.%s" % name)
+                for k, label in enumerate(labels):
+                    bad = re.search(_NOT_XML_CHAR, label)
+                    if bad:
+                        raise MalformedInputError(
+                            "label holds U+%04X, which XML 1.0 cannot hold" % ord(bad.group()),
+                            "$.%s[%d]" % (name, k))
         return validate(plus, minus, plus_labels, minus_labels)
+
+
+# a character outside XML 1.0's Char production, which the input picture's
+# text elements cannot hold; compiled by re on the first labelled pair
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _within_family_violations(index: "PairIndex", name: str) -> list:
@@ -489,25 +501,21 @@ class LaminarForest:
 class PairIndex:
     """What the stages share about one family pair, each piece built once.
 
-    Every piece is built on first use. points and ranks() are the rank
-    table: every distinct marked point of both families in circle order,
-    and each element as the sorted tuple of its ranks (validate builds it
-    for its within-family checks). The disc comes from especial_disc;
+    Every piece is built on first use and kept as long as the pair. points
+    and ranks() are the rank table: every distinct marked point of both
+    families in circle order, and each element as the sorted tuple of its
+    ranks (validate builds it for its within-family checks). The disc comes
+    from especial_disc, and its fiber() gives the Z-points of one element;
     interior and boundary map (i, j) to the linking number and to the shared
-    circle point; fiber() gives the Z-points of one element (the disc's
-    fibers); forest() gives how one family's sets nest, which point
+    circle point; forest() gives how one family's sets nest, which point
     location also reads, triples() the point of each rank in the plane and
-    hulls() one family's convex hulls, each built once. Maps are read-only
+    cells() the linked cell of every interior Z-point. Maps are read-only
     views and sequences are tuples, so no consumer can change what the
     others read.
-
-    The linked cells are the largest piece, so the index keeps them only
-    while a keep_cells() block is open; outside one, cells() builds them
-    for its caller alone.
     """
 
     __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_forests",
-                 "_triples", "_hulls", "_cells", "_cell_keepers")
+                 "_triples", "_cells")
 
     def __init__(self, fp: FamilyPair):
         self.fp = fp
@@ -517,9 +525,7 @@ class PairIndex:
         self._boundary = None
         self._forests = {}
         self._triples = None
-        self._hulls = None
         self._cells = None
-        self._cell_keepers = 0
 
     def _rank_table(self) -> tuple:
         if self._table is None:
@@ -555,10 +561,6 @@ class PairIndex:
             self._boundary = MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
         return self._boundary
 
-    def fiber(self, family: str, element: int) -> tuple:
-        """The Z-points with the given component, sorted; see fiber_plus."""
-        return self.disc.fiber(family, element)
-
     def forest(self, family: str) -> "LaminarForest":
         """How one family's sets nest (see LaminarForest), built once."""
         forest = self._forests.get(family)
@@ -574,36 +576,14 @@ class PairIndex:
             self._triples = tuple([_h_from_param(u) for u in self.points])
         return self._triples
 
-    def hulls(self, family: str) -> tuple:
-        """The convex hull of every element of one family, by index."""
-        if self._hulls is None:
-            # imported here because hullgeom imports this module
-            from .hullgeom import hull
-            self._hulls = {name: tuple(hull(s) for s in self.fp.family(name))
-                           for name in ("plus", "minus")}
-        return self._hulls[family]
-
     def cells(self) -> MappingProxyType:
-        """The linked cell of every interior Z-point (see linked_cells)."""
-        cells = self._cells
-        if cells is None:
+        """The linked cell of every interior Z-point, in (i, j) order (see
+        linked_cells)."""
+        if self._cells is None:
+            # imported here because hullgeom imports this module
             from .hullgeom import linked_cells
-            cells = MappingProxyType(linked_cells(self.fp, self.disc))
-            if self._cell_keepers:
-                self._cells = cells
-        return cells
-
-    @contextmanager
-    def keep_cells(self):
-        """Share one build of the linked cells among the calls in the block;
-        the index lets them go when the outermost block ends."""
-        self._cell_keepers += 1
-        try:
-            yield
-        finally:
-            self._cell_keepers -= 1
-            if not self._cell_keepers:
-                self._cells = None
+            self._cells = MappingProxyType(linked_cells(self.fp, self.disc))
+        return self._cells
 
 
 def fiber_plus(disc: EspecialDisc, i: int) -> list:

@@ -657,7 +657,8 @@ def _jump_cell(a: tuple, b: tuple, n: int, la: tuple, lb: tuple, z: tuple) -> Co
 
 
 def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
-    """The nonempty hull intersection for every interior Z-point.
+    """The nonempty hull intersection for every interior Z-point, keyed in
+    (i, j) order: the walk follows disc.interior, which is sorted.
 
     Rank tuples that alternate n times have n jump edges each, the edges
     whose arcs hold ranks of the other tuple. No vertex of one hull lies in

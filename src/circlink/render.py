@@ -124,18 +124,17 @@ def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, fill: str, opacity: 
 
 def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
     """The embedded picture: circle, hulls, and the shaded linked region."""
+    from .hullgeom import hull, param_to_point
+
     canvas = _Canvas(opts, write)
     canvas.boundary()
     for name, color in (("plus", opts.plus_color), ("minus", opts.minus_color)):
-        for i, h in enumerate(fp.index.hulls(name)):
-            _draw_cell(canvas, "hull-%s-%d" % (name, i), h, color, "none", 0)
-    cells = fp.index.cells()
-    for (i, j) in sorted(cells):
-        _draw_cell(canvas, "cell-%d-%d" % (i, j), cells[(i, j)], opts.region_color,
+        for i, s in enumerate(fp.family(name)):
+            _draw_cell(canvas, "hull-%s-%d" % (name, i), hull(s), color, "none", 0)
+    for (i, j), cell in fp.index.cells().items():
+        _draw_cell(canvas, "cell-%d-%d" % (i, j), cell, opts.region_color,
                    opts.region_color, 0.55)
     if opts.labels:
-        from .hullgeom import param_to_point
-
         for name, sets, color in (("plus", fp.plus, opts.plus_color),
                                   ("minus", fp.minus, opts.minus_color)):
             labels = fp.plus_labels if name == "plus" else fp.minus_labels

@@ -198,7 +198,7 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     Every predicate runs on the rank tuples of the pair's index.
     """
     index = fp.index
-    fiber = index.fiber(family, element)
+    fiber = index.disc.fiber(family, element)
     lam = index.ranks(family)[element]
     # a Z-point's opposite element is its component in the other family
     side = 1 if family == "plus" else 0
@@ -421,7 +421,7 @@ def _leaf_crossings(index, leaves_plus, leaves_minus, position) -> list:
                           if u == VIRTUAL or not forest.neighbours(sets, u[side], v[side])]
             if not open_edges:
                 continue
-            fiber = [z for z in index.fiber(family, el) if len(sets[z[side]]) > 1]
+            fiber = [z for z in index.disc.fiber(family, el) if len(sets[z[side]]) > 1]
             if leaf.virtual_count:
                 h = position(family, el, VIRTUAL)._h
                 X, Y, D = h
@@ -481,10 +481,7 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     """
     index = fp.index
     disc = index.disc
-    cells = index.cells()
-    lay = {}
-    for z in sorted(cells):
-        lay[z] = cells[z].barycenter()
+    lay = {z: cell.barycenter() for z, cell in index.cells().items()}
     anchors = {}
     for i, j, s in disc.boundary:
         lay[(i, j)] = param_to_point(s)
@@ -559,8 +556,7 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
     failures = []
     sampled = 0
     holds = _cell_hulls_test(index) if cells else None
-    for z in sorted(cells):
-        cell = cells[z]
+    for z, cell in cells.items():
         hs = cell._h
         last = got = None
         for h in hs + (_h_mean(hs),):

@@ -245,8 +245,7 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
 
     cells = index.cells()
     holds = _cell_hulls_test(index) if cells else None
-    for (i, j) in sorted(cells):
-        cell = cells[(i, j)]
+    for (i, j), cell in cells.items():
         target = (perm_plus[i], perm_minus[j])
         hs = cell._h
         # a point cell's barycenter is its vertex

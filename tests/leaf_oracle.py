@@ -18,7 +18,7 @@ def leaf_graph(fp, family: str, element: int) -> LeafGraph:
     Every predicate runs on the rank tuples of the pair's index.
     """
     index = fp.index
-    fiber = index.fiber(family, element)
+    fiber = index.disc.fiber(family, element)
     lam = index.ranks(family)[element]
     if family == "plus":
         opp_sets = index.ranks("minus")

@@ -33,7 +33,6 @@ from circlink import (
     validate,
 )
 from circlink import hullgeom, symmetry
-from circlink.family import PairIndex
 
 NEG_RECIPROCAL = CircleMap(0, -1, 1, 0)  # u -> -1/u
 
@@ -203,8 +202,8 @@ def test_layout_collision_raises_alone(monkeypatch):
 
 def test_leaf_tree_raises_alone(monkeypatch):
     # a fiber listing its one Z-point twice chains it to itself
-    real = PairIndex.fiber
-    monkeypatch.setattr(PairIndex, "fiber", lambda index, family, k: real(index, family, k) * 2)
+    real = EspecialDisc.fiber
+    monkeypatch.setattr(EspecialDisc, "fiber", lambda disc, family, k: real(disc, family, k) * 2)
     fp = validate([CircleSet([0, 3])], [CircleSet([2, 5])])
     with pytest.raises(InvariantViolation) as info:
         leaf_graph(fp, "plus", 0)

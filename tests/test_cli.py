@@ -122,6 +122,31 @@ def test_deeply_nested_json_is_malformed(tmp_path, capsys):
         assert err["message"].startswith("invalid JSON: ")
 
 
+def test_file_that_is_not_utf8_is_malformed(tmp_path, capsys):
+    # byte 0xff starts no UTF-8 sequence; as a pair and as a map
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"plus": [["0", "2"]], "minus": [["1", "3"]], "plus_labels": ["\xff"]}')
+    pair = write_pair(tmp_path, "grid.json", GRID2)
+    for argv in (["validate", str(bad)], ["equivariance", pair, "--map", str(bad)]):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        err = json.loads(out)
+        assert (err["error"], err["location"]) == ("malformed-input", str(bad))
+        assert "not UTF-8" in err["message"]
+
+
+@pytest.mark.parametrize("key", ["plus_labels", "minus_labels"])
+@pytest.mark.parametrize("label", ["a\u0001b", "a\ud800b", "\ufffe"],
+                         ids=["control", "surrogate", "nonchar"])
+def test_labels_outside_xml_chars_are_malformed(tmp_path, capsys, key, label):
+    path = write_pair(tmp_path, "p.json", dict(GRID2, **{key: ["ok", label]}))
+    code, out = run(capsys, "render", path, "--out", str(tmp_path / "pic"), "--labels")
+    assert code == 2
+    err = json.loads(out)
+    assert (err["error"], err["location"]) == ("malformed-input", "$.%s[1]" % key)
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
 def test_missing_file(capsys):
     code, out = run(capsys, "validate", "/nonexistent/nothing.json")
     assert code == 2

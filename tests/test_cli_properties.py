@@ -6,7 +6,8 @@ of the wrong type, deep and huge values, wire rationals in every spelling
 pairs with inf, random positive-determinant maps and random --point values.
 Whatever the input, the exit code is 0, 1 or 2, stdout holds exactly one
 JSON document, nothing escapes main as an exception and stderr shows no
-traceback; each example meets a deadline. An exit of 1 with an "error"
+traceback; each example meets a deadline. Every SVG a successful render
+writes parses as XML. An exit of 1 with an "error"
 document names a typed error, GroupOrderNotTotalError among them, which
 render still raises on some valid pairs with shared marked points. No
 assert in the library is relied on, so the module also runs under python -O.
@@ -18,6 +19,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from xml.dom import minidom
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -209,12 +211,18 @@ def test_equivariance_answers_any_pair_and_map(pair, map_doc):
 @given(pair_text, st.sampled_from([[], ["--labels"], ["--width", "40"], ["--width", "47"],
                                    ["--height", "1", "--width", "1000"]]))
 @example('{"plus": [["0", "2", "4"]], "minus": [["1", "3", "5"]]}', ["--labels"])
+@example('{"plus": [["0", "2"]], "minus": [["1", "3"]], "plus_labels": ["a\\u0001b"]}',
+         ["--labels"])
+@example('{"plus": [["0", "2"]], "minus": [["1", "3"]], "plus_labels": ["a\\ud800b"]}',
+         ["--labels"])
 def test_render_answers_any_pair(pair, flags):
     with tempfile.TemporaryDirectory() as d:
         pair_path, _ = _files(d, pair)
         code, doc = check(["render", pair_path, "--out", os.path.join(d, "pic")] + flags)
         if code == 0:
-            assert all(os.path.isfile(p) for p in doc["written"])
+            # both pictures are well-formed XML
+            for path in doc["written"]:
+                minidom.parse(path).unlink()
         assert not [n for n in os.listdir(d) if n.startswith(".circlink-")]
 
 

@@ -20,7 +20,7 @@ from circlink import (
     validate,
 )
 
-from test_locate import locate_by_scan
+from test_locate import family_hulls, locate_by_scan
 
 DEPTH = 4000
 F = Fraction
@@ -63,7 +63,7 @@ def test_points_on_chords_at_every_depth(chain, k):
     for p in pts:
         assert locate(chain, p) == locate_by_scan(chain, p) == (k - 1, None)
     # where the minus chord crosses chord k, both hulls hold the point
-    meet = cell_intersection(chain.index.hulls("plus")[k - 1], chain.index.hulls("minus")[0])
+    meet = cell_intersection(family_hulls(chain, "plus")[k - 1], family_hulls(chain, "minus")[0])
     p = meet.vertices[0]
     assert locate(chain, p) == locate_by_scan(chain, p) == (k - 1, 0)
     assert straighten_point(chain, p) == MappedTo((k - 1, 0))

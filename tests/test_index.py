@@ -33,7 +33,7 @@ from circlink import (
     validate,
 )
 import pointwise_oracle as oracle
-from circlink import family, symmetry
+from circlink import family, hullgeom, symmetry
 from circlink.generators import random_circle_map
 
 
@@ -70,20 +70,21 @@ def assert_index_matches_oracles(fp):
     assert dict(index.interior) == {(i, j): n for i, j, n in disc.interior}
     assert dict(index.boundary) == {(i, j): s for i, j, s in disc.boundary}
     # each fiber against a full scan of the disc; fiber_plus and fiber_minus
-    # of the pair's own disc view the index's fibers
+    # of the pair's own disc view the disc's fibers, built once
     for i in range(len(fp.plus)):
-        assert list(index.fiber("plus", i)) == scan_fiber_plus(disc, i)
+        assert list(index.disc.fiber("plus", i)) == scan_fiber_plus(disc, i)
         assert fiber_plus(index.disc, i) == fiber_plus(disc, i) == scan_fiber_plus(disc, i)
-        assert index.fiber("plus", i) is index.disc.fiber("plus", i)
+        assert index.disc.fiber("plus", i) is index.disc.fiber("plus", i)
     for j in range(len(fp.minus)):
-        assert list(index.fiber("minus", j)) == scan_fiber_minus(disc, j)
+        assert list(index.disc.fiber("minus", j)) == scan_fiber_minus(disc, j)
         assert fiber_minus(index.disc, j) == fiber_minus(disc, j) == scan_fiber_minus(disc, j)
-        assert index.fiber("minus", j) is index.disc.fiber("minus", j)
-    for name in ("plus", "minus"):
-        assert index.hulls(name) == tuple(hull(s) for s in fp.family(name))
+        assert index.disc.fiber("minus", j) is index.disc.fiber("minus", j)
     expected_cells = {(i, j): cell_intersection(hull(fp.plus[i]), hull(fp.minus[j]))
                       for i, j, _ in disc.interior}
     assert dict(index.cells()) == expected_cells
+    # built once, and keyed in (i, j) order, which every stage walks
+    assert index.cells() is index.cells()
+    assert list(index.cells()) == sorted(index.cells())
 
 
 @pytest.mark.parametrize("k", range(len(FIXTURES)))
@@ -106,11 +107,11 @@ def test_index_matches_oracles_with_boundary_points(seed):
 
 
 def test_fiber_rejects_bad_index():
-    index = gen_grid(2).index
+    disc = gen_grid(2).index.disc
     with pytest.raises(IndexError):
-        index.fiber("plus", 2)
+        disc.fiber("plus", 2)
     with pytest.raises(IndexError):
-        index.fiber("minus", -1)
+        disc.fiber("minus", -1)
 
 
 def test_shared_pieces_are_read_only():
@@ -123,11 +124,9 @@ def test_shared_pieces_are_read_only():
     with pytest.raises(TypeError):
         index.boundary[(0, 0)] = point(4)
     with pytest.raises(TypeError):
-        index.fiber("plus", 1)[0] = (0, 1)
+        index.disc.fiber("plus", 1)[0] = (0, 1)
     with pytest.raises(TypeError):
-        index.fiber("minus", 0)[0] = (0, 1)
-    with pytest.raises(TypeError):
-        index.hulls("plus")[0] = None
+        index.disc.fiber("minus", 0)[0] = (0, 1)
     with pytest.raises(TypeError):
         index.cells()[(1, 0)] = None
     assert dict(index.interior) == {(1, 0): 2}
@@ -136,15 +135,23 @@ def test_shared_pieces_are_read_only():
 
 def test_index_is_built_once_per_pair(monkeypatch):
     calls = []
+    cell_builds = []
     real = family.especial_disc
+    real_cells = hullgeom.linked_cells
 
     def counted(fp):
         calls.append(fp)
         return real(fp)
 
-    # the index classifies through family's name, equivariance through its own
+    def counted_cells(fp, disc=None):
+        cell_builds.append(fp)
+        return real_cells(fp, disc)
+
+    # the index classifies through family's name, equivariance through its
+    # own; the index imports linked_cells from hullgeom when it builds them
     monkeypatch.setattr(family, "especial_disc", counted)
     monkeypatch.setattr(symmetry, "especial_disc", counted)
+    monkeypatch.setattr(hullgeom, "linked_cells", counted_cells)
     fp = gen_grid(3)
     assert fp.index is fp.index
     assert straighten_point(fp, param_to_point(point(0))) is not None
@@ -156,20 +163,8 @@ def test_index_is_built_once_per_pair(monkeypatch):
     # the transformed pair is classified from scratch, never through fp's index
     assert check_equivariance(fp, CircleMap.identity()).ok
     assert len(calls) == 2 and calls[1] is not fp
-
-
-def test_cells_are_kept_only_inside_keep_cells():
-    index = gen_grid(2).index
-    first = index.cells()
-    assert index.cells() is not first
-    assert index.cells() == first
-    with index.keep_cells():
-        shared = index.cells()
-        with index.keep_cells():
-            assert index.cells() is shared
-        # leaving the inner block keeps them for the outer one
-        assert index.cells() is shared
-    assert index.cells() is not shared
+    # the four stages that read the linked cells share one build of them
+    assert cell_builds == [fp]
 
 
 def test_pair_with_built_index_still_copies_and_pickles():

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from circlink import (
     gen_grid,
     gen_star,
     gen_tripod,
+    hull,
     locate,
     nested_pair,
     param_to_point,
@@ -41,6 +43,13 @@ from circlink.hullgeom import _cell_contains_h, _h_in_disc, _param_position, in_
 F = Fraction
 
 
+@lru_cache(maxsize=8)
+def family_hulls(fp, name):
+    """The convex hull of every element of one family, built once per pair
+    for the scans below."""
+    return tuple(hull(s) for s in fp.family(name))
+
+
 def _locate_in_hulls(hulls, hp):
     hits = [i for i, c in enumerate(hulls) if _cell_contains_h(c, hp)]
     assert len(hits) <= 1, "hulls of a validated family overlap: %r" % hits
@@ -51,8 +60,8 @@ def locate_by_scan(fp, p):
     hp = p._h
     if not _h_in_disc(hp):
         raise OutsideDiscError(p)
-    return (_locate_in_hulls(fp.index.hulls("plus"), hp),
-            _locate_in_hulls(fp.index.hulls("minus"), hp))
+    return (_locate_in_hulls(family_hulls(fp, "plus"), hp),
+            _locate_in_hulls(family_hulls(fp, "minus"), hp))
 
 
 def outcome(fn, fp, p):
@@ -97,7 +106,7 @@ def sample_points(fp, rng):
     for cell in fp.index.cells().values():
         pts += list(cell.vertices) + [cell.barycenter()]
     for name in ("plus", "minus"):
-        for h in fp.index.hulls(name):
+        for h in family_hulls(fp, name):
             vs = h.vertices
             for k in range(len(vs) if len(vs) > 2 else len(vs) - 1):
                 pts.append(on_segment(vs[k - 1], vs[k], F(rng.randint(1, 15), 16)))
@@ -267,7 +276,7 @@ def test_overlap_check_holds_with_and_without_optimisation(flags):
 
 def side_tests_per_query(monkeypatch, n):
     fp = gen_grid(n)
-    ph, mh = fp.index.hulls("plus"), fp.index.hulls("minus")
+    ph, mh = family_hulls(fp, "plus"), family_hulls(fp, "minus")
     rng = random.Random(n)
     pts = [cell_intersection(ph[rng.randrange(n)], mh[rng.randrange(n)]).vertices[0]
            for _ in range(60)]

@@ -195,7 +195,7 @@ def test_virtual_edge_meeting_another_cell(name):
         for u, v in leaf.edges:
             if u == VIRTUAL:
                 seg = ConvexCell(1, [sd.position(leaf.family, leaf.element, a) for a in (u, v)])
-                met += [z for z in fp.index.fiber(leaf.family, leaf.element)
+                met += [z for z in fp.index.disc.fiber(leaf.family, leaf.element)
                         if z != v and z in cells and cell_intersection(seg, cells[z])]
     assert met
     assert_matches_oracles(fp)
@@ -328,17 +328,16 @@ def test_segment_test_on_shared_ends_and_overlaps():
                          ids=["grid16", "grid64", "mapped-grid40"])
 def test_layout_cost_without_virtual_vertices(make, monkeypatch):
     fp = make()
-    with fp.index.keep_cells():
-        fp.index.cells()
-        counts = dict.fromkeys(("_segments_cross", "_hull_cap", "_h_line", "_line_key",
-                                "neighbours", "rank_separates"), 0)
-        _count(monkeypatch, straighten, "_segments_cross", counts)
-        _count(monkeypatch, straighten, "_hull_cap", counts)
-        _count(monkeypatch, hullgeom, "_h_line", counts)
-        _count(monkeypatch, crossing_oracle, "_line_key", counts)
-        _count(monkeypatch, LaminarForest, "neighbours", counts)
-        _count(monkeypatch, family, "rank_separates", counts)
-        sd = layout(fp)
+    fp.index.cells()
+    counts = dict.fromkeys(("_segments_cross", "_hull_cap", "_h_line", "_line_key",
+                            "neighbours", "rank_separates"), 0)
+    _count(monkeypatch, straighten, "_segments_cross", counts)
+    _count(monkeypatch, straighten, "_hull_cap", counts)
+    _count(monkeypatch, hullgeom, "_h_line", counts)
+    _count(monkeypatch, crossing_oracle, "_line_key", counts)
+    _count(monkeypatch, LaminarForest, "neighbours", counts)
+    _count(monkeypatch, family, "rank_separates", counts)
+    sd = layout(fp)
     edges = sum(len(leaf.edges) for leaf in sd.leaves_plus + sd.leaves_minus)
     assert not sd.virtual_positions and edges >= 2 * 16 * 15
     # one forest-neighbour check per chain edge, at most one separation

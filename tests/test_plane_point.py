@@ -22,6 +22,7 @@ from circlink import (
     check_equivariance,
     gen_grid,
     gen_star,
+    hull,
     layout,
     quotient_check,
 )
@@ -131,7 +132,7 @@ def test_render_formats_each_constant_once(monkeypatch):
     assert svg.count("<line") == 60 and svg.count("<circle") > 36
     assert 2 * len(points) < len(calls) <= 2 * len(points) + 7
     calls.clear()
-    points = {h for name in ("plus", "minus") for c in fp.index.hulls(name) for h in c._h}
+    points = {h for s in fp.plus + fp.minus for h in hull(s)._h}
     points |= {h for c in fp.index.cells().values() for h in c._h}
     render_input_svg(fp)
     assert 2 * len(points) < len(calls) <= 2 * len(points) + 7
