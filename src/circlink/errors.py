@@ -85,7 +85,8 @@ class OutsideDiscError(CirclinkError):
 
     def __init__(self, point):
         self.point = point
-        super().__init__("point (%s, %s) is outside the closed unit disc" % (point.x, point.y))
+        # str(point) spells x and y as str(Fraction) does, importing no fractions
+        super().__init__("point %s is outside the closed unit disc" % (point,))
 
 
 class NotInteriorError(CirclinkError):

@@ -161,24 +161,8 @@ class FamilyPair:
                 except MalformedInputError as exc:
                     raise MalformedInputError(str(exc), "$.%s[%d]" % (key, idx)) from None
             return sets
-        plus = parse_family("plus")
-        minus = parse_family("minus")
-        plus_labels = data.get("plus_labels")
-        minus_labels = data.get("minus_labels")
-        for name, labels, sets in (("plus_labels", plus_labels, plus),
-                                   ("minus_labels", minus_labels, minus)):
-            if labels is not None:
-                if (not isinstance(labels, list)
-                        or len(labels) != len(sets)
-                        or not all(isinstance(x, str) for x in labels)):
-                    raise MalformedInputError("%s must list one string per element" % name, "$.%s" % name)
-                for k, label in enumerate(labels):
-                    bad = re.search(_NOT_XML_CHAR, label)
-                    if bad:
-                        raise MalformedInputError(
-                            "label holds U+%04X, which XML 1.0 cannot hold" % ord(bad.group()),
-                            "$.%s[%d]" % (name, k))
-        return validate(plus, minus, plus_labels, minus_labels)
+        return validate(parse_family("plus"), parse_family("minus"),
+                        data.get("plus_labels"), data.get("minus_labels"))
 
 
 # a character outside XML 1.0's Char production, which the input picture's
@@ -232,6 +216,8 @@ def _cross_violations(plus: Sequence[CircleSet], minus: Sequence[CircleSet]) -> 
 def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
     """Check every admissibility clause; collect all violations before failing.
 
+    Labels, when given, list one str of XML 1.0 characters per set, or raise
+    MalformedInputError at their JSON location before any clause is checked.
     The within-family checks build the laminar forest of each family in the
     new pair's index, which the pair keeps; only a family the forest's sweep
     rejects has all its pairs tested.
@@ -240,6 +226,19 @@ def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
     minus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in minus]
     if not plus or not minus:
         raise ValueError("both families must be nonempty")
+    for name, labels, sets in (("plus_labels", plus_labels, plus),
+                               ("minus_labels", minus_labels, minus)):
+        if labels is not None:
+            if (not isinstance(labels, (list, tuple))
+                    or len(labels) != len(sets)
+                    or not all(isinstance(x, str) for x in labels)):
+                raise MalformedInputError("%s must list one string per element" % name, "$.%s" % name)
+            for k, label in enumerate(labels):
+                bad = re.search(_NOT_XML_CHAR, label)
+                if bad:
+                    raise MalformedInputError(
+                        "label holds U+%04X, which XML 1.0 cannot hold" % ord(bad.group()),
+                        "$.%s[%d]" % (name, k))
     fp = FamilyPair(plus, minus, plus_labels, minus_labels)
     violations = _within_family_violations(fp.index, "plus")
     violations += _within_family_violations(fp.index, "minus")

@@ -12,27 +12,38 @@ from .errors import Frozen, MalformedInputError
 __all__ = ["RenderOptions", "render_input_svg", "render_straightened_svg"]
 
 
-class RenderOptions(Frozen, width=720, height=720, margin=24, stroke_width=2.0,
-                    leaf_stroke_width=1.6, point_radius=3.0, plus_color="#2563eb",
-                    minus_color="#dc2626", region_color="#a78bfa", labels=False):
-    """Stable render defaults; sizes in pixels.
-
-    The disc radius is min(width, height) / 2 - margin, so a size of at most
-    2 * margin raises MalformedInputError at "width" or "height", whichever
-    is smaller ("width" on a tie).
-    """
-
-    __slots__ = ("width", "height", "margin", "stroke_width", "leaf_stroke_width",
-                 "point_radius", "plus_color", "minus_color", "region_color", "labels")
-
-    def __post_init__(self):
-        if min(self.width, self.height) <= 2 * self.margin:
-            raise MalformedInputError("width and height must exceed %d pixels" % (2 * self.margin),
-                                      "width" if self.width <= self.height else "height")
-
-
 def _fmt(v: float) -> str:
     return "%.12g" % v
+
+
+# The fixed drawing values: the margin between the disc and the viewport
+# edge in pixels, the colours of the two families and of the linked region,
+# and the stroke widths, dot radii and region opacity, formatted once here.
+MARGIN = 24
+PLUS_COLOR = "#2563eb"
+MINUS_COLOR = "#dc2626"
+REGION_COLOR = "#a78bfa"
+STROKE_WIDTH = _fmt(2.0)
+LEAF_STROKE_WIDTH = _fmt(1.6)
+POINT_RADIUS = _fmt(3.0)
+VIRTUAL_RADIUS = _fmt(3.0 * 0.8)
+REGION_OPACITY = _fmt(0.55)
+
+
+class RenderOptions(Frozen, width=720, height=720, labels=False):
+    """The viewport size in pixels and whether to label the sets and Z-points.
+
+    The disc radius is min(width, height) / 2 - MARGIN, so a size of at most
+    2 * MARGIN (48) raises MalformedInputError at "width" or "height",
+    whichever is smaller ("width" on a tie).
+    """
+
+    __slots__ = ("width", "height", "labels")
+
+    def __post_init__(self):
+        if min(self.width, self.height) <= 2 * MARGIN:
+            raise MalformedInputError("width and height must exceed %d pixels" % (2 * MARGIN),
+                                      "width" if self.width <= self.height else "height")
 
 
 class _Canvas:
@@ -40,23 +51,14 @@ class _Canvas:
     (each ending in a newline); points are homogeneous triples (X, Y, D)."""
 
     def __init__(self, opts: RenderOptions, write):
-        self.opts = opts
         self.write = write
         self.cx = opts.width / 2.0
         self.cy = opts.height / 2.0
-        self.radius = min(opts.width, opts.height) / 2.0 - opts.margin
+        self.radius = min(opts.width, opts.height) / 2.0 - MARGIN
         self._px = {}
-        self._num = {}
         write('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
               'width="%d" height="%d" viewBox="0 0 %d %d">\n'
               % (opts.width, opts.height, opts.width, opts.height))
-
-    def num(self, v: float) -> str:
-        """v formatted, once per canvas: widths and radii repeat per element."""
-        text = self._num.get(v)
-        if text is None:
-            text = self._num[v] = _fmt(v)
-        return text
 
     def px(self, h: tuple) -> tuple:
         """The formatted pixel coordinates of h, computed once per point."""
@@ -71,28 +73,27 @@ class _Canvas:
         self.write(
             '<circle id="boundary" cx="%s" cy="%s" r="%s" fill="none" '
             'stroke="#111111" stroke-width="%s"/>\n'
-            % (_fmt(self.cx), _fmt(self.cy), _fmt(self.radius), _fmt(self.opts.stroke_width)))
+            % (_fmt(self.cx), _fmt(self.cy), _fmt(self.radius), STROKE_WIDTH))
 
-    def dot(self, eid: str, h: tuple, color: str, r: float) -> None:
+    def dot(self, eid: str, h: tuple, color: str, r: str) -> None:
         x, y = self.px(h)
         self.write('<circle id="%s" cx="%s" cy="%s" r="%s" fill="%s"/>\n'
-                   % (eid, x, y, self.num(r), color))
+                   % (eid, x, y, r, color))
 
-    def line(self, eid: str, p: tuple, q: tuple, color: str, width: float) -> None:
+    def line(self, eid: str, p: tuple, q: tuple, color: str, width: str) -> None:
         x1, y1 = self.px(p)
         x2, y2 = self.px(q)
         self.write(
             '<line id="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>\n'
-            % (eid, x1, y1, x2, y2, color, self.num(width)))
+            % (eid, x1, y1, x2, y2, color, width))
 
-    def polygon(self, eid: str, pts, color: str, fill: str, opacity: float) -> None:
+    def polygon(self, eid: str, pts, color: str, filled: bool) -> None:
         coords = " ".join("%s,%s" % self.px(h) for h in pts)
-        if fill == "none":
-            style = 'fill="none" stroke="%s" stroke-width="%s"' % (
-                color, self.num(self.opts.stroke_width))
-        else:
+        if filled:
             style = 'fill="%s" fill-opacity="%s" stroke="%s" stroke-width="1"' % (
-                fill, self.num(opacity), color)
+                color, REGION_OPACITY, color)
+        else:
+            style = 'fill="none" stroke="%s" stroke-width="%s"' % (color, STROKE_WIDTH)
         self.write('<polygon id="%s" points="%s" %s/>\n' % (eid, coords, style))
 
     def text(self, eid: str, h: tuple, content: str, color: str) -> None:
@@ -112,14 +113,14 @@ class _Canvas:
         self.write('</svg>\n')
 
 
-def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, fill: str, opacity: float) -> None:
+def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, filled: bool) -> None:
     hv = cell._h
     if cell.dim == 0:
-        canvas.dot(eid, hv[0], color, canvas.opts.point_radius)
+        canvas.dot(eid, hv[0], color, POINT_RADIUS)
     elif cell.dim == 1:
-        canvas.line(eid, hv[0], hv[1], color, canvas.opts.stroke_width)
+        canvas.line(eid, hv[0], hv[1], color, STROKE_WIDTH)
     else:
-        canvas.polygon(eid, hv, color, fill, opacity)
+        canvas.polygon(eid, hv, color, filled)
 
 
 def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
@@ -128,16 +129,14 @@ def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
 
     canvas = _Canvas(opts, write)
     canvas.boundary()
-    for name, color in (("plus", opts.plus_color), ("minus", opts.minus_color)):
+    for name, color in (("plus", PLUS_COLOR), ("minus", MINUS_COLOR)):
         for i, s in enumerate(fp.family(name)):
-            _draw_cell(canvas, "hull-%s-%d" % (name, i), hull(s), color, "none", 0)
+            _draw_cell(canvas, "hull-%s-%d" % (name, i), hull(s), color, False)
     for (i, j), cell in fp.index.cells().items():
-        _draw_cell(canvas, "cell-%d-%d" % (i, j), cell, opts.region_color,
-                   opts.region_color, 0.55)
+        _draw_cell(canvas, "cell-%d-%d" % (i, j), cell, REGION_COLOR, True)
     if opts.labels:
-        for name, sets, color in (("plus", fp.plus, opts.plus_color),
-                                  ("minus", fp.minus, opts.minus_color)):
-            labels = fp.plus_labels if name == "plus" else fp.minus_labels
+        for name, sets, labels, color in (("plus", fp.plus, fp.plus_labels, PLUS_COLOR),
+                                          ("minus", fp.minus, fp.minus_labels, MINUS_COLOR)):
             for i, s in enumerate(sets):
                 tag = labels[i] if labels else "%s%d" % (name, i)
                 canvas.text("label-%s-%d" % (name, i), param_to_point(s.points[0])._h, tag, color)
@@ -148,22 +147,21 @@ def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> Non
     """The straightened picture: circle, leaf trees, Z-points."""
     canvas = _Canvas(opts, write)
     canvas.boundary()
-    for leaves, color in ((sd.leaves_plus, opts.plus_color),
-                          (sd.leaves_minus, opts.minus_color)):
+    for leaves, color in ((sd.leaves_plus, PLUS_COLOR), (sd.leaves_minus, MINUS_COLOR)):
         for leaf in leaves:
             canvas.open_group("leaf-%s-%d" % (leaf.family, leaf.element))
             for idx, (u, v) in enumerate(leaf.edges):
                 p = sd.position(leaf.family, leaf.element, u)._h
                 q = sd.position(leaf.family, leaf.element, v)._h
                 canvas.line("leaf-%s-%d-e%d" % (leaf.family, leaf.element, idx),
-                            p, q, color, opts.leaf_stroke_width)
+                            p, q, color, LEAF_STROKE_WIDTH)
             canvas.close_group()
     for (fam, el) in sorted(sd.virtual_positions):
         canvas.dot("virtual-%s-%d" % (fam, el), sd.virtual_positions[(fam, el)]._h,
-                   "#6b7280", opts.point_radius * 0.8)
+                   "#6b7280", VIRTUAL_RADIUS)
     for (i, j) in sorted(sd.layout):
-        color = "#111111" if (i, j) in sd.boundary_anchors else opts.region_color
-        canvas.dot("z-%d-%d" % (i, j), sd.layout[(i, j)]._h, color, opts.point_radius)
+        color = "#111111" if (i, j) in sd.boundary_anchors else REGION_COLOR
+        canvas.dot("z-%d-%d" % (i, j), sd.layout[(i, j)]._h, color, POINT_RADIUS)
     if opts.labels:
         for (i, j) in sorted(sd.layout):
             canvas.text("zlabel-%d-%d" % (i, j), sd.layout[(i, j)]._h, "(%d,%d)" % (i, j), "#374151")

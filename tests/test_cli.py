@@ -555,7 +555,6 @@ def test_render_accepts_the_smallest_disc(tmp_path, capsys):
     ({"width": 0}, "width"),
     ({"height": 48}, "height"),
     ({"width": 30, "height": 20}, "height"),
-    ({"width": 100, "height": 100, "margin": 50}, "width"),
 ])
 def test_render_options_reject_sizes_without_a_disc(kwargs, location):
     # library callers get the CLI's check: no options, so no SVG with a

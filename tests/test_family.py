@@ -271,6 +271,9 @@ def test_family_pair_json_round_trip():
     back = FamilyPair.from_json(data)
     assert back == fp
     assert back.plus_labels == ("a", "b")
+    # a pair's own labels are tuples, which validate takes as CircleMap.apply_pair passes them
+    again = validate(fp.plus, fp.minus, fp.plus_labels, fp.minus_labels)
+    assert (again.plus_labels, again.minus_labels) == (("a", "b"), ("c", "d"))
 
 
 def test_from_json_reports_locations():
@@ -294,6 +297,22 @@ def test_from_json_reports_locations():
         FamilyPair.from_json({"plus": [["0", "3"]], "minus": [["2", "5"]],
                               "plus_labels": ["a", "b"]})
     assert info.value.location == "$.plus_labels"
+
+
+@pytest.mark.parametrize("labels,location", [
+    ({"plus_labels": ["a\x01b"]}, "$.plus_labels[0]"),
+    ({"minus_labels": ["ok", "a\ud800b"]}, "$.minus_labels[1]"),
+    ({"plus_labels": ["a", "b", "c"]}, "$.plus_labels"),
+    ({"minus_labels": ("c", 4)}, "$.minus_labels"),
+    ({"plus_labels": "ab"}, "$.plus_labels"),
+])
+def test_validate_checks_labels(labels, location):
+    # library pairs get the wire format's label rules, so a labelled input
+    # picture always parses as XML
+    plus, minus = [CircleSet([0, 2])], [CircleSet([1, 3]), CircleSet([5, 7])]
+    with pytest.raises(MalformedInputError) as info:
+        validate(plus, minus, **labels)
+    assert info.value.location == location
 
 
 def test_from_json_validates():

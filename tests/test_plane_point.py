@@ -126,16 +126,16 @@ def test_render_formats_each_constant_once(monkeypatch):
         points |= {sd.position(leaf.family, leaf.element, u)._h
                    for edge in leaf.edges for u in edge}
     svg = render_straightened_svg(sd)
-    # two coordinates per distinct point; the boundary circle's centre,
-    # radius and width, and each width and radius once, not per element
-    # (60 leaf edges and 36 Z-points)
+    # two coordinates per distinct point and the boundary circle's centre
+    # (two) and radius; widths, radii and opacities are formatted at import,
+    # not per element (60 leaf edges and 36 Z-points)
     assert svg.count("<line") == 60 and svg.count("<circle") > 36
-    assert 2 * len(points) < len(calls) <= 2 * len(points) + 7
+    assert len(calls) == 2 * len(points) + 3
     calls.clear()
     points = {h for s in fp.plus + fp.minus for h in hull(s)._h}
     points |= {h for c in fp.index.cells().values() for h in c._h}
     render_input_svg(fp)
-    assert 2 * len(points) < len(calls) <= 2 * len(points) + 7
+    assert len(calls) == 2 * len(points) + 3
 
 
 # ── the span sort and the crossing scan ──────────────────────────────────

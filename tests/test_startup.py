@@ -52,19 +52,22 @@ def test_read_commands_load_only_their_modules(tmp_path):
     assert heavy == []
 
 
-@pytest.mark.parametrize("command", ["render", "equivariance", "straighten", "gen",
-                                     "quotient_check"])
+@pytest.mark.parametrize("command", ["render", "equivariance", "straighten", "straighten-outside",
+                                     "gen", "quotient_check"])
 def test_commands_load_no_heavy_module(tmp_path, command):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(nested_pair(3, 0).to_json()), encoding="utf-8")
     # the identity, spelled with unreduced fractions
     identity = tmp_path / "map.json"
     identity.write_text('{"m": [["1/2", "0"], ["0", "2/4"]]}', encoding="utf-8")
+    # command: (expected exit code, argv)
     argv = {
-        "render": ["render", str(pair), "--out", str(tmp_path / "pic")],
-        "equivariance": ["equivariance", str(pair), "--map", str(identity)],
-        "straighten": ["straighten", str(pair), "--point", "-1/3,1/4"],
-        "gen": ["gen", "--kind", "nested", "--depth", "3"],
+        "render": (0, ["render", str(pair), "--out", str(tmp_path / "pic")]),
+        "equivariance": (0, ["equivariance", str(pair), "--map", str(identity)]),
+        "straighten": (0, ["straighten", str(pair), "--point", "-1/3,1/4"]),
+        # the error message spells the point without fractions
+        "straighten-outside": (1, ["straighten", str(pair), "--point", "2,0"]),
+        "gen": (0, ["gen", "--kind", "nested", "--depth", "3"]),
     }
     if command == "quotient_check":
         # as bench/qcheck.py runs it, with no subcommand
@@ -76,8 +79,10 @@ def test_commands_load_no_heavy_module(tmp_path, command):
                 + REPORT)
         loaded, heavy = _fresh(code, str(pair))
     else:
-        code = "import sys\nfrom circlink import cli\nassert cli.main(sys.argv[1:]) == 0\n" + REPORT
-        loaded, heavy = _fresh(code, *argv[command])
+        expected, args = argv[command]
+        code = ("import sys\nfrom circlink import cli\n"
+                "assert cli.main(sys.argv[2:]) == int(sys.argv[1])\n" + REPORT)
+        loaded, heavy = _fresh(code, str(expected), *args)
     assert "circlink.hullgeom" in loaded
     assert heavy == []
 

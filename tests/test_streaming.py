@@ -9,6 +9,7 @@ writer holds less memory than the picture it writes. The cleanup is no
 assert in the library, so the module also runs under python -O.
 """
 
+import hashlib
 import json
 import os
 import tracemalloc
@@ -27,6 +28,7 @@ from circlink import (
     nested_pair,
     render_input_svg,
     render_straightened_svg,
+    validate,
 )
 from circlink import render
 from circlink.cli import main
@@ -87,6 +89,45 @@ def test_streamed_files_follow_the_size_flags(tmp_path, capsys):
         assert fh.read() == render_input_svg(fp, opts).encode("utf-8")
     with open(prefix + "-straightened.svg", "rb") as fh:
         assert fh.read() == render_straightened_svg(layout(fp), opts).encode("utf-8")
+
+
+# SHA-256 of the input and straightened pictures rendered with --labels, by
+# pair and size flags.
+# The anchored pair's layout has a segment cell (0, 0), a point cell (1, 2),
+# a boundary anchor (1, 1) and a virtual vertex on plus 1, so these pin the
+# segment stroke, the dot radii and every colour as well as the labels
+PINNED = {
+    ("tripod", "default"): [
+        "8d499507a6bc74952547b6fd37f67005666c1f6fe38e153d1ace11aedd57b376",
+        "13361344f1ea09aba466b4508366a84bc4ea98ece910b0d61d958bb5e9c30aee"],
+    ("tripod", "333x901"): [
+        "49765b62aca2e6f9ceddbdeb9f36ab2f26e1ecf897af3d8506d33e7b2875f34b",
+        "3635808275ceabb06ebe8b9fbcddf3e7327151d2909f9bed8ccb1c4182394ca8"],
+    ("anchored", "default"): [
+        "cdc1c480f90eb4c6a8b3e293c50639930499b45216df45653b65a085692a2e42",
+        "c76020f92147a9a3cdcef9e40d3b5012154771a2d72806a17af4c98bbc633d4a"],
+    ("anchored", "333x901"): [
+        "c27e722c6cc9aa21c4d2a43d327568258a8a85a71641cf02eda1503724e8c0be",
+        "2e2b6f3cbc3ae4d90fceaf54b87e1f72249b07dd974f9a67b1365eb40c2768ba"],
+}
+
+PINNED_PAIRS = {
+    "tripod": gen_tripod,
+    "anchored": lambda: validate([[0, 4], [9, 11]], [[1, 3, 5, 7], [11, 13], [10, 20]]),
+}
+
+
+SIZE_FLAGS = {"default": (), "333x901": ("--width", "333", "--height", "901")}
+
+
+@pytest.mark.parametrize("name,size", sorted(PINNED))
+def test_labelled_render_bytes(tmp_path, capsys, name, size):
+    pair_path = write_fixture(tmp_path, PINNED_PAIRS[name]())
+    code, _, prefix = render_files(tmp_path, capsys, pair_path, "--labels", *SIZE_FLAGS[size])
+    assert code == 0
+    digests = [hashlib.sha256(open(prefix + suffix, "rb").read()).hexdigest()
+               for suffix in ("-input.svg", "-straightened.svg")]
+    assert digests == PINNED[(name, size)]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

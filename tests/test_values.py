@@ -33,7 +33,7 @@ CASES = [
     (MappedTo, ((0, 1),), ((1, 0),)),
     (OnBoundary, (point("-5/2"),), (point("5/2"),)),
     (NotInDomain, (), None),
-    (RenderOptions, (640, 480, 12, 1.0, 0.5, 2.0, "#000", "#111", "#222", True), (640,)),
+    (RenderOptions, (640, 480, True), (640,)),
     (GenSpec, ("nested", 2, 3, 4, 5), ("nested", 2, 3, 4, 6)),
 ]
 
@@ -41,9 +41,7 @@ CASES = [
 DEFAULTS = {
     Violation: {"witness": ()},
     GenSpec: {"n": 2, "k": 3, "depth": 2, "seed": 0},
-    RenderOptions: {"width": 720, "height": 720, "margin": 24, "stroke_width": 2.0,
-                    "leaf_stroke_width": 1.6, "point_radius": 3.0, "plus_color": "#2563eb",
-                    "minus_color": "#dc2626", "region_color": "#a78bfa", "labels": False},
+    RenderOptions: {"width": 720, "height": 720, "labels": False},
 }
 
 IDS = [case[0].__name__ for case in CASES]
@@ -126,5 +124,5 @@ def test_equality_only_within_a_class():
 
 def test_render_options_defaults_by_keyword():
     opts = RenderOptions(width=100, labels=True)
-    assert (opts.width, opts.height, opts.margin, opts.labels) == (100, 720, 24, True)
+    assert (opts.width, opts.height, opts.labels) == (100, 720, True)
     assert RenderOptions() == RenderOptions(**DEFAULTS[RenderOptions])
