@@ -7,7 +7,7 @@ two families produces the finite analogue of a decomposition disc: interior
 points are the disjoint linked pairs, boundary points the intersecting ones.
 
 Everything derived from one pair (the rank table, the disc, its lookup maps,
-the laminar forests, the vertex triples and the linked cells) lives in the
+the laminar forests, the hull edge lines and the linked cells) lives in the
 pair's PairIndex, built on first use and kept as long as the pair, so every
 stage reads one copy instead of rebuilding it. Predicates run on the rank
 tuples of the table.
@@ -507,14 +507,13 @@ class PairIndex:
     from especial_disc, and its fiber() gives the Z-points of one element;
     interior and boundary map (i, j) to the linking number and to the shared
     circle point; forest() gives how one family's sets nest, which point
-    location also reads, triples() the point of each rank in the plane and
-    cells() the linked cell of every interior Z-point. Maps are read-only
-    views and sequences are tuples, so no consumer can change what the
-    others read.
+    location also reads, lines() each hull edge's line and cells() the
+    linked cell of every interior Z-point. Maps are read-only views and
+    sequences are tuples, so no consumer can change what the others read.
     """
 
     __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_forests",
-                 "_triples", "_cells")
+                 "_lines", "_cells")
 
     def __init__(self, fp: FamilyPair):
         self.fp = fp
@@ -523,7 +522,7 @@ class PairIndex:
         self._interior = None
         self._boundary = None
         self._forests = {}
-        self._triples = None
+        self._lines = {}
         self._cells = None
 
     def _rank_table(self) -> tuple:
@@ -567,13 +566,12 @@ class PairIndex:
             forest = self._forests[family] = LaminarForest(self, family)
         return forest
 
-    def triples(self) -> tuple:
-        """The homogeneous triple of each rank's point on the unit circle
-        (hullgeom.param_to_point), by rank."""
-        if self._triples is None:
-            from .hullgeom import _h_from_param
-            self._triples = tuple([_h_from_param(u) for u in self.points])
-        return self._triples
+    def lines(self, family: str) -> tuple:
+        """Each element's hull edge lines in one family (hullgeom._edge_lines)."""
+        if family not in self._lines:
+            from .hullgeom import _edge_lines
+            self._lines[family] = tuple([_edge_lines(s, self.points) for s in self.ranks(family)])
+        return self._lines[family]
 
     def cells(self) -> MappingProxyType:
         """The linked cell of every interior Z-point, in (i, j) order (see

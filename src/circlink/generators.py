@@ -98,10 +98,10 @@ def _nested_ends(depth: int, seed: int) -> tuple:
 
     Each level splits its interval at t / 2^20, so the endpoints of a chord
     at level L are multiples of 2^(20 (depth + 1 - L)) and every split is
-    exact.
+    exact. A depth above 20 is refused: the chords double with each level.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if not 0 <= depth <= 20:
+        raise ValueError("depth must be from 0 to 20")
     rng = SplitMix64(seed)
     out = []
 

@@ -528,7 +528,7 @@ def _find(index, family: str, h: tuple, pos: int) -> Optional[int]:
     """
     forest = index.forest(family)
     sets = index.ranks(family)
-    verts = index.triples()
+    lines = index.lines(family)
     top = forest.inf_owner
     k = top if top is not None and pos & 1 and forest.owner[pos >> 1] == top else forest.inner[pos]
     path = []
@@ -543,9 +543,8 @@ def _find(index, family: str, h: tuple, pos: int) -> Optional[int]:
     lo, hi = 0, len(path)
     while lo < hi:
         mid = (lo + hi) // 2
-        s = sets[path[mid]]
-        i = bisect_left(s, r)
-        if _orient(verts[s[i - 1]], verts[s[i]], h) < 0:
+        k = path[mid]
+        if _in_cap(lines[k], bisect_left(sets[k], r), h):
             lo = mid + 1
         else:
             hi = mid
@@ -554,27 +553,36 @@ def _find(index, family: str, h: tuple, pos: int) -> Optional[int]:
     # the outermost set whose exit edge h is not past; in_hull decides with
     # that edge and the entry edge bracketing INF
     k = path[lo]
-    return k if in_hull(sets, verts, k, h, pos) else None
+    return k if in_hull(sets, lines, k, h, pos) else None
 
 
-def in_hull(sets, verts, k: int, h: tuple, pos: int) -> bool:
+def in_hull(sets, lines, k: int, h: tuple, pos: int) -> bool:
     """Whether hull k of a family holds h, strictly inside the disc, when the
     chord parameter of h falls at position pos (see _param_position).
 
-    sets are the family's rank tuples and verts the triple of each rank. The
-    chord from INF through h starts in the closed cap cut off by k's wrap
-    edge (s[-1], s[0]), which brackets INF, and ends in the cap of the edge
-    bracketing pos, or at a vertex of k, where it is left of the edge into
-    that vertex. A segment of the open disc leaves the hull into one cap at
-    each end at most, so h is in the hull exactly when it is on or left of
-    those two edges: two side tests at most. When pos falls in the wrap gap
-    the whole chord is in the wrap cap, and that edge decides alone. A
-    1-point set holds no point inside the disc.
+    sets are the family's rank tuples and lines their edge lines
+    (PairIndex.lines). The chord from INF through h starts in the closed cap
+    cut off by k's wrap edge (s[-1], s[0]), which brackets INF, and ends in
+    the cap of the edge bracketing pos, or at a vertex of k, where it is
+    left of the edge into that vertex. A segment of the open disc leaves the
+    hull into one cap at each end at most, so h is in the hull exactly when
+    it is on or left of those two edges: two side tests at most. When pos
+    falls in the wrap gap the whole chord is in the wrap cap, and that edge
+    decides alone. A 1-point set holds no point inside the disc.
     """
-    return len(sets[k]) > 1 and _hull_cap(sets, verts, k, h, pos) is None
+    return len(sets[k]) > 1 and _hull_cap(sets, lines, k, h, pos) is None
 
 
-def _hull_cap(sets, verts, k: int, h: tuple, pos: int) -> Optional[int]:
+def _in_cap(lines: tuple, e: int, h: tuple) -> bool:
+    """The side test: whether h lies strictly right of edge e of a hull whose
+    edge lines are lines, in its cap e: the dot product of the line and h is
+    > 0, or < 0 on the wrap edge 0 (see _edge_lines)."""
+    a, b, c = lines[e]
+    d = a * h[0] + b * h[1] + c * h[2]
+    return d < 0 if e == 0 else d > 0
+
+
+def _hull_cap(sets, lines, k: int, h: tuple, pos: int) -> Optional[int]:
     """The cap of hull k holding h, None when h is in the hull; h and pos
     are as for in_hull, and the set has at least two points.
 
@@ -587,9 +595,9 @@ def _hull_cap(sets, verts, k: int, h: tuple, pos: int) -> Optional[int]:
     """
     s = sets[k]
     e = bisect_left(s, pos >> 1) % len(s)
-    if _orient(verts[s[e - 1]], verts[s[e]], h) < 0:
+    if _in_cap(lines[k], e, h):
         return e
-    if e and _orient(verts[s[-1]], verts[s[0]], h) < 0:
+    if e and _in_cap(lines[k], 0, h):
         return 0
     return None
 
@@ -616,41 +624,46 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     return _find(index, "plus", h, pos), _find(index, "minus", h, pos)
 
 
-def _edge_lines(ranks: tuple, verts: tuple) -> tuple:
-    """The line of each edge of a rank tuple's hull; edge e runs from
-    ranks[e] to ranks[e + 1], cyclically. Both edges of a 2-point set are
-    one chord and share one line object."""
-    if len(ranks) == 2:
-        line = _h_line(verts[ranks[0]], verts[ranks[1]])
-        return (line, line)
-    return tuple([_h_line(verts[r], verts[s]) for r, s in zip(ranks, ranks[1:] + ranks[:1])])
+def _edge_lines(ranks: tuple, points: tuple) -> tuple:
+    """The line of each edge of a rank tuple's hull, numbered as the caps:
+    entry e is the edge from ranks[e - 1] to ranks[e], entry 0 the wrap edge.
+    Ranks of parameters p1/q1 and p2/q2 in points (INF as 1/0) sit at the rim
+    triples (q^2 - p^2, 2pq, q^2 + p^2), whose cross product (_h_line) is
+    2 (p1 q2 - p2 q1) times their line (q1 q2 - p1 p2, p1 q2 + p2 q1,
+    -(q1 q2 + p1 p2)), of half its degree and symmetric in its ends. The
+    factor is negative up the rank order and positive on the wrap edge, so
+    _in_cap agrees with _orient."""
+    ends = [(points[r].num, points[r].den) for r in ranks]
+    lines = [(q1 * q2 - p1 * p2, p1 * q2 + p2 * q1, -(q1 * q2 + p1 * p2))
+             for (p1, q1), (p2, q2) in zip(ends[-1:] + ends[:-1], ends)]
+    return (lines[1], lines[1]) if len(lines) == 2 else tuple(lines)
 
 
 def _jump_cell(a: tuple, b: tuple, n: int, la: tuple, lb: tuple, z: tuple) -> ConvexCell:
     """The cell of the disjoint rank tuples a and b, which alternate n times,
     as the 2n-gon of their jump edges' crossings; la and lb are the edge
-    lines (_edge_lines). z names the pair in the error raised when the walk
-    does not close after exactly n >= 2 rounds."""
+    lines (_edge_lines), numbered as the caps. z names the pair in the error
+    raised when the walk does not close after exactly n >= 2 rounds."""
     m, k = len(a), len(b)
-    ia = start = (bisect_left(a, b[0]) - 1) % m
+    ca = start = bisect_left(a, b[0]) % m
     hs = []
     pa = pb = x = None
     for rounds in range(1, n + 1):
         # the b-edge over the next run of a, then the a-edge over the run of
         # b after it; each crosses the edge before it once
-        jb = (bisect_left(b, a[(ia + 1) % m]) - 1) % k
-        A, B = la[ia], lb[jb]
+        cb = bisect_left(b, a[ca]) % k
+        A, B = la[ca], lb[cb]
         if A is not pa or B is not pb:
             pa, pb, x = A, B, _h_line_cross(A, B)
         hs.append(x)
-        ia = (bisect_left(a, b[(jb + 1) % k]) - 1) % m
-        A = la[ia]
+        ca = bisect_left(a, b[cb]) % m
+        A = la[ca]
         if A is not pa:
             pa, x = A, _h_line_cross(A, B)
         hs.append(x)
-        if ia == start:
+        if ca == start:
             break
-    if n < 2 or ia != start or rounds != n:
+    if n < 2 or ca != start or rounds != n:
         raise EmptyLinkedCellError(z)
     # only a 2-point set repeats a line, so repeats are adjacent cyclically
     return _ring_cell([h for q, h in enumerate(hs) if h != hs[q - 1]] or hs[:1])
@@ -666,23 +679,13 @@ def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
     2n-gon of the jump edges' crossings, found by walking the runs (see
     _jump_cell). A walk that does not close after n rounds means the
     geometry disagrees with the combinatorics and raises
-    EmptyLinkedCellError. The rank tuples, the vertex triples, and the disc
+    EmptyLinkedCellError. The rank tuples, the edge lines, and the disc
     when none is given come from the pair's index.
     """
     index = fp.index
     if disc is None:
         disc = index.disc
-    verts = index.triples()
     plus, minus = index.ranks("plus"), index.ranks("minus")
-    plines = [None] * len(plus)
-    mlines = [None] * len(minus)
-    cells = {}
-    for i, j, n in disc.interior:
-        la = plines[i]
-        if la is None:
-            la = plines[i] = _edge_lines(plus[i], verts)
-        lb = mlines[j]
-        if lb is None:
-            lb = mlines[j] = _edge_lines(minus[j], verts)
-        cells[(i, j)] = _jump_cell(plus[i], minus[j], n, la, lb, (i, j))
-    return cells
+    lines_plus, lines_minus = index.lines("plus"), index.lines("minus")
+    return {(i, j): _jump_cell(plus[i], minus[j], n, lines_plus[i], lines_minus[j], (i, j))
+            for i, j, n in disc.interior}

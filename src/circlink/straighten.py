@@ -100,8 +100,8 @@ def _cell_hulls_test(index):
     the hulls, on the rim; the caller asks straighten_point.
     """
     points = index.points
-    verts = index.triples()
     plus, minus = index.ranks("plus"), index.ranks("minus")
+    lines_plus, lines_minus = index.lines("plus"), index.lines("minus")
     index.forest("plus")
     index.forest("minus")
 
@@ -111,7 +111,7 @@ def _cell_hulls_test(index):
             return False
         # D + X > 0 strictly inside the disc
         pos = _param_position(points, Y, X + D)
-        return in_hull(plus, verts, i, h, pos) and in_hull(minus, verts, j, h, pos)
+        return in_hull(plus, lines_plus, i, h, pos) and in_hull(minus, lines_minus, j, h, pos)
 
     return holds
 
@@ -408,12 +408,11 @@ def _leaf_crossings(index, leaves_plus, leaves_minus, position) -> list:
     whose ends are one point meets nothing. A pair with no virtual vertex
     so costs one neighbour check per edge and no exact test.
     """
-    verts = index.triples()
     points = index.points
     leaves = {"plus": leaves_plus, "minus": leaves_minus}
     loose = {}      # z -> family -> edges of the leaf meeting R(z) untamed
     for family, opp, side in (("plus", "minus", 1), ("minus", "plus", 0)):
-        sets = index.ranks(opp)
+        sets, lines = index.ranks(opp), index.lines(opp)
         forest = index.forest(opp)
         for leaf in leaves[family]:
             el = leaf.element
@@ -427,7 +426,7 @@ def _leaf_crossings(index, leaves_plus, leaves_minus, position) -> list:
                 X, Y, D = h
                 # a mean of distinct points of the disc is strictly inside it
                 pos = _param_position(points, Y, X + D)
-                virtual_caps = {z: _hull_cap(sets, verts, z[side], h, pos) for z in fiber}
+                virtual_caps = {z: _hull_cap(sets, lines, z[side], h, pos) for z in fiber}
 
             for idx, u, v in open_edges:
                 for z in fiber:

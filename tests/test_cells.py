@@ -25,6 +25,7 @@ from circlink import (
     gen_symmetric,
     hull,
     linked_cells,
+    locate,
     nested_pair,
     validate,
 )
@@ -91,21 +92,27 @@ def _calls(fn, *args) -> dict:
             if key[0].endswith("hullgeom.py")}
 
 
-@pytest.mark.parametrize("k", [50, 100, 200])
-def test_star_cell_costs_one_crossing_a_vertex(k):
-    fp = random_circle_map(k).apply_pair(gen_star(k))
+def _calls_without_side_test(fp) -> dict:
+    """The calls linked_cells makes on fp, which include no side test
+    (hullgeom._in_cap); locating a cell's barycenter, counted the same way,
+    makes at least one per family."""
     fp.index.disc
     calls = _calls(linked_cells, fp)
-    assert calls.get("_orient", 0) == 0
+    assert calls.get("_in_cap", 0) == 0
+    cell = next(iter(fp.index.cells().values()))
+    assert _calls(locate, fp, cell.barycenter())["_in_cap"] >= 2
+    return calls
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+def test_star_cell_costs_one_crossing_a_vertex(k):
+    calls = _calls_without_side_test(random_circle_map(k).apply_pair(gen_star(k)))
     assert calls["_h_line_cross"] == 2 * k
     assert calls["_jump_cell"] == 1
 
 
 def test_grid_cell_costs_one_crossing():
-    fp = random_circle_map(3).apply_pair(gen_grid(6))
-    fp.index.disc
-    calls = _calls(linked_cells, fp)
-    assert calls.get("_orient", 0) == 0
+    calls = _calls_without_side_test(random_circle_map(3).apply_pair(gen_grid(6)))
     # both edges of a 2-point set are one chord
     assert calls["_h_line_cross"] == calls["_jump_cell"] == 36
     assert calls["_edge_lines"] == 12

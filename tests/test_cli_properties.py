@@ -230,6 +230,7 @@ def test_render_answers_any_pair(pair, flags):
 @given(st.sampled_from(["grid", "tripod", "star", "nested", "symmetric", "figure"]),
        st.integers(-2, 6), st.integers(-1, 8), st.integers(-1, 4),
        st.integers(-2 ** 70, 2 ** 70), st.booleans())
+@example("nested", 2, 3, 2000, 0, False)   # refused, not a RecursionError
 def test_gen_answers_any_request(kind, n, k, depth, seed, map_out):
     with tempfile.TemporaryDirectory() as d:
         argv = ["gen", "--kind", kind, "--n", str(n), "--k", str(k), "--depth", str(depth),

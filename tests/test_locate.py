@@ -79,7 +79,17 @@ def to_inf(u):
     return CircleMap(0, -m.denominator, m.denominator, -m.numerator)
 
 
-KINDS = ("random", "grid", "star", "tripod", "nested")
+KINDS = ("random", "grid", "star", "tripod", "nested", "bignum")
+
+
+def bignum_map(seed):
+    """A seeded map whose entries have 256, 512, 1 024 or 2 048 bits, where
+    random_circle_map's lie in [-6, 6]."""
+    rng = random.Random(seed)
+    bits = 256 << (seed >> 1) % 4
+    a, b, c, d = [rng.choice((-1, 1)) * (1 << bits - 1 | rng.getrandbits(bits - 1))
+                  for _ in range(4)]
+    return CircleMap(a, b, c, d) if a * d > b * c else CircleMap(c, d, a, b)
 
 
 def drawn_pair(kind, seed):
@@ -88,8 +98,10 @@ def drawn_pair(kind, seed):
     base = {"grid": lambda: gen_grid(1 + seed % 5),
             "star": lambda: gen_star(3 + seed % 5),
             "tripod": gen_tripod,
-            "nested": lambda: nested_pair(2, seed % 7)}[kind]()
-    fp = random_circle_map(seed).apply_pair(base)
+            "nested": lambda: nested_pair(2, seed % 7),
+            "bignum": lambda: gen_star(3 + seed % 4) if seed >> 3 & 1 else gen_grid(2 + seed % 3),
+            }[kind]()
+    fp = (bignum_map if kind == "bignum" else random_circle_map)(seed).apply_pair(base)
     if seed % 2:
         # move one marked point to INF, so a set holds it
         finite = [u for u in fp.index.points if not u.is_infinite]
@@ -171,7 +183,7 @@ def assert_in_hull_matches_scan(fp, pts):
     every point strictly inside the disc; returns the (family, set size,
     answer) triples seen."""
     index = fp.index
-    points, verts = index.points, index.triples()
+    points = index.points
     seen = set()
     for name in ("plus", "minus"):
         index.forest(name)  # the sweep checks that the hulls are disjoint
@@ -181,8 +193,8 @@ def assert_in_hull_matches_scan(fp, pts):
             continue
         pos = _param_position(points, Y, X + D)
         for name, want in zip(("plus", "minus"), locate_by_scan(fp, p)):
-            sets = index.ranks(name)
-            got = [k for k in range(len(sets)) if in_hull(sets, verts, k, h, pos)]
+            sets, lines = index.ranks(name), index.lines(name)
+            got = [k for k in range(len(sets)) if in_hull(sets, lines, k, h, pos)]
             assert got == ([] if want is None else [want]), (name, p, got, want)
             for k in range(len(sets)):
                 seen.add((name, min(len(sets[k]), 3), k == want))
@@ -284,18 +296,22 @@ def side_tests_per_query(monkeypatch, n):
             for _ in range(60)]
     expected = [locate(fp, p) for p in pts]  # also builds the locators
     counts = []
-    real = hullgeom._orient
+    real = hullgeom._in_cap
 
-    def counted(o, a, b):
+    def counted(lines, e, h):
         counts[-1] += 1
-        return real(o, a, b)
+        return real(lines, e, h)
 
-    monkeypatch.setattr(hullgeom, "_orient", counted)
+    monkeypatch.setattr(hullgeom, "_in_cap", counted)
     for p in pts:
         counts.append(0)
         locate(fp, p)
-    monkeypatch.setattr(hullgeom, "_orient", real)
+    monkeypatch.setattr(hullgeom, "_in_cap", real)
     assert expected == [locate_by_scan(fp, p) for p in pts]
+    # a point found in a hull passed at least one side test of that hull, so
+    # fewer would mean the side test was not the one counted
+    for got, where in zip(counts, expected):
+        assert got >= len(where) - where.count(None), (got, where)
     return max(counts)
 
 
@@ -304,7 +320,7 @@ def test_side_tests_grow_logarithmically(monkeypatch):
     # adds three bisection steps per family, where a scan tests 7 n more hulls
     small = side_tests_per_query(monkeypatch, 16)
     large = side_tests_per_query(monkeypatch, 128)
-    assert 0 < small and large <= small + 8, (small, large)
+    assert (small, large) == (12, 18)
 
 
 def verifier_side_tests(monkeypatch, n):
@@ -317,11 +333,11 @@ def verifier_side_tests(monkeypatch, n):
     fp = gen_grid(n)
     fp.index.disc
     counts = []
-    real_orient, real_position = hullgeom._orient, straighten._param_position
+    real_side, real_position = hullgeom._in_cap, straighten._param_position
 
-    def orient(o, a, b):
+    def side(lines, e, h):
         counts[-1] += 1
-        return real_orient(o, a, b)
+        return real_side(lines, e, h)
 
     def position(points, y, x):
         counts.append(0)
@@ -330,13 +346,14 @@ def verifier_side_tests(monkeypatch, n):
     def no_search(fp, p):
         raise AssertionError("locate ran for %s" % (p,))
 
-    monkeypatch.setattr(hullgeom, "_orient", orient)
+    monkeypatch.setattr(hullgeom, "_in_cap", side)
     monkeypatch.setattr(straighten, "_param_position", position)
     monkeypatch.setattr(straighten, "locate", no_search)
     out = []
     for verify in (straighten.quotient_check, lambda fp: check_equivariance(fp, CircleMap.identity())):
         counts.clear()
         assert verify(fp).ok
+        assert min(counts) >= 1, "a point passed with no side test counted"
         out.append((max(counts), len(counts)))
     return out
 
@@ -349,4 +366,4 @@ def test_verifiers_make_at_most_four_side_tests_per_point(monkeypatch):
         (q_most, q_points), (e_most, e_points) = verifier_side_tests(monkeypatch, n)
         assert q_points == e_points == n * n
         most[n] = (q_most, e_most)
-    assert most[16] == most[128] and max(most[16]) <= 4, most
+    assert most[16] == most[128] == (4, 4), most
