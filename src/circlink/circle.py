@@ -317,31 +317,33 @@ def rank_linked(a: tuple, b: tuple) -> bool:
     return _alternates(a, b) or _alternates(b, a)
 
 
-def _runs(a: tuple, b: tuple) -> tuple:
-    # cyclically consecutive ranks of the union of disjoint a and b that go
-    # from a to b, and from b to a
-    in_a = set(a)
-    flags = [x in in_a for x in sorted(a + b)]
-    a_to_b = b_to_a = 0
-    prev = flags[-1]
-    for f in flags:
-        if prev and not f:
-            a_to_b += 1
-        elif f and not prev:
-            b_to_a += 1
-        prev = f
-    return a_to_b, b_to_a
+def rank_counts(a: tuple, b: tuple, members: frozenset = None) -> tuple:
+    """The four interval counts of disjoint rank tuples; see link_number_counts.
 
-
-def rank_counts(a: tuple, b: tuple) -> tuple:
-    """The four interval counts of disjoint rank tuples; see link_number_counts."""
+    members is set(a), built here when not given; especial_disc passes the
+    frozenset its row already holds, so a pair costs this one call. c1 and c2
+    bisect the gaps of one tuple for the ranks of the other; c3 and c4 walk
+    the union cyclically and count the steps from a rank of a to one of b,
+    and from b to a.
+    """
     # bisect_left(a, x) % len(a) numbers the gaps of a differently from
     # rank_gap, but one to one, so it counts the same gaps
     m, k = len(a), len(b)
     c1 = len({bisect_left(a, x) % m for x in b})
     c2 = len({bisect_left(b, x) % k for x in a})
-    c3, c4 = _runs(a, b)
-    return c1, c2, c3, c4
+    if members is None:
+        members = frozenset(a)
+    union = sorted(a + b)
+    a_to_b = b_to_a = 0
+    prev = union[-1] in members
+    for x in union:
+        f = x in members
+        if prev and not f:
+            a_to_b += 1
+        elif f and not prev:
+            b_to_a += 1
+        prev = f
+    return c1, c2, a_to_b, b_to_a
 
 
 def agreed_link_number(counts: tuple, z=None) -> int:

@@ -49,56 +49,58 @@ def _dumps(obj) -> str:
     dict holding it, and each key with its separator once per call.
     """
     out = []
-    put = out.append
-    scalar = _SCALARS.get
-    keys = {}
-
-    def write(o, nl):
-        inner = nl + "  "
-        if isinstance(o, dict):
-            if not o:
-                put("{}")
-                return
-            sep = "{" + inner
-            for k, v in sorted(o.items()):
-                key = keys.get(k)
-                if key is None:
-                    if not isinstance(k, str):
-                        raise TypeError("keys must be str, not %s" % type(k).__name__)
-                    key = keys[k] = _json_str(k) + ": "
-                enc = scalar(type(v))
-                if enc is None:
-                    put(sep + key)
-                    write(v, inner)
-                else:
-                    put(sep + key + enc(v))
-                sep = "," + inner
-            put(nl + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                put("[]")
-                return
-            sep = "[" + inner
-            for v in o:
-                enc = scalar(type(v))
-                if enc is None:
-                    put(sep)
-                    write(v, inner)
-                else:
-                    put(sep + enc(v))
-                sep = "," + inner
-            put(nl + "]")
-        else:
-            # a scalar at the top, or a subclass of str, int or float
-            enc = scalar(type(o)) or next(
-                (_SCALARS[t] for t in (str, int, float) if isinstance(o, t)), None)
-            if enc is None:
-                raise TypeError("Object of type %s is not JSON serializable"
-                                % type(o).__name__)
-            put(enc(o))
-
-    write(obj, "\n")
+    _write(obj, "\n", out.append, {})
     return "".join(out)
+
+
+def _write(o, nl: str, put, keys: dict) -> None:
+    # _dumps's recursion: o indented by nl, handed to put in fragments, with
+    # keys the spelled keys. A module-level function and not a closure, which
+    # would hold its own cell, and through put every fragment, in a cycle
+    # that only the cyclic collector frees
+    scalar = _SCALARS.get
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            key = keys.get(k)
+            if key is None:
+                if not isinstance(k, str):
+                    raise TypeError("keys must be str, not %s" % type(k).__name__)
+                key = keys[k] = _json_str(k) + ": "
+            enc = scalar(type(v))
+            if enc is None:
+                put(sep + key)
+                _write(v, inner, put, keys)
+            else:
+                put(sep + key + enc(v))
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        sep = "[" + inner
+        for v in o:
+            enc = scalar(type(v))
+            if enc is None:
+                put(sep)
+                _write(v, inner, put, keys)
+            else:
+                put(sep + enc(v))
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        # a scalar at the top, or a subclass of str, int or float
+        enc = scalar(type(o)) or next(
+            (_SCALARS[t] for t in (str, int, float) if isinstance(o, t)), None)
+        if enc is None:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(o).__name__)
+        put(enc(o))
 
 
 def _emit(obj) -> None:
@@ -334,15 +336,21 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The entry of a circlink process (python -m circlink and the circlink
-    script): main's exit code, with the heap frozen before shutdown.
+    script): main's exit code, run with the cyclic collector off and with
+    the heap frozen before shutdown.
 
-    Freezing moves every tracked object into the collector's permanent
-    generation, which the collections of interpreter shutdown skip. main
-    closes each file it writes before it returns, so no finalizer is left
-    for shutdown to run. A reader that closes stdout early ends the process
+    A command's pair, disc, cells and leaves are live until it ends, so a
+    collection during main frees nothing that the process does not free at
+    exit, and tracing them costs a few per cent of a grid_dense pass; main
+    leaves the collector as it found it, for callers in process. Freezing moves
+    every tracked object into the collector's permanent generation, which
+    the collections of interpreter shutdown skip, off or not. main closes
+    each file it writes before it returns, so no finalizer is left for
+    shutdown to run. A reader that closes stdout early ends the process
     with exit code 1 and nothing on stderr, as the signal module's
     documentation shows for SIGPIPE.
     """
+    gc.disable()
     try:
         try:
             return main()

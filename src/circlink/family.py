@@ -278,7 +278,7 @@ def _meet_or_link(points: tuple, a: tuple, members: frozenset, b: tuple, z: tupl
     """The first shared point of rank tuples a and b (members is set(a)), or
     their linking number when they are disjoint."""
     if members.isdisjoint(b):
-        return agreed_link_number(rank_counts(a, b), z)
+        return agreed_link_number(rank_counts(a, b, members), z)
     # validation admits at most one shared point per cross pair
     return points[next(r for r in b if r in members)]
 
@@ -399,13 +399,20 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
                     seen[k] = i
                     row.append(k)
             row.sort()
+            # each candidate is tested here, as _meet_or_link does, with one
+            # call per disjoint pair: the row's frozenset serves every walk
             members = frozenset(a)
             for j in row:
-                c = _meet_or_link(points, a, members, minus[j], (i, j))
-                if isinstance(c, CirclePoint):
-                    boundary.append((i, j, c))
-                elif c != 1:
-                    interior.append((i, j, c))
+                b = minus[j]
+                if not members.isdisjoint(b):
+                    # validation admits at most one shared point per cross pair
+                    boundary.append((i, j, points[next(r for r in b if r in members)]))
+                    continue
+                c1, c2, c3, c4 = counts = rank_counts(a, b, members)
+                if not c1 == c2 == c3 == c4:
+                    raise InvariantViolation("four interval counts agree", counts, (i, j))
+                if c1 != 1:
+                    interior.append((i, j, c1))
         index._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
     return index._disc
 

@@ -48,7 +48,9 @@ class RenderOptions(Frozen, width=720, height=720, labels=False):
 
 class _Canvas:
     """An SVG picture handed to write as it is drawn, one element per line
-    (each ending in a newline); points are homogeneous triples (X, Y, D)."""
+    (each ending in a newline). Drawing methods take points as formatted
+    pixel pairs (x, y): xy formats a homogeneous triple (X, Y, D), px does so
+    once per distinct triple."""
 
     def __init__(self, opts: RenderOptions, write):
         self.write = write
@@ -60,13 +62,17 @@ class _Canvas:
               'width="%d" height="%d" viewBox="0 0 %d %d">\n'
               % (opts.width, opts.height, opts.width, opts.height))
 
+    def xy(self, h: tuple) -> tuple:
+        """The formatted pixel coordinates of h."""
+        # int / int is correctly rounded, as float(Fraction(X, D)) is
+        return (_fmt(self.cx + self.radius * (h[0] / h[2])),
+                _fmt(self.cy - self.radius * (h[1] / h[2])))
+
     def px(self, h: tuple) -> tuple:
-        """The formatted pixel coordinates of h, computed once per point."""
+        """xy(h), computed once per point."""
         xy = self._px.get(h)
         if xy is None:
-            # int / int is correctly rounded, as float(Fraction(X, D)) is
-            xy = self._px[h] = (_fmt(self.cx + self.radius * (h[0] / h[2])),
-                                _fmt(self.cy - self.radius * (h[1] / h[2])))
+            xy = self._px[h] = self.xy(h)
         return xy
 
     def boundary(self) -> None:
@@ -75,20 +81,17 @@ class _Canvas:
             'stroke="#111111" stroke-width="%s"/>\n'
             % (_fmt(self.cx), _fmt(self.cy), _fmt(self.radius), STROKE_WIDTH))
 
-    def dot(self, eid: str, h: tuple, color: str, r: str) -> None:
-        x, y = self.px(h)
+    def dot(self, eid: str, xy: tuple, color: str, r: str) -> None:
         self.write('<circle id="%s" cx="%s" cy="%s" r="%s" fill="%s"/>\n'
-                   % (eid, x, y, r, color))
+                   % (eid, xy[0], xy[1], r, color))
 
     def line(self, eid: str, p: tuple, q: tuple, color: str, width: str) -> None:
-        x1, y1 = self.px(p)
-        x2, y2 = self.px(q)
         self.write(
             '<line id="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>\n'
-            % (eid, x1, y1, x2, y2, color, width))
+            % (eid, p[0], p[1], q[0], q[1], color, width))
 
     def polygon(self, eid: str, pts, color: str, filled: bool) -> None:
-        coords = " ".join("%s,%s" % self.px(h) for h in pts)
+        coords = " ".join("%s,%s" % xy for xy in pts)
         if filled:
             style = 'fill="%s" fill-opacity="%s" stroke="%s" stroke-width="1"' % (
                 color, REGION_OPACITY, color)
@@ -96,12 +99,11 @@ class _Canvas:
             style = 'fill="none" stroke="%s" stroke-width="%s"' % (color, STROKE_WIDTH)
         self.write('<polygon id="%s" points="%s" %s/>\n' % (eid, coords, style))
 
-    def text(self, eid: str, h: tuple, content: str, color: str) -> None:
-        x, y = self.px(h)
+    def text(self, eid: str, xy: tuple, content: str, color: str) -> None:
         # html.escape(content, quote=False), without importing html: "&" first
         content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.write('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>\n'
-                   % (eid, x, y, color, content))
+                   % (eid, xy[0], xy[1], color, content))
 
     def open_group(self, gid: str) -> None:
         self.write('<g id="%s">\n' % gid)
@@ -114,13 +116,13 @@ class _Canvas:
 
 
 def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, filled: bool) -> None:
-    hv = cell._h
+    pts = [canvas.px(h) for h in cell._h]
     if cell.dim == 0:
-        canvas.dot(eid, hv[0], color, POINT_RADIUS)
+        canvas.dot(eid, pts[0], color, POINT_RADIUS)
     elif cell.dim == 1:
-        canvas.line(eid, hv[0], hv[1], color, STROKE_WIDTH)
+        canvas.line(eid, pts[0], pts[1], color, STROKE_WIDTH)
     else:
-        canvas.polygon(eid, hv, color, filled)
+        canvas.polygon(eid, pts, color, filled)
 
 
 def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
@@ -139,32 +141,48 @@ def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
                                           ("minus", fp.minus, fp.minus_labels, MINUS_COLOR)):
             for i, s in enumerate(sets):
                 tag = labels[i] if labels else "%s%d" % (name, i)
-                canvas.text("label-%s-%d" % (name, i), param_to_point(s.points[0])._h, tag, color)
+                canvas.text("label-%s-%d" % (name, i),
+                            canvas.px(param_to_point(s.points[0])._h), tag, color)
     canvas.finish()
 
 
 def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> None:
-    """The straightened picture: circle, leaf trees, Z-points."""
+    """The straightened picture: circle, leaf trees, Z-points.
+
+    Every position is distinct, so each is formatted once, into a pixel
+    table keyed by Z-point (and by leaf for the virtual vertices), before
+    the first leaf. A leaf formats its id prefix and its style suffix once,
+    and each of its edges is one write from the table.
+    """
+    from .straighten import VIRTUAL
+
     canvas = _Canvas(opts, write)
     canvas.boundary()
+    xy = canvas.xy
+    at = {z: xy(p._h) for z, p in sd.layout.items()}
+    virtual = {key: xy(p._h) for key, p in sd.virtual_positions.items()}
     for leaves, color in ((sd.leaves_plus, PLUS_COLOR), (sd.leaves_minus, MINUS_COLOR)):
+        tail = '" stroke="%s" stroke-width="%s"/>\n' % (color, LEAF_STROKE_WIDTH)
         for leaf in leaves:
-            canvas.open_group("leaf-%s-%d" % (leaf.family, leaf.element))
+            gid = "leaf-%s-%d" % (leaf.family, leaf.element)
+            canvas.open_group(gid)
+            head = '<line id="%s-e' % gid
+            if leaf.virtual_count:
+                # the table's entry for this leaf's virtual vertex
+                at[VIRTUAL] = virtual[(leaf.family, leaf.element)]
             for idx, (u, v) in enumerate(leaf.edges):
-                p = sd.position(leaf.family, leaf.element, u)._h
-                q = sd.position(leaf.family, leaf.element, v)._h
-                canvas.line("leaf-%s-%d-e%d" % (leaf.family, leaf.element, idx),
-                            p, q, color, LEAF_STROKE_WIDTH)
+                p, q = at[u], at[v]
+                write('%s%d" x1="%s" y1="%s" x2="%s" y2="%s%s'
+                      % (head, idx, p[0], p[1], q[0], q[1], tail))
             canvas.close_group()
-    for (fam, el) in sorted(sd.virtual_positions):
-        canvas.dot("virtual-%s-%d" % (fam, el), sd.virtual_positions[(fam, el)]._h,
-                   "#6b7280", VIRTUAL_RADIUS)
-    for (i, j) in sorted(sd.layout):
-        color = "#111111" if (i, j) in sd.boundary_anchors else REGION_COLOR
-        canvas.dot("z-%d-%d" % (i, j), sd.layout[(i, j)]._h, color, POINT_RADIUS)
+    for key in sorted(virtual):
+        canvas.dot("virtual-%s-%d" % key, virtual[key], "#6b7280", VIRTUAL_RADIUS)
+    for z in sorted(sd.layout):
+        color = "#111111" if z in sd.boundary_anchors else REGION_COLOR
+        canvas.dot("z-%d-%d" % z, at[z], color, POINT_RADIUS)
     if opts.labels:
-        for (i, j) in sorted(sd.layout):
-            canvas.text("zlabel-%d-%d" % (i, j), sd.layout[(i, j)]._h, "(%d,%d)" % (i, j), "#374151")
+        for z in sorted(sd.layout):
+            canvas.text("zlabel-%d-%d" % z, at[z], "(%d,%d)" % z, "#374151")
     canvas.finish()
 
 

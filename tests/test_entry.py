@@ -37,13 +37,30 @@ def test_main_leaves_the_heap_unfrozen(files, capsys):
     assert gc.get_freeze_count() == before
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(files, capsys, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv in (["render", files["pair"], "--out", files["out"]],
+                     ["validate", files["map"]]):
+            cli.main(argv)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_run_freezes_the_heap_and_returns_mains_code(files):
+    # run also turns the cyclic collector off before main, and leaves it off
     code = ("import gc, sys\n"
-            "from circlink.cli import run\n"
-            "code = run()\n"
-            "sys.stderr.write('%d %s' % (code, gc.get_freeze_count() > 0))\n")
-    for argv, expected in ((["validate", files["pair"]], "0 True"),
-                           (["validate", files["map"]], "2 True")):
+            "from circlink import cli\n"
+            "real, during = cli.main, []\n"
+            "cli.main = lambda: during.append(gc.isenabled()) or real()\n"
+            "code = cli.run()\n"
+            "sys.stderr.write('%d %s %s %s' % (code, during, gc.isenabled(),\n"
+            "                                  gc.get_freeze_count() > 0))\n")
+    for argv, expected in ((["validate", files["pair"]], "0 [False] False True"),
+                           (["validate", files["map"]], "2 [False] False True")):
         proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
                               text=True, env=ENV, timeout=60)
         assert proc.stderr == expected

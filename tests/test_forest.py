@@ -174,18 +174,20 @@ def test_non_laminar_corpus_covers_every_way_to_break():
 # ── cost ─────────────────────────────────────────────────────────────────
 
 def classification_calls(monkeypatch, fp):
+    # the cross pairs especial_disc tests: a disjoint one costs one
+    # rank_counts call, and one that meets gives one boundary Z-point
     calls = [0]
-    real = family._meet_or_link
+    real = family.rank_counts
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
     fp = validate(fp.plus, fp.minus)
-    monkeypatch.setattr(family, "_meet_or_link", counted)
+    monkeypatch.setattr(family, "rank_counts", counted)
     disc = especial_disc(fp)
-    monkeypatch.setattr(family, "_meet_or_link", real)
-    return calls[0], disc, fp
+    monkeypatch.setattr(family, "rank_counts", real)
+    return calls[0] + len(disc.boundary), disc, fp
 
 
 def forest_height(fp, name):
@@ -225,7 +227,7 @@ def test_first_disagreement_is_reported_in_index_order(monkeypatch):
     # the walk from the rank 5 meets minus 1 before its parent, minus 0; the
     # row loop tested (0, 0) first, and so does the forest
     fp = validate([CircleSet([5, 20])], [CircleSet([0, 10]), CircleSet([1, 9])])
-    monkeypatch.setattr(family, "rank_counts", lambda a, b: (1, 1, 2, 2))
+    monkeypatch.setattr(family, "rank_counts", lambda a, b, members: (1, 1, 2, 2))
     with pytest.raises(InvariantViolation) as info:
         especial_disc(fp)
     assert info.value.z == (0, 0)

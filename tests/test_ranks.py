@@ -271,9 +271,9 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
     real_counts = family.rank_counts
     real_disc = family.especial_disc
 
-    def counted_counts(a, b):
+    def counted_counts(a, b, members):
         kernel_calls.append((a, b))
-        return real_counts(a, b)
+        return real_counts(a, b, members)
 
     def counted_disc(fp):
         disc_calls.append(fp)
@@ -319,7 +319,7 @@ def test_disagreeing_counts_raise_typed_violation(monkeypatch, tmp_path, capsys)
     with pytest.raises(InvariantViolation) as info:
         link_number(CircleSet([0, 2]), CircleSet([1, 3]))
     assert info.value.counts == (2, 2, 2, 3) and info.value.z is None
-    monkeypatch.setattr(family, "rank_counts", lambda a, b: (1, 1, 2, 2))
+    monkeypatch.setattr(family, "rank_counts", lambda a, b, members: (1, 1, 2, 2))
     with pytest.raises(InvariantViolation) as info:
         especial_disc(validate(gen_grid(2).plus, gen_grid(2).minus))
     assert info.value.counts == (1, 1, 2, 2) and info.value.z == (0, 0)
@@ -333,7 +333,7 @@ def test_disagreeing_counts_raise_typed_violation(monkeypatch, tmp_path, capsys)
 
 OPTIMISED_CHECK = """
 from circlink import InvariantViolation, especial_disc, family, gen_grid
-family.rank_counts = lambda a, b: (1, 1, 2, 2)
+family.rank_counts = lambda a, b, members: (1, 1, 2, 2)
 try:
     especial_disc(gen_grid(2))
 except InvariantViolation as exc:

@@ -156,27 +156,29 @@ def test_failure_mid_picture_leaves_no_partial_file(tmp_path, capsys, monkeypatc
     if existing:
         straight.write_bytes(b"<svg>old picture</svg>\n")
 
-    # _fmt is called once per new number; fail the straightened picture
-    # near its end, well after its first lines have reached the file
-    counted = []
-    real = render._fmt
-    monkeypatch.setattr(render, "_fmt", lambda v: counted.append(v) or real(v))
-    render_input_svg(fp)
-    input_calls = len(counted)
-    render_straightened_svg(layout(fp))
-    fail_at = input_calls + (len(counted) - input_calls) * 9 // 10
+    # the straightened picture formats its pixel table before its first
+    # leaf line, so fail it at the write of a line near its end, well after
+    # its first lines have reached the file
+    lines = []
+    _write_straightened(layout(fp), RenderOptions(), lines.append)
+    fail_at = len(lines) * 9 // 10
     error = NotInteriorError((7, 7))
     seen = {}
+    real = render._write_straightened
 
-    def failing(v):
-        counted.append(v)
-        if len(counted) == fail_at:
-            seen["temporary"] = [os.path.getsize(tmp_path / n) for n in leftovers(tmp_path)]
-            raise error
-        return real(v)
+    def failing_writer(sd, opts, write):
+        written = []
 
-    counted.clear()
-    monkeypatch.setattr(render, "_fmt", failing)
+        def failing(line):
+            written.append(line)
+            if len(written) == fail_at:
+                seen["temporary"] = [os.path.getsize(tmp_path / n) for n in leftovers(tmp_path)]
+                raise error
+            return write(line)
+
+        real(sd, opts, failing)
+
+    monkeypatch.setattr(render, "_write_straightened", failing_writer)
     code, out, prefix = render_files(tmp_path, capsys, pair_path)
 
     assert code == 1
@@ -214,7 +216,7 @@ def test_failure_in_the_first_picture_writes_neither(tmp_path, capsys, monkeypat
 # ── memory ───────────────────────────────────────────────────────────────
 
 def test_straightened_writer_holds_less_than_the_picture():
-    # n = 120: on smaller grids the per-point pixel cache dominates the peak
+    # n = 120: on smaller grids the per-Z-point pixel table dominates the peak
     # whichever way the picture is emitted
     sd = layout(random_circle_map(0).apply_pair(gen_grid(120)))
     size = 0

@@ -2,6 +2,7 @@
 indent=2) byte for byte, without the json module's pure-Python encoder."""
 
 import enum
+import gc
 import json
 import subprocess
 import sys
@@ -150,3 +151,21 @@ def test_commands_never_run_the_json_encoder(tmp_path, flags):
     for name, _, calls, text in report:
         assert calls == 0, name
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+
+
+def test_leaves_no_garbage_for_the_collector():
+    # a command runs with the collector off, so a cycle left by the writer
+    # would keep every fragment of the answer until the process exits
+    value = {"pairs": [{"plus": i, "minus": [i, None, {"n": 2.5}]} for i in range(50)]}
+    # json's own encoder leaves cycles: run it before the first collection
+    expected = oracle(value)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        text = _dumps(value)
+        assert gc.collect() == 0
+        assert text == expected
+    finally:
+        if was:
+            gc.enable()
