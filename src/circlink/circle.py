@@ -321,7 +321,7 @@ def rank_counts(a: tuple, b: tuple, members: frozenset = None) -> tuple:
     """The four interval counts of disjoint rank tuples; see link_number_counts.
 
     members is set(a), built here when not given; especial_disc passes the
-    frozenset its row already holds, so a pair costs this one call. c1 and c2
+    frozenset its row already holds, so no pair builds its own. c1 and c2
     bisect the gaps of one tuple for the ranks of the other; c3 and c4 walk
     the union cyclically and count the steps from a rank of a to one of b,
     and from b to a.

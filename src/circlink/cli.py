@@ -340,15 +340,15 @@ def run() -> int:
     the heap frozen before shutdown.
 
     A command's pair, disc, cells and leaves are live until it ends, so a
-    collection during main frees nothing that the process does not free at
-    exit, and tracing them costs a few per cent of a grid_dense pass; main
-    leaves the collector as it found it, for callers in process. Freezing moves
-    every tracked object into the collector's permanent generation, which
-    the collections of interpreter shutdown skip, off or not. main closes
-    each file it writes before it returns, so no finalizer is left for
-    shutdown to run. A reader that closes stdout early ends the process
-    with exit code 1 and nothing on stderr, as the signal module's
-    documentation shows for SIGPIPE.
+    collection during main only traces them and frees nothing that the
+    process does not free at exit; main leaves the collector as it found
+    it, for callers in process. Freezing moves every tracked object into
+    the collector's permanent generation, which the collections of
+    interpreter shutdown skip, off or not. main closes each file it writes
+    before it returns, so no finalizer is left for shutdown to run. A
+    reader that closes stdout early ends the process with exit code 1 and
+    nothing on stderr, as the signal module's documentation shows for
+    SIGPIPE.
     """
     gc.disable()
     try:

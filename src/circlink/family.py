@@ -399,20 +399,13 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
                     seen[k] = i
                     row.append(k)
             row.sort()
-            # each candidate is tested here, as _meet_or_link does, with one
-            # call per disjoint pair: the row's frozenset serves every walk
             members = frozenset(a)
             for j in row:
-                b = minus[j]
-                if not members.isdisjoint(b):
-                    # validation admits at most one shared point per cross pair
-                    boundary.append((i, j, points[next(r for r in b if r in members)]))
-                    continue
-                c1, c2, c3, c4 = counts = rank_counts(a, b, members)
-                if not c1 == c2 == c3 == c4:
-                    raise InvariantViolation("four interval counts agree", counts, (i, j))
-                if c1 != 1:
-                    interior.append((i, j, c1))
+                c = _meet_or_link(points, a, members, minus[j], (i, j))
+                if isinstance(c, CirclePoint):
+                    boundary.append((i, j, c))
+                elif c != 1:
+                    interior.append((i, j, c))
         index._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
     return index._disc
 

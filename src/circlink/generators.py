@@ -104,18 +104,20 @@ def _nested_ends(depth: int, seed: int) -> tuple:
         raise ValueError("depth must be from 0 to 20")
     rng = SplitMix64(seed)
     out = []
-
-    def build(lo: int, hi: int, level: int) -> None:
+    scale = 1 << 20 * (depth + 1)
+    # the chords in preorder, a chord before its inner subtree and that
+    # before its outer one, walked with a stack: a recursive closure would
+    # hold itself, and with it out, in a cycle only the collector frees
+    stack = [(0, scale, 0)]
+    while stack:
+        lo, hi, level = stack.pop()
         w = hi - lo
         a = lo + (((1 << 18) + rng.bits(18)) * w >> 20)       # t in [1/4, 1/2)
         b = lo + (((1 << 19) + 1 + rng.bits(18)) * w >> 20)   # t in (1/2, 3/4]
         out.append((a, b))
         if level < depth:
-            build(a, b, level + 1)
-            build(b, hi, level + 1)
-
-    scale = 1 << 20 * (depth + 1)
-    build(0, scale, 0)
+            stack.append((b, hi, level + 1))
+            stack.append((a, b, level + 1))
     return scale, out
 
 

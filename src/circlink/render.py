@@ -151,29 +151,24 @@ def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> Non
 
     Every position is distinct, so each is formatted once, into a pixel
     table keyed by Z-point (and by leaf for the virtual vertices), before
-    the first leaf. A leaf formats its id prefix and its style suffix once,
-    and each of its edges is one write from the table.
+    the first leaf, and each leaf edge is drawn from the table.
     """
     from .straighten import VIRTUAL
 
     canvas = _Canvas(opts, write)
     canvas.boundary()
-    xy = canvas.xy
+    xy, line = canvas.xy, canvas.line
     at = {z: xy(p._h) for z, p in sd.layout.items()}
     virtual = {key: xy(p._h) for key, p in sd.virtual_positions.items()}
     for leaves, color in ((sd.leaves_plus, PLUS_COLOR), (sd.leaves_minus, MINUS_COLOR)):
-        tail = '" stroke="%s" stroke-width="%s"/>\n' % (color, LEAF_STROKE_WIDTH)
         for leaf in leaves:
-            gid = "leaf-%s-%d" % (leaf.family, leaf.element)
+            key = (leaf.family, leaf.element)
+            gid = "leaf-%s-%d" % key
             canvas.open_group(gid)
-            head = '<line id="%s-e' % gid
-            if leaf.virtual_count:
-                # the table's entry for this leaf's virtual vertex
-                at[VIRTUAL] = virtual[(leaf.family, leaf.element)]
             for idx, (u, v) in enumerate(leaf.edges):
-                p, q = at[u], at[v]
-                write('%s%d" x1="%s" y1="%s" x2="%s" y2="%s%s'
-                      % (head, idx, p[0], p[1], q[0], q[1], tail))
+                # a virtual vertex only ever starts an edge
+                line("%s-e%d" % (gid, idx), virtual[key] if u is VIRTUAL else at[u], at[v],
+                     color, LEAF_STROKE_WIDTH)
             canvas.close_group()
     for key in sorted(virtual):
         canvas.dot("virtual-%s-%d" % key, virtual[key], "#6b7280", VIRTUAL_RADIUS)

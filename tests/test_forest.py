@@ -174,20 +174,18 @@ def test_non_laminar_corpus_covers_every_way_to_break():
 # ── cost ─────────────────────────────────────────────────────────────────
 
 def classification_calls(monkeypatch, fp):
-    # the cross pairs especial_disc tests: a disjoint one costs one
-    # rank_counts call, and one that meets gives one boundary Z-point
     calls = [0]
-    real = family.rank_counts
+    real = family._meet_or_link
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
     fp = validate(fp.plus, fp.minus)
-    monkeypatch.setattr(family, "rank_counts", counted)
+    monkeypatch.setattr(family, "_meet_or_link", counted)
     disc = especial_disc(fp)
-    monkeypatch.setattr(family, "rank_counts", real)
-    return calls[0] + len(disc.boundary), disc, fp
+    monkeypatch.setattr(family, "_meet_or_link", real)
+    return calls[0], disc, fp
 
 
 def forest_height(fp, name):

@@ -1,5 +1,6 @@
 """Deterministic fixtures and seeded random family generation."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from circlink import (
     separates,
     validate,
 )
+from circlink.generators import _nested_ends
 
 F = Fraction
 
@@ -111,6 +113,21 @@ def test_nested_pair_validates():
     for seed in range(50):
         fp = nested_pair(2, seed)
         validate(list(fp.plus), list(fp.minus))
+
+
+def test_nested_leaves_no_garbage_for_the_collector():
+    # a command runs with the collector off, so a cycle left by the chord
+    # walk would keep every chord until the process exits
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for depth in (0, 1, 6):
+            _nested_ends(depth, 3)
+            assert gc.collect() == 0, depth
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_nesting_defect_ratio_shrinks_with_depth():
