@@ -21,7 +21,7 @@ from importlib import import_module
 _EXPORTS = {
     "circle": (
         "CirclePoint", "CircleSet", "INF", "complementary_intervals", "link_number",
-        "link_number_counts", "linked", "point", "separates",
+        "linked", "point", "separates",
     ),
     "errors": (
         "CirclinkError", "EmptyLinkedCellError", "FamilyValidationError",

@@ -17,7 +17,7 @@ from functools import cmp_to_key
 from math import gcd, inf
 from typing import Iterable, Iterator
 
-from .errors import InvariantViolation, MalformedInputError, NotDisjointError
+from .errors import MalformedInputError, NotDisjointError
 
 __all__ = [
     "CirclePoint",
@@ -27,13 +27,11 @@ __all__ = [
     "complementary_intervals",
     "linked",
     "link_number",
-    "link_number_counts",
     "separates",
     "rank_table",
     "rank_gap",
     "rank_linked",
-    "rank_counts",
-    "agreed_link_number",
+    "rank_link_number",
     "rank_separates",
 ]
 
@@ -317,45 +315,24 @@ def rank_linked(a: tuple, b: tuple) -> bool:
     return _alternates(a, b) or _alternates(b, a)
 
 
-def rank_counts(a: tuple, b: tuple, members: frozenset = None) -> tuple:
-    """The four interval counts of disjoint rank tuples; see link_number_counts.
+def rank_link_number(a: tuple, b: tuple) -> int:
+    """Linking number of disjoint rank tuples: the number of complementary
+    intervals of a that hold ranks of b.
 
-    members is set(a), built here when not given; especial_disc passes the
-    frozenset its row already holds, so no pair builds its own. c1 and c2
-    bisect the gaps of one tuple for the ranks of the other; c3 and c4 walk
-    the union cyclically and count the steps from a rank of a to one of b,
-    and from b to a.
+    Three other counts equal it for any disjoint a and b: the gaps of b
+    holding ranks of a, and the steps of the cyclic union from a rank of a
+    to one of b, and from b to a. Each maximal run of b in the union lies in
+    one gap of a, and each gap of a holding ranks of b holds one run, so
+    the count is the number of runs of b, which is the number of steps from
+    a to b; likewise the gaps of b holding ranks of a number the steps from
+    b to a; and going round the union steps from a to b as often as from b
+    to a. tests/test_ranks.py checks the kernel against all four counts,
+    computed point by point.
     """
     # bisect_left(a, x) % len(a) numbers the gaps of a differently from
     # rank_gap, but one to one, so it counts the same gaps
-    m, k = len(a), len(b)
-    c1 = len({bisect_left(a, x) % m for x in b})
-    c2 = len({bisect_left(b, x) % k for x in a})
-    if members is None:
-        members = frozenset(a)
-    union = sorted(a + b)
-    a_to_b = b_to_a = 0
-    prev = union[-1] in members
-    for x in union:
-        f = x in members
-        if prev and not f:
-            a_to_b += 1
-        elif f and not prev:
-            b_to_a += 1
-        prev = f
-    return c1, c2, a_to_b, b_to_a
-
-
-def agreed_link_number(counts: tuple, z=None) -> int:
-    """The linking number, once the four interval counts agree.
-
-    Raises InvariantViolation with the counts (and the Z-point z, if given)
-    when they do not.
-    """
-    c1, c2, c3, c4 = counts
-    if not c1 == c2 == c3 == c4:
-        raise InvariantViolation("four interval counts agree", counts, z)
-    return c1
+    m = len(a)
+    return len({bisect_left(a, x) % m for x in b})
 
 
 def _home(barrier: tuple, s: tuple):
@@ -393,23 +370,13 @@ def linked(a_set: CircleSet, b_set: CircleSet) -> bool:
     return rank_linked(*rank_table((a_set.points, b_set.points))[1])
 
 
-def link_number_counts(a_set: CircleSet, b_set: CircleSet) -> tuple:
-    """The four interval counts for a disjoint pair, computed independently.
-
-    Returns (complementary intervals of A meeting B,
-             complementary intervals of B meeting A,
-             complementary intervals of the union running from A to B,
-             complementary intervals of the union running from B to A).
-    """
+def link_number(a_set: CircleSet, b_set: CircleSet) -> int:
+    """Linking number of a disjoint pair, the number of complementary
+    intervals of A that meet B; n == 1 means unlinked."""
     shared = a_set.intersection(b_set)
     if shared:
         raise NotDisjointError(shared)
-    return rank_counts(*rank_table((a_set.points, b_set.points))[1])
-
-
-def link_number(a_set: CircleSet, b_set: CircleSet) -> int:
-    """Linking number of a disjoint pair; n == 1 means unlinked."""
-    return agreed_link_number(link_number_counts(a_set, b_set))
+    return rank_link_number(*rank_table((a_set.points, b_set.points))[1])
 
 
 def separates(barrier: CircleSet, first: CircleSet, second: CircleSet) -> bool:

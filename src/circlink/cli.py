@@ -165,13 +165,13 @@ def _atomic_write(path: str, emit) -> None:
 
 
 def _parse_point(text: str):
-    from .hullgeom import _over_lcm, _parse_frac, _point
+    from .hullgeom import PlanePoint
 
     parts = text.split(",")
     if len(parts) != 2:
         raise MalformedInputError("point must be \"x,y\" with rational entries", "--point")
     try:
-        return _point(_over_lcm([_parse_frac(p.strip(), "--point") for p in parts]))
+        return PlanePoint.from_json([p.strip() for p in parts], "--point")
     except MalformedInputError:
         raise MalformedInputError("bad rational in point %r" % text, "--point") from None
 
@@ -250,11 +250,11 @@ def cmd_equivariance(args) -> int:
 def cmd_gen(args) -> int:
     from .generators import GenSpec, gen_symmetric
 
+    if args.map_out is not None and args.kind != "symmetric":
+        raise MalformedInputError("--map-out only applies to --kind symmetric", "--map-out")
     spec = GenSpec(kind=args.kind, n=args.n, k=args.k, depth=args.depth, seed=args.seed)
     fp = spec.build()
     if args.map_out is not None:
-        if args.kind != "symmetric":
-            raise MalformedInputError("--map-out only applies to --kind symmetric", "--map-out")
         text = _dumps(gen_symmetric()[1].to_json()) + "\n"
         _atomic_write(args.map_out, lambda write: write(text))
     _emit(fp.to_json())

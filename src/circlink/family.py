@@ -23,9 +23,8 @@ from typing import Optional, Sequence, Union
 from .circle import (
     CirclePoint,
     CircleSet,
-    agreed_link_number,
     complementary_intervals,
-    rank_counts,
+    rank_link_number,
     rank_linked,
     rank_separates,
     rank_table,
@@ -274,11 +273,11 @@ def _check_index(n: int, idx: int, what: str) -> None:
         raise IndexError("%s index %d out of range [0, %d)" % (what, idx, n))
 
 
-def _meet_or_link(points: tuple, a: tuple, members: frozenset, b: tuple, z: tuple):
+def _meet_or_link(points: tuple, a: tuple, members: frozenset, b: tuple):
     """The first shared point of rank tuples a and b (members is set(a)), or
     their linking number when they are disjoint."""
     if members.isdisjoint(b):
-        return agreed_link_number(rank_counts(a, b, members), z)
+        return rank_link_number(a, b)
     # validation admits at most one shared point per cross pair
     return points[next(r for r in b if r in members)]
 
@@ -289,7 +288,7 @@ def classify_pair(fp: FamilyPair, i: int, j: int) -> PairClass:
     _check_index(len(fp.minus), j, "minus")
     index = fp.index
     a = index.ranks("plus")[i]
-    c = _meet_or_link(index.points, a, frozenset(a), index.ranks("minus")[j], (i, j))
+    c = _meet_or_link(index.points, a, frozenset(a), index.ranks("minus")[j])
     if isinstance(c, CirclePoint):
         return IntersectingAt(c)
     if c == 1:
@@ -362,10 +361,10 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
     """Classify every cross pair, testing only those that can meet or link.
 
     A minus set b that holds no rank of the plus set a, straddles none and
-    does not hold INF has all of a in its wrap gap: the four counts are
-    (1, 1, 1, 1) and the pair is unlinked. So row a tests only the minus
-    set holding INF and the owner and straddlers of each rank of a, read
-    from the minus family's laminar forest, in index order.
+    does not hold INF has all of a in its wrap gap: one gap of b holds ranks
+    of a, so the pair is unlinked. So row a tests only the minus set holding
+    INF and the owner and straddlers of each rank of a, read from the minus
+    family's laminar forest, in index order.
 
     The disc becomes the pair's index disc, so a pair is classified once
     however its stages are called; a later call returns the same disc.
@@ -401,7 +400,7 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
             row.sort()
             members = frozenset(a)
             for j in row:
-                c = _meet_or_link(points, a, members, minus[j], (i, j))
+                c = _meet_or_link(points, a, members, minus[j])
                 if isinstance(c, CirclePoint):
                     boundary.append((i, j, c))
                 elif c != 1:
@@ -639,10 +638,9 @@ def prong_count(fp: FamilyPair, z: tuple) -> int:
     """Number of prongs at an interior Z-point: twice its linking number.
 
     The prongs are the mixed complementary intervals of the union, those
-    running from one set to the other in either direction: c3 + c4 of the
-    four interval counts. agreed_link_number made the index's n(z) only once
-    c3 = c4 = n, so the count is 2 n(z) and check_equivariance compares
-    linking numbers instead.
+    running from one set to the other in either direction. There are n(z)
+    each way (see circle.rank_link_number), so the count is 2 n(z) and
+    check_equivariance compares linking numbers instead.
     """
     z = tuple(z)
     interior = fp.index.interior

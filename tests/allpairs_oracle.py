@@ -32,7 +32,7 @@ def especial_disc(fp) -> EspecialDisc:
     for i, a in enumerate(index.ranks("plus")):
         members = frozenset(a)
         for j, b in enumerate(minus):
-            c = _meet_or_link(points, a, members, b, (i, j))
+            c = _meet_or_link(points, a, members, b)
             if isinstance(c, CirclePoint):
                 boundary.append((i, j, c))
             elif c != 1:

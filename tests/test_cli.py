@@ -26,7 +26,7 @@ from circlink import (
     render_input_svg,
 )
 from circlink.cli import main
-from circlink.generators import random_circle_map
+from circlink.generators import GenSpec, random_circle_map
 
 
 def run(capsys, *argv):
@@ -339,6 +339,19 @@ def test_gen_symmetric_map_out(tmp_path, capsys):
 def test_gen_map_out_requires_symmetric(capsys):
     code, out = run(capsys, "gen", "--kind", "grid", "--map-out", "/tmp/never.json")
     assert code == 2
+
+
+def test_gen_refuses_map_out_before_building(monkeypatch, tmp_path, capsys):
+    # a depth-20 nested pair has 2^21 - 1 chords a family; none is built
+    def build(spec):
+        raise AssertionError("built %r" % (spec,))
+
+    monkeypatch.setattr(GenSpec, "build", build)
+    target = str(tmp_path / "map.json")
+    code, out = run(capsys, "gen", "--kind", "nested", "--depth", "20", "--map-out", target)
+    assert code == 2
+    assert json.loads(out)["location"] == "--map-out"
+    assert not os.path.exists(target)
 
 
 def _write_every_file(capsys, pair, map_path, prefix, umask):

@@ -220,17 +220,6 @@ def test_dense_grid_tests_every_pair(monkeypatch):
         assert calls == len(disc.interior) == n * n
 
 
-
-def test_first_disagreement_is_reported_in_index_order(monkeypatch):
-    # the walk from the rank 5 meets minus 1 before its parent, minus 0; the
-    # row loop tested (0, 0) first, and so does the forest
-    fp = validate([CircleSet([5, 20])], [CircleSet([0, 10]), CircleSet([1, 9])])
-    monkeypatch.setattr(family, "rank_counts", lambda a, b, members: (1, 1, 2, 2))
-    with pytest.raises(InvariantViolation) as info:
-        especial_disc(fp)
-    assert info.value.z == (0, 0)
-
-
 # ── separation chains and chain ends ─────────────────────────────────────
 
 def inf_nested_pairs(depths):

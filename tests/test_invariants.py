@@ -2,11 +2,12 @@
 
 Each check runs in a fresh interpreter, once normally and once under -O,
 which strips assert statements; both runs must raise the same typed error.
-A ratchet lists the asserts left in the library, so none can be added.
+The command line answers a violation with JSON and exit code 1. A ratchet lists the asserts left in the library, so none can be added.
 """
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from collections import Counter
 import pytest
 
 from childenv import SRC, child_env
+from circlink import InvariantViolation, PlanePoint, gen_grid, hullgeom, layout
+from circlink.cli import main
 
 
 PRELUDE = """
@@ -62,6 +65,21 @@ def test_invariant_is_a_typed_check(check, call, printed, flags):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == printed + "\n"
+
+
+def test_command_line_answers_a_violation_as_json(monkeypatch, tmp_path, capsys):
+    # every barycenter moved to the centre: two Z-points share a position
+    monkeypatch.setattr(hullgeom.ConvexCell, "barycenter", lambda cell: PlanePoint(0, 0))
+    with pytest.raises(InvariantViolation) as info:
+        layout(gen_grid(2))
+    assert info.value.invariant == "layout-collision"
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(gen_grid(2).to_json()), encoding="utf-8")
+    assert main(["render", str(path), "--out", str(tmp_path / "pic")]) == 1
+    # structured JSON, not a traceback, and no picture left behind
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "InvariantViolation", "message": str(info.value)}
+    assert os.listdir(tmp_path) == ["grid.json"]
 
 
 # (module, enclosing definition) of each assert still allowed in src/

@@ -11,8 +11,6 @@ import json
 import os
 import pickle
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,13 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointwise_oracle as oracle
-from childenv import child_env
 from circlink import (
     INF,
     CircleSet,
     FamilyPair,
     FamilyValidationError,
-    InvariantViolation,
     NotDisjointError,
     especial_disc,
     gen_figure,
@@ -37,7 +33,6 @@ from circlink import (
     layout,
     leaf_graph,
     link_number,
-    link_number_counts,
     linked,
     nested_pair,
     point,
@@ -45,15 +40,14 @@ from circlink import (
     separates,
     validate,
 )
-from circlink import circle, family
+from circlink import family
 from circlink.circle import (
-    rank_counts,
     rank_gap,
+    rank_link_number,
     rank_linked,
     rank_separates,
     rank_table,
 )
-from circlink.cli import main
 from circlink.generators import random_circle_map
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -85,12 +79,14 @@ def test_linked_and_counts_match_oracle(a_set, b_set):
     a, b = ranked_with_decoy(a_set, b_set)
     assert linked(a_set, b_set) == expected
     assert rank_linked(a, b) == expected
-    assert outcome(link_number_counts, a_set, b_set) == outcome(oracle.link_number_counts,
-                                                                a_set, b_set)
-    if not a_set.intersection(b_set):
+    if a_set.intersection(b_set):
+        assert outcome(link_number, a_set, b_set) == outcome(oracle.link_number_counts,
+                                                             a_set, b_set)
+    else:
+        # the one kernel equals each of the four counts the oracle computes
         counts = oracle.link_number_counts(a_set, b_set)
-        assert rank_counts(a, b) == counts
-        assert link_number(a_set, b_set) == counts[0]
+        assert (rank_link_number(a, b),) * 4 == counts
+        assert (link_number(a_set, b_set),) * 4 == counts
 
 
 @given(a_set=pool_sets, x=pool_points)
@@ -131,7 +127,9 @@ def test_kernel_corpus_covers_shared_points_and_inf():
         assert rank_linked(a, b) == expected
         shared = bool(a_set.intersection(b_set))
         if not shared:
-            assert rank_counts(a, b) == oracle.link_number_counts(a_set, b_set)
+            counts = oracle.link_number_counts(a_set, b_set)
+            assert (rank_link_number(a, b),) * 4 == counts
+            assert (link_number(a_set, b_set),) * 4 == counts
         seen.add((expected, shared, INF in a_set or INF in b_set))
     # linked and unlinked, with and without shared points and INF
     assert len(seen) == 8
@@ -268,18 +266,18 @@ def test_pairs_made_without_validate_rank_on_first_use():
 def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
     kernel_calls = []
     disc_calls = []
-    real_counts = family.rank_counts
+    real_kernel = family.rank_link_number
     real_disc = family.especial_disc
 
-    def counted_counts(a, b, members):
+    def counted_kernel(a, b):
         kernel_calls.append((a, b))
-        return real_counts(a, b, members)
+        return real_kernel(a, b)
 
     def counted_disc(fp):
         disc_calls.append(fp)
         return real_disc(fp)
 
-    monkeypatch.setattr(family, "rank_counts", counted_counts)
+    monkeypatch.setattr(family, "rank_link_number", counted_kernel)
     monkeypatch.setattr(family, "especial_disc", counted_disc)
     base = random_circle_map(2).apply_pair(touching_pair())
     disjoint_pairs = 4 - len(base.index.boundary)
@@ -310,41 +308,3 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
     family.especial_disc(fp)
     layout(fp)
     assert len(kernel_calls) == 64
-
-
-# ── typed invariants ─────────────────────────────────────────────────────
-
-def test_disagreeing_counts_raise_typed_violation(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(circle, "rank_counts", lambda a, b: (2, 2, 2, 3))
-    with pytest.raises(InvariantViolation) as info:
-        link_number(CircleSet([0, 2]), CircleSet([1, 3]))
-    assert info.value.counts == (2, 2, 2, 3) and info.value.z is None
-    monkeypatch.setattr(family, "rank_counts", lambda a, b, members: (1, 1, 2, 2))
-    with pytest.raises(InvariantViolation) as info:
-        especial_disc(validate(gen_grid(2).plus, gen_grid(2).minus))
-    assert info.value.counts == (1, 1, 2, 2) and info.value.z == (0, 0)
-    # the command line reports it as structured JSON, not a traceback
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(gen_grid(2).to_json()), encoding="utf-8")
-    assert main(["disc", str(path)]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["error"] == "InvariantViolation"
-
-
-OPTIMISED_CHECK = """
-from circlink import InvariantViolation, especial_disc, family, gen_grid
-family.rank_counts = lambda a, b, members: (1, 1, 2, 2)
-try:
-    especial_disc(gen_grid(2))
-except InvariantViolation as exc:
-    print(exc.counts, exc.z)
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_invariant_holds_with_and_without_optimisation(flags):
-    env = child_env()
-    proc = subprocess.run([sys.executable] + flags + ["-c", OPTIMISED_CHECK],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(1, 1, 2, 2) (0, 0)\n"
