@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "family": (
         "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",
-        "IntersectingAt", "NestingReport", "PairIndex", "classify_pair", "especial_disc",
+        "IntersectingAt", "NestingReport", "classify_pair", "especial_disc",
         "fiber_minus", "fiber_plus", "nesting_report", "prong_count",
         "separation_interval", "validate",
     ),

@@ -244,7 +244,7 @@ def complementary_intervals(a_set: CircleSet) -> list:
 # each set is then the sorted tuple of its ranks. Ranks compare exactly as
 # the points do, so the kernels below decide every predicate on small ints.
 # The CircleSet functions after them rank their own union and call the same
-# kernels; families rank all their points once (see family.PairIndex).
+# kernels; families rank all their points once (see family.FamilyPair).
 
 
 def _approx(key: tuple) -> float:

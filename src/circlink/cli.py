@@ -167,7 +167,9 @@ def _atomic_write(path: str, emit) -> None:
 def _parse_point(text: str):
     from .hullgeom import PlanePoint
 
-    parts = text.split(",")
+    # some argparse versions, CPython 3.11's among them, drop the "--" of
+    # "--point=--" and hand the option [] as its value
+    parts = text.split(",") if isinstance(text, str) else []
     if len(parts) != 2:
         raise MalformedInputError("point must be \"x,y\" with rational entries", "--point")
     try:
@@ -184,8 +186,8 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     fp = _load_pair(args.file)
-    interior = fp.index.interior
-    boundary = fp.index.boundary
+    interior = fp.interior
+    boundary = fp.boundary
     rows = []
     for i in range(len(fp.plus)):
         for j in range(len(fp.minus)):
@@ -339,16 +341,16 @@ def run() -> int:
     script): main's exit code, run with the cyclic collector off and with
     the heap frozen before shutdown.
 
-    A command's pair, disc, cells and leaves are live until it ends, so a
-    collection during main only traces them and frees nothing that the
-    process does not free at exit; main leaves the collector as it found
-    it, for callers in process. Freezing moves every tracked object into
-    the collector's permanent generation, which the collections of
-    interpreter shutdown skip, off or not. main closes each file it writes
-    before it returns, so no finalizer is left for shutdown to run. A
-    reader that closes stdout early ends the process with exit code 1 and
-    nothing on stderr, as the signal module's documentation shows for
-    SIGPIPE.
+    A command's pair, disc, cells and leaves sit in no reference cycle, so
+    reference counting frees them when the command returns; until then they
+    are live, and a collection during main would only trace them. main
+    leaves the collector as it found it, for callers in process. Freezing
+    moves every tracked object into the collector's permanent generation,
+    which the collections of interpreter shutdown skip, off or not. main
+    closes each file it writes before it returns, so no finalizer is left
+    for shutdown to run. A reader that closes stdout early ends the process
+    with exit code 1 and nothing on stderr, as the signal module's
+    documentation shows for SIGPIPE.
     """
     gc.disable()
     try:

@@ -7,10 +7,10 @@ two families produces the finite analogue of a decomposition disc: interior
 points are the disjoint linked pairs, boundary points the intersecting ones.
 
 Everything derived from one pair (the rank table, the disc, its lookup maps,
-the laminar forests, the hull edge lines and the linked cells) lives in the
-pair's PairIndex, built on first use and kept as long as the pair, so every
-stage reads one copy instead of rebuilding it. Predicates run on the rank
-tuples of the table.
+the laminar forests, the hull edge lines and the linked cells) is cached on
+the pair, built on first use and kept as long as the pair, so every stage
+reads one copy instead of rebuilding it. Predicates run on the rank tuples
+of the table.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "classify_pair",
     "EspecialDisc",
     "especial_disc",
-    "PairIndex",
     "LaminarForest",
     "fiber_plus",
     "fiber_minus",
@@ -89,29 +88,39 @@ class Violation(Frozen, witness=()):
 class FamilyPair:
     """A validated pair of chord families. Construct through validate().
 
-    A pair is treated as immutable: its PairIndex caches what is derived
-    from the two families.
+    A pair is treated as immutable, and caches what its stages share about
+    it: each piece is built on first use and kept as long as the pair.
+    points and ranks() are the rank table: every distinct marked point of
+    both families in circle order, and each element as the sorted tuple of
+    its ranks (validate builds it for its within-family checks). The disc
+    comes from especial_disc, and its fiber() gives the Z-points of one
+    element; interior and boundary map (i, j) to the linking number and to
+    the shared circle point; forest() gives how one family's sets nest,
+    which point location also reads, lines() each hull edge's line and
+    cells() the linked cell of every interior Z-point. Maps are read-only
+    views and sequences are tuples, so no stage can change what the others
+    read.
     """
 
-    __slots__ = ("plus", "minus", "plus_labels", "minus_labels", "_index")
+    __slots__ = ("plus", "minus", "plus_labels", "minus_labels", "_table", "_disc",
+                 "_interior", "_boundary", "_forests", "_lines", "_cells")
 
     def __init__(self, plus, minus, plus_labels=None, minus_labels=None):
         self.plus = tuple(plus)
         self.minus = tuple(minus)
         self.plus_labels = tuple(plus_labels) if plus_labels else None
         self.minus_labels = tuple(minus_labels) if minus_labels else None
-        self._index = None
-
-    @property
-    def index(self) -> "PairIndex":
-        """The pair's shared index, created on first access."""
-        if self._index is None:
-            self._index = PairIndex(self)
-        return self._index
+        self._table = None
+        self._disc = None
+        self._interior = None
+        self._boundary = None
+        self._forests = {}
+        self._lines = {}
+        self._cells = None
 
     def __reduce__(self):
-        # the index is a cache of read-only views, which cannot be pickled;
-        # copies and unpickled pairs build their own
+        # the caches hold read-only views, which cannot be pickled; copies
+        # and unpickled pairs build their own
         return (FamilyPair, (self.plus, self.minus, self.plus_labels, self.minus_labels))
 
     def __eq__(self, other) -> bool:
@@ -143,6 +152,63 @@ class FamilyPair:
             out["minus_labels"] = list(self.minus_labels)
         return out
 
+    def _rank_table(self) -> tuple:
+        if self._table is None:
+            plus, minus = self.plus, self.minus
+            points, ranked = rank_table([s.points for s in plus + minus])
+            self._table = (points, {"plus": ranked[:len(plus)], "minus": ranked[len(plus):]})
+        return self._table
+
+    @property
+    def points(self) -> tuple:
+        """The point of each rank, in circle order."""
+        return self._rank_table()[0]
+
+    def ranks(self, family: str) -> tuple:
+        """The sorted rank tuple of every element of one family, by index."""
+        return self._rank_table()[1][family]
+
+    @property
+    def disc(self) -> "EspecialDisc":
+        if self._disc is None:
+            self._disc = especial_disc(self)
+        return self._disc
+
+    @property
+    def interior(self) -> MappingProxyType:
+        if self._interior is None:
+            self._interior = MappingProxyType({(i, j): n for i, j, n in self.disc.interior})
+        return self._interior
+
+    @property
+    def boundary(self) -> MappingProxyType:
+        if self._boundary is None:
+            self._boundary = MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
+        return self._boundary
+
+    def forest(self, family: str) -> "LaminarForest":
+        """How one family's sets nest (see LaminarForest), built once."""
+        forest = self._forests.get(family)
+        if forest is None:
+            forest = self._forests[family] = LaminarForest(self, family)
+        return forest
+
+    def lines(self, family: str) -> tuple:
+        """Each element's hull edge lines in one family (hullgeom._edge_lines)."""
+        if family not in self._lines:
+            from .hullgeom import _edge_lines
+            self._lines[family] = tuple([_edge_lines(s, self.points) for s in self.ranks(family)])
+        return self._lines[family]
+
+    def cells(self) -> MappingProxyType:
+        """The linked cell of every interior Z-point, in (i, j) order (see
+        linked_cells)."""
+        if self._cells is None:
+            # imported here because hullgeom imports this module
+            from .hullgeom import linked_cells
+            self._cells = MappingProxyType(linked_cells(self, self.disc))
+        return self._cells
+
     @classmethod
     def from_json(cls, data) -> "FamilyPair":
         if not isinstance(data, dict):
@@ -169,19 +235,19 @@ class FamilyPair:
 _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
-def _within_family_violations(index: "PairIndex", name: str) -> list:
-    if len(index.fp.family(name)) < 2:
+def _within_family_violations(fp: FamilyPair, name: str) -> list:
+    if len(fp.family(name)) < 2:
         # no pair to check; the rank table waits for its first real use
         return []
     try:
-        index.forest(name)
+        fp.forest(name)
         return []
     except InvariantViolation:
         # the sweep stops at the first trouble; every pair is tested so that
         # all of it is reported
         pass
-    points = index.points
-    ranked = index.ranks(name)
+    points = fp.points
+    ranked = fp.ranks(name)
     out = []
     for i, a in enumerate(ranked):
         members = frozenset(a)
@@ -217,9 +283,9 @@ def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
 
     Labels, when given, list one str of XML 1.0 characters per set, or raise
     MalformedInputError at their JSON location before any clause is checked.
-    The within-family checks build the laminar forest of each family in the
-    new pair's index, which the pair keeps; only a family the forest's sweep
-    rejects has all its pairs tested.
+    The within-family checks build the laminar forest of each family, which
+    the new pair keeps; only a family the forest's sweep rejects has all its
+    pairs tested.
     """
     plus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in plus]
     minus = [s if isinstance(s, CircleSet) else CircleSet(s) for s in minus]
@@ -239,8 +305,8 @@ def validate(plus, minus, plus_labels=None, minus_labels=None) -> FamilyPair:
                         "label holds U+%04X, which XML 1.0 cannot hold" % ord(bad.group()),
                         "$.%s[%d]" % (name, k))
     fp = FamilyPair(plus, minus, plus_labels, minus_labels)
-    violations = _within_family_violations(fp.index, "plus")
-    violations += _within_family_violations(fp.index, "minus")
+    violations = _within_family_violations(fp, "plus")
+    violations += _within_family_violations(fp, "minus")
     violations += _cross_violations(plus, minus)
     if violations:
         raise FamilyValidationError(violations)
@@ -286,9 +352,8 @@ def classify_pair(fp: FamilyPair, i: int, j: int) -> PairClass:
     """Classify the cross pair (plus element i, minus element j)."""
     _check_index(len(fp.plus), i, "plus")
     _check_index(len(fp.minus), j, "minus")
-    index = fp.index
-    a = index.ranks("plus")[i]
-    c = _meet_or_link(index.points, a, frozenset(a), index.ranks("minus")[j])
+    a = fp.ranks("plus")[i]
+    c = _meet_or_link(fp.points, a, frozenset(a), fp.ranks("minus")[j])
     if isinstance(c, CirclePoint):
         return IntersectingAt(c)
     if c == 1:
@@ -366,19 +431,18 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
     INF and the owner and straddlers of each rank of a, read from the minus
     family's laminar forest, in index order.
 
-    The disc becomes the pair's index disc, so a pair is classified once
-    however its stages are called; a later call returns the same disc.
+    The pair keeps the disc, so a pair is classified once however its
+    stages are called; a later call returns the same disc.
     """
-    index = fp.index
-    if index._disc is None:
-        points = index.points
-        minus = index.ranks("minus")
-        forest = index.forest("minus")
+    if fp._disc is None:
+        points = fp.points
+        minus = fp.ranks("minus")
+        forest = fp.forest("minus")
         owner, parent, inner = forest.owner, forest.parent, forest.inner
         seen = [-1] * len(minus)
         interior = []
         boundary = []
-        for i, a in enumerate(index.ranks("plus")):
+        for i, a in enumerate(fp.ranks("plus")):
             row = []
             k = forest.inf_owner
             if k is not None:
@@ -405,8 +469,8 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
                     boundary.append((i, j, c))
                 elif c != 1:
                     interior.append((i, j, c))
-        index._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
-    return index._disc
+        fp._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+    return fp._disc
 
 
 class LaminarForest:
@@ -431,9 +495,9 @@ class LaminarForest:
 
     __slots__ = ("owner", "inf_owner", "parent", "inner")
 
-    def __init__(self, index: "PairIndex", family: str):
-        points = index.points
-        sets = index.ranks(family)
+    def __init__(self, fp: FamilyPair, family: str):
+        points = fp.points
+        sets = fp.ranks(family)
         n = len(points)
         finite = n - 1 if n and points[-1].is_infinite else n
         owner = [None] * n
@@ -496,92 +560,6 @@ class LaminarForest:
         return pa == pb and (pa is None or not rank_separates(sets[pa], sets[a], sets[b]))
 
 
-class PairIndex:
-    """What the stages share about one family pair, each piece built once.
-
-    Every piece is built on first use and kept as long as the pair. points
-    and ranks() are the rank table: every distinct marked point of both
-    families in circle order, and each element as the sorted tuple of its
-    ranks (validate builds it for its within-family checks). The disc comes
-    from especial_disc, and its fiber() gives the Z-points of one element;
-    interior and boundary map (i, j) to the linking number and to the shared
-    circle point; forest() gives how one family's sets nest, which point
-    location also reads, lines() each hull edge's line and cells() the
-    linked cell of every interior Z-point. Maps are read-only views and
-    sequences are tuples, so no consumer can change what the others read.
-    """
-
-    __slots__ = ("fp", "_table", "_disc", "_interior", "_boundary", "_forests",
-                 "_lines", "_cells")
-
-    def __init__(self, fp: FamilyPair):
-        self.fp = fp
-        self._table = None
-        self._disc = None
-        self._interior = None
-        self._boundary = None
-        self._forests = {}
-        self._lines = {}
-        self._cells = None
-
-    def _rank_table(self) -> tuple:
-        if self._table is None:
-            plus, minus = self.fp.plus, self.fp.minus
-            points, ranked = rank_table([s.points for s in plus + minus])
-            self._table = (points, {"plus": ranked[:len(plus)], "minus": ranked[len(plus):]})
-        return self._table
-
-    @property
-    def points(self) -> tuple:
-        """The point of each rank, in circle order."""
-        return self._rank_table()[0]
-
-    def ranks(self, family: str) -> tuple:
-        """The sorted rank tuple of every element of one family, by index."""
-        return self._rank_table()[1][family]
-
-    @property
-    def disc(self) -> EspecialDisc:
-        if self._disc is None:
-            self._disc = especial_disc(self.fp)
-        return self._disc
-
-    @property
-    def interior(self) -> MappingProxyType:
-        if self._interior is None:
-            self._interior = MappingProxyType({(i, j): n for i, j, n in self.disc.interior})
-        return self._interior
-
-    @property
-    def boundary(self) -> MappingProxyType:
-        if self._boundary is None:
-            self._boundary = MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
-        return self._boundary
-
-    def forest(self, family: str) -> "LaminarForest":
-        """How one family's sets nest (see LaminarForest), built once."""
-        forest = self._forests.get(family)
-        if forest is None:
-            forest = self._forests[family] = LaminarForest(self, family)
-        return forest
-
-    def lines(self, family: str) -> tuple:
-        """Each element's hull edge lines in one family (hullgeom._edge_lines)."""
-        if family not in self._lines:
-            from .hullgeom import _edge_lines
-            self._lines[family] = tuple([_edge_lines(s, self.points) for s in self.ranks(family)])
-        return self._lines[family]
-
-    def cells(self) -> MappingProxyType:
-        """The linked cell of every interior Z-point, in (i, j) order (see
-        linked_cells)."""
-        if self._cells is None:
-            # imported here because hullgeom imports this module
-            from .hullgeom import linked_cells
-            self._cells = MappingProxyType(linked_cells(self.fp, self.disc))
-        return self._cells
-
-
 def fiber_plus(disc: EspecialDisc, i: int) -> list:
     """All Z-points (interior and boundary) with plus component i, by minus index."""
     return list(disc.fiber("plus", i))
@@ -609,8 +587,8 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     n = len(fp.family(family))
     _check_index(n, i, family)
     _check_index(n, j, family)
-    sets = fp.index.ranks(family)
-    forest = fp.index.forest(family)
+    sets = fp.ranks(family)
+    forest = fp.forest(family)
 
     def up(k: int) -> list:
         path = []
@@ -643,7 +621,7 @@ def prong_count(fp: FamilyPair, z: tuple) -> int:
     check_equivariance compares linking numbers instead.
     """
     z = tuple(z)
-    interior = fp.index.interior
+    interior = fp.interior
     if z not in interior:
         raise NotInteriorError(z)
     return 2 * interior[z]
@@ -704,8 +682,8 @@ def nesting_report(fp: FamilyPair) -> NestingReport:
     """
     entries = []
     for name in ("plus", "minus"):
-        sets = fp.index.ranks(name)
-        owner = fp.index.forest(name).owner
+        sets = fp.ranks(name)
+        owner = fp.forest(name).owner
         none = len(sets)
         # order lists the elements by first rank; start[r] counts those that
         # begin before rank r

@@ -517,7 +517,7 @@ def _param_position(points: tuple, y: int, x: int) -> int:
     return 2 * lo
 
 
-def _find(index, family: str, h: tuple, pos: int) -> Optional[int]:
+def _find(fp: FamilyPair, family: str, h: tuple, pos: int) -> Optional[int]:
     """The set of one family whose hull holds h, strictly inside the disc,
     when the chord parameter of h falls at position pos.
 
@@ -526,9 +526,9 @@ def _find(index, family: str, h: tuple, pos: int) -> Optional[int]:
     rank of the set holding INF that set alone is tested, since the chord
     from INF to the rank is an edge or a diagonal of its hull.
     """
-    forest = index.forest(family)
-    sets = index.ranks(family)
-    lines = index.lines(family)
+    forest = fp.forest(family)
+    sets = fp.ranks(family)
+    lines = fp.lines(family)
     top = forest.inf_owner
     k = top if top is not None and pos & 1 and forest.owner[pos >> 1] == top else forest.inner[pos]
     path = []
@@ -561,7 +561,7 @@ def in_hull(sets, lines, k: int, h: tuple, pos: int) -> bool:
     chord parameter of h falls at position pos (see _param_position).
 
     sets are the family's rank tuples and lines their edge lines
-    (PairIndex.lines). The chord from INF through h starts in the closed cap
+    (FamilyPair.lines). The chord from INF through h starts in the closed cap
     cut off by k's wrap edge (s[-1], s[0]), which brackets INF, and ends in
     the cap of the edge bracketing pos, or at a vertex of k, where it is
     left of the edge into that vertex. A segment of the open disc leaves the
@@ -615,13 +615,12 @@ def locate(fp: FamilyPair, p: PlanePoint) -> tuple:
     rim = X * X + Y * Y - D * D
     if rim > 0:
         raise OutsideDiscError(p)
-    index = fp.index
     # D + X == 0 only at INF itself, since p is in the closed disc
-    pos = _param_position(index.points, Y if X + D else 1, X + D)
+    pos = _param_position(fp.points, Y if X + D else 1, X + D)
     if rim == 0:
-        plus, minus = index.forest("plus").owner, index.forest("minus").owner
+        plus, minus = fp.forest("plus").owner, fp.forest("minus").owner
         return (plus[pos >> 1], minus[pos >> 1]) if pos & 1 else (None, None)
-    return _find(index, "plus", h, pos), _find(index, "minus", h, pos)
+    return _find(fp, "plus", h, pos), _find(fp, "minus", h, pos)
 
 
 def _edge_lines(ranks: tuple, points: tuple) -> tuple:
@@ -680,12 +679,11 @@ def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
     _jump_cell). A walk that does not close after n rounds means the
     geometry disagrees with the combinatorics and raises
     EmptyLinkedCellError. The rank tuples, the edge lines, and the disc
-    when none is given come from the pair's index.
+    when none is given come from the pair's caches.
     """
-    index = fp.index
     if disc is None:
-        disc = index.disc
-    plus, minus = index.ranks("plus"), index.ranks("minus")
-    lines_plus, lines_minus = index.lines("plus"), index.lines("minus")
+        disc = fp.disc
+    plus, minus = fp.ranks("plus"), fp.ranks("minus")
+    lines_plus, lines_minus = fp.lines("plus"), fp.lines("minus")
     return {(i, j): _jump_cell(plus[i], minus[j], n, lines_plus[i], lines_minus[j], (i, j))
             for i, j, n in disc.interior}

@@ -134,7 +134,7 @@ def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
     for name, color in (("plus", PLUS_COLOR), ("minus", MINUS_COLOR)):
         for i, s in enumerate(fp.family(name)):
             _draw_cell(canvas, "hull-%s-%d" % (name, i), hull(s), color, False)
-    for (i, j), cell in fp.index.cells().items():
+    for (i, j), cell in fp.cells().items():
         _draw_cell(canvas, "cell-%d-%d" % (i, j), cell, REGION_COLOR, True)
     if opts.labels:
         for name, sets, labels, color in (("plus", fp.plus, fp.plus_labels, PLUS_COLOR),

@@ -80,16 +80,15 @@ def straighten_point(fp: FamilyPair, p: PlanePoint) -> StraightenResult:
     """
     i, j = locate(fp, p)
     if i is not None and j is not None:
-        index = fp.index
-        if (i, j) in index.interior:
+        if (i, j) in fp.interior:
             return MappedTo((i, j))
-        s = index.boundary.get((i, j))
+        s = fp.boundary.get((i, j))
         if s is not None and p == param_to_point(s):
             return OnBoundary(s)
     return NotInDomain()
 
 
-def _cell_hulls_test(index):
+def _cell_hulls_test(fp: FamilyPair):
     """The test the verifiers make before straighten_point: whether the
     triple h lies strictly inside the disc, in plus hull i and in minus hull
     j (hullgeom.in_hull).
@@ -99,11 +98,11 @@ def _cell_hulls_test(index):
     returns exactly (i, j). A point that fails the test may still be in
     the hulls, on the rim; the caller asks straighten_point.
     """
-    points = index.points
-    plus, minus = index.ranks("plus"), index.ranks("minus")
-    lines_plus, lines_minus = index.lines("plus"), index.lines("minus")
-    index.forest("plus")
-    index.forest("minus")
+    points = fp.points
+    plus, minus = fp.ranks("plus"), fp.ranks("minus")
+    lines_plus, lines_minus = fp.lines("plus"), fp.lines("minus")
+    fp.forest("plus")
+    fp.forest("minus")
 
     def holds(h: tuple, i: int, j: int) -> bool:
         X, Y, D = h
@@ -195,14 +194,13 @@ class LeafGraph:
 def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     """Build the leaf tree over the fiber of one element.
 
-    Every predicate runs on the rank tuples of the pair's index.
+    Every predicate runs on the rank tuples of the pair.
     """
-    index = fp.index
-    fiber = index.disc.fiber(family, element)
-    lam = index.ranks(family)[element]
+    fiber = fp.disc.fiber(family, element)
+    lam = fp.ranks(family)[element]
     # a Z-point's opposite element is its component in the other family
     side = 1 if family == "plus" else 0
-    opp_sets = index.ranks("minus" if side else "plus")
+    opp_sets = fp.ranks("minus" if side else "plus")
     if not fiber:
         return LeafGraph(family, element, (), 0, ())
 
@@ -366,7 +364,7 @@ def _segments_cross(p: tuple, q: tuple, r: tuple, s: tuple) -> bool:
     return not ((o1 == 0 or o2 == 0) and (o3 == 0 or o4 == 0))
 
 
-def _leaf_crossings(index, leaves_plus, leaves_minus, position) -> list:
+def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, position) -> list:
     """Every pair of edges from distinct leaves that meet other than in one
     point ending both, sorted and each pair sorted: the list a test of all
     edge pairs gives, found from the regions of the Z-points alone.
@@ -408,19 +406,19 @@ def _leaf_crossings(index, leaves_plus, leaves_minus, position) -> list:
     whose ends are one point meets nothing. A pair with no virtual vertex
     so costs one neighbour check per edge and no exact test.
     """
-    points = index.points
+    points = fp.points
     leaves = {"plus": leaves_plus, "minus": leaves_minus}
     loose = {}      # z -> family -> edges of the leaf meeting R(z) untamed
     for family, opp, side in (("plus", "minus", 1), ("minus", "plus", 0)):
-        sets, lines = index.ranks(opp), index.lines(opp)
-        forest = index.forest(opp)
+        sets, lines = fp.ranks(opp), fp.lines(opp)
+        forest = fp.forest(opp)
         for leaf in leaves[family]:
             el = leaf.element
             open_edges = [(idx, u, v) for idx, (u, v) in enumerate(leaf.edges)
                           if u == VIRTUAL or not forest.neighbours(sets, u[side], v[side])]
             if not open_edges:
                 continue
-            fiber = [z for z in index.disc.fiber(family, el) if len(sets[z[side]]) > 1]
+            fiber = [z for z in fp.disc.fiber(family, el) if len(sets[z[side]]) > 1]
             if leaf.virtual_count:
                 h = position(family, el, VIRTUAL)._h
                 X, Y, D = h
@@ -478,9 +476,8 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     the rest are tested exactly (see _leaf_crossings); no scan over all
     edges of the disc is made.
     """
-    index = fp.index
-    disc = index.disc
-    lay = {z: cell.barycenter() for z, cell in index.cells().items()}
+    disc = fp.disc
+    lay = {z: cell.barycenter() for z, cell in fp.cells().items()}
     anchors = {}
     for i, j, s in disc.boundary:
         lay[(i, j)] = param_to_point(s)
@@ -502,7 +499,7 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
                 _h_mean([lay[e]._h for e in ends]))
 
     sd = StraightenedDisc(disc, lay, leaves_plus, leaves_minus, anchors, virtual_positions, ())
-    sd.crossings = tuple(_leaf_crossings(index, leaves_plus, leaves_minus, sd.position))
+    sd.crossings = tuple(_leaf_crossings(fp, leaves_plus, leaves_minus, sd.position))
     return sd
 
 
@@ -550,11 +547,10 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
     that fails it, which gives every reported result. A point cell's
     barycenter is its vertex; it is tested once and sampled twice.
     """
-    index = fp.index
-    cells = index.cells()
+    cells = fp.cells()
     failures = []
     sampled = 0
-    holds = _cell_hulls_test(index) if cells else None
+    holds = _cell_hulls_test(fp) if cells else None
     for z, cell in cells.items():
         hs = cell._h
         last = got = None
@@ -566,7 +562,7 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
             if got is not None and got != MappedTo(z):
                 failures.append({"clause": "constant", "z": list(z),
                                  "point": _point(h).to_json(), "got": result_to_json(got)})
-    for i, j, _n in index.disc.interior:
+    for i, j, _n in fp.disc.interior:
         if (i, j) not in cells:
             failures.append({"clause": "surjective", "z": [i, j]})
     return QuotientReport(not failures, failures, len(cells), sampled)

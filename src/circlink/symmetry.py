@@ -220,10 +220,9 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     if perm_plus is None or perm_minus is None:
         return EquivarianceReport(False, None, None, failures)
 
-    index = fp.index
-    disc = index.disc
-    interior = index.interior
-    boundary = index.boundary
+    disc = fp.disc
+    interior = fp.interior
+    boundary = fp.boundary
 
     permuted_interior = {(perm_plus[i], perm_minus[j]): n for (i, j), n in interior.items()}
     if permuted_interior != interior:
@@ -243,8 +242,8 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     if got_boundary != expected_boundary:
         failures.append({"kind": "DiscMismatch", "clause": "boundary-recomputed"})
 
-    cells = index.cells()
-    holds = _cell_hulls_test(index) if cells else None
+    cells = fp.cells()
+    holds = _cell_hulls_test(fp) if cells else None
     for (i, j), cell in cells.items():
         target = (perm_plus[i], perm_minus[j])
         hs = cell._h

@@ -24,12 +24,11 @@ from pointwise_oracle import arcs
 
 def especial_disc(fp) -> EspecialDisc:
     """Every cross pair classified on the rank table, row by row."""
-    index = fp.index
-    points = index.points
-    minus = index.ranks("minus")
+    points = fp.points
+    minus = fp.ranks("minus")
     interior = []
     boundary = []
-    for i, a in enumerate(index.ranks("plus")):
+    for i, a in enumerate(fp.ranks("plus")):
         members = frozenset(a)
         for j, b in enumerate(minus):
             c = _meet_or_link(points, a, members, b)
@@ -44,7 +43,7 @@ def nesting_report(fp) -> NestingReport:
     """The report from gap buckets filled by testing every other element."""
     entries = []
     for name in ("plus", "minus"):
-        sets = fp.index.ranks(name)
+        sets = fp.ranks(name)
         for e, lam in enumerate(sets):
             buckets = {g: [] for g in range(len(lam))}
             for k, other in enumerate(sets):
@@ -76,7 +75,7 @@ def separation_interval(fp, family, i, j) -> list:
     n = len(fp.family(family))
     _check_index(n, i, family)
     _check_index(n, j, family)
-    sets = fp.index.ranks(family)
+    sets = fp.ranks(family)
     if i == j:
         return [i]
     middles = [k for k in range(len(sets))
@@ -111,7 +110,7 @@ def virtual_edges(fp, graph) -> list:
     by chain, and each chain's edges join consecutive members.
     """
     side = 1 if graph.family == "plus" else 0
-    sets = fp.index.ranks("minus" if side else "plus")
+    sets = fp.ranks("minus" if side else "plus")
     joined = {e for e in graph.edges if VIRTUAL not in e}
     chains = []
     for z in graph.vertices:

@@ -15,16 +15,15 @@ from circlink.straighten import VIRTUAL, LeafGraph
 def leaf_graph(fp, family: str, element: int) -> LeafGraph:
     """Build the leaf tree over the fiber of one element.
 
-    Every predicate runs on the rank tuples of the pair's index.
+    Every predicate runs on the rank tuples of the pair.
     """
-    index = fp.index
-    fiber = index.disc.fiber(family, element)
-    lam = index.ranks(family)[element]
+    fiber = fp.disc.fiber(family, element)
+    lam = fp.ranks(family)[element]
     if family == "plus":
-        opp_sets = index.ranks("minus")
+        opp_sets = fp.ranks("minus")
         opp_of = lambda z: z[1]
     else:
-        opp_sets = index.ranks("plus")
+        opp_sets = fp.ranks("plus")
         opp_of = lambda z: z[0]
     if not fiber:
         return LeafGraph(family, element, (), 0, ())

@@ -36,7 +36,7 @@ from test_locate import KINDS, drawn_pair, to_inf
 def assert_cells_match_clipping(fp):
     fp = FamilyPair(fp.plus, fp.minus)
     expected = {(i, j): cell_intersection(hull(fp.plus[i]), hull(fp.minus[j]))
-                for i, j, _ in fp.index.disc.interior}
+                for i, j, _ in fp.disc.interior}
     cells = linked_cells(fp)
     assert cells == expected
     # the canonical form is the clipping's, down to the bytes
@@ -54,7 +54,7 @@ def test_cell_corpus_covers_inf_segments_and_concurrent_chords():
     seen = set()
 
     def record(fp):
-        has_inf = fp.index.points[-1].is_infinite
+        has_inf = fp.points[-1].is_infinite
         for (i, j), cell in assert_cells_match_clipping(fp).items():
             sizes = (min(len(fp.plus[i].points), 3), min(len(fp.minus[j].points), 3))
             seen.add((has_inf, sizes, cell.dim))
@@ -63,7 +63,7 @@ def test_cell_corpus_covers_inf_segments_and_concurrent_chords():
         for seed in range(6):
             fp = nested_pair(depth, seed)
             if seed % 2:
-                fp = to_inf(fp.index.points[seed % len(fp.index.points)]).apply_pair(fp)
+                fp = to_inf(fp.points[seed % len(fp.points)]).apply_pair(fp)
             record(fp)
     for k, kind in enumerate(KINDS):
         for seed in range(10):
@@ -77,7 +77,7 @@ def test_cell_corpus_covers_inf_segments_and_concurrent_chords():
         record(random_circle_map(seed).apply_pair(sym))
         fp = random_circle_map(seed).apply_pair(mixed)
         record(fp)
-        record(to_inf(fp.index.points[seed]).apply_pair(fp))
+        record(to_inf(fp.points[seed]).apply_pair(fp))
     # with and without INF: segment against segment is a point, a segment
     # against a polygon a segment, two polygons a polygon
     assert seen >= {(i, s, d) for i in (False, True)
@@ -96,10 +96,10 @@ def _calls_without_side_test(fp) -> dict:
     """The calls linked_cells makes on fp, which include no side test
     (hullgeom._in_cap); locating a cell's barycenter, counted the same way,
     makes at least one per family."""
-    fp.index.disc
+    fp.disc
     calls = _calls(linked_cells, fp)
     assert calls.get("_in_cap", 0) == 0
-    cell = next(iter(fp.index.cells().values()))
+    cell = next(iter(fp.cells().values()))
     assert _calls(locate, fp, cell.barycenter())["_in_cap"] >= 2
     return calls
 

@@ -62,8 +62,8 @@ def same_cell(real):
 
 def test_symmetric_pair_passes_both_verifiers():
     fp = symmetric_pair()
-    assert fp.index.disc.interior == ((0, 0, 2), (1, 1, 2))
-    assert fp.index.disc.boundary == ((2, 2, point(5)), (3, 3, point("-1/5")))
+    assert fp.disc.interior == ((0, 0, 2), (1, 1, 2))
+    assert fp.disc.boundary == ((2, 2, point(5)), (3, 3, point("-1/5")))
     report = check_equivariance(fp, NEG_RECIPROCAL)
     assert report.ok and report.plus_permutation == report.minus_permutation == (1, 0, 3, 2)
     assert quotient_check(fp).ok
@@ -99,7 +99,7 @@ def test_surjective_fires_alone(monkeypatch):
 def test_empty_linked_cell_raises_alone():
     # a disc claiming three rounds for a pair that alternates twice
     fp = validate([CircleSet([0, 3])], [CircleSet([2, 5])])
-    fp.index._disc = EspecialDisc(1, 1, [(0, 0, 3)], [])
+    fp._disc = EspecialDisc(1, 1, [(0, 0, 3)], [])
     with pytest.raises(EmptyLinkedCellError) as info:
         quotient_check(fp)
     assert info.value.z == (0, 0)
@@ -133,17 +133,17 @@ def test_permutation_collision_raises_alone(monkeypatch):
 
 
 def test_interior_permutation_fires_alone(monkeypatch):
-    # the index gives the orbit {(0, 0), (1, 1)} two linking numbers, the
-    # only way its prong counts can differ
+    # the pair's interior map gives the orbit {(0, 0), (1, 1)} two linking
+    # numbers, the only way its prong counts can differ
     fp = symmetric_pair()
-    monkeypatch.setattr(fp.index, "_interior", MappingProxyType({(0, 0): 2, (1, 1): 3}))
+    monkeypatch.setattr(fp, "_interior", MappingProxyType({(0, 0): 2, (1, 1): 3}))
     report = check_equivariance(fp, NEG_RECIPROCAL)
     assert clauses(report) == {("DiscMismatch", "interior-permutation")}
 
 
 def test_boundary_permutation_fires_alone(monkeypatch):
     fp = symmetric_pair()
-    monkeypatch.setattr(fp.index, "_boundary",
+    monkeypatch.setattr(fp, "_boundary",
                         MappingProxyType({(2, 2): point(6), (3, 3): point("-1/5")}))
     report = check_equivariance(fp, NEG_RECIPROCAL)
     assert clauses(report) == {("DiscMismatch", "boundary-permutation")}
@@ -177,14 +177,14 @@ def test_straighten_mismatch_fires_alone(monkeypatch):
 
 
 def test_target_outside_the_disc_is_reported_not_raised():
-    # dropping (1, 1) from the index's disc sends the (0, 0) cell to a
+    # dropping (1, 1) from the pair's disc sends the (0, 0) cell to a
     # target outside it: reported by interior-permutation, not raised as
     # NotInteriorError
     fp = validate([["1", "2"], ["-1", "-1/2"]], [["3/2", "3"], ["-2/3", "-1/3"]])
     g = CircleMap(0, 1, -1, 0)
     assert check_equivariance(fp, g).ok
     fp = validate(fp.plus, fp.minus)
-    fp.index._disc = EspecialDisc(2, 2, [(0, 0, 2)], [])
+    fp._disc = EspecialDisc(2, 2, [(0, 0, 2)], [])
     report = check_equivariance(fp, g)
     assert report.plus_permutation == report.minus_permutation == (1, 0)
     assert {"kind": "DiscMismatch", "clause": "interior-permutation"} in report.failures

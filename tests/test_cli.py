@@ -174,7 +174,8 @@ def test_classify_mixed(tmp_path, capsys):
 
 
 def test_classify_matches_classify_pair_loop(tmp_path, capsys):
-    # the command reads the index; classify_pair, pair by pair, is the oracle
+    # the command reads the pair's interior and boundary maps; classify_pair,
+    # pair by pair, is the oracle
     touching = {"plus": [["0", "3"], ["4", "7"]], "minus": [["3", "5"], ["7", "10"]]}
     pairs = [random_family_pair(seed) for seed in range(30)]
     pairs += [random_circle_map(seed).apply_pair(FamilyPair.from_json(touching))

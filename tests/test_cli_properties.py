@@ -190,6 +190,7 @@ def test_read_commands_answer_any_pair(command, pair):
 @given(pair_text, point_text)
 @example('{"plus": [["0", "2"]], "minus": [["1", "3"]]}', "1e999999999,0")
 @example('{"plus": [["0", "2"]], "minus": [["1", "inf"]]}', " ٣/7 , -0.1_5 ")
+@example('{"plus": [["0", "2"]], "minus": [["1", "3"]]}', "--")
 def test_straighten_answers_any_pair_and_point(pair, point):
     with tempfile.TemporaryDirectory() as d:
         pair_path, _ = _files(d, pair)

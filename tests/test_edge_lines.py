@@ -1,6 +1,6 @@
 """Hull edge lines read off the end parameters, against the rim triples.
 
-PairIndex.lines gives each hull edge the line (q1 q2 - p1 p2,
+FamilyPair.lines gives each hull edge the line (q1 q2 - p1 p2,
 p1 q2 + p2 q1, -(q1 q2 + p1 p2)) of its end parameters p1/q1 and p2/q2, INF
 as 1/0, and the side test (hullgeom._in_cap) is one dot product with it.
 The oracle is the cross product of the ends' rim triples

@@ -12,7 +12,25 @@ import sys
 import pytest
 
 from childenv import child_env
-from circlink import cli, gen_grid, nested_pair
+from circlink import (
+    CircleMap,
+    FamilyPair,
+    check_equivariance,
+    cli,
+    especial_disc,
+    gen_grid,
+    layout,
+    nested_pair,
+    nesting_report,
+    prong_count,
+    quotient_check,
+    render_input_svg,
+    render_straightened_svg,
+    separation_interval,
+    straighten_point,
+    validate,
+)
+from circlink.generators import random_circle_map
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = child_env()
@@ -64,6 +82,51 @@ def test_run_freezes_the_heap_and_returns_mains_code(files):
         proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
                               text=True, env=ENV, timeout=60)
         assert proc.stderr == expected
+
+
+GRID = gen_grid(6)
+BUILDS = {
+    "validate": lambda: validate(GRID.plus, GRID.minus),
+    "from_json": lambda: FamilyPair.from_json(GRID.to_json()),
+    "apply_pair": lambda: random_circle_map(0).apply_pair(GRID),
+}
+STAGES = (
+    ("especial_disc", especial_disc),
+    ("cells", lambda fp: fp.cells()),
+    ("layout", layout),
+    ("quotient_check", lambda fp: quotient_check(fp).ok),
+    ("check_equivariance", lambda fp: check_equivariance(fp, CircleMap.identity()).ok),
+    ("render_input_svg", render_input_svg),
+    ("render_straightened_svg", lambda fp: render_straightened_svg(layout(fp))),
+    ("straighten_point",
+     lambda fp: [straighten_point(fp, cell.barycenter()) for cell in fp.cells().values()]),
+    ("nesting_report", nesting_report),
+    ("prong_count", lambda fp: [prong_count(fp, z) for z in fp.interior]),
+    ("separation_interval", lambda fp: separation_interval(fp, "plus", 0, len(fp.plus) - 1)),
+)
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_a_dropped_pair_leaves_no_garbage_for_the_collector(build):
+    # a command runs with the collector off, so a pair that sat in a cycle
+    # would hold its disc, cells and leaves until the process exits. No
+    # stage may leave garbage while the pair lives (check_equivariance
+    # builds and drops an image pair), and the pair, dropped after every
+    # stage has filled its caches, must be freed by reference counts alone
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        fp = BUILDS[build]()
+        assert gc.collect() == 0, build
+        for name, stage in STAGES:
+            assert stage(fp) is not False, name
+            assert gc.collect() == 0, name
+        del fp
+        assert gc.collect() == 0, build
+    finally:
+        if was:
+            gc.enable()
 
 
 @pytest.mark.parametrize("fixture", ["grid6", "nested3"])

@@ -62,9 +62,9 @@ def test_forest_corpus_covers_inf_and_separators():
         for seed in range(6):
             fp = nested_pair(depth, seed)
             if seed % 2:
-                fp = to_inf(fp.index.points[seed % len(fp.index.points)]).apply_pair(fp)
+                fp = to_inf(fp.points[seed % len(fp.points)]).apply_pair(fp)
             assert_matches_all_pairs(fp)
-            has_inf = fp.index.points[-1].is_infinite
+            has_inf = fp.points[-1].is_infinite
             for e in nesting_report(fp).entries:
                 seen.add((has_inf, e.separated))
     for k, kind in enumerate(KINDS):
@@ -97,11 +97,11 @@ def broken_pair(kind, seed, how):
     or None when the pair has no set to break it against."""
     fp = drawn_pair(kind, seed)
     rng = random.Random(seed)
-    points = fp.index.points
+    points = fp.points
     names = ["plus", "minus"]
     rng.shuffle(names)
     for name in names:
-        sets = fp.index.ranks(name)
+        sets = fp.ranks(name)
         if how == "overlapping":
             # shares a marked point of the family and holds no other rank
             r = rng.choice(sets[rng.randrange(len(sets))])
@@ -137,7 +137,7 @@ def assert_reports_match(name, plus, minus):
     assert reported(plus, minus) == pointwise_oracle.violations(plus, minus)
     # the sweep flags the family with the added set
     with pytest.raises(InvariantViolation) as info:
-        FamilyPair(plus, minus).index.forest(name)
+        FamilyPair(plus, minus).forest(name)
     assert info.value.invariant == "hull-overlap"
     return info.value.counts
 
@@ -189,7 +189,7 @@ def classification_calls(monkeypatch, fp):
 
 
 def forest_height(fp, name):
-    parent = fp.index.forest(name).parent
+    parent = fp.forest(name).parent
 
     def depth(k):
         d = 0
@@ -208,7 +208,7 @@ def test_classification_grows_with_the_output_and_the_forest(monkeypatch):
         height = forest_height(fp, "minus")
         # each rank of a plus set tests its owner and straddlers, at most
         # one per level of the minus forest, and each row the INF holder
-        bound = sum(len(a) * (height + 1) + 1 for a in fp.index.ranks("plus"))
+        bound = sum(len(a) * (height + 1) + 1 for a in fp.ranks("plus"))
         assert z <= calls <= bound, (depth, z, calls, bound)
         # all pairs would be 261 121 at depth 8
         assert calls * 100 < len(fp.plus) * len(fp.minus)
@@ -227,7 +227,7 @@ def inf_nested_pairs(depths):
         for seed in range(6):
             fp = nested_pair(depth, seed)
             if seed % 2:
-                fp = to_inf(fp.index.points[seed % len(fp.index.points)]).apply_pair(fp)
+                fp = to_inf(fp.points[seed % len(fp.points)]).apply_pair(fp)
             yield fp
 
 
@@ -261,7 +261,7 @@ def test_separation_corpus_covers_inf_and_long_chains():
     chains += assert_chains_match_all_pairs(concentric_pair())
     # the set holding INF inside a chain, and chains past twenty separators
     inf_inside = [c for fp, name, c in chains
-                  if fp.index.forest(name).inf_owner in c[1:-1]]
+                  if fp.forest(name).inf_owner in c[1:-1]]
     assert inf_inside
     assert max(len(c) for _, _, c in chains) == 30
 

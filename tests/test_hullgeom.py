@@ -470,7 +470,7 @@ def test_every_generated_cell_has_the_lcm_barycenter():
     assert straighten._h_mean is _h_mean and symmetry._h_mean is _h_mean
     sizes = set()
     for name, fp in _corpus():
-        for z, cell in fp.index.cells().items():
+        for z, cell in fp.cells().items():
             hs = cell._h
             sizes.add(len(hs))
             assert _h_mean(hs) == lcm_mean(hs), (name, z)

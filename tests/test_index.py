@@ -1,4 +1,5 @@
-"""The shared per-pair index against the all-pairs definitions it replaces."""
+"""What a pair caches for its stages against the all-pairs definitions it
+replaces."""
 
 import copy
 import pickle
@@ -61,30 +62,29 @@ def scan_fiber_minus(disc, j):
 
 
 def assert_index_matches_oracles(fp):
-    index = fp.index
-    # especial_disc(fp) returns the index's own disc, so the all-pairs
+    # especial_disc(fp) returns the pair's own disc, so the all-pairs
     # point-by-point classification is the oracle
     disc = oracle.especial_disc(fp)
-    assert index.disc == disc
-    assert especial_disc(fp) is index.disc
-    assert dict(index.interior) == {(i, j): n for i, j, n in disc.interior}
-    assert dict(index.boundary) == {(i, j): s for i, j, s in disc.boundary}
+    assert fp.disc == disc
+    assert especial_disc(fp) is fp.disc
+    assert dict(fp.interior) == {(i, j): n for i, j, n in disc.interior}
+    assert dict(fp.boundary) == {(i, j): s for i, j, s in disc.boundary}
     # each fiber against a full scan of the disc; fiber_plus and fiber_minus
     # of the pair's own disc view the disc's fibers, built once
     for i in range(len(fp.plus)):
-        assert list(index.disc.fiber("plus", i)) == scan_fiber_plus(disc, i)
-        assert fiber_plus(index.disc, i) == fiber_plus(disc, i) == scan_fiber_plus(disc, i)
-        assert index.disc.fiber("plus", i) is index.disc.fiber("plus", i)
+        assert list(fp.disc.fiber("plus", i)) == scan_fiber_plus(disc, i)
+        assert fiber_plus(fp.disc, i) == fiber_plus(disc, i) == scan_fiber_plus(disc, i)
+        assert fp.disc.fiber("plus", i) is fp.disc.fiber("plus", i)
     for j in range(len(fp.minus)):
-        assert list(index.disc.fiber("minus", j)) == scan_fiber_minus(disc, j)
-        assert fiber_minus(index.disc, j) == fiber_minus(disc, j) == scan_fiber_minus(disc, j)
-        assert index.disc.fiber("minus", j) is index.disc.fiber("minus", j)
+        assert list(fp.disc.fiber("minus", j)) == scan_fiber_minus(disc, j)
+        assert fiber_minus(fp.disc, j) == fiber_minus(disc, j) == scan_fiber_minus(disc, j)
+        assert fp.disc.fiber("minus", j) is fp.disc.fiber("minus", j)
     expected_cells = {(i, j): cell_intersection(hull(fp.plus[i]), hull(fp.minus[j]))
                       for i, j, _ in disc.interior}
-    assert dict(index.cells()) == expected_cells
+    assert dict(fp.cells()) == expected_cells
     # built once, and keyed in (i, j) order, which every stage walks
-    assert index.cells() is index.cells()
-    assert list(index.cells()) == sorted(index.cells())
+    assert fp.cells() is fp.cells()
+    assert list(fp.cells()) == sorted(fp.cells())
 
 
 @pytest.mark.parametrize("k", range(len(FIXTURES)))
@@ -102,12 +102,12 @@ def test_index_matches_oracles_on_random_pairs(seed):
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_index_matches_oracles_with_boundary_points(seed):
     fp = random_circle_map(seed).apply_pair(touching_pair())
-    assert len(fp.index.boundary) == 2
+    assert len(fp.boundary) == 2
     assert_index_matches_oracles(fp)
 
 
 def test_fiber_rejects_bad_index():
-    disc = gen_grid(2).index.disc
+    disc = gen_grid(2).disc
     with pytest.raises(IndexError):
         disc.fiber("plus", 2)
     with pytest.raises(IndexError):
@@ -116,21 +116,20 @@ def test_fiber_rejects_bad_index():
 
 def test_shared_pieces_are_read_only():
     fp = touching_pair()
-    index = fp.index
     with pytest.raises(TypeError):
-        index.interior[(1, 0)] = 5
+        fp.interior[(1, 0)] = 5
     with pytest.raises(TypeError):
-        del index.interior[(1, 0)]
+        del fp.interior[(1, 0)]
     with pytest.raises(TypeError):
-        index.boundary[(0, 0)] = point(4)
+        fp.boundary[(0, 0)] = point(4)
     with pytest.raises(TypeError):
-        index.disc.fiber("plus", 1)[0] = (0, 1)
+        fp.disc.fiber("plus", 1)[0] = (0, 1)
     with pytest.raises(TypeError):
-        index.disc.fiber("minus", 0)[0] = (0, 1)
+        fp.disc.fiber("minus", 0)[0] = (0, 1)
     with pytest.raises(TypeError):
-        index.cells()[(1, 0)] = None
-    assert dict(index.interior) == {(1, 0): 2}
-    assert dict(index.boundary) == {(0, 0): point(3), (1, 1): point(7)}
+        fp.cells()[(1, 0)] = None
+    assert dict(fp.interior) == {(1, 0): 2}
+    assert dict(fp.boundary) == {(0, 0): point(3), (1, 1): point(7)}
 
 
 def test_index_is_built_once_per_pair(monkeypatch):
@@ -147,20 +146,19 @@ def test_index_is_built_once_per_pair(monkeypatch):
         cell_builds.append(fp)
         return real_cells(fp, disc)
 
-    # the index classifies through family's name, equivariance through its
-    # own; the index imports linked_cells from hullgeom when it builds them
+    # the pair classifies through family's name, equivariance through its
+    # own; the pair imports linked_cells from hullgeom when it builds them
     monkeypatch.setattr(family, "especial_disc", counted)
     monkeypatch.setattr(symmetry, "especial_disc", counted)
     monkeypatch.setattr(hullgeom, "linked_cells", counted_cells)
     fp = gen_grid(3)
-    assert fp.index is fp.index
     assert straighten_point(fp, param_to_point(point(0))) is not None
     assert quotient_check(fp).ok
     layout(fp)
     render_input_svg(fp)
     assert prong_count(fp, (0, 0)) == 4
     assert len(calls) == 1
-    # the transformed pair is classified from scratch, never through fp's index
+    # the transformed pair is classified from scratch, never through fp's caches
     assert check_equivariance(fp, CircleMap.identity()).ok
     assert len(calls) == 2 and calls[1] is not fp
     # the four stages that read the linked cells share one build of them
@@ -172,6 +170,8 @@ def test_pair_with_built_index_still_copies_and_pickles():
     quotient_check(fp)
     layout(fp)
     for other in (pickle.loads(pickle.dumps(fp)), copy.deepcopy(fp), copy.copy(fp)):
+        # the copy builds its own caches
+        assert other._disc is None and other._cells is None
         assert other == fp
         assert other.plus_labels == fp.plus_labels
-        assert other.index.disc == fp.index.disc
+        assert other.disc == fp.disc

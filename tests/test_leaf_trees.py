@@ -68,7 +68,7 @@ def test_shared_point_pairs_match_oracle():
 
 def test_leaf_graph_makes_no_rank_gap_call():
     fp = gen_grid(16)
-    fp.index.disc
+    fp.disc
     profiler = cProfile.Profile()
     profiler.enable()
     try:

@@ -104,7 +104,7 @@ def drawn_pair(kind, seed):
     fp = (bignum_map if kind == "bignum" else random_circle_map)(seed).apply_pair(base)
     if seed % 2:
         # move one marked point to INF, so a set holds it
-        finite = [u for u in fp.index.points if not u.is_infinite]
+        finite = [u for u in fp.points if not u.is_infinite]
         fp = to_inf(finite[seed % len(finite)]).apply_pair(fp)
     return fp
 
@@ -115,7 +115,7 @@ def on_segment(a, b, lam):
 
 def sample_points(fp, rng):
     pts = []
-    for cell in fp.index.cells().values():
+    for cell in fp.cells().values():
         pts += list(cell.vertices) + [cell.barycenter()]
     for name in ("plus", "minus"):
         for h in family_hulls(fp, name):
@@ -123,7 +123,7 @@ def sample_points(fp, rng):
             for k in range(len(vs) if len(vs) > 2 else len(vs) - 1):
                 pts.append(on_segment(vs[k - 1], vs[k], F(rng.randint(1, 15), 16)))
     west = PlanePoint(-1, 0)
-    for u in fp.index.points:
+    for u in fp.points:
         q = param_to_point(u)
         pts.append(q)
         if not u.is_infinite:
@@ -155,7 +155,7 @@ def test_locate_corpus_covers_inf_and_every_answer():
             rng = random.Random(seed)
             pts = sample_points(fp, rng)
             assert_matches_scan(fp, pts)
-            has_inf = fp.index.points[-1].is_infinite
+            has_inf = fp.points[-1].is_infinite
             for p in pts:
                 got = outcome(locate, fp, p)
                 if got != "outside":
@@ -182,18 +182,17 @@ def assert_in_hull_matches_scan(fp, pts):
     """in_hull holds for exactly the hull the scan finds, in each family, at
     every point strictly inside the disc; returns the (family, set size,
     answer) triples seen."""
-    index = fp.index
-    points = index.points
+    points = fp.points
     seen = set()
     for name in ("plus", "minus"):
-        index.forest(name)  # the sweep checks that the hulls are disjoint
+        fp.forest(name)  # the sweep checks that the hulls are disjoint
     for p in pts:
         X, Y, D = h = p._h
         if X * X + Y * Y >= D * D:
             continue
         pos = _param_position(points, Y, X + D)
         for name, want in zip(("plus", "minus"), locate_by_scan(fp, p)):
-            sets, lines = index.ranks(name), index.lines(name)
+            sets, lines = fp.ranks(name), fp.lines(name)
             got = [k for k in range(len(sets)) if in_hull(sets, lines, k, h, pos)]
             assert got == ([] if want is None else [want]), (name, p, got, want)
             for k in range(len(sets)):
@@ -221,7 +220,7 @@ def test_in_hull_matches_hull_scan(kind, seed):
 def test_in_hull_on_small_sets_and_inf_holders():
     seen = set()
     for fp in SMALL_SETS:
-        assert fp.index.points[-1].is_infinite
+        assert fp.points[-1].is_infinite
         for seed in range(8):
             seen |= assert_in_hull_matches_scan(fp, sample_points(fp, random.Random(seed)))
     # a 1-point set holds nothing; 2-point and larger sets hold some points
@@ -331,7 +330,7 @@ def verifier_side_tests(monkeypatch, n):
     count; locate is replaced by a failure, so no point takes the search.
     """
     fp = gen_grid(n)
-    fp.index.disc
+    fp.disc
     counts = []
     real_side, real_position = hullgeom._in_cap, straighten._param_position
 

@@ -189,13 +189,13 @@ def test_real_crossings(name):
 def test_virtual_edge_meeting_another_cell(name):
     fp = VIRTUAL_MEETS_OTHER_CELL[name]()
     sd = layout(fp)
-    cells = fp.index.cells()
+    cells = fp.cells()
     met = []
     for leaf in sd.leaves_plus + sd.leaves_minus:
         for u, v in leaf.edges:
             if u == VIRTUAL:
                 seg = ConvexCell(1, [sd.position(leaf.family, leaf.element, a) for a in (u, v)])
-                met += [z for z in fp.index.disc.fiber(leaf.family, leaf.element)
+                met += [z for z in fp.disc.fiber(leaf.family, leaf.element)
                         if z != v and z in cells and cell_intersection(seg, cells[z])]
     assert met
     assert_matches_oracles(fp)
@@ -214,8 +214,8 @@ def test_forest_neighbours_are_the_pairs_no_set_separates():
     pairs.append(validate([[1, INF], ["1/4", "1/2"], [2, 3]], [[5, 6]]))
     for fp in pairs:
         for name in ("plus", "minus"):
-            sets = fp.index.ranks(name)
-            forest = fp.index.forest(name)
+            sets = fp.ranks(name)
+            forest = fp.forest(name)
             for a in range(len(sets)):
                 for b in range(len(sets)):
                     if a != b:
@@ -228,9 +228,9 @@ def test_forest_neighbours_are_the_pairs_no_set_separates():
 
 def test_separated_chain_edge_is_tested_like_a_virtual_one():
     fp = validate(*SEPARATED_CHAIN)
-    sets = fp.index.ranks("plus")
+    sets = fp.ranks("plus")
     assert rank_separates(sets[1], sets[3], sets[0])
-    assert not fp.index.forest("plus").neighbours(sets, 3, 0)
+    assert not fp.forest("plus").neighbours(sets, 3, 0)
     sd = assert_matches_oracles(fp)
     assert ((3, 0), (0, 0)) in sd.leaf("minus", 0).edges
     assert sd.crossings == ()
@@ -277,7 +277,7 @@ def test_virtual_edge_overlapping_a_chain_edge(monkeypatch):
     assert sd.leaf("minus", 0).edges == (((0, 0), (1, 0)),)
     assert sd.crossings == ()
     b, s = sd.layout[(1, 0)], sd.layout[(0, 0)]
-    cell = fp.index.cells()[(1, 0)]
+    cell = fp.cells()[(1, 0)]
     t = Fraction(1, 2)
     while True:
         v = PlanePoint(b.x + t * (s.x - b.x), b.y + t * (s.y - b.y))
@@ -328,7 +328,7 @@ def test_segment_test_on_shared_ends_and_overlaps():
                          ids=["grid16", "grid64", "mapped-grid40"])
 def test_layout_cost_without_virtual_vertices(make, monkeypatch):
     fp = make()
-    fp.index.cells()
+    fp.cells()
     counts = dict.fromkeys(("_segments_cross", "_hull_cap", "_h_line", "_line_key",
                             "neighbours", "rank_separates"), 0)
     _count(monkeypatch, straighten, "_segments_cross", counts)

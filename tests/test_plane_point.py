@@ -133,7 +133,7 @@ def test_render_formats_each_constant_once(monkeypatch):
     assert len(calls) == 2 * len(points) + 3
     calls.clear()
     points = {h for s in fp.plus + fp.minus for h in hull(s)._h}
-    points |= {h for c in fp.index.cells().values() for h in c._h}
+    points |= {h for c in fp.cells().values() for h in c._h}
     render_input_svg(fp)
     assert len(calls) == 2 * len(points) + 3
 
@@ -223,7 +223,7 @@ def test_pipeline_makes_no_fraction_calls(make):
         results[name] = prof.runcall(fn)
         counts[name] = _fraction_calls(prof)
 
-    run("cells", fp.index.cells)
+    run("cells", fp.cells)
     run("layout", lambda: layout(fp))
     run("render_input_svg", lambda: render_input_svg(fp))
     run("render_straightened_svg", lambda: render_straightened_svg(results["layout"]))

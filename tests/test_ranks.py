@@ -257,9 +257,9 @@ def test_disc_matches_oracle_on_random_pairs(seed):
 def test_pairs_made_without_validate_rank_on_first_use():
     fp = nested_pair(3, 1)
     for other in (FamilyPair(fp.plus, fp.minus), pickle.loads(pickle.dumps(fp))):
-        assert other.index.points == fp.index.points
-        assert other.index.ranks("plus") == fp.index.ranks("plus")
-        assert other.index.ranks("minus") == fp.index.ranks("minus")
+        assert other.points == fp.points
+        assert other.ranks("plus") == fp.ranks("plus")
+        assert other.ranks("minus") == fp.ranks("minus")
         assert especial_disc(other) == oracle.especial_disc(fp)
 
 
@@ -280,14 +280,14 @@ def test_pair_is_classified_once_across_especial_disc_and_layout(monkeypatch):
     monkeypatch.setattr(family, "rank_link_number", counted_kernel)
     monkeypatch.setattr(family, "especial_disc", counted_disc)
     base = random_circle_map(2).apply_pair(touching_pair())
-    disjoint_pairs = 4 - len(base.index.boundary)
+    disjoint_pairs = 4 - len(base.boundary)
     assert disjoint_pairs == 2
     # one classification alone counts the interior pair but not the disjoint
     # pair the laminar forest shows to be unlinked
     kernel_calls.clear()
     family.especial_disc(validate(base.plus, base.minus))
     once = list(kernel_calls)
-    assert len(once) == len(base.index.interior) == 1
+    assert len(once) == len(base.interior) == 1
     for first in ("disc", "layout"):
         fp = validate(base.plus, base.minus)
         kernel_calls.clear()
