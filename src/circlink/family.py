@@ -204,7 +204,7 @@ class FamilyPair:
         """The linked cell of every interior Z-point, in (i, j) order (see
         linked_cells)."""
         if self._cells is None:
-            # imported here because hullgeom imports this module
+            # imported here so that validate, classify and disc never load hullgeom
             from .hullgeom import linked_cells
             self._cells = MappingProxyType(linked_cells(self, self.disc))
         return self._cells
@@ -644,13 +644,11 @@ class NestingEntry(Frozen):
         }
 
 
-class NestingReport:
-    """Finite nesting diagnostics; a defect is an interval with no separator."""
+class NestingReport(Frozen):
+    """Finite nesting diagnostics: a tuple of entries, where a defect is an
+    interval with no separator."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
 
     @property
     def defect_count(self) -> int:
@@ -726,4 +724,4 @@ def nesting_report(fp: FamilyPair) -> NestingReport:
                 separator = best if best < none else None
                 entries.append(NestingEntry(name, e, a, b, separator is not None,
                                             separator))
-    return NestingReport(entries)
+    return NestingReport(tuple(entries))

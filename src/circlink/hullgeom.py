@@ -27,7 +27,6 @@ from .errors import (
     MalformedInputError,
     OutsideDiscError,
 )
-from .family import EspecialDisc, FamilyPair
 
 __all__ = [
     "PlanePoint",

@@ -49,15 +49,13 @@ class RenderOptions(Frozen, width=720, height=720, labels=False):
 class _Canvas:
     """An SVG picture handed to write as it is drawn, one element per line
     (each ending in a newline). Drawing methods take points as formatted
-    pixel pairs (x, y): xy formats a homogeneous triple (X, Y, D), px does so
-    once per distinct triple."""
+    pixel pairs (x, y), which xy formats from a homogeneous triple (X, Y, D)."""
 
     def __init__(self, opts: RenderOptions, write):
         self.write = write
         self.cx = opts.width / 2.0
         self.cy = opts.height / 2.0
         self.radius = min(opts.width, opts.height) / 2.0 - MARGIN
-        self._px = {}
         write('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
               'width="%d" height="%d" viewBox="0 0 %d %d">\n'
               % (opts.width, opts.height, opts.width, opts.height))
@@ -67,13 +65,6 @@ class _Canvas:
         # int / int is correctly rounded, as float(Fraction(X, D)) is
         return (_fmt(self.cx + self.radius * (h[0] / h[2])),
                 _fmt(self.cy - self.radius * (h[1] / h[2])))
-
-    def px(self, h: tuple) -> tuple:
-        """xy(h), computed once per point."""
-        xy = self._px.get(h)
-        if xy is None:
-            xy = self._px[h] = self.xy(h)
-        return xy
 
     def boundary(self) -> None:
         self.write(
@@ -116,7 +107,7 @@ class _Canvas:
 
 
 def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, filled: bool) -> None:
-    pts = [canvas.px(h) for h in cell._h]
+    pts = [canvas.xy(h) for h in cell._h]
     if cell.dim == 0:
         canvas.dot(eid, pts[0], color, POINT_RADIUS)
     elif cell.dim == 1:
@@ -142,7 +133,7 @@ def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
             for i, s in enumerate(sets):
                 tag = labels[i] if labels else "%s%d" % (name, i)
                 canvas.text("label-%s-%d" % (name, i),
-                            canvas.px(param_to_point(s.points[0])._h), tag, color)
+                            canvas.xy(param_to_point(s.points[0])._h), tag, color)
     canvas.finish()
 
 

@@ -121,24 +121,20 @@ def _cell_hulls_test(fp: FamilyPair):
 VIRTUAL = "v0"
 
 
-class LeafGraph:
+class LeafGraph(Frozen):
     """Tree over one element's fiber in Z.
 
-    Vertices are Z-points (i, j); at most one virtual branch vertex, named
-    "v0", appears when the fiber spans several sector groups. Edges are
-    ordered pairs over these atoms.
+    vertices is a tuple of Z-points (i, j); at most one virtual branch
+    vertex, named "v0", appears when the fiber spans several sector groups.
+    edges is a tuple of ordered pairs over these atoms. A graph that is not
+    a tree raises InvariantViolation("leaf-tree").
     """
 
     __slots__ = ("family", "element", "vertices", "virtual_count", "edges")
 
-    def __init__(self, family, element, vertices, virtual_count, edges):
-        self.family = family
-        self.element = element
-        self.vertices = tuple(vertices)
-        self.virtual_count = virtual_count
-        self.edges = tuple(edges)
+    def __post_init__(self):
         if not self.is_tree():
-            raise InvariantViolation("leaf-tree", (family, element, len(self.edges),
+            raise InvariantViolation("leaf-tree", (self.family, self.element, len(self.edges),
                                                    len(self.all_vertices())))
 
     def all_vertices(self) -> tuple:
@@ -168,16 +164,6 @@ class LeafGraph:
 
     def degree(self, v) -> int:
         return sum(1 for u, w in self.edges if u == v or w == v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeafGraph):
-            return NotImplemented
-        return (self.family, self.element, self.vertices, self.virtual_count, self.edges) == (
-            other.family, other.element, other.vertices, other.virtual_count, other.edges)
-
-    def __repr__(self) -> str:
-        return "LeafGraph(%s[%d], %d vertices, %d virtual, %d edges)" % (
-            self.family, self.element, len(self.vertices), self.virtual_count, len(self.edges))
 
     def to_json(self) -> dict:
         def atom(v):
@@ -254,7 +240,7 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
                 raise GroupOrderNotTotalError((chain[t - 1], chain[t], chain[t + 1]))
         chains.append(chain)
 
-    vertices = [z for chain in chains for z in chain]
+    vertices = tuple(z for chain in chains for z in chain)
     edges = []
     for chain in chains:
         for t in range(len(chain) - 1):
@@ -282,7 +268,7 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
                 raise GroupOrderNotTotalError((chain[0], chain[-1]))
             edges.append((VIRTUAL, chain[0] if lo else chain[-1]))
 
-    return LeafGraph(family, element, vertices, virtual_count, edges)
+    return LeafGraph(family, element, vertices, virtual_count, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +493,10 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
 # quotient diagnostics
 
 
-class QuotientReport:
+class QuotientReport(Frozen):
+    """The collapse clauses' verdict; failures is a tuple of dicts."""
+
     __slots__ = ("ok", "failures", "cells_checked", "points_sampled")
-
-    def __init__(self, ok, failures, cells_checked, points_sampled):
-        self.ok = ok
-        self.failures = tuple(failures)
-        self.cells_checked = cells_checked
-        self.points_sampled = points_sampled
-
-    def __repr__(self) -> str:
-        return "QuotientReport(ok=%r, cells=%d, samples=%d)" % (
-            self.ok, self.cells_checked, self.points_sampled)
 
     def to_json(self) -> dict:
         return {
@@ -565,4 +543,4 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
     for i, j, _n in fp.disc.interior:
         if (i, j) not in cells:
             failures.append({"clause": "surjective", "z": [i, j]})
-    return QuotientReport(not failures, failures, len(cells), sampled)
+    return QuotientReport(not failures, tuple(failures), len(cells), sampled)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
-from .errors import InvariantViolation, MalformedInputError, OutsideDiscError
+from .errors import Frozen, InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, validate
 from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _parse_frac, _point
 from .straighten import MappedTo, _cell_hulls_test, straighten_point
@@ -55,10 +55,6 @@ class CircleMap:
     @classmethod
     def identity(cls) -> "CircleMap":
         return cls(1, 0, 0, 1)
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
 
     def is_identity(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
@@ -148,17 +144,11 @@ def apply(g: CircleMap, x):
     return g.apply(x)
 
 
-class EquivarianceReport:
+class EquivarianceReport(Frozen):
+    """The equivariance verdict: each family's index permutation as a tuple,
+    or None when g does not permute the family, and a tuple of failures."""
+
     __slots__ = ("ok", "plus_permutation", "minus_permutation", "failures")
-
-    def __init__(self, ok, plus_permutation, minus_permutation, failures):
-        self.ok = ok
-        self.plus_permutation = tuple(plus_permutation) if plus_permutation is not None else None
-        self.minus_permutation = tuple(minus_permutation) if minus_permutation is not None else None
-        self.failures = tuple(failures)
-
-    def __repr__(self) -> str:
-        return "EquivarianceReport(ok=%r, failures=%d)" % (self.ok, len(self.failures))
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +159,7 @@ class EquivarianceReport:
         }
 
 
-def _match_permutation(sets, g: CircleMap, family: str, failures: list) -> Optional[list]:
+def _match_permutation(sets, g: CircleMap, family: str, failures: list) -> Optional[tuple]:
     where = {}
     for k, t in enumerate(sets):
         where.setdefault(t, k)
@@ -191,7 +181,7 @@ def _match_permutation(sets, g: CircleMap, family: str, failures: list) -> Optio
         other = first.setdefault(target, i)
         if other != i:
             raise InvariantViolation("permutation-collision", (family, other, i, target))
-    return perm
+    return tuple(perm)
 
 
 def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
@@ -218,7 +208,7 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     perm_plus = _match_permutation(fp.plus, g, "plus", failures)
     perm_minus = _match_permutation(fp.minus, g, "minus", failures)
     if perm_plus is None or perm_minus is None:
-        return EquivarianceReport(False, None, None, failures)
+        return EquivarianceReport(False, None, None, tuple(failures))
 
     disc = fp.disc
     interior = fp.interior
@@ -257,4 +247,4 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
                                  "expected": list(target)})
                 break
 
-    return EquivarianceReport(not failures, perm_plus, perm_minus, failures)
+    return EquivarianceReport(not failures, perm_plus, perm_minus, tuple(failures))

@@ -65,7 +65,7 @@ def nesting_report(fp) -> NestingReport:
                         break
                 entries.append(NestingEntry(name, e, a, b, separator is not None,
                                             separator))
-    return NestingReport(entries)
+    return NestingReport(tuple(entries))
 
 
 def separation_interval(fp, family, i, j) -> list:

@@ -95,4 +95,4 @@ def leaf_graph(fp, family: str, element: int) -> LeafGraph:
                 raise GroupOrderNotTotalError((chain[0], chain[-1]))
             edges.append((VIRTUAL, chain[0] if lo else chain[-1]))
 
-    return LeafGraph(family, element, vertices, virtual_count, edges)
+    return LeafGraph(family, element, tuple(vertices), virtual_count, tuple(edges))

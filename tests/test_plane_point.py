@@ -104,16 +104,8 @@ def test_int_division_is_the_fraction_float(num, den, shift):
     canvas = _Canvas(RenderOptions(), [].append)
     p = PlanePoint(F(num % den, den), F(-num % den, den << shift))
     x, y = p.x, p.y
-    assert canvas.px(p.key()) == (_fmt(canvas.cx + canvas.radius * float(x)),
+    assert canvas.xy(p.key()) == (_fmt(canvas.cx + canvas.radius * float(x)),
                                   _fmt(canvas.cy - canvas.radius * float(y)))
-
-
-def test_canvas_formats_each_point_once():
-    canvas = _Canvas(RenderOptions(), [].append)
-    first = canvas.px((1, 1, 2))
-    assert canvas.px((1, 1, 2)) is first
-    assert canvas.px((1, 1, 3)) == (_fmt(canvas.cx + canvas.radius * (1 / 3)),
-                                    _fmt(canvas.cy - canvas.radius * (1 / 3))) != first
 
 
 def test_render_formats_each_constant_once(monkeypatch):
@@ -164,8 +156,8 @@ def test_span_sort_matches_fraction_key(pairs):
 def _path_leaves(paths):
     leaves, table = [], {}
     for el, pts in enumerate(paths):
-        atoms = [(el, k) for k in range(len(pts))]
-        edges = list(zip(atoms, atoms[1:]))
+        atoms = tuple((el, k) for k in range(len(pts)))
+        edges = tuple(zip(atoms, atoms[1:]))
         leaves.append(LeafGraph("plus", el, atoms, 0, edges))
         for a, p in zip(atoms, pts):
             table[("plus", el, a)] = p

@@ -134,8 +134,8 @@ def test_value_classes_declare_only_their_fields():
             assert not methods & {"__init__", "__eq__", "__hash__"}, node.name
             if "__post_init__" in methods:
                 post_init.append(node.name)
-    assert values == 10
-    assert post_init == ["RenderOptions"]
+    assert values == 14
+    assert post_init == ["RenderOptions", "LeafGraph"]
 
 
 def test_value_contract_holds_under_optimize():

@@ -9,15 +9,25 @@ import pickle
 import pytest
 
 from circlink import (
+    CircleMap,
     DisjointLinked,
     DisjointUnlinked,
+    EquivarianceReport,
     GenSpec,
     IntersectingAt,
+    LeafGraph,
     MappedTo,
+    NestingReport,
     NotInDomain,
     OnBoundary,
+    QuotientReport,
     RenderOptions,
+    check_equivariance,
+    gen_grid,
+    layout,
+    nesting_report,
     point,
+    quotient_check,
 )
 from circlink.family import NestingEntry, Violation
 
@@ -35,6 +45,12 @@ CASES = [
     (NotInDomain, (), None),
     (RenderOptions, (640, 480, True), (640,)),
     (GenSpec, ("nested", 2, 3, 4, 5), ("nested", 2, 3, 4, 6)),
+    (LeafGraph, ("plus", 0, ((0, 0), (0, 1)), 0, (((0, 0), (0, 1)),)),
+     ("minus", 2, ((0, 2), (1, 2)), 1, (("v0", (0, 2)), ("v0", (1, 2))))),
+    # hashable failures: a report whose failures hold dicts has no hash
+    (QuotientReport, (True, (), 4, 16), (False, (), 4, 16)),
+    (EquivarianceReport, (True, (1, 0), (0, 1), ()), (False, None, None, ())),
+    (NestingReport, ((NestingEntry("plus", 0, point(1), point(2), False, None),),), ((),)),
 ]
 
 # the defaults of the dataclasses, by class
@@ -126,3 +142,23 @@ def test_render_options_defaults_by_keyword():
     opts = RenderOptions(width=100, labels=True)
     assert (opts.width, opts.height, opts.labels) == (100, 720, True)
     assert RenderOptions() == RenderOptions(**DEFAULTS[RenderOptions])
+
+
+def test_results_compare_by_value_and_are_read_only():
+    # each result equals the one recomputed from a fresh pair
+    fp, again = gen_grid(3), gen_grid(3)
+    reports = [quotient_check(fp), check_equivariance(fp, CircleMap.identity()),
+               nesting_report(fp)]
+    assert reports == [quotient_check(again), check_equivariance(again, CircleMap.identity()),
+                       nesting_report(again)]
+    sd, sd_again = layout(fp), layout(again)
+    leaves = sd.leaves_plus + sd.leaves_minus
+    assert leaves == sd_again.leaves_plus + sd_again.leaves_minus
+    # and hashes by value
+    assert len(set(leaves + sd_again.leaves_plus)) == len(leaves)
+    for report, field in zip(reports, ("ok", "ok", "entries")):
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+    for leaf in leaves:
+        with pytest.raises(AttributeError):
+            leaf.edges = ()
