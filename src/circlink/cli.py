@@ -15,7 +15,8 @@ import json
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii as _json_str
 
 # Each subcommand imports the modules it runs inside its function, so a
 # process pays only for those. render stays here: RenderOptions supplies the
@@ -46,7 +47,8 @@ def _dumps(obj) -> str:
 
     The json module of CPython 3.10 to 3.12 runs its pure-Python encoder
     whenever indent is set. This writer spells each scalar in the list or
-    dict holding it, and each key with its separator once per call.
+    dict holding it, and each key with its separator once per call. A list
+    of flat rows goes to json's C encoder whole (see _rows).
     """
     out = []
     _write(obj, "\n", out.append, {})
@@ -83,6 +85,11 @@ def _write(o, nl: str, put, keys: dict) -> None:
         if not o:
             put("[]")
             return
+        if type(o[0]) is dict and c_make_encoder is not None:
+            text = _rows(o, nl)
+            if text is not None:
+                put(text)
+                return
         sep = "[" + inner
         for v in o:
             enc = scalar(type(v))
@@ -101,6 +108,32 @@ def _write(o, nl: str, put, keys: dict) -> None:
             raise TypeError("Object of type %s is not JSON serializable"
                             % type(o).__name__)
         put(enc(o))
+
+
+def _rows(o, nl: str):
+    """The list o indented by nl, spelled by json's C encoder, when o holds
+    only non-empty dicts of str keys and values of an exact type in
+    _SCALARS; None for any other list.
+
+    Without indent, the encoder takes one item separator for the rows and
+    for the entries of each row. It is given the entries' separator, a comma
+    and a newline with the entries' indent, and each joint between two rows
+    is then rewritten. A joint is the only place where "}," meets that
+    separator: the value before an entry's separator is a scalar, and an
+    encoded string holds no raw newline.
+    """
+    # each test runs in C, without a Python loop over the rows
+    if set(map(type, o)) != {dict} or not all(o) \
+            or set(map(type, chain.from_iterable(o))) != {str} \
+            or not set(map(type, chain.from_iterable(map(dict.values, o)))).issubset(_SCALARS):
+        return None
+    row, entry = nl + "  ", nl + "    "
+    # no markers: a row holds no container; no default: nothing is unknown
+    encode = c_make_encoder(None, None, _json_str, None, ": ", "," + entry,
+                            True, False, True)
+    text = "".join(encode(o, 0)).replace("}," + entry + "{", row + "}," + row + "{" + entry)
+    # text is [{ + the rows + }]
+    return "[" + row + "{" + entry + text[2:-2] + row + "}" + nl + "]"
 
 
 def _emit(obj) -> None:

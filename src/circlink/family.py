@@ -491,6 +491,15 @@ class LaminarForest:
     the innermost set open at its ranks, and no set is open when the set
     holding INF opens. A failure raises InvariantViolation("hull-overlap")
     with the family and two of its set indices.
+
+    A set k with a tree parent (see tree_parent) separates each of its tree
+    children from that parent. Such a k does not hold INF, since the set
+    holding INF has no tree parent, so its tree children are its forest
+    children, each in an inner gap of k, between two of its ranks. Its tree
+    parent lies in k's wrap gap: k sits in one gap of its forest parent,
+    or, as a root the set holding INF adopts, outside that set's finite
+    span. straighten.leaf_graph reads this off the parents instead of
+    calling rank_separates.
     """
 
     __slots__ = ("owner", "inf_owner", "parent", "inner")
@@ -578,11 +587,16 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     it. Raises NotLinearlyOrderedError when no such chain exists.
 
     A validated family nests as a tree (the laminar forest, where the set
-    holding INF encloses the other roots and so is their parent), and k
-    separates i from j exactly when k lies on the tree path between them.
-    The chain is that path. On a tree a walk whose consecutive triples are
-    all on paths is itself a path, so each element is checked only against
-    its two neighbours.
+    holding INF encloses the other roots and so is their parent). No set
+    off the tree path between i and j separates them, and every other set
+    on it does except their innermost shared ancestor, which separates them
+    only when they lie in different gaps of it. In validate([[0, 10, 20],
+    [1, 2], [3, 4]], [[30, 31]]) set 0 lies on the path 1, 0, 2, but 1
+    and 2 share its gap (0, 10), so the chain from 1 to 2 is [1, 2]. The chain is
+    the path, with the shared ancestor only when it is i or j or separates
+    them. On a tree a walk whose consecutive triples are all on paths is
+    itself a path, so each element is checked only against its two
+    neighbours.
     """
     n = len(fp.family(family))
     _check_index(n, i, family)

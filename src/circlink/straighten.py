@@ -224,6 +224,10 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
         key = (tuple(sig),) if sig else ((), z)
         groups.setdefault(key, []).append((arc, z))
 
+    # a set that is the tree parent of one neighbour and the tree child of
+    # the other separates them (LaminarForest): rank_separates decides only
+    # the other triples
+    up = fp.forest("minus" if side else "plus").tree_parent
     chains = []
     for key in sorted(groups):
         members = groups[key]
@@ -233,10 +237,11 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
         # members arrive in fiber order, which breaks ties as a stable sort
         chain = [z for _, z in sorted(members)]
         for t in range(1, len(chain) - 1):
-            a = opp_sets[chain[t - 1][side]]
-            b = opp_sets[chain[t][side]]
-            c = opp_sets[chain[t + 1][side]]
-            if not rank_separates(b, a, c):
+            a, b, c = chain[t - 1][side], chain[t][side], chain[t + 1][side]
+            pb = up(b)
+            if pb == c and up(a) == b or pb == a and up(c) == b:
+                continue
+            if not rank_separates(opp_sets[b], opp_sets[a], opp_sets[c]):
                 raise GroupOrderNotTotalError((chain[t - 1], chain[t], chain[t + 1]))
         chains.append(chain)
 

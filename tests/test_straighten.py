@@ -30,6 +30,7 @@ from circlink import (
     validate,
 )
 from circlink import hullgeom, straighten
+from circlink.family import LaminarForest
 from circlink.straighten import VIRTUAL, result_to_json
 from plane_oracle import fraction_mean
 
@@ -199,7 +200,11 @@ def chain_leaf_pair():
 
 def test_leaf_graph_reports_misordered_groups(monkeypatch):
     fp = chain_leaf_pair()
-    # no member separates its neighbours: the chain's first triple is the witness
+    fp.disc
+    # no member separates its neighbours: the chain's first triple is the
+    # witness. The chain 2, 1, 0 descends the minus forest, which alone
+    # would pass each triple, so the forest is flattened too
+    monkeypatch.setattr(LaminarForest, "tree_parent", lambda forest, k: None)
     monkeypatch.setattr(straighten, "rank_separates", lambda barrier, first, second: False)
     with pytest.raises(GroupOrderNotTotalError) as info:
         leaf_graph(fp, "plus", 0)

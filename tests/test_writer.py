@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from childenv import child_env
+from circlink import cli
 from circlink.cli import _dumps
 
 
@@ -71,6 +72,61 @@ class Name(str):
 
 class Size(float):
     pass
+
+
+# A list of flat rows, non-empty dicts of str keys and exact scalars, goes to
+# json's C encoder whole; the "}," row joints are then rewritten.
+JOINT = '"},\n    {"'
+ROW_SCALARS = SCALARS | st.lists(TRICKY | st.sampled_from([JOINT, "},", "}", "{"])).map("".join)
+FLAT_ROW = st.dictionaries(TEXT | st.just(JOINT), ROW_SCALARS, min_size=1, max_size=4)
+FLAT_ROWS = st.lists(FLAT_ROW, min_size=1, max_size=6) | st.lists(FLAT_ROW, min_size=1).map(tuple)
+# rows that must take the writer's own loop: an empty row, a nested value,
+# a subclass of a scalar or of str keys
+CONTAINERS = st.lists(values(SCALARS), max_size=3) | st.dictionaries(TEXT, values(SCALARS), max_size=3)
+ODD_ROW = (st.just({})
+           | st.builds(lambda row, key, value: {**row, key: value}, FLAT_ROW, TEXT, CONTAINERS)
+           | st.sampled_from([{"a": Colour.RED}, {"a": Size(1.5)}, {Name("k"): 1},
+                              {"a": [1]}, {"a": {}}]))
+
+
+# 0 to 3 dicts or lists around a value
+LEVELS = st.lists(st.tuples(st.booleans(), TEXT), max_size=3)
+
+
+def wrap(value, levels):
+    for in_dict, key in levels:
+        value = {key: value} if in_dict else [value]
+    return value
+
+
+@settings(max_examples=200)
+@given(FLAT_ROWS, LEVELS)
+def test_flat_rows_write_the_bytes_json_writes(rows, levels):
+    value = wrap(rows, levels)
+    assert _dumps(value) == oracle(value)
+    assert cli._rows(rows, "\n" + "  " * len(levels)) is not None
+
+
+@settings(max_examples=100)
+@given(st.lists(FLAT_ROW, max_size=3), ODD_ROW, st.lists(FLAT_ROW, max_size=3))
+def test_odd_rows_take_the_generic_path(before, odd, after):
+    rows = before + [odd] + after
+    assert cli._rows(rows, "\n") is None
+    assert _dumps({"rows": rows}) == oracle({"rows": rows})
+
+
+@settings(max_examples=100)
+@given(FLAT_ROWS | st.lists(ODD_ROW, min_size=1, max_size=3), LEVELS)
+def test_without_the_c_encoder_the_bytes_are_the_same(rows, levels):
+    value = wrap(rows, levels)
+    expected = _dumps(value)
+    assert expected == oracle(value)
+    was = cli.c_make_encoder
+    cli.c_make_encoder = None
+    try:
+        assert _dumps(value) == expected
+    finally:
+        cli.c_make_encoder = was
 
 
 @pytest.mark.parametrize("value", [
