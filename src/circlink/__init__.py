@@ -26,8 +26,7 @@ _EXPORTS = {
     "errors": (
         "CirclinkError", "EmptyLinkedCellError", "FamilyValidationError",
         "GroupOrderNotTotalError", "InvariantViolation", "MalformedInputError",
-        "NotDisjointError", "NotInteriorError", "NotLinearlyOrderedError",
-        "OutsideDiscError",
+        "NotDisjointError", "NotInteriorError", "OutsideDiscError",
     ),
     "family": (
         "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",

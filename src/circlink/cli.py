@@ -160,6 +160,9 @@ def _load_json(path: str):
             "%s: line %d column %d" % (path, exc.lineno, exc.colno)) from None
     except RecursionError:
         raise MalformedInputError("invalid JSON: nested too deeply", path) from None
+    except ValueError as exc:
+        # an integer literal past sys.get_int_max_str_digits()
+        raise MalformedInputError("invalid JSON: %s" % exc, path) from None
 
 
 def _load_pair(path: str) -> FamilyPair:

@@ -106,19 +106,11 @@ class EmptyLinkedCellError(CirclinkError):
         super().__init__("linked pair (%d, %d) has an empty cell" % z)
 
 
-class NotLinearlyOrderedError(CirclinkError):
-    """Separation data failed to produce a total order.
-
-    witness is a triple of element indices that cannot be arranged in a chain.
-    """
-
-    def __init__(self, witness):
-        self.witness = tuple(witness)
-        super().__init__("elements %s are not linearly ordered by separation" % (self.witness,))
-
-
 class GroupOrderNotTotalError(CirclinkError):
-    """A leaf-graph group could not be chained by the separation order."""
+    """Both ends of a leaf-graph chain, or neither, face the virtual vertex.
+
+    witness is the chain's first and last Z-points.
+    """
 
     def __init__(self, witness):
         self.witness = tuple(witness)

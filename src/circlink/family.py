@@ -35,7 +35,6 @@ from .errors import (
     InvariantViolation,
     MalformedInputError,
     NotInteriorError,
-    NotLinearlyOrderedError,
 )
 
 __all__ = [
@@ -492,14 +491,12 @@ class LaminarForest:
     holding INF opens. A failure raises InvariantViolation("hull-overlap")
     with the family and two of its set indices.
 
-    A set k with a tree parent (see tree_parent) separates each of its tree
-    children from that parent. Such a k does not hold INF, since the set
-    holding INF has no tree parent, so its tree children are its forest
-    children, each in an inner gap of k, between two of its ranks. Its tree
-    parent lies in k's wrap gap: k sits in one gap of its forest parent,
-    or, as a root the set holding INF adopts, outside that set's finite
-    span. straighten.leaf_graph reads this off the parents instead of
-    calling rank_separates.
+    The gap fact: the sets in the inner gaps of a set k that does not hold
+    INF, between two of its ranks, are exactly those open inside k, its
+    forest descendants. So k's tree children, which are its forest
+    children, lie in its inner gaps, and its tree parent (see tree_parent),
+    its siblings and the other roots in its wrap gap. separation_interval
+    orders its chains by this.
     """
 
     __slots__ = ("owner", "inf_owner", "parent", "inner")
@@ -584,19 +581,24 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
 
     The result starts with i, ends with j, and lists the separating elements
     so that each one separates everything before it from everything after
-    it. Raises NotLinearlyOrderedError when no such chain exists.
+    it. A validated family nests as a tree (the laminar forest, where the
+    set holding INF encloses the other roots and so is their parent). The
+    other sets on the tree path from i to j separate them, but for their
+    innermost shared ancestor, which does only when they lie in different
+    gaps of it; no set off the path does. In validate([[0, 10, 20], [1, 2],
+    [3, 4]], [[30, 31]]) set 0 is on the path 1, 0, 2, but 1 and 2 share
+    its gap (0, 10), so the chain from 1 to 2 is [1, 2].
 
-    A validated family nests as a tree (the laminar forest, where the set
-    holding INF encloses the other roots and so is their parent). No set
-    off the tree path between i and j separates them, and every other set
-    on it does except their innermost shared ancestor, which separates them
-    only when they lie in different gaps of it. In validate([[0, 10, 20],
-    [1, 2], [3, 4]], [[30, 31]]) set 0 lies on the path 1, 0, 2, but 1
-    and 2 share its gap (0, 10), so the chain from 1 to 2 is [1, 2]. The chain is
-    the path, with the shared ancestor only when it is i or j or separates
-    them. On a tree a walk whose consecutive triples are all on paths is
-    itself a path, so each element is checked only against its two
-    neighbours.
+    Each member separates its neighbours, so none is checked. By
+    LaminarForest's gap fact, a set between its tree child and its tree
+    parent does, and so does each of two children of a dropped shared
+    ancestor (or two roots, under no set) side by side, its tree child on
+    one side; none of these holds INF. A kept shared ancestor separates i
+    from j, and its neighbours lie in their gaps of it: each is i or j or
+    holds it in a finite span with no rank of the ancestor. Then each
+    member separates all before it from all after it: when b separates a
+    from c and c separates b from d, the arc outside c's gap holding b
+    holds c and d but no rank of b, so d lies in b's gap holding c.
     """
     n = len(fp.family(family))
     _check_index(n, i, family)
@@ -619,11 +621,7 @@ def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:
     if shared is not None and (shared == i or shared == j
                                or rank_separates(sets[shared], sets[i], sets[j])):
         left.append(shared)
-    chain = left + right[::-1]
-    for t in range(1, len(chain) - 1):
-        if not rank_separates(sets[chain[t]], sets[chain[t - 1]], sets[chain[t + 1]]):
-            raise NotLinearlyOrderedError((chain[t - 1], chain[t], chain[t + 1]))
-    return chain
+    return left + right[::-1]
 
 
 def prong_count(fp: FamilyPair, z: tuple) -> int:

@@ -142,25 +142,23 @@ class LeafGraph(Frozen):
         return self.vertices + extra
 
     def is_tree(self) -> bool:
+        # V - 1 edges between the vertices that close no cycle (union-find)
         verts = self.all_vertices()
-        if not verts:
-            return not self.edges
-        if len(self.edges) != len(verts) - 1:
+        if len(self.edges) != max(len(verts) - 1, 0):
             return False
-        adj = {v: [] for v in verts}
+        root = {v: v for v in verts}
         for u, v in self.edges:
-            if u not in adj or v not in adj:
+            if u not in root or v not in root:
                 return False
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+            while root[u] != u:
+                u = root[u]
+            while root[v] != v:
+                v = root[v]
+            if u == v:
+                return False
+            # on leaf_graph's edge order, each walk takes at most one step
+            root[v] = u
+        return True
 
     def degree(self, v) -> int:
         return sum(1 for u, w in self.edges if u == v or w == v)
@@ -180,7 +178,18 @@ class LeafGraph(Frozen):
 def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     """Build the leaf tree over the fiber of one element.
 
-    Every predicate runs on the rank tuples of the pair.
+    Every predicate runs on the rank tuples of the pair. The members of
+    one sector signature S are chained in the order of their first ranks
+    in I, the gap S[0] of the element's set, read from I's start. A member
+    b separates each earlier one a from each later c, so no triple is
+    checked. The members are sets of the opposite family: disjoint and
+    unlinked. b has a rank outside I, in another gap when S has two or
+    more, else the one it shares with the element's set (a set in one gap
+    of it is unlinked and no Z-point). b has no rank between I's start and
+    b_I, its first rank in I, so a's first rank lies in the gap of b ending
+    at b_I. From c's first rank the circle passes b's rank outside I before
+    b_I, so c's first rank lies in another gap of b. Unlinked from b, a and
+    c each lie in one gap of it.
     """
     fiber = fp.disc.fiber(family, element)
     lam = fp.ranks(family)[element]
@@ -224,26 +233,9 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
         key = (tuple(sig),) if sig else ((), z)
         groups.setdefault(key, []).append((arc, z))
 
-    # a set that is the tree parent of one neighbour and the tree child of
-    # the other separates them (LaminarForest): rank_separates decides only
-    # the other triples
-    up = fp.forest("minus" if side else "plus").tree_parent
-    chains = []
-    for key in sorted(groups):
-        members = groups[key]
-        if len(members) == 1:
-            chains.append([members[0][1]])
-            continue
-        # members arrive in fiber order, which breaks ties as a stable sort
-        chain = [z for _, z in sorted(members)]
-        for t in range(1, len(chain) - 1):
-            a, b, c = chain[t - 1][side], chain[t][side], chain[t + 1][side]
-            pb = up(b)
-            if pb == c and up(a) == b or pb == a and up(c) == b:
-                continue
-            if not rank_separates(opp_sets[b], opp_sets[a], opp_sets[c]):
-                raise GroupOrderNotTotalError((chain[t - 1], chain[t], chain[t + 1]))
-        chains.append(chain)
+    # the chain order needs a laminar opposite family, which its forest checks
+    fp.forest("minus" if side else "plus")
+    chains = [[z for _, z in sorted(groups[key])] for key in sorted(groups)]
 
     vertices = tuple(z for chain in chains for z in chain)
     edges = []
@@ -262,9 +254,9 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
             anchor = opp_sets[anchor_chain[0][side]]
 
             def inner(end_z, next_z):
-                # the chain passed its neighbour checks, so it is a path in
-                # the family's nesting tree: some member separates the end
-                # from the anchor exactly when the end's neighbour does
+                # each member separates those before it from those after
+                # it, so the chain is a path in the family's nesting tree: some member separates
+                # the end from the anchor exactly when the end's neighbour does
                 return not rank_separates(opp_sets[next_z[side]],
                                           opp_sets[end_z[side]], anchor)
 

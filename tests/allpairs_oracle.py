@@ -14,7 +14,6 @@ from circlink import (
     CirclePoint,
     EspecialDisc,
     GroupOrderNotTotalError,
-    NotLinearlyOrderedError,
 )
 from circlink.circle import rank_gap, rank_separates
 from circlink.family import NestingEntry, NestingReport, _check_index, _meet_or_link
@@ -50,8 +49,10 @@ def nesting_report(fp) -> NestingReport:
                 if k == e:
                     continue
                 gaps = {rank_gap(lam, r) for r in other}
-                # family validity forces every other element into one gap
-                assert len(gaps) == 1
+                # family validity forces every other element into one gap;
+                # raised, not asserted, so python -O keeps the check
+                if len(gaps) != 1:
+                    raise AssertionError(("not in one gap", name, k, e))
                 buckets[gaps.pop()].append(k)
             for g, (a, b) in enumerate(arcs(fp.family(name)[e])):
                 inside = buckets[g]
@@ -71,7 +72,7 @@ def nesting_report(fp) -> NestingReport:
 def separation_interval(fp, family, i, j) -> list:
     """The chain from every separating element, ordered by how many others
     each one separates from i; all triples are checked up to 20 separators,
-    consecutive ones beyond."""
+    consecutive ones beyond, and a misordered triple raises AssertionError."""
     n = len(fp.family(family))
     _check_index(n, i, family)
     _check_index(n, j, family)
@@ -93,12 +94,12 @@ def separation_interval(fp, family, i, j) -> list:
             for p in range(t):
                 for s in range(t + 1, len(chain)):
                     if not between(chain[p], chain[t], chain[s]):
-                        raise NotLinearlyOrderedError((chain[p], chain[t], chain[s]))
+                        raise AssertionError(("not ordered", chain[p], chain[t], chain[s]))
     else:
         # long chains: consecutive triples still pin the order, full check is cubic
         for t in range(1, len(chain) - 1):
             if not between(chain[t - 1], chain[t], chain[t + 1]):
-                raise NotLinearlyOrderedError((chain[t - 1], chain[t], chain[t + 1]))
+                raise AssertionError(("not ordered", chain[t - 1], chain[t], chain[t + 1]))
     return chain
 
 

@@ -159,7 +159,9 @@ def especial_disc(fp) -> EspecialDisc:
                 boundary.append((i, j, shared[0]))
                 continue
             c1, c2, c3, c4 = link_number_counts(p, m)
-            assert c1 == c2 == c3 == c4
+            if not c1 == c2 == c3 == c4:
+                # raised, not asserted, so python -O keeps the check
+                raise AssertionError(("counts disagree", i, j, (c1, c2, c3, c4)))
             if c1 != 1:
                 interior.append((i, j, c1))
     return EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)

@@ -109,17 +109,20 @@ def test_oversized_parameter_is_malformed(tmp_path, capsys, param):
 
 
 def test_deeply_nested_json_is_malformed(tmp_path, capsys):
-    # deeper than the JSON decoder's recursion limit, as a pair and as a map
-    deep = str(tmp_path / "deep.json")
-    with open(deep, "w", encoding="utf-8") as fh:
-        fh.write("[" * 200000)
+    # deeper than the JSON decoder's recursion limit, and an integer literal
+    # longer than int's 4 300 digit limit (json.loads raises a plain
+    # ValueError), each as a pair and as a map
     pair = write_pair(tmp_path, "grid.json", GRID2)
-    for argv in (["validate", deep], ["equivariance", pair, "--map", deep]):
-        code, out = run(capsys, *argv)
-        assert code == 2
-        err = json.loads(out)
-        assert (err["error"], err["location"]) == ("malformed-input", deep)
-        assert err["message"].startswith("invalid JSON: ")
+    for name, text in (("deep.json", "[" * 200000), ("long.json", "[%s]" % ("7" * 5000))):
+        bad = str(tmp_path / name)
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["validate", bad], ["equivariance", pair, "--map", bad]):
+            code, out = run(capsys, *argv)
+            assert code == 2, (name, argv)
+            err = json.loads(out)
+            assert (err["error"], err["location"]) == ("malformed-input", bad)
+            assert err["message"].startswith("invalid JSON: ")
 
 
 def test_file_that_is_not_utf8_is_malformed(tmp_path, capsys):

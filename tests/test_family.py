@@ -25,8 +25,6 @@ from circlink import (
     separation_interval,
     validate,
 )
-from circlink import family
-from circlink.errors import NotLinearlyOrderedError
 
 GRID_PLUS = [CircleSet([0, 3]), CircleSet([4, 7])]
 GRID_MINUS = [CircleSet([2, 5]), CircleSet([6, 1])]
@@ -206,14 +204,6 @@ def test_separation_interval_longer_chain():
 def concentric_pair():
     # thirty nested chords, so chains run longer than twenty separators
     return validate([[k, 100 - k] for k in range(30)], [[-1, 200]])
-
-
-def test_separation_interval_reports_the_misordered_triple(monkeypatch):
-    fp = concentric_pair()
-    monkeypatch.setattr(family, "rank_separates", lambda barrier, first, second: False)
-    with pytest.raises(NotLinearlyOrderedError) as info:
-        separation_interval(fp, "plus", 0, 2)
-    assert info.value.witness == (0, 1, 2)
 
 
 # ── prong counts ─────────────────────────────────────────────────────────

@@ -251,6 +251,22 @@ def test_separation_matches_all_pairs_oracle(kind, seed):
     assert_chains_match_all_pairs(drawn_pair(kind, seed))
 
 
+def triple_kind(forest, a, b, c):
+    """Which case of separation_interval's proof makes b separate a from c:
+    b between its tree child and its tree parent, b beside a sibling (or a
+    root beside a root) with its tree child on the other side, or b the
+    kept shared ancestor between two of its tree children."""
+    up = forest.tree_parent
+    if up(a) == b == up(c):
+        return "shared"
+    for x, y in ((a, c), (c, a)):
+        if up(x) == b and up(b) == y:
+            return "parent"
+        if up(x) == b and up(y) == up(b):
+            return "siblings" if up(b) is not None else "roots"
+    return None
+
+
 def test_separation_corpus_covers_inf_and_long_chains():
     chains = []
     for fp in inf_nested_pairs(range(1, 5)):
@@ -264,6 +280,10 @@ def test_separation_corpus_covers_inf_and_long_chains():
                   if fp.forest(name).inf_owner in c[1:-1]]
     assert inf_inside
     assert max(len(c) for _, _, c in chains) == 30
+    # every triple is one case of the proof, and the corpus holds each case
+    kinds = {triple_kind(fp.forest(name), *c[t - 1:t + 2])
+             for fp, name, c in chains for t in range(1, len(c) - 1)}
+    assert kinds == {"parent", "siblings", "roots", "shared"}
 
 
 def test_separation_makes_one_call_per_chain_link(monkeypatch):
@@ -281,12 +301,13 @@ def test_separation_makes_one_call_per_chain_link(monkeypatch):
             for i in range(n):
                 for j in range(n):
                     calls[0] = 0
-                    chain = separation_interval(fp, name, i, j)
-                    assert calls[0] <= len(chain) - 1
+                    separation_interval(fp, name, i, j)
+                    # only the innermost shared ancestor is tested
+                    assert calls[0] <= 1
     calls[0] = 0
     assert separation_interval(concentric_pair(), "plus", 0, 29) == list(range(30))
-    # 28 interior neighbour checks; the shared ancestor is 0 itself
-    assert calls[0] == 28
+    # the shared ancestor is 0 itself
+    assert calls[0] == 0
 
 
 def assert_ends_match_all_members(fp):

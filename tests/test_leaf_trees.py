@@ -1,18 +1,16 @@
 """Leaf trees from one pass over the opposite ranks.
 
 straighten.leaf_graph reads each Z-point's sector signature and its chain
-key from one bisection per opposite rank, and passes a chain triple whose
-middle set is the tree parent of one neighbour and the tree child of the
-other without a rank_separates call. leaf_oracle.leaf_graph is the builder
-it replaced, which recomputes the signatures with rank_gap and checks every
-triple; every case below must give an equal LeafGraph from both, or the
-same exception with the same arguments.
+key from one bisection per opposite rank, and checks no chain triple (its
+docstring proves that every one is ordered). leaf_oracle.leaf_graph is the
+builder it replaced, which recomputes the signatures with rank_gap and
+checks every triple; every case below must give an equal LeafGraph from
+both, or the same exception with the same arguments.
 """
 
 import cProfile
 import pstats
-
-import pytest
+import random
 
 import leaf_oracle
 from circlink import (
@@ -26,13 +24,11 @@ from circlink import (
     straighten,
     validate,
 )
-from circlink.circle import rank_separates
-from circlink.errors import GroupOrderNotTotalError
-from circlink.family import LaminarForest
+from circlink.circle import rank_gap, rank_separates
+from circlink.errors import GroupOrderNotTotalError, InvariantViolation
 from circlink.generators import random_circle_map
 from test_locate import KINDS, drawn_pair
 from test_planarity import shared_point_pair
-from test_straighten import chain_leaf_pair
 
 
 def _outcome(build, fp, family, element):
@@ -68,12 +64,37 @@ def test_grid_image_matches_oracle():
     assert sum(len(straighten.leaf_graph(fp, "plus", i).edges) for i in range(40)) == 40 * 39
 
 
+def _long_groups(fp):
+    """(signature, gap count) of every group of three or more members, the
+    groups with a middle member, over the leaves of both families."""
+    for family, side, opp in (("plus", 1, "minus"), ("minus", 0, "plus")):
+        opp_sets = fp.ranks(opp)
+        for element, lam in enumerate(fp.ranks(family)):
+            sizes = {}
+            for z in fp.disc.fiber(family, element):
+                sig = tuple(sorted({rank_gap(lam, r) for r in opp_sets[z[side]]
+                                    if r not in lam}))
+                sizes[sig] = sizes.get(sig, 0) + 1
+            yield from ((sig, len(lam)) for sig, size in sizes.items()
+                        if sig and size >= 3)
+
+
 def test_shared_point_pairs_match_oracle():
     # pairs whose cross pairs share marked points reach wrap intervals,
-    # points on the leaf itself and groups the chain checks reject
-    raising = sum(1 for seed in range(3000) if _same_leaves(shared_point_pair(seed), seed))
-    # 5 % of the draws have an element whose groups are not ordered
+    # points on the leaf itself and chains whose ends the end test rejects
+    raising = single = wrap = 0
+    for seed in range(3000):
+        fp = shared_point_pair(seed)
+        raising += bool(_same_leaves(fp, seed))
+        for sig, gaps in _long_groups(fp):
+            single += len(sig) == 1
+            wrap += sig[0] == gaps - 1
+    # 5 % of the draws have an element whose chain ends are not ordered
     assert raising == 150
+    # the cases of leaf_graph's proof where a middle member meets one gap
+    # of the leaf's set, so lies in the fiber by a shared point, and where
+    # that gap is the wrap gap
+    assert (single, wrap) == (14, 11)
 
 
 def test_leaf_graph_makes_no_rank_gap_call():
@@ -90,11 +111,8 @@ def test_leaf_graph_makes_no_rank_gap_call():
     calls = {(f[0].rsplit("/", 1)[-1], f[2]): s[1]
              for f, s in pstats.Stats(profiler).stats.items()}
     assert calls[("straighten.py", "leaf_graph")] == 32
-    # every chain runs along its forest's tree parents, which pass the chain
-    # checks, except at the plus roots 0 and 1: they are siblings under no
-    # set, so rank_separates still checks the triple centred on plus set 1,
-    # once in each minus leaf
-    assert calls[("circle.py", "rank_separates")] == 16
+    # no chain triple is checked, and a grid leaf has one chain, so no end
+    assert ("circle.py", "rank_separates") not in calls
     assert ("circle.py", "rank_gap") not in calls
 
 
@@ -114,34 +132,24 @@ def chain_triples(fp):
                     yield forest, b, a, c
 
 
-def test_chains_through_the_inf_holder_match_oracle(monkeypatch):
+def test_chains_through_the_inf_holder_match_oracle():
     # plus 0 = {15, 25} crosses three nested minus sets, the outer one
     # holding INF, in the chain 0, 1, 2
     forest_child = validate([[15, 25]], [[14, 16], [12, 18], [10, 22, INF]])
     # {12, 18} lies outside {22, 24, INF}'s finite span: a root, adopted
     adopted = validate([[15, 25]], [[14, 16], [12, 18], [22, 24, INF]])
     # {2, 4} and {24, 26} are roots adopted by {10, 20, INF}, which has no
-    # tree parent itself: rank_separates checks the triple
+    # tree parent itself
     between_roots = validate([[3, 25]], [[2, 4], [10, 20, INF], [24, 26]])
-    for fp, holder, parents, checked in ((forest_child, 2, [1, 2, None], 0),
-                                         (adopted, 2, [1, None, None], 0),
-                                         (between_roots, 1, [None] * 3, 1)):
+    for fp, holder, parents in ((forest_child, 2, [1, 2, None]),
+                                (adopted, 2, [1, None, None]),
+                                (between_roots, 1, [None] * 3)):
         forest = fp.forest("minus")
         assert forest.inf_owner == holder
         assert forest.parent == parents
-        calls = []
-
-        def counted(barrier, first, second):
-            calls.append(barrier)
-            return rank_separates(barrier, first, second)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(straighten, "rank_separates", counted)
-            assert _same_leaves(fp) == 0
+        assert _same_leaves(fp) == 0
         leaf = straighten.leaf_graph(fp, "plus", 0)
         assert leaf.edges == (((0, 0), (0, 1)), ((0, 1), (0, 2)))
-        # the chain's one triple, centred on minus set 1
-        assert calls.count(fp.ranks("minus")[1]) == checked
 
 
 def test_inf_corpus_matches_oracle_and_covers_adoption():
@@ -163,7 +171,8 @@ def test_inf_corpus_matches_oracle_and_covers_adoption():
 
 
 def test_a_tree_parent_separates_its_child_from_its_own_parent():
-    # the forest fact the chain checks rely on, tested on every set
+    # the gap fact that separation_interval's chains rest on, tested on
+    # every set
     pairs = [drawn_pair(kind, seed) for kind in KINDS for seed in range(40)]
     pairs += [shared_point_pair(seed) for seed in range(200)]
     checked = {"forest": 0, "adopted": 0}
@@ -179,27 +188,59 @@ def test_a_tree_parent_separates_its_child_from_its_own_parent():
     assert checked["forest"] and checked["adopted"]
 
 
-@pytest.mark.parametrize("parents, checks", [
-    ({0: 1, 1: 2}, 0),      # the chain descends the tree
-    ({2: 1, 1: 0}, 0),      # the chain ascends it
-    ({0: 2, 1: 2}, 1),      # 1 is 2's child but not 0's parent
-    ({1: 0, 2: 0}, 1),      # 1 is 0's child but not 2's parent
-    ({}, 1),                # three roots
-])
-def test_rank_separates_checks_the_triples_the_parents_do_not(monkeypatch, parents, checks):
-    # plus 0's chain is minus 2, 1, 0; the tree parents are replaced, so
-    # only the test that reads them decides whether rank_separates runs
-    fp = chain_leaf_pair()
-    fp.disc
-    sets = fp.ranks("minus")
-    calls = []
+# ── the tree check ───────────────────────────────────────────────────────
 
-    def counted(barrier, first, second):
-        if (barrier, {first, second}) == (sets[1], {sets[0], sets[2]}):
-            calls.append(barrier)
-        return rank_separates(barrier, first, second)
+def _walk_is_tree(verts, edges) -> bool:
+    """The adjacency walk that LeafGraph.is_tree replaced."""
+    if not verts:
+        return not edges
+    if len(edges) != len(verts) - 1:
+        return False
+    adj = {v: [] for v in verts}
+    for u, v in edges:
+        if u not in adj or v not in adj:
+            return False
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
 
-    monkeypatch.setattr(LaminarForest, "tree_parent", lambda forest, k: parents.get(k))
-    monkeypatch.setattr(straighten, "rank_separates", counted)
-    straighten.leaf_graph(fp, "plus", 0)
-    assert len(calls) == checks
+
+def test_union_find_tree_check_matches_the_walk():
+    # small graphs over a few Z-points and the virtual vertex: random trees,
+    # some with one edge redrawn, and random edge lists, with repeated
+    # vertices, self-loops and ends outside the vertices
+    rng = random.Random(0)
+    atoms = [(i, j) for i in range(3) for j in range(3)]
+    trees = 0
+    for _ in range(20000):
+        vertices = tuple(rng.sample(atoms, rng.randint(0, 6)))
+        if vertices and rng.random() < 0.1:
+            vertices += (rng.choice(vertices),)
+        virtual = int(rng.random() < 0.3)
+        verts = vertices + (straighten.VIRTUAL,) * virtual
+        pool = verts + (rng.choice(atoms),)
+        if verts and rng.random() < 0.6:
+            edges = [(verts[rng.randrange(k)], verts[k])[::rng.choice((1, -1))]
+                     for k in range(1, len(verts))]
+            rng.shuffle(edges)
+            if edges and rng.random() < 0.5:
+                edges[rng.randrange(len(edges))] = (rng.choice(pool), rng.choice(pool))
+        else:
+            edges = [(rng.choice(pool), rng.choice(pool))
+                     for _ in range(rng.randint(0, len(verts)))]
+        expected = _walk_is_tree(verts, tuple(edges))
+        try:
+            straighten.LeafGraph("plus", 0, vertices, virtual, tuple(edges))
+        except InvariantViolation as exc:
+            assert not expected and exc.invariant == "leaf-tree", (vertices, virtual, edges)
+        else:
+            assert expected, (vertices, virtual, edges)
+        trees += expected
+    assert 6000 < trees < 14000

@@ -30,7 +30,6 @@ from circlink import (
     validate,
 )
 from circlink import hullgeom, straighten
-from circlink.family import LaminarForest
 from circlink.straighten import VIRTUAL, result_to_json
 from plane_oracle import fraction_mean
 
@@ -201,14 +200,6 @@ def chain_leaf_pair():
 def test_leaf_graph_reports_misordered_groups(monkeypatch):
     fp = chain_leaf_pair()
     fp.disc
-    # no member separates its neighbours: the chain's first triple is the
-    # witness. The chain 2, 1, 0 descends the minus forest, which alone
-    # would pass each triple, so the forest is flattened too
-    monkeypatch.setattr(LaminarForest, "tree_parent", lambda forest, k: None)
-    monkeypatch.setattr(straighten, "rank_separates", lambda barrier, first, second: False)
-    with pytest.raises(GroupOrderNotTotalError) as info:
-        leaf_graph(fp, "plus", 0)
-    assert info.value.witness == ((0, 2), (0, 1), (0, 0))
     # every member separates everything: neither end can face the virtual vertex
     monkeypatch.setattr(straighten, "rank_separates", lambda barrier, first, second: True)
     with pytest.raises(GroupOrderNotTotalError) as info:
