@@ -84,6 +84,9 @@ class Violation(Frozen, witness=()):
         }
 
 
+_NOT_A_FAMILY = "family must be 'plus' or 'minus', got %r"
+
+
 class FamilyPair:
     """A validated pair of chord families. Construct through validate().
 
@@ -138,7 +141,7 @@ class FamilyPair:
             return self.plus
         if name == "minus":
             return self.minus
-        raise ValueError("family must be 'plus' or 'minus', got %r" % name)
+        raise ValueError(_NOT_A_FAMILY % (name,))
 
     def to_json(self) -> dict:
         out = {
@@ -165,7 +168,10 @@ class FamilyPair:
 
     def ranks(self, family: str) -> tuple:
         """The sorted rank tuple of every element of one family, by index."""
-        return self._rank_table()[1][family]
+        try:
+            return self._rank_table()[1][family]
+        except KeyError:
+            raise ValueError(_NOT_A_FAMILY % (family,)) from None
 
     @property
     def disc(self) -> "EspecialDisc":
@@ -395,7 +401,10 @@ class EspecialDisc:
                 minus[z[1]].append(z)
             self._fibers = {"plus": tuple(map(tuple, plus)),
                             "minus": tuple(map(tuple, minus))}
-        fibers = self._fibers[family]
+        try:
+            fibers = self._fibers[family]
+        except KeyError:
+            raise ValueError(_NOT_A_FAMILY % (family,)) from None
         _check_index(len(fibers), element, family)
         return fibers[element]
 

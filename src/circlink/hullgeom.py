@@ -41,14 +41,6 @@ __all__ = [
 ]
 
 
-def _ratio_str(n: int, d: int) -> str:
-    # n/d in lowest terms, d > 0
-    g = gcd(n, d)
-    if g == d:
-        return str(n // g)
-    return "%d/%d" % (n // g, d // g)
-
-
 # An integer or p/q in ASCII digits, which Fraction reads alike on every
 # Python version
 _RATIO_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -143,7 +135,7 @@ class PlanePoint:
 
     def to_json(self) -> list:
         X, Y, D = self._h
-        return [_ratio_str(X, D), _ratio_str(Y, D)]
+        return [str(CirclePoint(X, D)), str(CirclePoint(Y, D))]
 
     @classmethod
     def from_json(cls, data, where: str = "$") -> "PlanePoint":

@@ -88,15 +88,17 @@ def straighten_point(fp: FamilyPair, p: PlanePoint) -> StraightenResult:
     return NotInDomain()
 
 
-def _cell_hulls_test(fp: FamilyPair):
-    """The test the verifiers make before straighten_point: whether the
-    triple h lies strictly inside the disc, in plus hull i and in minus hull
-    j (hullgeom.in_hull).
+def _collapse_test(fp: FamilyPair):
+    """The collapse test of both verifiers: lands(h, z) is None when the
+    triple h straightens to the interior Z-point z, else what
+    straighten_point gives for h.
 
     A family's hulls are pairwise disjoint, which the forest sweeps built
-    here check (InvariantViolation("hull-overlap")), so for such h locate
-    returns exactly (i, j). A point that fails the test may still be in
-    the hulls, on the rim; the caller asks straighten_point.
+    here check (InvariantViolation("hull-overlap")), so a point strictly
+    inside the disc, in plus hull i and in minus hull j (hullgeom.in_hull,
+    at most four side tests), has locate return exactly (i, j). Only a
+    point that fails that test, which may still lie in the hulls on the
+    rim, runs straighten_point.
     """
     points = fp.points
     plus, minus = fp.ranks("plus"), fp.ranks("minus")
@@ -104,15 +106,18 @@ def _cell_hulls_test(fp: FamilyPair):
     fp.forest("plus")
     fp.forest("minus")
 
-    def holds(h: tuple, i: int, j: int) -> bool:
+    def lands(h: tuple, z: tuple):
         X, Y, D = h
-        if X * X + Y * Y >= D * D:
-            return False
-        # D + X > 0 strictly inside the disc
-        pos = _param_position(points, Y, X + D)
-        return in_hull(plus, lines_plus, i, h, pos) and in_hull(minus, lines_minus, j, h, pos)
+        if X * X + Y * Y < D * D:
+            # D + X > 0 strictly inside the disc
+            pos = _param_position(points, Y, X + D)
+            if (in_hull(plus, lines_plus, z[0], h, pos)
+                    and in_hull(minus, lines_minus, z[1], h, pos)):
+                return None
+        got = straighten_point(fp, _point(h))
+        return None if got == MappedTo(z) else got
 
-    return holds
+    return lands
 
 
 # ---------------------------------------------------------------------------
@@ -272,28 +277,20 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
 # layout
 
 
-class StraightenedDisc:
+class StraightenedDisc(Frozen):
     """Exact layout of Z with its leaf trees and their crossings.
 
+    layout, boundary_anchors and virtual_positions are dicts, the leaves
+    and crossings tuples; the value compares by its fields and has no hash.
     crossings lists the pairs of edges from distinct leaves that meet other
     than in one point ending both: a point inside one of them, or a
     positive length of one line. Each edge is keyed (family, element, edge
     index), each pair is sorted, so its minus edge comes first, and the
-    list is sorted. layout certifies it locally (see _leaf_crossings).
+    tuple is sorted. layout certifies it locally (see _leaf_crossings).
     """
 
     __slots__ = ("disc", "layout", "leaves_plus", "leaves_minus",
                  "boundary_anchors", "virtual_positions", "crossings")
-
-    def __init__(self, disc, layout, leaves_plus, leaves_minus,
-                 boundary_anchors, virtual_positions, crossings):
-        self.disc = disc
-        self.layout = dict(layout)
-        self.leaves_plus = tuple(leaves_plus)
-        self.leaves_minus = tuple(leaves_minus)
-        self.boundary_anchors = dict(boundary_anchors)
-        self.virtual_positions = dict(virtual_positions)
-        self.crossings = tuple(crossings)
 
     def leaf(self, family: str, element: int) -> LeafGraph:
         return (self.leaves_plus if family == "plus" else self.leaves_minus)[element]
@@ -347,11 +344,12 @@ def _segments_cross(p: tuple, q: tuple, r: tuple, s: tuple) -> bool:
     return not ((o1 == 0 or o2 == 0) and (o3 == 0 or o4 == 0))
 
 
-def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, position) -> list:
+def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, lay, virtual_positions) -> tuple:
     """Every pair of edges from distinct leaves that meet other than in one
     point ending both, sorted and each pair sorted: the list a test of all
-    edge pairs gives, found from the regions of the Z-points alone.
-    position(family, element, atom) is the laid-out point of a leaf's atom.
+    edge pairs gives, found from the regions of the Z-points alone. lay and
+    virtual_positions place the Z-points and the virtual vertices, as in
+    StraightenedDisc.
 
     Where leaves lie. Every position of plus leaf i lies in plus hull i: a
     barycenter in its cell, a boundary anchor at a marked point of both
@@ -403,7 +401,7 @@ def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, position) -> list
                 continue
             fiber = [z for z in fp.disc.fiber(family, el) if len(sets[z[side]]) > 1]
             if leaf.virtual_count:
-                h = position(family, el, VIRTUAL)._h
+                h = virtual_positions[(family, el)]._h
                 X, Y, D = h
                 # a mean of distinct points of the disc is strictly inside it
                 pos = _param_position(points, Y, X + D)
@@ -433,8 +431,8 @@ def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, position) -> list
             edges = []
             for idx, (u, v) in enumerate(leaves[family][el].edges):
                 if idx in mine or u == z or v == z:
-                    p = position(family, el, u)._h
-                    q = position(family, el, v)._h
+                    p, q = [(virtual_positions[(family, el)] if a == VIRTUAL else lay[a])._h
+                            for a in (u, v)]
                     if p != q:
                         edges.append(((family, el, idx), p, q, idx in mine))
             near.append(edges)
@@ -442,7 +440,7 @@ def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, position) -> list
             for b, r, s, loose_b in near[1]:
                 if (loose_a or loose_b) and _segments_cross(p, q, r, s):
                     found.add((b, a))      # the minus key sorts first
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def layout(fp: FamilyPair) -> StraightenedDisc:
@@ -481,9 +479,9 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
             virtual_positions[(leaf.family, leaf.element)] = _point(
                 _h_mean([lay[e]._h for e in ends]))
 
-    sd = StraightenedDisc(disc, lay, leaves_plus, leaves_minus, anchors, virtual_positions, ())
-    sd.crossings = tuple(_leaf_crossings(fp, leaves_plus, leaves_minus, sd.position))
-    return sd
+    crossings = _leaf_crossings(fp, leaves_plus, leaves_minus, lay, virtual_positions)
+    return StraightenedDisc(disc, lay, leaves_plus, leaves_minus, anchors, virtual_positions,
+                            crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +513,14 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
     two cells whose barycenters land on one Z-point t include a cell z != t,
     and that barycenter's MappedTo(t) != MappedTo(z) already fails (a).
 
-    A family's hulls are pairwise disjoint, so a point strictly inside the
-    disc straightens to z = (i, j) exactly when it lies in plus hull i and
-    in minus hull j: clause (a) tests that containment (hullgeom.in_hull, at
-    most four side tests a point) and runs straighten_point only on a point
-    that fails it, which gives every reported result. A point cell's
-    barycenter is its vertex; it is tested once and sampled twice.
+    Clause (a) asks the collapse test (_collapse_test), whose result for a
+    point that fails it is the reported one. A point cell's barycenter is
+    its vertex; it is tested once and sampled twice.
     """
     cells = fp.cells()
     failures = []
     sampled = 0
-    holds = _cell_hulls_test(fp) if cells else None
+    lands = _collapse_test(fp) if cells else None
     for z, cell in cells.items():
         hs = cell._h
         last = got = None
@@ -533,8 +528,8 @@ def quotient_check(fp: FamilyPair) -> QuotientReport:
             sampled += 1
             if h != last:
                 last = h
-                got = None if holds(h, *z) else straighten_point(fp, _point(h))
-            if got is not None and got != MappedTo(z):
+                got = lands(h, z)
+            if got is not None:
                 failures.append({"clause": "constant", "z": list(z),
                                  "point": _point(h).to_json(), "got": result_to_json(got)})
     for i, j, _n in fp.disc.interior:

@@ -16,7 +16,7 @@ from .circle import point as circle_point
 from .errors import Frozen, InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, validate
 from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _parse_frac, _point
-from .straighten import MappedTo, _cell_hulls_test, straighten_point
+from .straighten import _collapse_test
 
 __all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
 
@@ -159,14 +159,13 @@ class EquivarianceReport(Frozen):
         }
 
 
-def _match_permutation(sets, g: CircleMap, family: str, failures: list) -> Optional[tuple]:
+def _match_permutation(sets, images, family: str, failures: list) -> Optional[tuple]:
     where = {}
     for k, t in enumerate(sets):
         where.setdefault(t, k)
     perm = []
     ok = True
-    for i, s in enumerate(sets):
-        image = g.apply_set(s)
+    for i, image in enumerate(images):
         target = where.get(image)
         if target is None:
             failures.append({"kind": "NotInvariant", "family": family, "element": i,
@@ -196,53 +195,47 @@ def check_equivariance(fp: FamilyPair, g: CircleMap) -> EquivarianceReport:
     no clause: prong_count(fp, z) is 2 n(z), so counts differing at z and
     g z mean n(z) != n(g z), which interior-permutation reports.
 
-    A family's hulls are pairwise disjoint, so a point strictly inside the
-    disc straightens to an interior Z-point (i, j) exactly when it lies in
-    plus hull i and in minus hull j. The image of each cell point is tested
-    for containment in the hulls of its target (hullgeom.in_hull, at most
-    four side tests), and only a point that fails runs straighten_point.
+    Each set and each shared boundary point is mapped once: the images of
+    the sets give the permutations and the transformed pair, the images of
+    the points both boundary clauses. The image of each cell point is
+    asked of the collapse test (straighten._collapse_test) with its target.
     The targets are the permuted interior Z-points, so each is interior
     unless interior-permutation has already failed the report.
     """
     failures: list = []
-    perm_plus = _match_permutation(fp.plus, g, "plus", failures)
-    perm_minus = _match_permutation(fp.minus, g, "minus", failures)
+    images_plus = [g.apply_set(s) for s in fp.plus]
+    images_minus = [g.apply_set(s) for s in fp.minus]
+    perm_plus = _match_permutation(fp.plus, images_plus, "plus", failures)
+    perm_minus = _match_permutation(fp.minus, images_minus, "minus", failures)
     if perm_plus is None or perm_minus is None:
         return EquivarianceReport(False, None, None, tuple(failures))
 
     disc = fp.disc
     interior = fp.interior
-    boundary = fp.boundary
 
     permuted_interior = {(perm_plus[i], perm_minus[j]): n for (i, j), n in interior.items()}
     if permuted_interior != interior:
         failures.append({"kind": "DiscMismatch", "clause": "interior-permutation"})
-    permuted_boundary = {(perm_plus[i], perm_minus[j]): g.apply(s)
-                         for (i, j), s in boundary.items()}
-    if permuted_boundary != boundary:
+    moved = tuple((i, j, g.apply(s)) for i, j, s in disc.boundary)
+    if {(perm_plus[i], perm_minus[j]): t for i, j, t in moved} != fp.boundary:
         failures.append({"kind": "DiscMismatch", "clause": "boundary-permutation"})
 
     # classified from scratch: the recomputed disc is the clause's witness
-    g_fp = g.apply_pair(fp)
-    g_disc = especial_disc(g_fp)
+    g_disc = especial_disc(validate(images_plus, images_minus, fp.plus_labels, fp.minus_labels))
     if g_disc.interior != disc.interior:
         failures.append({"kind": "DiscMismatch", "clause": "interior-recomputed"})
-    expected_boundary = tuple(sorted((i, j, g.apply(s)) for (i, j, s) in disc.boundary))
-    got_boundary = tuple(sorted(g_disc.boundary))
-    if got_boundary != expected_boundary:
+    # both in (i, j) order, in which no Z-point repeats
+    if g_disc.boundary != moved:
         failures.append({"kind": "DiscMismatch", "clause": "boundary-recomputed"})
 
     cells = fp.cells()
-    holds = _cell_hulls_test(fp) if cells else None
+    lands = _collapse_test(fp) if cells else None
     for (i, j), cell in cells.items():
         target = (perm_plus[i], perm_minus[j])
         hs = cell._h
         # a point cell's barycenter is its vertex
         for h in hs + (_h_mean(hs),) if cell.dim else hs:
-            q = g.plane_apply(_point(h))
-            if holds(q._h, *target):
-                continue
-            if straighten_point(fp, q) != MappedTo(target):
+            if lands(g.plane_apply(_point(h))._h, target) is not None:
                 failures.append({"kind": "StraightenMismatch", "z": [i, j],
                                  "expected": list(target)})
                 break

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from childenv import child_env
+from childenv import TESTS, child_env
 from circlink import (
     DisjointLinked,
     FamilyPair,
@@ -638,6 +639,26 @@ def test_optimised_interpreter_gives_identical_bytes(tmp_path):
     (tmp_path / "opt").mkdir()
     plain = _cli_run(tmp_path / "plain", [])
     assert plain == _cli_run(tmp_path / "opt", ["-O"])
+
+
+def test_readme_cli_block_runs_as_written(tmp_path):
+    # every line of README's CLI example, in order, in a fresh directory
+    readme = os.path.join(os.path.dirname(TESTS), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    block = next(b for b in blocks if "python -m circlink gen" in b)
+    lines = block.strip().splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        words, target = shlex.split(line), None
+        if words[-2:-1] == [">"]:
+            words, target = words[:-2], words[-1]
+        assert words[:3] == ["python", "-m", "circlink"] and ">" not in words, line
+        proc = subprocess.run([sys.executable] + words[1:], capture_output=True, cwd=tmp_path,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0, (line, proc.stdout, proc.stderr)
+        if target:
+            (tmp_path / target).write_bytes(proc.stdout)
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -17,6 +17,7 @@ from circlink import (
     especial_disc,
     fiber_minus,
     fiber_plus,
+    leaf_graph,
     link_number,
     nesting_report,
     point,
@@ -167,6 +168,27 @@ def test_fiber_rejects_bad_index():
     d = especial_disc(grid_pair())
     with pytest.raises(IndexError):
         fiber_plus(d, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fp: fp.family("x"),
+    lambda fp: fp.ranks("x"),
+    lambda fp: fp.forest("x"),
+    lambda fp: fp.lines("x"),
+    lambda fp: fp.disc.fiber("x", 0),
+    lambda fp: leaf_graph(fp, "x", 0),
+    lambda fp: separation_interval(fp, "x", 0, 1),
+], ids=["family", "ranks", "forest", "lines", "fiber", "leaf_graph", "separation_interval"])
+def test_unknown_family_name_is_a_value_error(call):
+    # on a fresh pair, and on one whose rank table, fibers and forests exist
+    built = grid_pair()
+    for family in ("plus", "minus"):
+        built.forest(family)
+        built.lines(family)
+        built.disc.fiber(family, 0)
+    for fp in (grid_pair(), built):
+        with pytest.raises(ValueError, match=r"^family must be 'plus' or 'minus', got 'x'$"):
+            call(fp)
 
 
 # ── separation intervals ─────────────────────────────────────────────────

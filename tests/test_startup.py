@@ -134,7 +134,7 @@ def test_value_classes_declare_only_their_fields():
             assert not methods & {"__init__", "__eq__", "__hash__"}, node.name
             if "__post_init__" in methods:
                 post_init.append(node.name)
-    assert values == 14
+    assert values == 15
     assert post_init == ["RenderOptions", "LeafGraph"]
 
 

@@ -188,6 +188,30 @@ def test_equivariance_moves_the_disc_correctly():
     assert not report.ok
 
 
+@pytest.mark.parametrize("pair,g,ok", [
+    (lambda: validate([CircleSet([0, 1]), CircleSet([INF, -1])],
+                      [CircleSet([F(1, 2), 2]), CircleSet([-2, F(-1, 2)])]), NEG_RECIPROCAL, True),
+    (lambda: gen_grid(2), NEG_RECIPROCAL, False),
+], ids=["invariant", "not-invariant"])
+def test_equivariance_maps_each_set_once(monkeypatch, pair, g, ok):
+    # the images that match the permutations also make the transformed pair
+    fp = pair()
+    mapped = []
+    apply_set = CircleMap.apply_set
+
+    def spy(self, s):
+        mapped.append(s)
+        return apply_set(self, s)
+
+    def refuse(self, fp):
+        raise AssertionError("check_equivariance maps the pair again")
+
+    monkeypatch.setattr(CircleMap, "apply_set", spy)
+    monkeypatch.setattr(CircleMap, "apply_pair", refuse)
+    assert check_equivariance(fp, g).ok is ok
+    assert mapped == list(fp.plus + fp.minus)
+
+
 # ── serialization ────────────────────────────────────────────────────────
 
 def test_map_json_round_trip():

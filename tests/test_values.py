@@ -22,6 +22,7 @@ from circlink import (
     OnBoundary,
     QuotientReport,
     RenderOptions,
+    StraightenedDisc,
     check_equivariance,
     gen_grid,
     layout,
@@ -162,3 +163,23 @@ def test_results_compare_by_value_and_are_read_only():
     for leaf in leaves:
         with pytest.raises(AttributeError):
             leaf.edges = ()
+
+
+def test_layout_is_a_value():
+    # its dict fields leave it out of CASES: it compares by value but has no hash
+    fp = gen_grid(3)
+    sd = layout(fp)
+    assert type(sd) is StraightenedDisc and sd == layout(fp) and not sd != layout(gen_grid(3))
+    assert sd != layout(gen_grid(2))
+    for clone in (copy.copy(sd), copy.deepcopy(sd), pickle.loads(pickle.dumps(sd))):
+        assert clone == sd and type(clone) is StraightenedDisc
+    assert repr(sd) == repr(_dataclass_twin(StraightenedDisc)(
+        *(getattr(sd, f) for f in StraightenedDisc.__slots__)))
+    for name in _fields(StraightenedDisc) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(sd, name, None)
+        with pytest.raises(AttributeError):
+            delattr(sd, name)
+    with pytest.raises(TypeError):
+        hash(sd)
+    assert sd == layout(fp)
