@@ -36,18 +36,18 @@ _EXPORTS = {
     ),
     "generators": (
         "GenSpec", "gen_figure", "gen_grid", "gen_nested", "gen_star", "gen_symmetric",
-        "gen_tripod", "nested_pair", "random_family_pair", "random_set_pair",
+        "gen_tripod", "nested_pair", "random_family_pair",
     ),
     "hullgeom": (
         "ConvexCell", "PlanePoint", "cell_intersection", "hull", "linked_cells",
-        "locate", "param_to_point", "point_to_param",
+        "locate", "param_to_point",
     ),
     "render": ("RenderOptions", "render_input_svg", "render_straightened_svg"),
     "straighten": (
         "LeafGraph", "MappedTo", "NotInDomain", "OnBoundary", "QuotientReport",
         "StraightenedDisc", "layout", "leaf_graph", "quotient_check", "straighten_point",
     ),
-    "symmetry": ("CircleMap", "EquivarianceReport", "apply", "check_equivariance"),
+    "symmetry": ("CircleMap", "EquivarianceReport", "check_equivariance"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -322,8 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="\"x,y\" with rational entries like -13/17,10/17")
     # let --point values with a leading minus (negative rationals) parse as
     # values instead of option strings; the top-level parser hands every
-    # argument after the command name to this one unclassified
-    p._negative_number_matcher = re.compile(r"^-\d[\d/.,-]*$")
+    # argument after the command name to this one unclassified. A digit,
+    # or a point and a digit, after the minus starts every wire rational
+    # (-3, -.5, -1_0/17), and no option of this parser
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=cmd_straighten)
 
     p = sub.add_parser("render", help="write input and straightened SVG files")

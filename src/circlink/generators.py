@@ -22,7 +22,6 @@ __all__ = [
     "nested_pair",
     "gen_symmetric",
     "gen_figure",
-    "random_set_pair",
     "random_family_pair",
     "random_circle_map",
 ]
@@ -170,29 +169,6 @@ class GenSpec(Frozen, n=2, k=3, depth=2, seed=0):
 
 # ---------------------------------------------------------------------------
 # seeded random corpora
-
-
-def _random_point(rng: SplitMix64) -> CirclePoint:
-    if rng.below(40) == 0:
-        return INF
-    num = rng.below(4001) - 2000
-    den = rng.below(40) + 1
-    return CirclePoint(num, den)
-
-
-def random_set_pair(seed: int) -> tuple:
-    """Two disjoint circle sets with 1 to 8 points each."""
-    rng = SplitMix64(seed)
-    na = rng.below(8) + 1
-    nb = rng.below(8) + 1
-    drawn = []
-    seen = set()
-    while len(drawn) < na + nb:
-        p = _random_point(rng)
-        if p not in seen:
-            seen.add(p)
-            drawn.append(p)
-    return CircleSet(drawn[:na]), CircleSet(drawn[na:])
 
 
 def random_circle_map(seed: int) -> CircleMap:

@@ -19,7 +19,7 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Optional
 
-from .circle import INF, CirclePoint, CircleSet
+from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import (
     EmptyLinkedCellError,
@@ -32,7 +32,6 @@ __all__ = [
     "PlanePoint",
     "ConvexCell",
     "param_to_point",
-    "point_to_param",
     "hull",
     "cell_intersection",
     "in_hull",
@@ -255,17 +254,6 @@ def param_to_point(u) -> PlanePoint:
     return _point(_h_from_param(circle_point(u)))
 
 
-def point_to_param(p: PlanePoint) -> CirclePoint:
-    """Inverse embedding; p must lie exactly on the unit circle."""
-    X, Y, D = p._h
-    if X * X + Y * Y != D * D:
-        raise ValueError("%s is not on the unit circle" % (p,))
-    if X == -D:
-        return INF
-    # the half-angle map y / (1 + x)
-    return CirclePoint(Y, D + X)
-
-
 class ConvexCell:
     """Convex cell of dimension 0, 1, or 2 with canonical vertex order.
 
@@ -316,24 +304,11 @@ class ConvexCell:
         return "ConvexCell(dim=%d, vertices=%s)" % (
             self.dim, "[" + ", ".join(str(v) for v in self.vertices) + "]")
 
-    def contains(self, p: PlanePoint) -> bool:
-        return _cell_contains_h(self, p._h)
-
     def barycenter(self) -> PlanePoint:
         return _point(_h_mean(self._h))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "vertices": [v.to_json() for v in self.vertices]}
-
-    @classmethod
-    def from_json(cls, data, where: str = "$") -> "ConvexCell":
-        if not isinstance(data, dict) or "dim" not in data or "vertices" not in data:
-            raise MalformedInputError("cell must be {dim, vertices}", where)
-        if data["dim"] not in (0, 1, 2) or not isinstance(data["vertices"], list):
-            raise MalformedInputError("bad cell fields", where)
-        verts = [PlanePoint.from_json(v, "%s.vertices[%d]" % (where, k))
-                 for k, v in enumerate(data["vertices"])]
-        return cls(data["dim"], verts)
 
 
 def _cell(dim: int, hs: tuple) -> ConvexCell:
@@ -475,8 +450,8 @@ def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
 
 # Point location (de Berg et al., Computational Geometry, ch. 6), specialised
 # to one family's hulls. Every point of the open chord from INF = (-1, 0) to
-# the circle point of parameter t has t = Y / (D + X), the half-angle map of
-# point_to_param. A hull meets that chord only when its set has finite points
+# the circle point of parameter t has t = Y / (D + X), the inverse of the map
+# param_to_point. A hull meets that chord only when its set has finite points
 # on both sides of t (it straddles t), or holds both INF and t, when the chord
 # is one of its edges. The sets of a family with disjoint hulls nest: those
 # straddling t are the root-to-node path of a laminar forest, and they cut

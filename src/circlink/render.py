@@ -35,7 +35,9 @@ class RenderOptions(Frozen, width=720, height=720, labels=False):
 
     The disc radius is min(width, height) / 2 - MARGIN, so a size of at most
     2 * MARGIN (48) raises MalformedInputError at "width" or "height",
-    whichever is smaller ("width" on a tie).
+    whichever is smaller ("width" on a tie). The picture is drawn in floats,
+    so a size no float holds, 2**1024 - 2**970 or more, raises
+    MalformedInputError at its field ("width" if both are).
     """
 
     __slots__ = ("width", "height", "labels")
@@ -44,6 +46,11 @@ class RenderOptions(Frozen, width=720, height=720, labels=False):
         if min(self.width, self.height) <= 2 * MARGIN:
             raise MalformedInputError("width and height must exceed %d pixels" % (2 * MARGIN),
                                       "width" if self.width <= self.height else "height")
+        for name in ("width", "height"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise MalformedInputError("%s is too large for a float" % name, name) from None
 
 
 class _Canvas:

@@ -165,9 +165,6 @@ class LeafGraph(Frozen):
             root[v] = u
         return True
 
-    def degree(self, v) -> int:
-        return sum(1 for u, w in self.edges if u == v or w == v)
-
     def to_json(self) -> dict:
         def atom(v):
             return v if isinstance(v, str) else [v[0], v[1]]
@@ -291,14 +288,6 @@ class StraightenedDisc(Frozen):
 
     __slots__ = ("disc", "layout", "leaves_plus", "leaves_minus",
                  "boundary_anchors", "virtual_positions", "crossings")
-
-    def leaf(self, family: str, element: int) -> LeafGraph:
-        return (self.leaves_plus if family == "plus" else self.leaves_minus)[element]
-
-    def position(self, family: str, element: int, v) -> PlanePoint:
-        if isinstance(v, str):
-            return self.virtual_positions[(family, element)]
-        return self.layout[v]
 
     def to_json(self) -> dict:
         return {

@@ -18,7 +18,7 @@ from .family import FamilyPair, especial_disc, validate
 from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _parse_frac, _point
 from .straighten import _collapse_test
 
-__all__ = ["CircleMap", "apply", "EquivarianceReport", "check_equivariance"]
+__all__ = ["CircleMap", "EquivarianceReport", "check_equivariance"]
 
 
 class CircleMap:
@@ -52,13 +52,6 @@ class CircleMap:
         if self.a * self.d - self.b * self.c <= 0:
             raise ValueError("matrix must have positive determinant")
 
-    @classmethod
-    def identity(cls) -> "CircleMap":
-        return cls(1, 0, 0, 1)
-
-    def is_identity(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleMap):
             return NotImplemented
@@ -84,18 +77,6 @@ class CircleMap:
         return validate([self.apply_set(s) for s in fp.plus],
                         [self.apply_set(s) for s in fp.minus],
                         fp.plus_labels, fp.minus_labels)
-
-    def compose(self, other: "CircleMap") -> "CircleMap":
-        # self after other
-        return CircleMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "CircleMap":
-        return CircleMap(self.d, -self.b, -self.c, self.a)
 
     def plane_apply(self, p: PlanePoint) -> PlanePoint:
         """The induced exact map of the closed unit disc.
@@ -133,15 +114,6 @@ class CircleMap:
                                               "$.m[%d][%d]" % (r, k))
                 ratios.append(_parse_frac(raw, "$.m[%d][%d]" % (r, k)))
         return cls(*_over_lcm(ratios)[:4])
-
-
-def apply(g: CircleMap, x):
-    """Apply g to a circle point, a circle set, or a whole family pair."""
-    if isinstance(x, CircleSet):
-        return g.apply_set(x)
-    if isinstance(x, FamilyPair):
-        return g.apply_pair(x)
-    return g.apply(x)
 
 
 class EquivarianceReport(Frozen):

@@ -64,6 +64,18 @@ def _stab(entries, flos, fmaxhi, pn, pd, fpos):
     return out
 
 
+def leaf_position(sd):
+    """The position(family, element, v) of _detect_crossings on a layout: a
+    Z-point's layout position, or its leaf's virtual vertex."""
+
+    def position(family, element, v):
+        if isinstance(v, str):
+            return sd.virtual_positions[(family, element)]
+        return sd.layout[v]
+
+    return position
+
+
 def _detect_crossings(leaves, position) -> list:
     """All edge pairs from distinct leaves that meet away from a shared vertex.
 

@@ -257,8 +257,9 @@ def test_straighten_point_takes_integers_fractions_and_decimals(tmp_path, capsys
     path = write_pair(tmp_path, "grid.json", GRID2)
     code, out = run(capsys, "straighten", path, "--point", "-0.5,1/4")
     assert code == 0
-    code, same = run(capsys, "straighten", path, "--point", "-1/2,0.25")
-    assert (code, same) == (0, out)
+    for same_point in ("-1/2,0.25", "-.5,1/4"):
+        code, same = run(capsys, "straighten", path, "--point", same_point)
+        assert (code, same) == (0, out)
 
 
 def _cli_process(*argv):
@@ -508,7 +509,7 @@ def test_render_escapes_labels_as_before(tmp_path, capsys):
         code, _ = run(capsys, "render", write_pair(tmp_path, "p.json", payload),
                       "--out", prefix, "--labels")
         assert code == 0
-        outs.append(open(prefix + "-input.svg", "rb").read())
+        outs.append((tmp_path / ("lab%d-input.svg" % k)).read_bytes())
     expected = outs[1]
     for old, new in zip(plain, tricky):
         expected = expected.replace((">%s<" % old).encode(), (">%s<" % escape(new)).encode())
@@ -549,6 +550,9 @@ def test_gen_map_out_into_missing_directory_is_malformed(tmp_path, capsys):
     (["--height", "48"], "--height"),
     (["--width", "10", "--height", "20"], "--width"),
     (["--width", "30", "--height", "20"], "--height"),
+    # too large for a float, so for the canvas's float coordinates
+    (["--width", "1" + "0" * 400], "--width"),
+    (["--height", "1" + "0" * 400], "--height"),
 ])
 def test_render_rejects_sizes_without_a_disc(tmp_path, capsys, flags, location):
     # the disc radius min(width, height) / 2 - margin (24) must be positive
@@ -573,6 +577,9 @@ def test_render_accepts_the_smallest_disc(tmp_path, capsys):
     ({"width": 0}, "width"),
     ({"height": 48}, "height"),
     ({"width": 30, "height": 20}, "height"),
+    ({"height": 10 ** 400}, "height"),
+    # the least int that float() rounds up to 2**1024
+    ({"width": 2 ** 1024 - 2 ** 970}, "width"),
 ])
 def test_render_options_reject_sizes_without_a_disc(kwargs, location):
     # library callers get the CLI's check: no options, so no SVG with a
@@ -641,12 +648,17 @@ def test_optimised_interpreter_gives_identical_bytes(tmp_path):
     assert plain == _cli_run(tmp_path / "opt", ["-O"])
 
 
-def test_readme_cli_block_runs_as_written(tmp_path):
-    # every line of README's CLI example, in order, in a fresh directory
+def _readme_block(marker: str) -> str:
+    # the first fenced block of README.md that holds marker
     readme = os.path.join(os.path.dirname(TESTS), "README.md")
     with open(readme, encoding="utf-8") as fh:
         blocks = fh.read().split("```")[1::2]
-    block = next(b for b in blocks if "python -m circlink gen" in b)
+    return next(b for b in blocks if marker in b)
+
+
+def test_readme_cli_block_runs_as_written(tmp_path):
+    # every line of README's CLI example, in order, in a fresh directory
+    block = _readme_block("python -m circlink gen")
     lines = block.strip().splitlines()
     assert len(lines) == 8
     for line in lines:
@@ -659,6 +671,22 @@ def test_readme_cli_block_runs_as_written(tmp_path):
         assert proc.returncode == 0, (line, proc.stdout, proc.stderr)
         if target:
             (tmp_path / target).write_bytes(proc.stdout)
+
+
+def test_readme_library_block_runs_as_written(tmp_path):
+    # README's Library example in a fresh process: pos is the point that
+    # its last line's comment shows
+    block = _readme_block("from circlink import")
+    assert block.startswith("python\n")
+    code = block[len("python\n"):]
+    last = code.strip().splitlines()[-1]
+    assert last.startswith("pos = ")
+    shown = last.split("# ", 1)[1]
+    assert shown == "PlanePoint(-13/17, 10/17)"
+    proc = subprocess.run([sys.executable, "-c", code + "print(repr(pos))\n"], capture_output=True,
+                          text=True, cwd=tmp_path, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == shown + "\n"
 
 
 def test_unknown_subcommand_exits_two(capsys):

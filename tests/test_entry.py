@@ -95,7 +95,7 @@ STAGES = (
     ("cells", lambda fp: fp.cells()),
     ("layout", layout),
     ("quotient_check", lambda fp: quotient_check(fp).ok),
-    ("check_equivariance", lambda fp: check_equivariance(fp, CircleMap.identity()).ok),
+    ("check_equivariance", lambda fp: check_equivariance(fp, CircleMap(1, 0, 0, 1)).ok),
     ("render_input_svg", render_input_svg),
     ("render_straightened_svg", lambda fp: render_straightened_svg(layout(fp))),
     ("straighten_point",

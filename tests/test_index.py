@@ -159,7 +159,7 @@ def test_index_is_built_once_per_pair(monkeypatch):
     assert prong_count(fp, (0, 0)) == 4
     assert len(calls) == 1
     # the transformed pair is classified from scratch, never through fp's caches
-    assert check_equivariance(fp, CircleMap.identity()).ok
+    assert check_equivariance(fp, CircleMap(1, 0, 0, 1)).ok
     assert len(calls) == 2 and calls[1] is not fp
     # the four stages that read the linked cells share one build of them
     assert cell_builds == [fp]

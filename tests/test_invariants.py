@@ -46,7 +46,7 @@ CHECKS = [
     # an unvalidated pair listing one set twice: both copies map onto the first
     ("permutation-collision",
      "check_equivariance(FamilyPair([CircleSet([0, 3]), CircleSet([0, 3])], "
-     "[CircleSet([2, 5])]), CircleMap.identity())",
+     "[CircleSet([2, 5])]), CircleMap(1, 0, 0, 1))",
      "InvariantViolation permutation-collision ('plus', 0, 1, 0) "),
     # (1, 0) is listed as interior and as boundary
     ("duplicate-z-point", "EspecialDisc(2, 1, [(1, 0, 2), (0, 0, 3)], [(1, 0, point(5))])",

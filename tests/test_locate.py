@@ -349,7 +349,8 @@ def verifier_side_tests(monkeypatch, n):
     monkeypatch.setattr(straighten, "_param_position", position)
     monkeypatch.setattr(straighten, "locate", no_search)
     out = []
-    for verify in (straighten.quotient_check, lambda fp: check_equivariance(fp, CircleMap.identity())):
+    identity = CircleMap(1, 0, 0, 1)
+    for verify in (straighten.quotient_check, lambda fp: check_equivariance(fp, identity)):
         counts.clear()
         assert verify(fp).ok
         assert min(counts) >= 1, "a point passed with no side test counted"

@@ -40,9 +40,9 @@ from circlink.circle import INF, linked, rank_separates
 from circlink.errors import CirclinkError
 from circlink.family import LaminarForest
 from circlink.generators import random_circle_map
-from circlink.hullgeom import ConvexCell, cell_intersection
+from circlink.hullgeom import ConvexCell, _cell_contains_h, cell_intersection
 from circlink.straighten import VIRTUAL, _segments_cross
-from crossing_oracle import _detect_crossings
+from crossing_oracle import _detect_crossings, leaf_position
 from plane_oracle import FractionPoint, crossings_by_pairs, segments_cross
 from test_locate import KINDS, drawn_pair
 
@@ -102,11 +102,12 @@ def oracle_crossings(sd, all_pairs=True):
     """The global scan's list, checked against the all-pairs test when
     all_pairs."""
     leaves = sd.leaves_plus + sd.leaves_minus
-    scan = _detect_crossings(leaves, sd.position)
+    position = leaf_position(sd)
+    scan = _detect_crossings(leaves, position)
     if all_pairs:
 
         def frac(family, element, v):
-            p = sd.position(family, element, v)
+            p = position(family, element, v)
             return FractionPoint(p.x, p.y)
 
         assert crossings_by_pairs(leaves, frac) == scan
@@ -194,7 +195,8 @@ def test_virtual_edge_meeting_another_cell(name):
     for leaf in sd.leaves_plus + sd.leaves_minus:
         for u, v in leaf.edges:
             if u == VIRTUAL:
-                seg = ConvexCell(1, [sd.position(leaf.family, leaf.element, a) for a in (u, v)])
+                seg = ConvexCell(1, [sd.virtual_positions[(leaf.family, leaf.element)],
+                                     sd.layout[v]])
                 met += [z for z in fp.disc.fiber(leaf.family, leaf.element)
                         if z != v and z in cells and cell_intersection(seg, cells[z])]
     assert met
@@ -232,7 +234,7 @@ def test_separated_chain_edge_is_tested_like_a_virtual_one():
     assert rank_separates(sets[1], sets[3], sets[0])
     assert not fp.forest("plus").neighbours(sets, 3, 0)
     sd = assert_matches_oracles(fp)
-    assert ((3, 0), (0, 0)) in sd.leaf("minus", 0).edges
+    assert ((3, 0), (0, 0)) in sd.leaves_minus[0].edges
     assert sd.crossings == ()
 
 
@@ -254,8 +256,8 @@ def test_virtual_vertex_on_an_end_is_no_segment(monkeypatch):
     fp = validate([[6], [0, 2], [8], [3, 5], [4]], [[5, 6], [1, 2, 4], [7], [9]])
     sd = layout(fp)
     end = sd.layout[(3, 1)]
-    ends = sorted(sd.layout[v].key() for u, v in sd.leaf("plus", 3).edges if u == VIRTUAL)
-    assert (VIRTUAL, (3, 1)) in sd.leaf("plus", 3).edges
+    ends = sorted(sd.layout[v].key() for u, v in sd.leaves_plus[3].edges if u == VIRTUAL)
+    assert (VIRTUAL, (3, 1)) in sd.leaves_plus[3].edges
     real = straighten._h_mean
     monkeypatch.setattr(straighten, "_h_mean",
                         lambda hs: end.key() if sorted(hs) == ends else real(hs))
@@ -273,15 +275,15 @@ def test_virtual_edge_overlapping_a_chain_edge(monkeypatch):
     # and makes the virtual edge to (1, 0) overlap the chain edge.
     fp = validate([[1, 2, 3, 6], [7, 9, 11, 13]], [[3, 4, 12], [9]])
     sd = layout(fp)
-    assert sd.leaf("plus", 1).edges == ((VIRTUAL, (1, 1)), (VIRTUAL, (1, 0)))
-    assert sd.leaf("minus", 0).edges == (((0, 0), (1, 0)),)
+    assert sd.leaves_plus[1].edges == ((VIRTUAL, (1, 1)), (VIRTUAL, (1, 0)))
+    assert sd.leaves_minus[0].edges == (((0, 0), (1, 0)),)
     assert sd.crossings == ()
     b, s = sd.layout[(1, 0)], sd.layout[(0, 0)]
     cell = fp.cells()[(1, 0)]
     t = Fraction(1, 2)
     while True:
         v = PlanePoint(b.x + t * (s.x - b.x), b.y + t * (s.y - b.y))
-        if cell.contains(v):
+        if _cell_contains_h(cell, v._h):
             break
         t /= 2
     ends = [sd.layout[(1, 1)].key(), b.key()]
@@ -354,12 +356,12 @@ def test_layout_cost_without_virtual_vertices(make, monkeypatch):
 UNDER_FLAGS = """
 from circlink import layout, validate
 from circlink.family import LaminarForest
-from crossing_oracle import _detect_crossings
+from crossing_oracle import _detect_crossings, leaf_position
 from test_planarity import CROSSING, SEPARATED_CHAIN
 
 def agree(plus, minus, want):
     sd = layout(validate(plus, minus))
-    scan = _detect_crossings(sd.leaves_plus + sd.leaves_minus, sd.position)
+    scan = _detect_crossings(sd.leaves_plus + sd.leaves_minus, leaf_position(sd))
     return list(sd.crossings) == scan == want
 
 fixtures = list(CROSSING.values()) + [(SEPARATED_CHAIN, [])]

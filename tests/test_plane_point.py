@@ -113,10 +113,8 @@ def test_render_formats_each_constant_once(monkeypatch):
     monkeypatch.setattr(render, "_fmt", lambda v: calls.append(v) or _fmt(v))
     fp = random_circle_map(1).apply_pair(gen_grid(6))
     sd = layout(fp)
+    # every end of a leaf edge is a Z-point or its leaf's virtual vertex
     points = {p._h for p in sd.layout.values()} | {p._h for p in sd.virtual_positions.values()}
-    for leaf in sd.leaves_plus + sd.leaves_minus:
-        points |= {sd.position(leaf.family, leaf.element, u)._h
-                   for edge in leaf.edges for u in edge}
     svg = render_straightened_svg(sd)
     # two coordinates per distinct point and the boundary circle's centre
     # (two) and radius; widths, radii and opacities are formatted at import,
@@ -207,7 +205,7 @@ def _fraction_calls(prof) -> int:
                                   lambda: gen_star(20)], ids=["mapped-grid", "star"])
 def test_pipeline_makes_no_fraction_calls(make):
     fp = make()
-    identity = CircleMap.identity()
+    identity = CircleMap(1, 0, 0, 1)
     results, counts = {}, {}
 
     def run(name, fn):

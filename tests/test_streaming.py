@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_streamed_files_are_the_library_strings(tmp_path, capsys, name, labels):
                                      *(["--labels"] if labels else []))
     assert code == 0
     assert out == {"written": [prefix + "-input.svg", prefix + "-straightened.svg"]}
-    fp = FamilyPair.from_json(json.loads(open(pair_path, encoding="utf-8").read()))
+    fp = FamilyPair.from_json(json.loads(Path(pair_path).read_text(encoding="utf-8")))
     opts = RenderOptions(labels=labels)
     with open(prefix + "-input.svg", "rb") as fh:
         assert fh.read() == render_input_svg(fp, opts).encode("utf-8")
@@ -125,7 +126,7 @@ def test_labelled_render_bytes(tmp_path, capsys, name, size):
     pair_path = write_fixture(tmp_path, PINNED_PAIRS[name]())
     code, _, prefix = render_files(tmp_path, capsys, pair_path, "--labels", *SIZE_FLAGS[size])
     assert code == 0
-    digests = [hashlib.sha256(open(prefix + suffix, "rb").read()).hexdigest()
+    digests = [hashlib.sha256(Path(prefix + suffix).read_bytes()).hexdigest()
                for suffix in ("-input.svg", "-straightened.svg")]
     assert digests == PINNED[(name, size)]
 
