@@ -4,7 +4,9 @@ Exit codes are part of the contract: 0 on success, 1 for semantic problems
 (validation violations, failed equivariance, points outside the disc), 2 for
 malformed input (bad JSON, bad schema, bad argument syntax). All JSON output
 is key-sorted with a fixed layout, so identical inputs give identical bytes:
-those of json.dumps(obj, sort_keys=True, indent=2), written by _dumps.
+those of json.dumps(obj, sort_keys=True, indent=2). _dumps writes every
+answer but classify's and disc's, whose row lists _stream writes from
+per-shape templates.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import json
 import os
 import re
 import sys
-from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii as _json_str
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
 
 # Each subcommand imports the modules it runs inside its function, so a
 # process pays only for those. render stays here: RenderOptions supplies the
@@ -47,8 +49,7 @@ def _dumps(obj) -> str:
 
     The json module of CPython 3.10 to 3.12 runs its pure-Python encoder
     whenever indent is set. This writer spells each scalar in the list or
-    dict holding it, and each key with its separator once per call. A list
-    of flat rows goes to json's C encoder whole (see _rows).
+    dict holding it, and each key with its separator once per call.
     """
     out = []
     _write(obj, "\n", out.append, {})
@@ -85,11 +86,6 @@ def _write(o, nl: str, put, keys: dict) -> None:
         if not o:
             put("[]")
             return
-        if type(o[0]) is dict and c_make_encoder is not None:
-            text = _rows(o, nl)
-            if text is not None:
-                put(text)
-                return
         sep = "[" + inner
         for v in o:
             enc = scalar(type(v))
@@ -110,37 +106,45 @@ def _write(o, nl: str, put, keys: dict) -> None:
         put(enc(o))
 
 
-def _rows(o, nl: str):
-    """The list o indented by nl, spelled by json's C encoder, when o holds
-    only non-empty dicts of str keys and values of an exact type in
-    _SCALARS; None for any other list.
-
-    Without indent, the encoder takes one item separator for the rows and
-    for the entries of each row. It is given the entries' separator, a comma
-    and a newline with the entries' indent, and each joint between two rows
-    is then rewritten. A joint is the only place where "}," meets that
-    separator: the value before an entry's separator is a scalar, and an
-    encoded string holds no raw newline.
-    """
-    # each test runs in C, without a Python loop over the rows
-    if set(map(type, o)) != {dict} or not all(o) \
-            or set(map(type, chain.from_iterable(o))) != {str} \
-            or not set(map(type, chain.from_iterable(map(dict.values, o)))).issubset(_SCALARS):
-        return None
-    row, entry = nl + "  ", nl + "    "
-    # no markers: a row holds no container; no default: nothing is unknown
-    encode = c_make_encoder(None, None, _json_str, None, ": ", "," + entry,
-                            True, False, True)
-    text = "".join(encode(o, 0)).replace("}," + entry + "{", row + "}," + row + "{" + entry)
-    # text is [{ + the rows + }]
-    return "[" + row + "{" + entry + text[2:-2] + row + "}" + nl + "]"
-
-
 def _emit(obj) -> None:
     # two writes: the answer is not copied once more to append its newline
     out = sys.stdout
     out.write(_dumps(obj))
     out.write("\n")
+
+
+# the rows per write of a streamed row list: about 90 KB of classify's rows
+_CHUNK = 1024
+
+
+def _row(fields: dict) -> str:
+    """The %-template of a flat row in a list under the answer's top-level
+    dict, spelled as json.dumps(..., sort_keys=True, indent=2) spells it.
+    fields maps each key to its value's spelling, JSON text or a % field;
+    the fields take their values in the sorted order of the keys."""
+    return "{" + ",".join("\n      " + _json_str(k) + ": " + v
+                          for k, v in sorted(fields.items())) + "\n    }"
+
+
+def _stream(answer: dict) -> None:
+    """Write answer to stdout with _emit's bytes. Its values are ints or
+    iterables of rows spelled from _row templates, which go out _CHUNK rows
+    to a write: the answer is never one string, and a long list is not one
+    write per row, a system call each under PYTHONUNBUFFERED=1."""
+    write = sys.stdout.write
+    text, joint = "{", "\n  "
+    for key, value in sorted(answer.items()):
+        text += joint + _json_str(key) + ": "
+        joint = ",\n  "
+        if type(value) is int:
+            text += "%d" % value
+            continue
+        value, sep = iter(value), "["
+        while rows := list(islice(value, _CHUNK)):
+            write(text + sep + "\n    " + ",\n    ".join(rows))
+            text, sep = "", ","
+        text += "[]" if sep == "[" else "\n  ]"
+    write(text + "\n}\n")
 
 
 def _load_json(path: str):
@@ -222,28 +226,26 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     fp = _load_pair(args.file)
-    interior = fp.interior
-    boundary = fp.boundary
-    rows = []
-    for i in range(len(fp.plus)):
-        for j in range(len(fp.minus)):
-            row = {"plus": i, "minus": j}
-            if (i, j) in boundary:
-                row["class"] = "intersecting"
-                row["point"] = str(boundary[(i, j)])
-            elif (i, j) in interior:
-                row["class"] = "linked"
-                row["n"] = interior[(i, j)]
-            else:
-                row["class"] = "unlinked"
-            rows.append(row)
-    _emit({"pairs": rows})
+    # builds the disc, so a failure raises before the first write
+    interior, boundary = fp.interior, fp.boundary
+    linked = _row({"class": '"linked"', "minus": "%d", "n": "%d", "plus": "%d"})
+    unlinked = _row({"class": '"unlinked"', "minus": "%d", "plus": "%d"})
+    meet = _row({"class": '"intersecting"', "minus": "%d", "plus": "%d", "point": "%s"})
+    _stream({"pairs": (
+        linked % (j, interior[i, j], i) if (i, j) in interior
+        else meet % (j, i, _json_str(str(boundary[i, j]))) if (i, j) in boundary
+        else unlinked % (j, i)
+        for i in range(len(fp.plus)) for j in range(len(fp.minus)))})
     return 0
 
 
 def cmd_disc(args) -> int:
-    fp = _load_pair(args.file)
-    _emit(especial_disc(fp).to_json())
+    disc = especial_disc(_load_pair(args.file))
+    meet = _row({"minus": "%d", "plus": "%d", "point": "%s"})
+    link = _row({"link_number": "%d", "minus": "%d", "plus": "%d"})
+    _stream({"boundary": (meet % (j, i, _json_str(str(s))) for i, j, s in disc.boundary),
+             "interior": (link % (n, j, i) for i, j, n in disc.interior),
+             "n_minus": disc.n_minus, "n_plus": disc.n_plus})
     return 0
 
 

@@ -103,15 +103,6 @@ class _Canvas:
         self.write('<text id="%s" x="%s" y="%s" font-size="12" fill="%s">%s</text>\n'
                    % (eid, xy[0], xy[1], color, content))
 
-    def open_group(self, gid: str) -> None:
-        self.write('<g id="%s">\n' % gid)
-
-    def close_group(self) -> None:
-        self.write('</g>\n')
-
-    def finish(self) -> None:
-        self.write('</svg>\n')
-
 
 def _draw_cell(canvas: _Canvas, eid: str, cell, color: str, filled: bool) -> None:
     pts = [canvas.xy(h) for h in cell._h]
@@ -132,8 +123,14 @@ def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
     for name, color in (("plus", PLUS_COLOR), ("minus", MINUS_COLOR)):
         for i, s in enumerate(fp.family(name)):
             _draw_cell(canvas, "hull-%s-%d" % (name, i), hull(s), color, False)
+    # every cell of a grid is a point: one template draws those
+    dot = '<circle id="cell-%%d-%%d" cx="%%s" cy="%%s" r="%s" fill="%s"/>\n' % (
+        POINT_RADIUS, REGION_COLOR)
     for (i, j), cell in fp.cells().items():
-        _draw_cell(canvas, "cell-%d-%d" % (i, j), cell, REGION_COLOR, True)
+        if cell.dim:
+            _draw_cell(canvas, "cell-%d-%d" % (i, j), cell, REGION_COLOR, True)
+        else:
+            write(dot % ((i, j) + canvas.xy(cell._h[0])))
     if opts.labels:
         for name, sets, labels, color in (("plus", fp.plus, fp.plus_labels, PLUS_COLOR),
                                           ("minus", fp.minus, fp.minus_labels, MINUS_COLOR)):
@@ -141,7 +138,7 @@ def _write_input(fp: FamilyPair, opts: RenderOptions, write) -> None:
                 tag = labels[i] if labels else "%s%d" % (name, i)
                 canvas.text("label-%s-%d" % (name, i),
                             canvas.xy(param_to_point(s.points[0])._h), tag, color)
-    canvas.finish()
+    write('</svg>\n')
 
 
 def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> None:
@@ -162,12 +159,12 @@ def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> Non
         for leaf in leaves:
             key = (leaf.family, leaf.element)
             gid = "leaf-%s-%d" % key
-            canvas.open_group(gid)
+            write('<g id="%s">\n' % gid)
             for idx, (u, v) in enumerate(leaf.edges):
                 # a virtual vertex only ever starts an edge
                 line("%s-e%d" % (gid, idx), virtual[key] if u is VIRTUAL else at[u], at[v],
                      color, LEAF_STROKE_WIDTH)
-            canvas.close_group()
+            write('</g>\n')
     for key in sorted(virtual):
         canvas.dot("virtual-%s-%d" % key, virtual[key], "#6b7280", VIRTUAL_RADIUS)
     for z in sorted(sd.layout):
@@ -176,7 +173,7 @@ def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> Non
     if opts.labels:
         for z in sorted(sd.layout):
             canvas.text("zlabel-%d-%d" % z, at[z], "(%d,%d)" % z, "#374151")
-    canvas.finish()
+    write('</svg>\n')
 
 
 def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> str:

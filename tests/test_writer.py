@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from childenv import child_env
-from circlink import cli
-from circlink.cli import _dumps
+from circlink import FamilyPair, gen_grid, gen_star, nested_pair, random_family_pair
+from circlink.cli import _dumps, main
+from circlink.family import especial_disc
+from circlink.generators import random_circle_map
+from test_planarity import shared_point_pair
 
 
 def oracle(value):
@@ -72,61 +75,6 @@ class Name(str):
 
 class Size(float):
     pass
-
-
-# A list of flat rows, non-empty dicts of str keys and exact scalars, goes to
-# json's C encoder whole; the "}," row joints are then rewritten.
-JOINT = '"},\n    {"'
-ROW_SCALARS = SCALARS | st.lists(TRICKY | st.sampled_from([JOINT, "},", "}", "{"])).map("".join)
-FLAT_ROW = st.dictionaries(TEXT | st.just(JOINT), ROW_SCALARS, min_size=1, max_size=4)
-FLAT_ROWS = st.lists(FLAT_ROW, min_size=1, max_size=6) | st.lists(FLAT_ROW, min_size=1).map(tuple)
-# rows that must take the writer's own loop: an empty row, a nested value,
-# a subclass of a scalar or of str keys
-CONTAINERS = st.lists(values(SCALARS), max_size=3) | st.dictionaries(TEXT, values(SCALARS), max_size=3)
-ODD_ROW = (st.just({})
-           | st.builds(lambda row, key, value: {**row, key: value}, FLAT_ROW, TEXT, CONTAINERS)
-           | st.sampled_from([{"a": Colour.RED}, {"a": Size(1.5)}, {Name("k"): 1},
-                              {"a": [1]}, {"a": {}}]))
-
-
-# 0 to 3 dicts or lists around a value
-LEVELS = st.lists(st.tuples(st.booleans(), TEXT), max_size=3)
-
-
-def wrap(value, levels):
-    for in_dict, key in levels:
-        value = {key: value} if in_dict else [value]
-    return value
-
-
-@settings(max_examples=200)
-@given(FLAT_ROWS, LEVELS)
-def test_flat_rows_write_the_bytes_json_writes(rows, levels):
-    value = wrap(rows, levels)
-    assert _dumps(value) == oracle(value)
-    assert cli._rows(rows, "\n" + "  " * len(levels)) is not None
-
-
-@settings(max_examples=100)
-@given(st.lists(FLAT_ROW, max_size=3), ODD_ROW, st.lists(FLAT_ROW, max_size=3))
-def test_odd_rows_take_the_generic_path(before, odd, after):
-    rows = before + [odd] + after
-    assert cli._rows(rows, "\n") is None
-    assert _dumps({"rows": rows}) == oracle({"rows": rows})
-
-
-@settings(max_examples=100)
-@given(FLAT_ROWS | st.lists(ODD_ROW, min_size=1, max_size=3), LEVELS)
-def test_without_the_c_encoder_the_bytes_are_the_same(rows, levels):
-    value = wrap(rows, levels)
-    expected = _dumps(value)
-    assert expected == oracle(value)
-    was = cli.c_make_encoder
-    cli.c_make_encoder = None
-    try:
-        assert _dumps(value) == expected
-    finally:
-        cli.c_make_encoder = was
 
 
 @pytest.mark.parametrize("value", [
@@ -225,3 +173,88 @@ def test_leaves_no_garbage_for_the_collector():
     finally:
         if was:
             gc.enable()
+
+
+# classify and disc spell their row lists from per-shape templates; the
+# oracles are the row dicts classify built before and EspecialDisc.to_json
+
+def classify_oracle(fp):
+    rows = []
+    for i in range(len(fp.plus)):
+        for j in range(len(fp.minus)):
+            row = {"plus": i, "minus": j}
+            if (i, j) in fp.boundary:
+                row.update({"class": "intersecting", "point": str(fp.boundary[i, j])})
+            elif (i, j) in fp.interior:
+                row.update({"class": "linked", "n": fp.interior[i, j]})
+            else:
+                row["class"] = "unlinked"
+            rows.append(row)
+    return {"pairs": rows}
+
+
+def wire(plus, minus, **labels):
+    return FamilyPair.from_json(dict(plus=plus, minus=minus, **labels))
+
+
+CORPORA = {
+    "generated": lambda: [gen_grid(4), nested_pair(3, 0), gen_star(7),
+                          random_circle_map(0).apply_pair(gen_grid(5))]
+                         + [random_family_pair(seed) for seed in range(10)],
+    # map images of pairs whose cross pairs share points: boundary rows
+    # whose points are negative rationals
+    "shared-point": lambda: [random_circle_map(seed).apply_pair(shared_point_pair(seed))
+                             for seed in range(30)],
+    "inf": lambda: [wire([["-1", "1"]], [["0", "inf"]]),
+                    wire([["inf", "1"], ["2", "3"]], [["inf", "5/2"]])],
+    # one element each: only linked, only meeting, neither
+    "one-element": lambda: [wire([["0", "2"]], [["1", "3"]]), wire([["0", "1"]], [["1", "5"]]),
+                            wire([["0"]], [["0"]]), wire([["0", "1"]], [["2", "3"]])],
+    "labelled": lambda: [wire([["0", "3"], ["4", "7"]], [["2", "5"], ["1", "6"]],
+                              plus_labels=["a", "\u00e9\"<"], minus_labels=["x", "y"])],
+}
+
+
+@pytest.mark.parametrize("corpus", list(CORPORA))
+def test_classify_and_disc_write_the_bytes_json_writes(corpus, tmp_path, capsys):
+    points, shapes = set(), set()
+    for k, fp in enumerate(CORPORA[corpus]()):
+        path = tmp_path / ("pair%d.json" % k)
+        path.write_text(json.dumps(fp.to_json()), encoding="utf-8")
+        for command, answer in (("classify", classify_oracle(fp)),
+                                ("disc", especial_disc(fp).to_json())):
+            assert main([command, str(path)]) == 0
+            assert capsys.readouterr().out == oracle(answer) + "\n", (command, k)
+        points.update(str(s) for _, _, s in fp.disc.boundary)
+        shapes.add((bool(fp.disc.interior), bool(fp.disc.boundary)))
+    # the corpora hold what they are named for
+    assert {"shared-point": any(p.startswith("-") for p in points),
+            "inf": "inf" in points,
+            "one-element": {(True, False), (False, True), (False, False)} <= shapes,
+            }.get(corpus, True)
+
+
+class Writes:
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("command", ["classify", "disc"])
+def test_row_lists_stream_in_bounded_chunks(command, tmp_path, monkeypatch):
+    # neither one string for the answer nor one write per row: with
+    # PYTHONUNBUFFERED=1 each write is a system call
+    fp = gen_grid(60)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(fp.to_json()), encoding="utf-8")
+    out = Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command, str(path)]) == 0
+    text = "".join(out.parts)
+    answer = classify_oracle(fp) if command == "classify" else especial_disc(fp).to_json()
+    assert text == oracle(answer) + "\n"
+    assert 2 <= len(out.parts) <= len(fp.plus) + 4
+    assert max(map(len, out.parts)) < len(text) // 2
