@@ -4,14 +4,15 @@ Exit codes are part of the contract: 0 on success, 1 for semantic problems
 (validation violations, failed equivariance, points outside the disc), 2 for
 malformed input (bad JSON, bad schema, bad argument syntax). All JSON output
 is key-sorted with a fixed layout, so identical inputs give identical bytes:
-those of json.dumps(obj, sort_keys=True, indent=2). _dumps writes every
-answer but classify's and disc's, whose row lists _stream writes from
-per-shape templates.
+those of json.dumps(obj, sort_keys=True, indent=2) and a newline.
+json.dumps writes every answer, in one write, but classify's and disc's,
+whose row lists _stream writes from per-shape templates.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -30,87 +31,12 @@ from .render import RenderOptions
 __all__ = ["main", "run"]
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-# how _dumps spells a scalar, by its exact type
-_SCALARS = {str: _json_str, int: int.__repr__, float: _json_float,
-            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
-
-
-def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for values
-    whose dict keys are all str; a key of another type raises TypeError.
-
-    The json module of CPython 3.10 to 3.12 runs its pure-Python encoder
-    whenever indent is set. This writer spells each scalar in the list or
-    dict holding it, and each key with its separator once per call.
-    """
-    out = []
-    _write(obj, "\n", out.append, {})
-    return "".join(out)
-
-
-def _write(o, nl: str, put, keys: dict) -> None:
-    # _dumps's recursion: o indented by nl, handed to put in fragments, with
-    # keys the spelled keys. A module-level function and not a closure, which
-    # would hold its own cell, and through put every fragment, in a cycle
-    # that only the cyclic collector frees
-    scalar = _SCALARS.get
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            put("{}")
-            return
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            key = keys.get(k)
-            if key is None:
-                if not isinstance(k, str):
-                    raise TypeError("keys must be str, not %s" % type(k).__name__)
-                key = keys[k] = _json_str(k) + ": "
-            enc = scalar(type(v))
-            if enc is None:
-                put(sep + key)
-                _write(v, inner, put, keys)
-            else:
-                put(sep + key + enc(v))
-            sep = "," + inner
-        put(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            put("[]")
-            return
-        sep = "[" + inner
-        for v in o:
-            enc = scalar(type(v))
-            if enc is None:
-                put(sep)
-                _write(v, inner, put, keys)
-            else:
-                put(sep + enc(v))
-            sep = "," + inner
-        put(nl + "]")
-    else:
-        # a scalar at the top, or a subclass of str, int or float
-        enc = scalar(type(o)) or next(
-            (_SCALARS[t] for t in (str, int, float) if isinstance(o, t)), None)
-        if enc is None:
-            raise TypeError("Object of type %s is not JSON serializable"
-                            % type(o).__name__)
-        put(enc(o))
+def _answer(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(obj) -> None:
-    # two writes: the answer is not copied once more to append its newline
-    out = sys.stdout
-    out.write(_dumps(obj))
-    out.write("\n")
+    sys.stdout.write(_answer(obj))
 
 
 # the rows per write of a streamed row list: about 90 KB of classify's rows
@@ -295,13 +221,16 @@ def cmd_gen(args) -> int:
     spec = GenSpec(kind=args.kind, n=args.n, k=args.k, depth=args.depth, seed=args.seed)
     fp = spec.build()
     if args.map_out is not None:
-        text = _dumps(gen_symmetric()[1].to_json()) + "\n"
+        text = _answer(gen_symmetric()[1].to_json())
         _atomic_write(args.map_out, lambda write: write(text))
     _emit(fp.to_json())
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # once per process: a parser's subparsers and actions refer back to it,
+    # a cycle that with the collector off would stay until the next collection
     parser = argparse.ArgumentParser(
         prog="circlink",
         description="Exact linking analysis and straightening of chord families on the circle.")

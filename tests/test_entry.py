@@ -84,6 +84,33 @@ def test_run_freezes_the_heap_and_returns_mains_code(files):
         assert proc.stderr == expected
 
 
+def test_main_leaves_garbage_that_does_not_grow_with_the_answer(tmp_path, capsys):
+    # with the collector off, what a command leaves in a cycle stays until
+    # the process exits. The parser is built once per process, classify's
+    # and disc's streamed rows sit in no cycle, and json.dumps leaves a fixed
+    # number of objects (its pure-Python encoder on CPython 3.10 to 3.12)
+    paths = {"small": _write(tmp_path / "small.json", nested_pair(2, 0).to_json()),
+             "large": _write(tmp_path / "large.json", gen_grid(44).to_json())}
+    was = gc.isenabled()
+    gc.disable()
+    left = {}
+    try:
+        for command in ("classify", "disc", "validate"):
+            for size, path in paths.items():
+                # a first call may import modules and fill caches
+                assert cli.main([command, path]) == 0
+                gc.collect()
+                assert cli.main([command, path]) == 0
+                left[command, size] = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
+    for command in ("classify", "disc"):
+        assert left[command, "small"] == left[command, "large"] == 0, command
+    assert left["validate", "small"] == left["validate", "large"]
+
+
 GRID = gen_grid(6)
 BUILDS = {
     "validate": lambda: validate(GRID.plus, GRID.minus),
