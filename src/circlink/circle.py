@@ -328,7 +328,17 @@ def rank_link_number(a: tuple, b: tuple) -> int:
     b to a; and going round the union steps from a to b as often as from b
     to a. tests/test_ranks.py checks the kernel against all four counts,
     computed point by point.
+
+    Two chords, the common case of a lamination, take a closed form: the
+    gap of a = (lo, hi) holding x is the inner one exactly when
+    lo < x <= hi (bisect_left(a, x) % 2 == 1), so b's two ranks lie in
+    one gap or two. It is the set count below on every pair of 2-rank
+    tuples, shared ranks included, as tests/test_ranks.py checks
+    exhaustively.
     """
+    if len(a) == len(b) == 2:
+        lo, hi = a
+        return 1 + ((lo < b[0] <= hi) != (lo < b[1] <= hi))
     # bisect_left(a, x) % len(a) numbers the gaps of a differently from
     # rank_gap, but one to one, so it counts the same gaps
     m = len(a)

@@ -608,28 +608,41 @@ def _jump_cell(a: tuple, b: tuple, n: int, la: tuple, lb: tuple, z: tuple) -> Co
     """The cell of the disjoint rank tuples a and b, which alternate n times,
     as the 2n-gon of their jump edges' crossings; la and lb are the edge
     lines (_edge_lines), numbered as the caps. z names the pair in the error
-    raised when the walk does not close after exactly n >= 2 rounds."""
+    raised when the walk does not close after exactly n >= 2 rounds.
+
+    The walk records the line pairs and decides closure before it crosses
+    any line, so a pair that is not linked n times raises
+    EmptyLinkedCellError, never a crossing's error. Two chords take a closed
+    form: both edges of a chord are one line, so every vertex of their walk
+    is the crossing of the two lines, and the walk closes after exactly two
+    rounds when the chords' ranks strictly alternate and otherwise after
+    one round or never, on shared ranks too.
+    """
     m, k = len(a), len(b)
+    if m == k == 2:
+        lo, hi = a
+        if n != 2 or not (lo < b[0] < hi < b[1] or b[0] < lo < b[1] < hi):
+            raise EmptyLinkedCellError(z)
+        return _cell(0, (_h_line_cross(la[0], lb[0]),))
     ca = start = bisect_left(a, b[0]) % m
-    hs = []
-    pa = pb = x = None
+    pairs = []
     for rounds in range(1, n + 1):
         # the b-edge over the next run of a, then the a-edge over the run of
         # b after it; each crosses the edge before it once
         cb = bisect_left(b, a[ca]) % k
-        A, B = la[ca], lb[cb]
-        if A is not pa or B is not pb:
-            pa, pb, x = A, B, _h_line_cross(A, B)
-        hs.append(x)
+        pairs.append((la[ca], lb[cb]))
         ca = bisect_left(a, b[cb]) % m
-        A = la[ca]
-        if A is not pa:
-            pa, x = A, _h_line_cross(A, B)
-        hs.append(x)
+        pairs.append((la[ca], lb[cb]))
         if ca == start:
             break
     if n < 2 or ca != start or rounds != n:
         raise EmptyLinkedCellError(z)
+    hs = []
+    pa = pb = x = None
+    for A, B in pairs:
+        if A is not pa or B is not pb:
+            pa, pb, x = A, B, _h_line_cross(A, B)
+        hs.append(x)
     # only a 2-point set repeats a line, so repeats are adjacent cyclically
     return _ring_cell([h for q, h in enumerate(hs) if h != hs[q - 1]] or hs[:1])
 
@@ -642,10 +655,13 @@ def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
     whose arcs hold ranks of the other tuple. No vertex of one hull lies in
     the other and every other edge crosses nothing, so the cell is the
     2n-gon of the jump edges' crossings, found by walking the runs (see
-    _jump_cell). A walk that does not close after n rounds means the
-    geometry disagrees with the combinatorics and raises
-    EmptyLinkedCellError. The rank tuples, the edge lines, and the disc
-    when none is given come from the pair's caches.
+    _jump_cell). Two chords, which alternate twice, take a closed form: the
+    cell is the crossing of their lines, the one vertex the walk would
+    find. A walk that does not close after n rounds, or chords that do not
+    alternate, mean the geometry disagrees with the combinatorics and raise
+    EmptyLinkedCellError; closure is decided before any line is crossed.
+    The rank tuples, the edge lines, and the disc when none is given come
+    from the pair's caches.
     """
     if disc is None:
         disc = fp.disc

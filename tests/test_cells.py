@@ -7,6 +7,7 @@ other and shares none of that code.
 """
 
 import cProfile
+import itertools
 import pstats
 import subprocess
 import sys
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 from childenv import child_env
 from circlink import (
     CircleSet,
+    EmptyLinkedCellError,
     FamilyPair,
     cell_intersection,
+    especial_disc,
     gen_grid,
     gen_star,
     gen_symmetric,
@@ -30,7 +33,10 @@ from circlink import (
     validate,
 )
 from circlink.generators import random_circle_map
+from circlink.hullgeom import _edge_lines, _jump_cell
+import pointwise_oracle as oracle
 from test_locate import KINDS, drawn_pair, to_inf
+from test_ranks import CHORD_POINTS, CHORDS
 
 
 def assert_cells_match_clipping(fp):
@@ -85,11 +91,17 @@ def test_cell_corpus_covers_inf_segments_and_concurrent_chords():
 
 
 def _calls(fn, *args) -> dict:
-    """Calls of each hullgeom function made by fn(*args), by name."""
+    """Calls of each hullgeom function made by fn(*args), by name, and of
+    bisect_left, wherever it is called from."""
     prof = cProfile.Profile()
     prof.runcall(fn, *args)
-    return {key[2]: value[1] for key, value in pstats.Stats(prof).stats.items()
-            if key[0].endswith("hullgeom.py")}
+    calls = {}
+    for (path, _, name), value in pstats.Stats(prof).stats.items():
+        if path.endswith("hullgeom.py"):
+            calls[name] = value[1]
+        elif name.endswith(".bisect_left>"):
+            calls["bisect_left"] = calls.get("bisect_left", 0) + value[1]
+    return calls
 
 
 def _calls_without_side_test(fp) -> dict:
@@ -113,9 +125,41 @@ def test_star_cell_costs_one_crossing_a_vertex(k):
 
 def test_grid_cell_costs_one_crossing():
     calls = _calls_without_side_test(random_circle_map(3).apply_pair(gen_grid(6)))
-    # both edges of a 2-point set are one chord
+    # both edges of a 2-point set are one chord, and two chords take the
+    # closed form: no walk, no bisection and no vertex ring
     assert calls["_h_line_cross"] == calls["_jump_cell"] == 36
     assert calls["_edge_lines"] == 12
+    assert "_ring_cell" not in calls and "bisect_left" not in calls
+
+
+def test_grid_disc_makes_no_bisection():
+    # every grid set is a chord, so each classified pair takes
+    # rank_link_number's closed form
+    fp = random_circle_map(3).apply_pair(gen_grid(6))
+    assert _calls(especial_disc, fp) == {}
+    assert len(fp.disc.interior) == 36
+
+
+def test_chord_cells_match_clipping_or_raise():
+    # the closed form for two chords, on every pair of 2-rank tuples with n
+    # from 0 to 4: the crossing of the chords when they link, as clipping
+    # finds it, and EmptyLinkedCellError otherwise, shared ranks included
+    sets = {c: CircleSet([CHORD_POINTS[r] for r in c]) for c in CHORDS}
+    lines = {c: _edge_lines(c, CHORD_POINTS) for c in CHORDS}
+    linked = 0
+    for (i, a), (j, b) in itertools.product(enumerate(CHORDS), repeat=2):
+        link = not set(a) & set(b) and oracle.linked(sets[a], sets[b])
+        linked += link
+        for n in range(5):
+            if link and n == 2:
+                cell = _jump_cell(a, b, n, lines[a], lines[b], (i, j))
+                assert cell == cell_intersection(hull(sets[a]), hull(sets[b]))
+                assert cell.dim == 0
+            else:
+                with pytest.raises(EmptyLinkedCellError) as exc:
+                    _jump_cell(a, b, n, lines[a], lines[b], (i, j))
+                assert exc.value.z == (i, j)
+    assert linked == 70
 
 
 OPEN_WALK = """
@@ -123,8 +167,10 @@ from circlink import CircleSet, EmptyLinkedCellError, EspecialDisc, linked_cells
 twice = validate([CircleSet([0, 3])], [CircleSet([2, 5])])
 thrice = validate([CircleSet([0, 2, 4])], [CircleSet([1, 3, 5])])
 unlinked = validate([CircleSet([0, 1])], [CircleSet([2, 3])])
+parallel = validate([CircleSet([-3, -1])], [CircleSet([0, 2])])
+triangle = validate([CircleSet([-3, -1, 0])], [CircleSet(["1/2", 7])])
 for fp, n in ((twice, 0), (twice, 1), (twice, 3), (twice, 4), (thrice, 2),
-              (unlinked, 1), (unlinked, 2)):
+              (unlinked, 1), (unlinked, 2), (parallel, 2), (triangle, 2), (triangle, 3)):
     try:
         linked_cells(fp, EspecialDisc(1, 1, [(0, 0, n)], []))
     except EmptyLinkedCellError as exc:
@@ -136,9 +182,11 @@ for fp, n in ((twice, 0), (twice, 1), (twice, 3), (twice, 4), (thrice, 2),
 def test_walk_that_does_not_close_raises(flags):
     # a walk told fewer rounds than the pair alternates does not close, one
     # told more closes early, and an unlinked pair's walk closes after one
-    # round: a linked cell needs at least two.
+    # round: a linked cell needs at least two. Closure is decided before
+    # any line is crossed, so unlinked pairs whose walk would cross parallel
+    # lines raise the same error.
     env = child_env()
     proc = subprocess.run([sys.executable] + flags + ["-c", OPEN_WALK],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "".join("%d (0, 0)\n" % n for n in (0, 1, 3, 4, 2, 1, 2))
+    assert proc.stdout == "".join("%d (0, 0)\n" % n for n in (0, 1, 3, 4, 2, 1, 2, 2, 2, 3))

@@ -7,10 +7,12 @@ seeded corpora.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import pickle
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,26 @@ def test_kernel_corpus_covers_shared_points_and_inf():
         seen.add((expected, shared, INF in a_set or INF in b_set))
     # linked and unlinked, with and without shared points and INF
     assert len(seen) == 8
+
+
+# seven ranks, INF last
+CHORD_POINTS = tuple(point(x) for x in (-3, -1, 0, Fraction(1, 2), 2, 7)) + (INF,)
+CHORDS = list(itertools.combinations(range(len(CHORD_POINTS)), 2))
+
+
+def test_chord_link_number_matches_set_count_and_oracle():
+    # the closed form for two chords against the set count it replaced, on
+    # every pair of 2-rank tuples, shared ranks included; on disjoint pairs
+    # also against the four counts computed point by point
+    disjoint = 0
+    for a, b in itertools.product(CHORDS, repeat=2):
+        n = rank_link_number(a, b)
+        assert n == len({bisect_left(a, x) % 2 for x in b}), (a, b)
+        if not set(a) & set(b):
+            disjoint += 1
+            sets = (CircleSet([CHORD_POINTS[r] for r in t]) for t in (a, b))
+            assert (n,) * 4 == oracle.link_number_counts(*sets), (a, b)
+    assert (len(CHORDS), disjoint) == (21, 210)
 
 
 # points whose floats collide: near 1, near 0 (underflow), beyond the float
