@@ -94,7 +94,8 @@ class NotInteriorError(CirclinkError):
 
     def __init__(self, z):
         self.z = z
-        super().__init__("(%d, %d) is not an interior Z-point" % z)
+        # spelled with %s, so that a z of any shape still makes the message
+        super().__init__("%s is not an interior Z-point" % (z,))
 
 
 class EmptyLinkedCellError(CirclinkError):

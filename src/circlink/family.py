@@ -6,11 +6,11 @@ intersections have at most one point. The pair classification across the
 two families produces the finite analogue of a decomposition disc: interior
 points are the disjoint linked pairs, boundary points the intersecting ones.
 
-Everything derived from one pair (the rank table, the disc, its lookup maps,
-the laminar forests, the hull edge lines and the linked cells) is cached on
-the pair, built on first use and kept as long as the pair, so every stage
-reads one copy instead of rebuilding it. Predicates run on the rank tuples
-of the table.
+Everything derived from one pair (the rank table, the disc, its maps and
+fibers, the laminar forests, the hull edge lines and the linked cells) is
+cached on the pair, built on first use and kept as long as the pair, so
+every stage reads one copy instead of rebuilding it. The disc and the
+forests are frozen values. Predicates run on the rank tuples of the table.
 """
 
 from __future__ import annotations
@@ -95,17 +95,17 @@ class FamilyPair:
     points and ranks() are the rank table: every distinct marked point of
     both families in circle order, and each element as the sorted tuple of
     its ranks (validate builds it for its within-family checks). The disc
-    comes from especial_disc, and its fiber() gives the Z-points of one
-    element; interior and boundary map (i, j) to the linking number and to
-    the shared circle point; forest() gives how one family's sets nest,
+    comes from especial_disc; interior and boundary map (i, j) to the
+    linking number and to the shared circle point, and fiber() gives the
+    Z-points of one element; forest() gives how one family's sets nest,
     which point location also reads, lines() each hull edge's line and
-    cells() the linked cell of every interior Z-point. Maps are read-only
-    views and sequences are tuples, so no stage can change what the others
-    read.
+    cells() the linked cell of every interior Z-point. The disc and the
+    forests are frozen values, maps are read-only views and sequences are
+    tuples, so no stage can change what the others read.
     """
 
     __slots__ = ("plus", "minus", "plus_labels", "minus_labels", "_table", "_disc",
-                 "_interior", "_boundary", "_forests", "_lines", "_cells")
+                 "_interior", "_boundary", "_fibers", "_forests", "_lines", "_cells")
 
     def __init__(self, plus, minus, plus_labels=None, minus_labels=None):
         self.plus = tuple(plus)
@@ -116,6 +116,7 @@ class FamilyPair:
         self._disc = None
         self._interior = None
         self._boundary = None
+        self._fibers = None
         self._forests = {}
         self._lines = {}
         self._cells = None
@@ -191,11 +192,28 @@ class FamilyPair:
             self._boundary = MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
         return self._boundary
 
+    def fiber(self, family: str, element: int) -> tuple:
+        """The Z-points with the given component, in (i, j) order; every
+        fiber is built in one pass over the disc on first use."""
+        if self._fibers is None:
+            plus = [[] for _ in self.plus]
+            minus = [[] for _ in self.minus]
+            for z in sorted([z[:2] for z in self.disc.interior + self.disc.boundary]):
+                plus[z[0]].append(z)
+                minus[z[1]].append(z)
+            self._fibers = {"plus": tuple(map(tuple, plus)), "minus": tuple(map(tuple, minus))}
+        try:
+            fibers = self._fibers[family]
+        except KeyError:
+            raise ValueError(_NOT_A_FAMILY % (family,)) from None
+        _check_index(len(fibers), element, family)
+        return fibers[element]
+
     def forest(self, family: str) -> "LaminarForest":
         """How one family's sets nest (see LaminarForest), built once."""
         forest = self._forests.get(family)
         if forest is None:
-            forest = self._forests[family] = LaminarForest(self, family)
+            forest = self._forests[family] = _laminar_forest(self, family)
         return forest
 
     def lines(self, family: str) -> tuple:
@@ -211,7 +229,7 @@ class FamilyPair:
         if self._cells is None:
             # imported here so that validate, classify and disc never load hullgeom
             from .hullgeom import linked_cells
-            self._cells = MappingProxyType(linked_cells(self, self.disc))
+            self._cells = MappingProxyType(linked_cells(self))
         return self._cells
 
     @classmethod
@@ -366,56 +384,23 @@ def classify_pair(fp: FamilyPair, i: int, j: int) -> PairClass:
     return DisjointLinked(c)
 
 
-class EspecialDisc:
+class EspecialDisc(Frozen):
     """All cross-pair classifications of a family pair.
 
     interior holds (i, j, n) for disjoint linked pairs, boundary holds
     (i, j, s) for pairs meeting at the single circle point s. Both are
-    sorted by (i, j).
+    stored as given: especial_disc builds them as tuples in (i, j) order.
+    A Z-point listed twice raises InvariantViolation("duplicate-z-point").
     """
 
-    __slots__ = ("n_plus", "n_minus", "interior", "boundary", "_fibers")
+    __slots__ = ("n_plus", "n_minus", "interior", "boundary")
 
-    def __init__(self, n_plus, n_minus, interior, boundary):
-        self.n_plus = n_plus
-        self.n_minus = n_minus
-        self.interior = tuple(sorted(interior))
-        self.boundary = tuple(sorted(boundary, key=lambda e: (e[0], e[1])))
-        self._fibers = None
+    def __post_init__(self):
         seen = [(i, j) for i, j, _ in self.interior] + [(i, j) for i, j, _ in self.boundary]
         if len(seen) != len(set(seen)):
             seen.sort()
             z = next(z for z, w in zip(seen, seen[1:]) if z == w)
             raise InvariantViolation("duplicate-z-point", z, z)
-
-    def fiber(self, family: str, element: int) -> tuple:
-        """The Z-points with the given component, sorted; all fibers are
-        built in one pass over Z."""
-        if self._fibers is None:
-            plus = [[] for _ in range(self.n_plus)]
-            minus = [[] for _ in range(self.n_minus)]
-            keys = sorted([(i, j) for i, j, _ in self.interior]
-                          + [(i, j) for i, j, _ in self.boundary])
-            for z in keys:
-                plus[z[0]].append(z)
-                minus[z[1]].append(z)
-            self._fibers = {"plus": tuple(map(tuple, plus)),
-                            "minus": tuple(map(tuple, minus))}
-        try:
-            fibers = self._fibers[family]
-        except KeyError:
-            raise ValueError(_NOT_A_FAMILY % (family,)) from None
-        _check_index(len(fibers), element, family)
-        return fibers[element]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EspecialDisc):
-            return NotImplemented
-        return (self.n_plus, self.n_minus, self.interior, self.boundary) == (
-            other.n_plus, other.n_minus, other.interior, other.boundary)
-
-    def __repr__(self) -> str:
-        return "EspecialDisc(interior=%d, boundary=%d)" % (len(self.interior), len(self.boundary))
 
     def to_json(self) -> dict:
         return {
@@ -477,28 +462,70 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
                     boundary.append((i, j, c))
                 elif c != 1:
                     interior.append((i, j, c))
-        fp._disc = EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+        fp._disc = EspecialDisc(len(fp.plus), len(fp.minus), tuple(interior), tuple(boundary))
     return fp._disc
 
 
-class LaminarForest:
-    """How the sets of one family nest, from one sweep over the pair's ranks.
-
-    owner[r] is the set holding rank r, None for a rank of the other family,
-    and inf_owner the set holding INF, if any. The sweep runs over the
-    finite ranks; a set opens at its first rank and closes at its last
-    finite one, so the open sets are those straddling the sweep position
-    (with finite ranks on both sides of it). parent[k] is the innermost set
-    open when k opens, None for a root, and inner[pos] the innermost set
-    straddling position pos, where pos = 2r + 1 is rank r and pos = 2r the
-    gap between ranks r - 1 and r. The sets straddling pos are inner[pos]
-    and its ancestors.
+def _laminar_forest(fp: FamilyPair, family: str) -> "LaminarForest":
+    """The laminar forest of one family, from one sweep over the finite
+    ranks; a set opens at its first rank and closes at its last finite one,
+    so the open sets are those straddling the sweep position (with finite
+    ranks on both sides of it).
 
     The sweep checks that the family is laminar, which is that its hulls are
     pairwise disjoint: no rank has two owners, every set lies in one gap of
     the innermost set open at its ranks, and no set is open when the set
     holding INF opens. A failure raises InvariantViolation("hull-overlap")
     with the family and two of its set indices.
+    """
+    points = fp.points
+    sets = fp.ranks(family)
+    n = len(points)
+    finite = n - 1 if n and points[-1].is_infinite else n
+    owner = [None] * n
+    for k, s in enumerate(sets):
+        for r in s:
+            if owner[r] is not None:
+                raise InvariantViolation("hull-overlap", (family, owner[r], k))
+            owner[r] = k
+    inf_owner = owner[finite] if finite < n else None
+    parent = [None] * len(sets)
+    inner = [None] * (2 * n + 1)
+    stack = [None]
+    for r in range(finite):
+        k = owner[r]
+        if k is None:
+            inner[2 * r + 1] = inner[2 * r + 2] = stack[-1]
+            continue
+        s = sets[k]
+        last = s[-2] if k == inf_owner else s[-1]
+        if r != s[0]:
+            if stack[-1] != k:
+                # a set opened inside k's gap is still open
+                raise InvariantViolation("hull-overlap", (family, k, stack[-1]))
+            if r == last:
+                stack.pop()
+        elif k == inf_owner and len(stack) > 1:
+            raise InvariantViolation("hull-overlap", (family, stack[-1], k))
+        else:
+            parent[k] = stack[-1]
+        inner[2 * r + 1] = stack[-1]
+        if r == s[0] and r != last:
+            stack.append(k)
+        inner[2 * r + 2] = stack[-1]
+    return LaminarForest(tuple(owner), inf_owner, tuple(parent), tuple(inner))
+
+
+class LaminarForest(Frozen):
+    """How the sets of one family nest, from one sweep over the pair's ranks
+    (see _laminar_forest).
+
+    owner[r] is the set holding rank r, None for a rank of the other family,
+    and inf_owner the set holding INF, if any. parent[k] is the innermost set
+    open when k opens, None for a root, and inner[pos] the innermost set
+    straddling position pos, where pos = 2r + 1 is rank r and pos = 2r the
+    gap between ranks r - 1 and r. The sets straddling pos are inner[pos]
+    and its ancestors.
 
     The gap fact: the sets in the inner gaps of a set k that does not hold
     INF, between two of its ranks, are exactly those open inside k, its
@@ -509,47 +536,6 @@ class LaminarForest:
     """
 
     __slots__ = ("owner", "inf_owner", "parent", "inner")
-
-    def __init__(self, fp: FamilyPair, family: str):
-        points = fp.points
-        sets = fp.ranks(family)
-        n = len(points)
-        finite = n - 1 if n and points[-1].is_infinite else n
-        owner = [None] * n
-        for k, s in enumerate(sets):
-            for r in s:
-                if owner[r] is not None:
-                    raise InvariantViolation("hull-overlap", (family, owner[r], k))
-                owner[r] = k
-        inf_owner = owner[finite] if finite < n else None
-        parent = [None] * len(sets)
-        inner = [None] * (2 * n + 1)
-        stack = [None]
-        for r in range(finite):
-            k = owner[r]
-            if k is None:
-                inner[2 * r + 1] = inner[2 * r + 2] = stack[-1]
-                continue
-            s = sets[k]
-            last = s[-2] if k == inf_owner else s[-1]
-            if r != s[0]:
-                if stack[-1] != k:
-                    # a set opened inside k's gap is still open
-                    raise InvariantViolation("hull-overlap", (family, k, stack[-1]))
-                if r == last:
-                    stack.pop()
-            elif k == inf_owner and len(stack) > 1:
-                raise InvariantViolation("hull-overlap", (family, stack[-1], k))
-            else:
-                parent[k] = stack[-1]
-            inner[2 * r + 1] = stack[-1]
-            if r == s[0] and r != last:
-                stack.append(k)
-            inner[2 * r + 2] = stack[-1]
-        self.owner = owner
-        self.inf_owner = inf_owner
-        self.parent = parent
-        self.inner = inner
 
     def tree_parent(self, k: int) -> Optional[int]:
         """k's parent in the nesting tree: its forest parent, except that
@@ -577,12 +563,14 @@ class LaminarForest:
 
 def fiber_plus(disc: EspecialDisc, i: int) -> list:
     """All Z-points (interior and boundary) with plus component i, by minus index."""
-    return list(disc.fiber("plus", i))
+    _check_index(disc.n_plus, i, "plus")
+    return sorted([z[:2] for z in disc.interior + disc.boundary if z[0] == i])
 
 
 def fiber_minus(disc: EspecialDisc, j: int) -> list:
     """All Z-points (interior and boundary) with minus component j, by plus index."""
-    return list(disc.fiber("minus", j))
+    _check_index(disc.n_minus, j, "minus")
+    return sorted([z[:2] for z in disc.interior + disc.boundary if z[1] == j])
 
 
 def separation_interval(fp: FamilyPair, family: str, i: int, j: int) -> list:

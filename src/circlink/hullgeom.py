@@ -647,9 +647,10 @@ def _jump_cell(a: tuple, b: tuple, n: int, la: tuple, lb: tuple, z: tuple) -> Co
     return _ring_cell([h for q, h in enumerate(hs) if h != hs[q - 1]] or hs[:1])
 
 
-def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
+def linked_cells(fp: FamilyPair) -> dict:
     """The nonempty hull intersection for every interior Z-point, keyed in
-    (i, j) order: the walk follows disc.interior, which is sorted.
+    (i, j) order: the walk follows the pair's disc.interior, which is
+    sorted.
 
     Rank tuples that alternate n times have n jump edges each, the edges
     whose arcs hold ranks of the other tuple. No vertex of one hull lies in
@@ -660,12 +661,10 @@ def linked_cells(fp: FamilyPair, disc: Optional[EspecialDisc] = None) -> dict:
     find. A walk that does not close after n rounds, or chords that do not
     alternate, mean the geometry disagrees with the combinatorics and raise
     EmptyLinkedCellError; closure is decided before any line is crossed.
-    The rank tuples, the edge lines, and the disc when none is given come
-    from the pair's caches.
+    The rank tuples, the edge lines and the disc come from the pair's
+    caches.
     """
-    if disc is None:
-        disc = fp.disc
     plus, minus = fp.ranks("plus"), fp.ranks("minus")
     lines_plus, lines_minus = fp.lines("plus"), fp.lines("minus")
     return {(i, j): _jump_cell(plus[i], minus[j], n, lines_plus[i], lines_minus[j], (i, j))
-            for i, j, n in disc.interior}
+            for i, j, n in fp.disc.interior}

@@ -167,8 +167,9 @@ def _write_straightened(sd: StraightenedDisc, opts: RenderOptions, write) -> Non
             write('</g>\n')
     for key in sorted(virtual):
         canvas.dot("virtual-%s-%d" % key, virtual[key], "#6b7280", VIRTUAL_RADIUS)
+    boundary = {(i, j) for i, j, _ in sd.disc.boundary}
     for z in sorted(sd.layout):
-        color = "#111111" if z in sd.boundary_anchors else REGION_COLOR
+        color = "#111111" if z in boundary else REGION_COLOR
         canvas.dot("z-%d-%d" % z, at[z], color, POINT_RADIUS)
     if opts.labels:
         for z in sorted(sd.layout):

@@ -193,7 +193,7 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     b_I, so c's first rank lies in another gap of b. Unlinked from b, a and
     c each lie in one gap of it.
     """
-    fiber = fp.disc.fiber(family, element)
+    fiber = fp.fiber(family, element)
     lam = fp.ranks(family)[element]
     # a Z-point's opposite element is its component in the other family
     side = 1 if family == "plus" else 0
@@ -277,8 +277,9 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
 class StraightenedDisc(Frozen):
     """Exact layout of Z with its leaf trees and their crossings.
 
-    layout, boundary_anchors and virtual_positions are dicts, the leaves
-    and crossings tuples; the value compares by its fields and has no hash.
+    layout and virtual_positions are dicts, the leaves and crossings
+    tuples; the value compares by its fields and has no hash. The boundary
+    Z-points sit at their anchors, the shared points of disc.boundary.
     crossings lists the pairs of edges from distinct leaves that meet other
     than in one point ending both: a point inside one of them, or a
     positive length of one line. Each edge is keyed (family, element, edge
@@ -286,8 +287,7 @@ class StraightenedDisc(Frozen):
     tuple is sorted. layout certifies it locally (see _leaf_crossings).
     """
 
-    __slots__ = ("disc", "layout", "leaves_plus", "leaves_minus",
-                 "boundary_anchors", "virtual_positions", "crossings")
+    __slots__ = ("disc", "layout", "leaves_plus", "leaves_minus", "virtual_positions", "crossings")
 
     def to_json(self) -> dict:
         return {
@@ -297,8 +297,7 @@ class StraightenedDisc(Frozen):
                 for (i, j) in sorted(self.layout)
             ],
             "boundary_anchors": [
-                {"z": [i, j], "point": str(self.boundary_anchors[(i, j)])}
-                for (i, j) in sorted(self.boundary_anchors)
+                {"z": [i, j], "point": str(s)} for i, j, s in self.disc.boundary
             ],
             "leaves_plus": [g.to_json() for g in self.leaves_plus],
             "leaves_minus": [g.to_json() for g in self.leaves_minus],
@@ -388,7 +387,7 @@ def _leaf_crossings(fp: FamilyPair, leaves_plus, leaves_minus, lay, virtual_posi
                           if u == VIRTUAL or not forest.neighbours(sets, u[side], v[side])]
             if not open_edges:
                 continue
-            fiber = [z for z in fp.disc.fiber(family, el) if len(sets[z[side]]) > 1]
+            fiber = [z for z in fp.fiber(family, el) if len(sets[z[side]]) > 1]
             if leaf.virtual_count:
                 h = virtual_positions[(family, el)]._h
                 X, Y, D = h
@@ -448,10 +447,8 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
     """
     disc = fp.disc
     lay = {z: cell.barycenter() for z, cell in fp.cells().items()}
-    anchors = {}
     for i, j, s in disc.boundary:
         lay[(i, j)] = param_to_point(s)
-        anchors[(i, j)] = s
     placed = {}
     for z, p in lay.items():
         other = placed.setdefault(p.key(), z)
@@ -469,8 +466,7 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
                 _h_mean([lay[e]._h for e in ends]))
 
     crossings = _leaf_crossings(fp, leaves_plus, leaves_minus, lay, virtual_positions)
-    return StraightenedDisc(disc, lay, leaves_plus, leaves_minus, anchors, virtual_positions,
-                            crossings)
+    return StraightenedDisc(disc, lay, leaves_plus, leaves_minus, virtual_positions, crossings)
 
 
 # ---------------------------------------------------------------------------

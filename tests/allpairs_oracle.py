@@ -35,7 +35,7 @@ def especial_disc(fp) -> EspecialDisc:
                 boundary.append((i, j, c))
             elif c != 1:
                 interior.append((i, j, c))
-    return EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+    return EspecialDisc(len(fp.plus), len(fp.minus), tuple(interior), tuple(boundary))
 
 
 def nesting_report(fp) -> NestingReport:

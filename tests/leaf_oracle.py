@@ -17,7 +17,7 @@ def leaf_graph(fp, family: str, element: int) -> LeafGraph:
 
     Every predicate runs on the rank tuples of the pair.
     """
-    fiber = fp.disc.fiber(family, element)
+    fiber = fp.fiber(family, element)
     lam = fp.ranks(family)[element]
     if family == "plus":
         opp_sets = fp.ranks("minus")

@@ -164,4 +164,4 @@ def especial_disc(fp) -> EspecialDisc:
                 raise AssertionError(("counts disagree", i, j, (c1, c2, c3, c4)))
             if c1 != 1:
                 interior.append((i, j, c1))
-    return EspecialDisc(len(fp.plus), len(fp.minus), interior, boundary)
+    return EspecialDisc(len(fp.plus), len(fp.minus), tuple(interior), tuple(boundary))

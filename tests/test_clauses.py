@@ -85,8 +85,8 @@ def test_constant_fires_alone(monkeypatch):
 def test_surjective_fires_alone(monkeypatch):
     real = hullgeom.linked_cells
 
-    def drop_one(fp, disc):
-        cells = real(fp, disc)
+    def drop_one(fp):
+        cells = real(fp)
         del cells[(1, 1)]
         return cells
 
@@ -99,7 +99,7 @@ def test_surjective_fires_alone(monkeypatch):
 def test_empty_linked_cell_raises_alone():
     # a disc claiming three rounds for a pair that alternates twice
     fp = validate([CircleSet([0, 3])], [CircleSet([2, 5])])
-    fp._disc = EspecialDisc(1, 1, [(0, 0, 3)], [])
+    fp._disc = EspecialDisc(1, 1, ((0, 0, 3),), ())
     with pytest.raises(EmptyLinkedCellError) as info:
         quotient_check(fp)
     assert info.value.z == (0, 0)
@@ -151,11 +151,11 @@ def test_boundary_permutation_fires_alone(monkeypatch):
 
 @pytest.mark.parametrize("clause,forge", [
     ("interior-recomputed",
-     lambda d: EspecialDisc(d.n_plus, d.n_minus, [(i, j, n + 1) for i, j, n in d.interior],
+     lambda d: EspecialDisc(d.n_plus, d.n_minus, tuple((i, j, n + 1) for i, j, n in d.interior),
                             d.boundary)),
     ("boundary-recomputed",
      lambda d: EspecialDisc(d.n_plus, d.n_minus, d.interior,
-                            [(i, j, point(0)) for i, j, _s in d.boundary])),
+                            tuple((i, j, point(0)) for i, j, _s in d.boundary))),
 ])
 def test_recomputed_disc_clauses_fire_alone(monkeypatch, clause, forge):
     real = symmetry.especial_disc
@@ -184,7 +184,7 @@ def test_target_outside_the_disc_is_reported_not_raised():
     g = CircleMap(0, 1, -1, 0)
     assert check_equivariance(fp, g).ok
     fp = validate(fp.plus, fp.minus)
-    fp._disc = EspecialDisc(2, 2, [(0, 0, 2)], [])
+    fp._disc = EspecialDisc(2, 2, ((0, 0, 2),), ())
     report = check_equivariance(fp, g)
     assert report.plus_permutation == report.minus_permutation == (1, 0)
     assert {"kind": "DiscMismatch", "clause": "interior-permutation"} in report.failures
@@ -202,8 +202,8 @@ def test_layout_collision_raises_alone(monkeypatch):
 
 def test_leaf_tree_raises_alone(monkeypatch):
     # a fiber listing its one Z-point twice chains it to itself
-    real = EspecialDisc.fiber
-    monkeypatch.setattr(EspecialDisc, "fiber", lambda disc, family, k: real(disc, family, k) * 2)
+    real = FamilyPair.fiber
+    monkeypatch.setattr(FamilyPair, "fiber", lambda fp, family, k: real(fp, family, k) * 2)
     fp = validate([CircleSet([0, 3])], [CircleSet([2, 5])])
     with pytest.raises(InvariantViolation) as info:
         leaf_graph(fp, "plus", 0)

@@ -175,7 +175,7 @@ def test_fiber_rejects_bad_index():
     lambda fp: fp.ranks("x"),
     lambda fp: fp.forest("x"),
     lambda fp: fp.lines("x"),
-    lambda fp: fp.disc.fiber("x", 0),
+    lambda fp: fp.fiber("x", 0),
     lambda fp: leaf_graph(fp, "x", 0),
     lambda fp: separation_interval(fp, "x", 0, 1),
 ], ids=["family", "ranks", "forest", "lines", "fiber", "leaf_graph", "separation_interval"])
@@ -185,7 +185,7 @@ def test_unknown_family_name_is_a_value_error(call):
     for family in ("plus", "minus"):
         built.forest(family)
         built.lines(family)
-        built.disc.fiber(family, 0)
+        built.fiber(family, 0)
     for fp in (grid_pair(), built):
         with pytest.raises(ValueError, match=r"^family must be 'plus' or 'minus', got 'x'$"):
             call(fp)
@@ -246,6 +246,16 @@ def test_prong_count_requires_interior():
     boundary_fp = validate([CircleSet([0, 1])], [CircleSet([1, 5])])
     with pytest.raises(NotInteriorError):
         prong_count(boundary_fp, (0, 0))
+
+
+@pytest.mark.parametrize("z", [(0, 0, 0), (0,), ("a", 1), ()])
+def test_prong_count_of_a_malformed_z_is_the_typed_error(z):
+    # the message spells z whatever its shape; an int pair reads as before
+    with pytest.raises(NotInteriorError) as info:
+        prong_count(grid_pair(), z)
+    assert info.value.z == z
+    assert str(info.value) == "%s is not an interior Z-point" % (z,)
+    assert str(NotInteriorError((7, 7))) == "(7, 7) is not an interior Z-point"
 
 
 # ── nesting report ───────────────────────────────────────────────────────

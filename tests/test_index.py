@@ -69,16 +69,16 @@ def assert_index_matches_oracles(fp):
     assert especial_disc(fp) is fp.disc
     assert dict(fp.interior) == {(i, j): n for i, j, n in disc.interior}
     assert dict(fp.boundary) == {(i, j): s for i, j, s in disc.boundary}
-    # each fiber against a full scan of the disc; fiber_plus and fiber_minus
-    # of the pair's own disc view the disc's fibers, built once
+    # each fiber against a full scan of the disc; the pair's fibers are
+    # built once, and fiber_plus and fiber_minus read the disc's tuples
     for i in range(len(fp.plus)):
-        assert list(fp.disc.fiber("plus", i)) == scan_fiber_plus(disc, i)
+        assert list(fp.fiber("plus", i)) == scan_fiber_plus(disc, i)
         assert fiber_plus(fp.disc, i) == fiber_plus(disc, i) == scan_fiber_plus(disc, i)
-        assert fp.disc.fiber("plus", i) is fp.disc.fiber("plus", i)
+        assert fp.fiber("plus", i) is fp.fiber("plus", i)
     for j in range(len(fp.minus)):
-        assert list(fp.disc.fiber("minus", j)) == scan_fiber_minus(disc, j)
+        assert list(fp.fiber("minus", j)) == scan_fiber_minus(disc, j)
         assert fiber_minus(fp.disc, j) == fiber_minus(disc, j) == scan_fiber_minus(disc, j)
-        assert fp.disc.fiber("minus", j) is fp.disc.fiber("minus", j)
+        assert fp.fiber("minus", j) is fp.fiber("minus", j)
     expected_cells = {(i, j): cell_intersection(hull(fp.plus[i]), hull(fp.minus[j]))
                       for i, j, _ in disc.interior}
     assert dict(fp.cells()) == expected_cells
@@ -107,11 +107,11 @@ def test_index_matches_oracles_with_boundary_points(seed):
 
 
 def test_fiber_rejects_bad_index():
-    disc = gen_grid(2).disc
+    fp = gen_grid(2)
     with pytest.raises(IndexError):
-        disc.fiber("plus", 2)
+        fp.fiber("plus", 2)
     with pytest.raises(IndexError):
-        disc.fiber("minus", -1)
+        fp.fiber("minus", -1)
 
 
 def test_shared_pieces_are_read_only():
@@ -123,13 +123,27 @@ def test_shared_pieces_are_read_only():
     with pytest.raises(TypeError):
         fp.boundary[(0, 0)] = point(4)
     with pytest.raises(TypeError):
-        fp.disc.fiber("plus", 1)[0] = (0, 1)
+        fp.fiber("plus", 1)[0] = (0, 1)
     with pytest.raises(TypeError):
-        fp.disc.fiber("minus", 0)[0] = (0, 1)
+        fp.fiber("minus", 0)[0] = (0, 1)
     with pytest.raises(TypeError):
         fp.cells()[(1, 0)] = None
+    # the disc and the forests are frozen values
+    for field, value in (("interior", ()), ("boundary", ()), ("n_plus", 0)):
+        with pytest.raises(AttributeError):
+            setattr(fp.disc, field, value)
+    for family in ("plus", "minus"):
+        forest = fp.forest(family)
+        for field in ("owner", "parent", "inner"):
+            with pytest.raises(TypeError):
+                getattr(forest, field)[0] = None
+        with pytest.raises(AttributeError):
+            forest.parent = ()
     assert dict(fp.interior) == {(1, 0): 2}
     assert dict(fp.boundary) == {(0, 0): point(3), (1, 1): point(7)}
+    assert fp.disc.interior == ((1, 0, 2),)
+    assert [z for i in range(2) for z in fp.fiber("plus", i)] == [(0, 0), (1, 0), (1, 1)]
+    assert list(fp.cells()) == [(1, 0)]
 
 
 def test_index_is_built_once_per_pair(monkeypatch):
@@ -142,9 +156,9 @@ def test_index_is_built_once_per_pair(monkeypatch):
         calls.append(fp)
         return real(fp)
 
-    def counted_cells(fp, disc=None):
+    def counted_cells(fp):
         cell_builds.append(fp)
-        return real_cells(fp, disc)
+        return real_cells(fp)
 
     # the pair classifies through family's name, equivariance through its
     # own; the pair imports linked_cells from hullgeom when it builds them

@@ -71,7 +71,7 @@ def _long_groups(fp):
         opp_sets = fp.ranks(opp)
         for element, lam in enumerate(fp.ranks(family)):
             sizes = {}
-            for z in fp.disc.fiber(family, element):
+            for z in fp.fiber(family, element):
                 sig = tuple(sorted({rank_gap(lam, r) for r in opp_sets[z[side]]
                                     if r not in lam}))
                 sizes[sig] = sizes.get(sig, 0) + 1
@@ -146,7 +146,7 @@ def test_chains_through_the_inf_holder_match_oracle():
                                 (between_roots, 1, [None] * 3)):
         forest = fp.forest("minus")
         assert forest.inf_owner == holder
-        assert forest.parent == parents
+        assert forest.parent == tuple(parents)
         assert _same_leaves(fp) == 0
         leaf = straighten.leaf_graph(fp, "plus", 0)
         assert leaf.edges == (((0, 0), (0, 1)), ((0, 1), (0, 2)))

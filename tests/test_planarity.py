@@ -197,7 +197,7 @@ def test_virtual_edge_meeting_another_cell(name):
             if u == VIRTUAL:
                 seg = ConvexCell(1, [sd.virtual_positions[(leaf.family, leaf.element)],
                                      sd.layout[v]])
-                met += [z for z in fp.disc.fiber(leaf.family, leaf.element)
+                met += [z for z in fp.fiber(leaf.family, leaf.element)
                         if z != v and z in cells and cell_intersection(seg, cells[z])]
     assert met
     assert_matches_oracles(fp)

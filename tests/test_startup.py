@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -115,11 +116,11 @@ def test_no_source_file_imports_dataclasses():
 
 
 def test_value_classes_declare_only_their_fields():
-    # Frozen writes __init__, __eq__ and __hash__; a value class adds at
-    # most a __post_init__ check
+    # Frozen writes __init__, __eq__ and __hash__ and gives the repr; a value
+    # class adds at most a __post_init__ check. README lists every value class
     package = os.path.join(SRC, "circlink")
     post_init = []
-    values = 0
+    values = []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -129,13 +130,15 @@ def test_value_classes_declare_only_their_fields():
             if not (isinstance(node, ast.ClassDef)
                     and any(isinstance(b, ast.Name) and b.id == "Frozen" for b in node.bases)):
                 continue
-            values += 1
+            values.append(node.name)
             methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-            assert not methods & {"__init__", "__eq__", "__hash__"}, node.name
+            assert not methods & {"__init__", "__eq__", "__hash__", "__repr__"}, node.name
             if "__post_init__" in methods:
                 post_init.append(node.name)
-    assert values == 15
-    assert post_init == ["RenderOptions", "LeafGraph"]
+    with open(os.path.join(SRC, os.pardir, "README.md"), encoding="utf-8") as fh:
+        listed = re.search(r"The value classes \(([^)]*)\)", fh.read()).group(1)
+    assert sorted(values) == sorted(re.findall(r"`(\w+)`", listed))
+    assert post_init == ["EspecialDisc", "RenderOptions", "LeafGraph"]
 
 
 def test_value_contract_holds_under_optimize():

@@ -102,7 +102,8 @@ def test_layout_grid():
     for lg in sd.leaves_plus + sd.leaves_minus:
         assert len(lg.vertices) == 2 and len(lg.edges) == 1 and lg.virtual_count == 0
     assert sd.crossings == ()
-    assert sd.boundary_anchors == {}
+    assert sd.disc.boundary == ()
+    assert sd.to_json()["boundary_anchors"] == []
 
 
 def test_layout_tripod():
@@ -118,7 +119,8 @@ def test_layout_boundary_anchor():
     # one linked partner, one touching partner on the same plus element
     fp = validate([CircleSet([0, 2])], [CircleSet([1, 3]), CircleSet([2, F(5, 2)])])
     sd = layout(fp)
-    assert sd.boundary_anchors == {(0, 1): point(2)}
+    assert sd.disc.boundary == ((0, 1, point(2)),)
+    assert sd.to_json()["boundary_anchors"] == [{"z": [0, 1], "point": "2"}]
     assert sd.layout[(0, 1)] == param_to_point(point(2))
     lg = sd.leaves_plus[0]
     assert lg.virtual_count == 1

@@ -13,6 +13,7 @@ from circlink import (
     DisjointLinked,
     DisjointUnlinked,
     EquivarianceReport,
+    EspecialDisc,
     GenSpec,
     IntersectingAt,
     LeafGraph,
@@ -30,7 +31,7 @@ from circlink import (
     point,
     quotient_check,
 )
-from circlink.family import NestingEntry, Violation
+from circlink.family import LaminarForest, NestingEntry, Violation
 
 # (class, positional arguments, different positional arguments)
 CASES = [
@@ -52,6 +53,11 @@ CASES = [
     (QuotientReport, (True, (), 4, 16), (False, (), 4, 16)),
     (EquivarianceReport, (True, (1, 0), (0, 1), ()), (False, None, None, ())),
     (NestingReport, ((NestingEntry("plus", 0, point(1), point(2), False, None),),), ((),)),
+    (EspecialDisc, (2, 2, ((0, 0, 2), (1, 1, 3)), ((0, 1, point(5)),)),
+     (2, 2, ((0, 0, 2), (1, 1, 3)), ())),
+    # the forest of one chord on two ranks, and one differing in inf_owner
+    (LaminarForest, ((0, 0), None, (None,), (None, None, 0, None, None)),
+     ((0, 0), 0, (None,), (None, None, 0, None, None))),
 ]
 
 # the defaults of the dataclasses, by class
