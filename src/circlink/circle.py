@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from functools import cmp_to_key
 from math import gcd, inf
-from typing import Iterable, Iterator
 
-from .errors import MalformedInputError, NotDisjointError
+from .errors import Immutable, MalformedInputError, NotDisjointError
 
 __all__ = [
     "CirclePoint",
@@ -42,10 +42,10 @@ _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
-class CirclePoint:
+class CirclePoint(Immutable):
     """One circle parameter: a reduced rational num/den, or INF when den == 0.
 
-    Instances are immutable by convention and hashable. Points order against
+    Instances are immutable and hashable. Points order against
     points only, linearly with INF above every finite value. A finite point
     equals the int or Fraction of its value and hashes as it does; INF equals
     no number.
@@ -63,8 +63,11 @@ class CirclePoint:
             if g > 1:
                 num //= g
                 den //= g
-        self.num = num
-        self.den = den
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __reduce__(self):
+        return (CirclePoint, (self.num, self.den))
 
     @property
     def is_infinite(self) -> bool:
@@ -143,6 +146,11 @@ class CirclePoint:
         return NotImplemented
 
 
+# the slots' own setters, which Immutable's __setattr__ would refuse; a
+# point is made often enough that object.__setattr__ costs a measurable share
+_set_num = CirclePoint.num.__set__
+_set_den = CirclePoint.den.__set__
+
 INF = CirclePoint(1, 0)
 
 
@@ -161,8 +169,8 @@ def point(value) -> CirclePoint:
     raise TypeError("cannot make a CirclePoint from %r" % (value,))
 
 
-class CircleSet:
-    """Nonempty finite set of circle points, canonically ordered.
+class CircleSet(Immutable):
+    """Nonempty finite, immutable set of circle points, canonically ordered.
 
     Points are stored without duplicates, sorted along the circle starting
     from the smallest finite parameter, with INF last.
@@ -176,8 +184,12 @@ class CircleSet:
             raise ValueError("a CircleSet must be nonempty")
         # equal points are neighbours once sorted; comparing their fields
         # costs less than hashing a point with a long denominator
-        self.points = tuple([p for p, q in zip(ordered, ordered[1:])
-                             if p.num != q.num or p.den != q.den] + ordered[-1:])
+        object.__setattr__(self, "points", tuple(
+            [p for p, q in zip(ordered, ordered[1:]) if p.num != q.num or p.den != q.den]
+            + ordered[-1:]))
+
+    def __reduce__(self):
+        return (CircleSet, (self.points,))
 
     def __len__(self) -> int:
         return len(self.points)

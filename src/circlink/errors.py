@@ -7,7 +7,26 @@ rebuild the offending configuration; messages alone are never the contract.
 from __future__ import annotations
 
 
-class Frozen:
+class Immutable:
+    """Base of the classes whose attributes cannot be assigned or deleted.
+
+    A subclass's constructor sets its fields with object.__setattr__; after
+    that, assignment and deletion raise AttributeError. Pickle restores slot
+    state through __setattr__, so each subclass rebuilds in __reduce__.
+    A functools.cached_property writes into the instance __dict__ without
+    __setattr__, so a subclass may still cache what it derives.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Frozen(Immutable):
     """Base of the small immutable value classes, declared by their fields.
 
     A subclass lists its fields in __slots__, in constructor order, and gives
@@ -18,8 +37,8 @@ class Frozen:
     object.__setattr__ and ends by calling __post_init__ when the class has
     one, equality compares field tuples within one class, and the hash is
     that of the field tuple. Field assignment and deletion raise
-    AttributeError, and the repr, pickle and copy support are the
-    dataclass's.
+    AttributeError (see Immutable), and the repr, pickle and copy support
+    are the dataclass's.
     """
 
     __slots__ = ()
@@ -54,12 +73,6 @@ class Frozen:
             fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
             setattr(cls, name, fn)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
     def __reduce__(self):
         return (self.__class__, tuple(getattr(self, n) for n in self.__slots__))
 
@@ -69,7 +82,21 @@ class Frozen:
 
 
 class CirclinkError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Each subclass keeps its constructor's arguments as attributes of the
+    same names, and pickle and copy rebuild the error from them, so a copy
+    has the same fields and message; notes and any other attribute come
+    back as its state. Errors stay assignable, as add_note needs. A
+    message spells a Z-point with %s, so a z of any shape still makes one.
+    """
+
+    def __reduce__(self):
+        code = getattr(type(self).__init__, "__code__", None)
+        if code is None:
+            return super().__reduce__()
+        names = code.co_varnames[1:code.co_argcount]
+        return (type(self), tuple([getattr(self, n) for n in names]), self.__dict__)
 
 
 class NotDisjointError(CirclinkError):
@@ -94,7 +121,6 @@ class NotInteriorError(CirclinkError):
 
     def __init__(self, z):
         self.z = z
-        # spelled with %s, so that a z of any shape still makes the message
         super().__init__("%s is not an interior Z-point" % (z,))
 
 
@@ -104,7 +130,7 @@ class EmptyLinkedCellError(CirclinkError):
 
     def __init__(self, z):
         self.z = z
-        super().__init__("linked pair (%d, %d) has an empty cell" % z)
+        super().__init__("linked pair %s has an empty cell" % (z,))
 
 
 class GroupOrderNotTotalError(CirclinkError):
@@ -141,7 +167,7 @@ class InvariantViolation(CirclinkError):
         self.invariant = invariant
         self.counts = tuple(counts)
         self.z = tuple(z) if z is not None else None
-        where = " at (%d, %d)" % self.z if self.z is not None else ""
+        where = " at %s" % (self.z,) if self.z is not None else ""
         super().__init__("invariant '%s' fails%s: %s" % (invariant, where, self.counts))
 
 

@@ -16,9 +16,9 @@ forests are frozen values. Predicates run on the rank tuples of the table.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Optional, Sequence, Union
 
 from .circle import (
     CirclePoint,
@@ -32,6 +32,7 @@ from .circle import (
 from .errors import (
     FamilyValidationError,
     Frozen,
+    Immutable,
     InvariantViolation,
     MalformedInputError,
     NotInteriorError,
@@ -87,39 +88,44 @@ class Violation(Frozen, witness=()):
 _NOT_A_FAMILY = "family must be 'plus' or 'minus', got %r"
 
 
-class FamilyPair:
+def _is_plus(family: str) -> bool:
+    if family not in ("plus", "minus"):
+        raise ValueError(_NOT_A_FAMILY % (family,))
+    return family == "plus"
+
+
+def _family_lines(fp: FamilyPair, family: str) -> tuple:
+    # imported here so that validate, classify and disc never load hullgeom
+    from .hullgeom import _edge_lines
+    return tuple([_edge_lines(s, fp.points) for s in fp.ranks(family)])
+
+
+class FamilyPair(Immutable):
     """A validated pair of chord families. Construct through validate().
 
-    A pair is treated as immutable, and caches what its stages share about
-    it: each piece is built on first use and kept as long as the pair.
-    points and ranks() are the rank table: every distinct marked point of
-    both families in circle order, and each element as the sorted tuple of
-    its ranks (validate builds it for its within-family checks). The disc
+    A pair is immutable, and caches what its stages share about it in
+    cached properties, each built on first use and kept as long as the
+    pair. points and ranks() are the rank table: every distinct marked point
+    of both families in circle order, and each element as the sorted tuple
+    of its ranks (validate builds it for its within-family checks). The disc
     comes from especial_disc; interior and boundary map (i, j) to the
     linking number and to the shared circle point, and fiber() gives the
     Z-points of one element; forest() gives how one family's sets nest,
     which point location also reads, lines() each hull edge's line and
-    cells() the linked cell of every interior Z-point. The disc and the
-    forests are frozen values, maps are read-only views and sequences are
-    tuples, so no stage can change what the others read.
+    cells() the linked cell of every interior Z-point. Fields and caches
+    refuse assignment, the disc and the forests are frozen values, maps are
+    read-only views and sequences are tuples, so no stage can change what
+    the others read.
     """
 
-    __slots__ = ("plus", "minus", "plus_labels", "minus_labels", "_table", "_disc",
-                 "_interior", "_boundary", "_fibers", "_forests", "_lines", "_cells")
+    __slots__ = ("plus", "minus", "plus_labels", "minus_labels", "__dict__")
 
     def __init__(self, plus, minus, plus_labels=None, minus_labels=None):
-        self.plus = tuple(plus)
-        self.minus = tuple(minus)
-        self.plus_labels = tuple(plus_labels) if plus_labels else None
-        self.minus_labels = tuple(minus_labels) if minus_labels else None
-        self._table = None
-        self._disc = None
-        self._interior = None
-        self._boundary = None
-        self._fibers = None
-        self._forests = {}
-        self._lines = {}
-        self._cells = None
+        _set = object.__setattr__
+        _set(self, "plus", tuple(plus))
+        _set(self, "minus", tuple(minus))
+        _set(self, "plus_labels", tuple(plus_labels) if plus_labels else None)
+        _set(self, "minus_labels", tuple(minus_labels) if minus_labels else None)
 
     def __reduce__(self):
         # the caches hold read-only views, which cannot be pickled; copies
@@ -138,11 +144,7 @@ class FamilyPair:
         return "FamilyPair(plus=%r, minus=%r)" % (list(self.plus), list(self.minus))
 
     def family(self, name: str) -> tuple:
-        if name == "plus":
-            return self.plus
-        if name == "minus":
-            return self.minus
-        raise ValueError(_NOT_A_FAMILY % (name,))
+        return self.plus if _is_plus(name) else self.minus
 
     def to_json(self) -> dict:
         out = {
@@ -155,82 +157,74 @@ class FamilyPair:
             out["minus_labels"] = list(self.minus_labels)
         return out
 
-    def _rank_table(self) -> tuple:
-        if self._table is None:
-            plus, minus = self.plus, self.minus
-            points, ranked = rank_table([s.points for s in plus + minus])
-            self._table = (points, {"plus": ranked[:len(plus)], "minus": ranked[len(plus):]})
-        return self._table
+    @cached_property
+    def _table(self) -> tuple:
+        points, ranked = rank_table([s.points for s in self.plus + self.minus])
+        return points, ranked[:len(self.plus)], ranked[len(self.plus):]
 
     @property
     def points(self) -> tuple:
         """The point of each rank, in circle order."""
-        return self._rank_table()[0]
+        return self._table[0]
 
     def ranks(self, family: str) -> tuple:
         """The sorted rank tuple of every element of one family, by index."""
-        try:
-            return self._rank_table()[1][family]
-        except KeyError:
-            raise ValueError(_NOT_A_FAMILY % (family,)) from None
+        return self._table[1 if _is_plus(family) else 2]
 
-    @property
-    def disc(self) -> "EspecialDisc":
-        if self._disc is None:
-            self._disc = especial_disc(self)
-        return self._disc
+    @cached_property
+    def disc(self) -> EspecialDisc:
+        # through the module name, which the benchmark's tracer wraps
+        return especial_disc(self)
 
-    @property
+    @cached_property
     def interior(self) -> MappingProxyType:
-        if self._interior is None:
-            self._interior = MappingProxyType({(i, j): n for i, j, n in self.disc.interior})
-        return self._interior
+        return MappingProxyType({(i, j): n for i, j, n in self.disc.interior})
 
-    @property
+    @cached_property
     def boundary(self) -> MappingProxyType:
-        if self._boundary is None:
-            self._boundary = MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
-        return self._boundary
+        return MappingProxyType({(i, j): s for i, j, s in self.disc.boundary})
+
+    @cached_property
+    def _fibers(self) -> tuple:
+        plus = [[] for _ in self.plus]
+        minus = [[] for _ in self.minus]
+        for z in sorted([z[:2] for z in self.disc.interior + self.disc.boundary]):
+            plus[z[0]].append(z)
+            minus[z[1]].append(z)
+        return tuple(map(tuple, plus)), tuple(map(tuple, minus))
 
     def fiber(self, family: str, element: int) -> tuple:
         """The Z-points with the given component, in (i, j) order; every
         fiber is built in one pass over the disc on first use."""
-        if self._fibers is None:
-            plus = [[] for _ in self.plus]
-            minus = [[] for _ in self.minus]
-            for z in sorted([z[:2] for z in self.disc.interior + self.disc.boundary]):
-                plus[z[0]].append(z)
-                minus[z[1]].append(z)
-            self._fibers = {"plus": tuple(map(tuple, plus)), "minus": tuple(map(tuple, minus))}
-        try:
-            fibers = self._fibers[family]
-        except KeyError:
-            raise ValueError(_NOT_A_FAMILY % (family,)) from None
+        k = 0 if _is_plus(family) else 1  # a bad name fails before the disc is built
+        fibers = self._fibers[k]
         _check_index(len(fibers), element, family)
         return fibers[element]
 
-    def forest(self, family: str) -> "LaminarForest":
+    def forest(self, family: str) -> LaminarForest:
         """How one family's sets nest (see LaminarForest), built once."""
-        forest = self._forests.get(family)
-        if forest is None:
-            forest = self._forests[family] = _laminar_forest(self, family)
-        return forest
+        return self._plus_forest if _is_plus(family) else self._minus_forest
 
     def lines(self, family: str) -> tuple:
         """Each element's hull edge lines in one family (hullgeom._edge_lines)."""
-        if family not in self._lines:
-            from .hullgeom import _edge_lines
-            self._lines[family] = tuple([_edge_lines(s, self.points) for s in self.ranks(family)])
-        return self._lines[family]
+        return self._plus_lines if _is_plus(family) else self._minus_lines
+
+    # each family's forest and lines are built on their first use
+    _plus_forest = cached_property(lambda self: _laminar_forest(self, "plus"))
+    _minus_forest = cached_property(lambda self: _laminar_forest(self, "minus"))
+    _plus_lines = cached_property(lambda self: _family_lines(self, "plus"))
+    _minus_lines = cached_property(lambda self: _family_lines(self, "minus"))
 
     def cells(self) -> MappingProxyType:
         """The linked cell of every interior Z-point, in (i, j) order (see
         linked_cells)."""
-        if self._cells is None:
-            # imported here so that validate, classify and disc never load hullgeom
-            from .hullgeom import linked_cells
-            self._cells = MappingProxyType(linked_cells(self))
         return self._cells
+
+    @cached_property
+    def _cells(self) -> MappingProxyType:
+        # imported here so that validate, classify and disc never load hullgeom
+        from .hullgeom import linked_cells
+        return MappingProxyType(linked_cells(self))
 
     @classmethod
     def from_json(cls, data) -> "FamilyPair":
@@ -284,7 +278,7 @@ def _within_family_violations(fp: FamilyPair, name: str) -> list:
     return out
 
 
-def _cross_violations(plus: Sequence[CircleSet], minus: Sequence[CircleSet]) -> list:
+def _cross_violations(plus: list, minus: list) -> list:
     # the points each cross pair shares, found from the plus sets holding each
     # point rather than pair by pair; witnesses keep the minus set's order.
     # Points are keyed by (num, den), which hashes faster than a point
@@ -354,7 +348,7 @@ class DisjointLinked(Frozen):
     __slots__ = ("n",)
 
 
-PairClass = Union[IntersectingAt, DisjointUnlinked, DisjointLinked]
+PairClass = IntersectingAt | DisjointUnlinked | DisjointLinked
 
 
 def _check_index(n: int, idx: int, what: str) -> None:
@@ -424,10 +418,13 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
     INF and the owner and straddlers of each rank of a, read from the minus
     family's laminar forest, in index order.
 
-    The pair keeps the disc, so a pair is classified once however its
-    stages are called; a later call returns the same disc.
+    The disc is the pair's cached property fp.disc, whose first read calls
+    this function; a call on a pair that has none stores it there, so a pair
+    is classified once however its stages are called, and a later call
+    returns the same disc.
     """
-    if fp._disc is None:
+    disc = vars(fp).get("disc")
+    if disc is None:
         points = fp.points
         minus = fp.ranks("minus")
         forest = fp.forest("minus")
@@ -462,11 +459,12 @@ def especial_disc(fp: FamilyPair) -> EspecialDisc:
                     boundary.append((i, j, c))
                 elif c != 1:
                     interior.append((i, j, c))
-        fp._disc = EspecialDisc(len(fp.plus), len(fp.minus), tuple(interior), tuple(boundary))
-    return fp._disc
+        disc = vars(fp)["disc"] = EspecialDisc(len(fp.plus), len(fp.minus), tuple(interior),
+                                               tuple(boundary))
+    return disc
 
 
-def _laminar_forest(fp: FamilyPair, family: str) -> "LaminarForest":
+def _laminar_forest(fp: FamilyPair, family: str) -> LaminarForest:
     """The laminar forest of one family, from one sweep over the finite
     ranks; a set opens at its first rank and closes at its last finite one,
     so the open sets are those straddling the sweep position (with finite
@@ -537,7 +535,7 @@ class LaminarForest(Frozen):
 
     __slots__ = ("owner", "inf_owner", "parent", "inner")
 
-    def tree_parent(self, k: int) -> Optional[int]:
+    def tree_parent(self, k: int) -> int | None:
         """k's parent in the nesting tree: its forest parent, except that
         the set holding INF encloses, and so adopts, every other root."""
         p = self.parent[k]

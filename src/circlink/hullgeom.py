@@ -17,12 +17,12 @@ import re
 from bisect import bisect_left
 from functools import cmp_to_key
 from math import gcd
-from typing import Optional
 
 from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
 from .errors import (
     EmptyLinkedCellError,
+    Immutable,
     InvariantViolation,
     MalformedInputError,
     OutsideDiscError,
@@ -87,8 +87,9 @@ def _over_lcm(ratios) -> tuple:
     return tuple([n * (d // q) for n, q in ratios]) + (d,)
 
 
-class PlanePoint:
-    """Exact point of the plane, stored as its normalised homogeneous triple.
+class PlanePoint(Immutable):
+    """Exact, immutable point of the plane, stored as its normalised
+    homogeneous triple.
 
     The coordinates are anything Fraction accepts; .x and .y rebuild them as
     Fractions on demand. Equality, hashing and key() use the triple, which
@@ -100,8 +101,11 @@ class PlanePoint:
     def __init__(self, x, y):
         import fractions
 
-        self._h = _over_lcm([(f.numerator, f.denominator)
-                             for f in map(fractions.Fraction, (x, y))])
+        _set_point_h(self, _over_lcm([(f.numerator, f.denominator)
+                                      for f in map(fractions.Fraction, (x, y))]))
+
+    def __reduce__(self):
+        return (_point, (self._h,))
 
     @property
     def x(self) -> Fraction:
@@ -157,10 +161,15 @@ def _h_norm(X: int, Y: int, D: int) -> tuple:
     return (X, Y, D)
 
 
+# the slots' own setters, which Immutable's __setattr__ would refuse; render
+# makes about 15 000 points and cells on grid(120)
+_set_point_h = PlanePoint._h.__set__
+
+
 def _point(h: tuple) -> PlanePoint:
     # the point of a triple already normalised by _h_norm
     p = object.__new__(PlanePoint)
-    p._h = h
+    _set_point_h(p, h)
     return p
 
 
@@ -254,8 +263,8 @@ def param_to_point(u) -> PlanePoint:
     return _point(_h_from_param(circle_point(u)))
 
 
-class ConvexCell:
-    """Convex cell of dimension 0, 1, or 2 with canonical vertex order.
+class ConvexCell(Immutable):
+    """Immutable convex cell of dimension 0, 1, or 2 with canonical vertex order.
 
     dim 2 vertices run counterclockwise starting at the lexicographically
     smallest; dim 1 stores the lex-smaller endpoint first. The cell keeps
@@ -285,8 +294,11 @@ class ConvexCell:
         for h in hs:
             if not _h_in_disc(h):
                 raise OutsideDiscError(_point(h))
-        self.dim = dim
-        self._h = hs
+        _set_cell_dim(self, dim)
+        _set_cell_h(self, hs)
+
+    def __reduce__(self):
+        return (_cell, (self.dim, self._h))
 
     @property
     def vertices(self) -> tuple:
@@ -311,6 +323,11 @@ class ConvexCell:
         return {"dim": self.dim, "vertices": [v.to_json() for v in self.vertices]}
 
 
+# as for PlanePoint
+_set_cell_dim = ConvexCell.dim.__set__
+_set_cell_h = ConvexCell._h.__set__
+
+
 def _cell(dim: int, hs: tuple) -> ConvexCell:
     # a cell straight from normalised vertex triples, checked as __init__ checks
     cell = object.__new__(ConvexCell)
@@ -330,7 +347,7 @@ def _cell_contains_h(cell: ConvexCell, h: tuple) -> bool:
     return True
 
 
-def _cell_from_h(hpts) -> Optional[ConvexCell]:
+def _cell_from_h(hpts) -> ConvexCell | None:
     """Canonical cell from a finite batch of normalised homogeneous points."""
     uniq = list(dict.fromkeys(hpts))
     if not uniq:
@@ -407,7 +424,7 @@ def _seg_seg(a: tuple, b: tuple, c: tuple, d: tuple) -> list:
     return pts
 
 
-def _clip(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
+def _clip(P: ConvexCell, Q: ConvexCell) -> ConvexCell | None:
     """P clipped edge by edge to the polygon Q (Sutherland-Hodgman).
 
     P is a vertex ring; a segment is a ring of two. Each edge of Q keeps the
@@ -433,7 +450,7 @@ def _clip(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
     return _cell_from_h(ring)
 
 
-def cell_intersection(P: ConvexCell, Q: ConvexCell) -> Optional[ConvexCell]:
+def cell_intersection(P: ConvexCell, Q: ConvexCell) -> ConvexCell | None:
     """Exact intersection of two convex cells; None means empty."""
     if P.dim > Q.dim:
         P, Q = Q, P
@@ -483,7 +500,7 @@ def _param_position(points: tuple, y: int, x: int) -> int:
     return 2 * lo
 
 
-def _find(fp: FamilyPair, family: str, h: tuple, pos: int) -> Optional[int]:
+def _find(fp: FamilyPair, family: str, h: tuple, pos: int) -> int | None:
     """The set of one family whose hull holds h, strictly inside the disc,
     when the chord parameter of h falls at position pos.
 
@@ -548,7 +565,7 @@ def _in_cap(lines: tuple, e: int, h: tuple) -> bool:
     return d < 0 if e == 0 else d > 0
 
 
-def _hull_cap(sets, lines, k: int, h: tuple, pos: int) -> Optional[int]:
+def _hull_cap(sets, lines, k: int, h: tuple, pos: int) -> int | None:
     """The cap of hull k holding h, None when h is in the hull; h and pos
     are as for in_hull, and the set has at least two points.
 

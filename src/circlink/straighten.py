@@ -10,7 +10,6 @@ missing singular point whenever a fiber straddles several sectors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Union
 
 from .circle import rank_separates
 from .errors import Frozen, GroupOrderNotTotalError, InvariantViolation
@@ -61,7 +60,7 @@ class NotInDomain(Frozen):
     __slots__ = ()
 
 
-StraightenResult = Union[MappedTo, OnBoundary, NotInDomain]
+StraightenResult = MappedTo | OnBoundary | NotInDomain
 
 
 def result_to_json(r: StraightenResult) -> dict:

@@ -9,11 +9,10 @@ of the whole pipeline can be checked with no tolerance.
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
 
 from .circle import CirclePoint, CircleSet
 from .circle import point as circle_point
-from .errors import Frozen, InvariantViolation, MalformedInputError, OutsideDiscError
+from .errors import Frozen, Immutable, InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, validate
 from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _parse_frac, _point
 from .straighten import _collapse_test
@@ -21,8 +20,9 @@ from .straighten import _collapse_test
 __all__ = ["CircleMap", "EquivarianceReport", "check_equivariance"]
 
 
-class CircleMap:
-    """Projective circle symmetry with a canonical primitive integer matrix.
+class CircleMap(Immutable):
+    """Immutable projective circle symmetry with a canonical primitive
+    integer matrix.
 
     The entries are ints, or anything Fraction accepts; the matrix is
     scaled to primitive integers with a positive first nonzero entry.
@@ -48,9 +48,14 @@ class CircleMap:
                 if v < 0:
                     ints = [-w for w in ints]
                 break
-        self.a, self.b, self.c, self.d = ints
-        if self.a * self.d - self.b * self.c <= 0:
+        a, b, c, d = ints
+        if a * d - b * c <= 0:
             raise ValueError("matrix must have positive determinant")
+        for name, v in zip(self.__slots__, ints):
+            object.__setattr__(self, name, v)
+
+    def __reduce__(self):
+        return (CircleMap, (self.a, self.b, self.c, self.d))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleMap):
@@ -131,7 +136,7 @@ class EquivarianceReport(Frozen):
         }
 
 
-def _match_permutation(sets, images, family: str, failures: list) -> Optional[tuple]:
+def _match_permutation(sets, images, family: str, failures: list) -> tuple | None:
     where = {}
     for k, t in enumerate(sets):
         where.setdefault(t, k)

@@ -171,7 +171,7 @@ parallel = validate([CircleSet([-3, -1])], [CircleSet([0, 2])])
 triangle = validate([CircleSet([-3, -1, 0])], [CircleSet(["1/2", 7])])
 for fp, n in ((twice, 0), (twice, 1), (twice, 3), (twice, 4), (thrice, 2),
               (unlinked, 1), (unlinked, 2), (parallel, 2), (triangle, 2), (triangle, 3)):
-    fp._disc = EspecialDisc(1, 1, ((0, 0, n),), ())
+    vars(fp)["disc"] = EspecialDisc(1, 1, ((0, 0, n),), ())
     try:
         linked_cells(fp)
     except EmptyLinkedCellError as exc:

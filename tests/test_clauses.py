@@ -99,7 +99,7 @@ def test_surjective_fires_alone(monkeypatch):
 def test_empty_linked_cell_raises_alone():
     # a disc claiming three rounds for a pair that alternates twice
     fp = validate([CircleSet([0, 3])], [CircleSet([2, 5])])
-    fp._disc = EspecialDisc(1, 1, ((0, 0, 3),), ())
+    vars(fp)["disc"] = EspecialDisc(1, 1, ((0, 0, 3),), ())
     with pytest.raises(EmptyLinkedCellError) as info:
         quotient_check(fp)
     assert info.value.z == (0, 0)
@@ -136,14 +136,14 @@ def test_interior_permutation_fires_alone(monkeypatch):
     # the pair's interior map gives the orbit {(0, 0), (1, 1)} two linking
     # numbers, the only way its prong counts can differ
     fp = symmetric_pair()
-    monkeypatch.setattr(fp, "_interior", MappingProxyType({(0, 0): 2, (1, 1): 3}))
+    monkeypatch.setitem(vars(fp), "interior", MappingProxyType({(0, 0): 2, (1, 1): 3}))
     report = check_equivariance(fp, NEG_RECIPROCAL)
     assert clauses(report) == {("DiscMismatch", "interior-permutation")}
 
 
 def test_boundary_permutation_fires_alone(monkeypatch):
     fp = symmetric_pair()
-    monkeypatch.setattr(fp, "_boundary",
+    monkeypatch.setitem(vars(fp), "boundary",
                         MappingProxyType({(2, 2): point(6), (3, 3): point("-1/5")}))
     report = check_equivariance(fp, NEG_RECIPROCAL)
     assert clauses(report) == {("DiscMismatch", "boundary-permutation")}
@@ -184,7 +184,7 @@ def test_target_outside_the_disc_is_reported_not_raised():
     g = CircleMap(0, 1, -1, 0)
     assert check_equivariance(fp, g).ok
     fp = validate(fp.plus, fp.minus)
-    fp._disc = EspecialDisc(2, 2, ((0, 0, 2),), ())
+    vars(fp)["disc"] = EspecialDisc(2, 2, ((0, 0, 2),), ())
     report = check_equivariance(fp, g)
     assert report.plus_permutation == report.minus_permutation == (1, 0)
     assert {"kind": "DiscMismatch", "clause": "interior-permutation"} in report.failures

@@ -3,6 +3,7 @@ replaces."""
 
 import copy
 import pickle
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from circlink import (
     CircleMap,
     CircleSet,
+    RenderOptions,
     cell_intersection,
     check_equivariance,
     especial_disc,
@@ -179,13 +181,56 @@ def test_index_is_built_once_per_pair(monkeypatch):
     assert cell_builds == [fp]
 
 
+def test_pair_fields_and_caches_refuse_assignment():
+    fp = gen_grid(3)
+    quotient_check(fp)
+    layout(fp)
+    fp.interior, fp.forest("plus"), fp.lines("minus")
+    built = dict(vars(fp))
+    assert {"disc", "interior", "_cells", "_plus_forest", "_minus_lines"} <= set(built)
+    for name in ("plus", "minus", "plus_labels", "minus_labels", "points", "extra") + tuple(built):
+        with pytest.raises(AttributeError):
+            setattr(fp, name, None)
+        with pytest.raises(AttributeError):
+            delattr(fp, name)
+    assert vars(fp) == built
+
+
+def test_built_pair_keeps_its_families():
+    # the caches hold three plus chords; a pair that took a family of one
+    # would read them against it
+    fp = gen_grid(3)
+    sd = layout(fp)
+    assert quotient_check(fp).ok
+    with pytest.raises(AttributeError):
+        fp.plus = fp.plus[:1]
+    with pytest.raises(AttributeError):
+        del fp.minus
+    assert len(fp.plus) == len(fp.minus) == 3
+    assert layout(fp) == sd and quotient_check(fp).ok
+
+
+def test_built_pair_keeps_its_labels():
+    # validate refuses a label outside XML 1.0, which the picture could not hold
+    fp = gen_grid(3)
+    opts = RenderOptions(labels=True)
+    svg = render_input_svg(fp, opts)
+    with pytest.raises(AttributeError):
+        fp.plus_labels = ["a\x01b", "c", "d"]
+    with pytest.raises(AttributeError):
+        fp.minus_labels = ["a\x01b", "c", "d"]
+    assert fp.plus_labels is None and fp.minus_labels is None
+    assert render_input_svg(fp, opts) == svg
+    ET.fromstring(svg)
+
+
 def test_pair_with_built_index_still_copies_and_pickles():
     fp = touching_pair()
     quotient_check(fp)
     layout(fp)
     for other in (pickle.loads(pickle.dumps(fp)), copy.deepcopy(fp), copy.copy(fp)):
         # the copy builds its own caches
-        assert other._disc is None and other._cells is None
+        assert "disc" not in vars(other) and "_cells" not in vars(other)
         assert other == fp
         assert other.plus_labels == fp.plus_labels
         assert other.disc == fp.disc

@@ -21,8 +21,9 @@ from circlink import nested_pair
 # tempfile; fractions, which loads decimal, is imported only to read a wire
 # rational of Fraction's wider grammar (a decimal, say), where a caller hands
 # the library a Fraction or other non-integer, or where one is read back
-# (CirclePoint.frac, PlanePoint.x and .y).
-HEAVY = ("dataclasses", "inspect", "html", "tempfile", "fractions", "decimal")
+# (CirclePoint.frac, PlanePoint.x and .y). typing is not needed either: the
+# annotations are strings, written with | and collections.abc.
+HEAVY = ("dataclasses", "inspect", "html", "tempfile", "fractions", "decimal", "typing")
 
 
 def _fresh(code, *args):

@@ -31,7 +31,20 @@ from circlink import (
     point,
     quotient_check,
 )
+from circlink.circle import INF, CircleSet
+from circlink.errors import (
+    CirclinkError,
+    EmptyLinkedCellError,
+    FamilyValidationError,
+    GroupOrderNotTotalError,
+    InvariantViolation,
+    MalformedInputError,
+    NotDisjointError,
+    NotInteriorError,
+    OutsideDiscError,
+)
 from circlink.family import LaminarForest, NestingEntry, Violation
+from circlink.hullgeom import ConvexCell, PlanePoint
 
 # (class, positional arguments, different positional arguments)
 CASES = [
@@ -189,3 +202,94 @@ def test_layout_is_a_value():
     with pytest.raises(TypeError):
         hash(sd)
     assert sd == layout(fp)
+
+
+# ── hand-written values and errors ───────────────────────────────────────
+
+# (value, its fields): each rebuilds through its constructor, or through
+# hullgeom._point and _cell, when pickled or copied
+HAND_WRITTEN = [
+    (point("-5/2"), ("num", "den")),
+    (INF, ("num", "den")),
+    (CircleSet(["1/2", 0, "inf"]), ("points",)),
+    (CircleMap(1, "1/2", 0, 1), ("a", "b", "c", "d")),
+    (PlanePoint("1/2", "-1/3"), ("_h", "x", "y")),
+    (ConvexCell(1, [PlanePoint(0, 0), PlanePoint("1/2", 0)]), ("dim", "_h", "vertices")),
+    (ConvexCell(2, [PlanePoint(0, 0), PlanePoint("1/2", 0), PlanePoint(0, "1/3")]),
+     ("dim", "_h")),
+]
+
+
+@pytest.mark.parametrize("value,fields", HAND_WRITTEN,
+                         ids=[type(v).__name__ for v, _ in HAND_WRITTEN])
+def test_hand_written_values_are_read_only_and_round_trip(value, fields):
+    before, digest = repr(value), hash(value)
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before and hash(value) == digest
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value and hash(clone) == digest
+        assert repr(clone) == before
+
+
+def test_a_point_keeps_its_hash():
+    # a point that took a new num would sit in the wrong hash bucket
+    p = point(1)
+    table = {p: "one"}
+    with pytest.raises(AttributeError):
+        p.num = 7
+    assert table[point(1)] == "one" and p == 1
+
+
+def _error_classes(cls=CirclinkError):
+    out = [cls]
+    for sub in cls.__subclasses__():
+        out += _error_classes(sub)
+    return out
+
+
+# one or more errors of every CirclinkError class, each made when its test
+# runs; z of any shape makes a message
+ERRORS = [
+    lambda: CirclinkError("plain"),
+    lambda: NotDisjointError((point(1), point("1/2"))),
+    lambda: OutsideDiscError(PlanePoint(2, "1/3")),
+    lambda: NotInteriorError((0, 1)),
+    lambda: NotInteriorError((0, 0, 0)),
+    lambda: EmptyLinkedCellError((2, 3)),
+    lambda: EmptyLinkedCellError((0,)),
+    lambda: GroupOrderNotTotalError(((0, 1), (2, 3))),
+    lambda: FamilyValidationError([
+        Violation("WithinFamilyOverlap", "plus", 0, 1, (point(2),)),
+        Violation("CrossIntersectionTooBig", "cross", 1, 0)]),
+    lambda: InvariantViolation("hull-overlap", ("plus", 0, 1)),
+    lambda: InvariantViolation("layout-collision", (0, 0), (0, 1)),
+    lambda: InvariantViolation("x", (), (0, 0, 0)),
+    lambda: MalformedInputError("bad", "$.plus[0]"),
+    lambda: MalformedInputError("bad"),
+]
+
+
+def test_every_error_class_has_a_case():
+    assert {type(make()) for make in ERRORS} == set(_error_classes())
+
+
+def test_messages_of_int_pairs_keep_their_bytes():
+    assert str(EmptyLinkedCellError((2, 3))) == "linked pair (2, 3) has an empty cell"
+    assert str(InvariantViolation("layout-collision", (0, 0), (0, 1))) == (
+        "invariant 'layout-collision' fails at (0, 1): (0, 0)")
+    assert str(NotInteriorError((0, 1))) == "(0, 1) is not an interior Z-point"
+
+
+@pytest.mark.parametrize("make", ERRORS, ids=range(len(ERRORS)))
+def test_errors_round_trip_with_their_fields(make):
+    error = make()
+    # notes, which add_note keeps from 3.11 on, come back with the fields
+    error.__notes__ = ["seen in a test"]
+    for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(clone) is type(error)
+        assert vars(clone) == vars(error)
+        assert str(clone) == str(error) and clone.args == error.args
