@@ -184,7 +184,7 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import _write_input, _write_straightened
+    from .render import _Canvas, _input_lines, _straightened_lines, _write
     from .straighten import layout
 
     try:
@@ -195,10 +195,14 @@ def cmd_render(args) -> int:
     fp = _load_pair(args.file)
     input_path = args.out + "-input.svg"
     straight_path = args.out + "-straightened.svg"
-    # each picture streams into its file element by element
     sd = layout(fp)
-    _atomic_write(input_path, lambda write: _write_input(fp, opts, write))
-    _atomic_write(straight_path, lambda write: _write_straightened(sd, opts, write))
+    # every Z-point is formatted once, for both pictures: a point cell's
+    # vertex is its Z-point's place in the layout. Each picture streams into
+    # its file in chunks of lines
+    canvas = _Canvas(opts)
+    at = canvas.table(sd.layout)
+    _atomic_write(input_path, lambda write: _write(_input_lines(fp, canvas, at), write))
+    _atomic_write(straight_path, lambda write: _write(_straightened_lines(sd, canvas, at), write))
     _emit({"written": [input_path, straight_path]})
     return 0
 

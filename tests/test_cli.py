@@ -591,6 +591,21 @@ def test_render_options_reject_sizes_without_a_disc(kwargs, location):
     assert 'r="0.5"' in render_input_svg(gen_tripod(), smallest)
 
 
+@pytest.mark.parametrize("kwargs,location", [
+    # accepted before: the viewBox said 720 while the picture was centred
+    # on x = 360.25
+    ({"width": 720.5}, "width"),
+    # a bare TypeError from the size comparison before
+    ({"width": "800"}, "width"),
+    # drew the labels before
+    ({"labels": "no"}, "labels"),
+])
+def test_render_options_reject_wrong_types(kwargs, location):
+    with pytest.raises(MalformedInputError) as info:
+        RenderOptions(**kwargs)
+    assert info.value.location == location
+
+
 # ── process-level smoke ──────────────────────────────────────────────────
 
 def test_module_entry_point():

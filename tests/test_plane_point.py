@@ -101,7 +101,7 @@ def test_int_division_is_the_fraction_float(num, den, shift):
     for X, D in ((num, den), (num, den << shift), (num % den, den)):
         assert _float_or_overflow(lambda: X / D) == _float_or_overflow(
             lambda: float(Fraction(X, D)))
-    canvas = _Canvas(RenderOptions(), [].append)
+    canvas = _Canvas(RenderOptions())
     p = PlanePoint(F(num % den, den), F(-num % den, den << shift))
     x, y = p.x, p.y
     assert canvas.xy(p.key()) == (_fmt(canvas.cx + canvas.radius * float(x)),

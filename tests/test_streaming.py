@@ -1,12 +1,15 @@
 """The render command streams each picture into its file.
 
-cmd_render hands the write of a temporary file to the private picture
-writers, which emit one line per SVG element, and renames the file when the
-picture is complete. These tests check that the files are the bytes of the
-public render_*_svg strings, that a failure part-way through a picture
-leaves neither a partial target nor a temporary file behind, and that the
-writer holds less memory than the picture it writes. The cleanup is no
-assert in the library, so the module also runs under python -O.
+cmd_render formats every Z-point once into a pixel table, which both
+pictures draw from, and hands each picture's lines to the write of a
+temporary file in chunks of at most _CHUNK lines, one SVG element to a line;
+it renames the file when the picture is complete. These tests check that
+the files are the bytes of the public render_*_svg strings, that every
+write holds whole lines and at most _CHUNK of them, that each position is
+formatted once, that a failure part-way through a picture leaves neither a
+partial target nor a temporary file behind, and that the writers hold less
+memory than the pictures they write. The cleanup is no assert in the
+library, so the module also runs under python -O.
 """
 
 import hashlib
@@ -34,7 +37,8 @@ from circlink import (
 from circlink import render
 from circlink.cli import main
 from circlink.generators import random_circle_map
-from circlink.render import _write_input, _write_straightened
+from circlink.hullgeom import hull
+from circlink.render import _CHUNK, _Canvas, _input_lines, _straightened_lines, _write
 
 FIXTURES = {
     "tripod": gen_tripod,
@@ -131,55 +135,90 @@ def test_labelled_render_bytes(tmp_path, capsys, name, size):
     assert digests == PINNED[(name, size)]
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_writers_hand_over_one_line_per_element(name):
-    fp = FIXTURES[name]()
+# a grid image of 1 089 point cells, so a chunk boundary falls among the
+# cell dots, and the anchored pair, whose segment cell sits among point cells
+CHUNKED = dict(FIXTURES, **{
+    "grid-33-image": lambda: random_circle_map(0).apply_pair(gen_grid(33)),
+    "anchored": PINNED_PAIRS["anchored"]})
+
+
+def cli_writes(fp, opts):
+    """The writes cmd_render hands each picture's file, from one pixel table."""
     sd = layout(fp)
-    opts = RenderOptions(labels=True)
-    for writer, subject, whole in ((_write_input, fp, render_input_svg(fp, opts)),
-                                   (_write_straightened, sd, render_straightened_svg(sd, opts))):
-        lines = []
-        writer(subject, opts, lines.append)
-        assert "".join(lines) == whole
-        assert lines[0].startswith("<svg ") and lines[-1] == "</svg>\n"
-        for line in lines:
-            assert line.startswith("<") and line.endswith(">\n")
-            assert line.count("\n") == 1
+    canvas = _Canvas(opts)
+    at = canvas.table(sd.layout)
+    pictures = []
+    for lines, whole in ((_input_lines(fp, canvas, at), render_input_svg(fp, opts)),
+                         (_straightened_lines(sd, canvas, at), render_straightened_svg(sd, opts))):
+        writes = []
+        _write(lines, writes.append)
+        pictures.append((writes, whole))
+    return pictures
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_writes_hold_whole_lines_in_chunks(name, monkeypatch):
+    fp = CHUNKED[name]()
+    # at 7 lines a write, leaf groups and runs of dots split across writes
+    for chunk_lines in (_CHUNK, 7):
+        monkeypatch.setattr(render, "_CHUNK", chunk_lines)
+        for writes, whole in cli_writes(fp, RenderOptions(labels=True)):
+            assert "".join(writes) == whole
+            assert writes[0].startswith("<svg ") and writes[-1].endswith("</svg>\n")
+            for chunk in writes:
+                assert chunk.startswith("<") and chunk.endswith(">\n")
+                assert chunk.count("\n") <= chunk_lines
+            # every write but the last is full
+            assert len(writes) == -(-whole.count("\n") // chunk_lines)
+
+
+def test_each_position_is_formatted_once(tmp_path, capsys, monkeypatch):
+    fp = random_circle_map(0).apply_pair(gen_grid(12))
+    sd = layout(fp)
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return "%.12g" % v
+
+    monkeypatch.setattr(render, "_fmt", counting)
+    code, _, _ = render_files(tmp_path, capsys, write_fixture(tmp_path, fp))
+    assert code == 0
+    assert all(cell.dim == 0 for cell in fp.cells().values())
+    # the boundary circle's centre and radius, every layout and virtual
+    # position once, and each hull vertex; a point cell is drawn at its
+    # Z-point's position
+    hull_vertices = sum(len(hull(s)._h) for s in fp.plus + fp.minus)
+    assert len(calls) == 3 + 2 * (len(sd.layout) + len(sd.virtual_positions) + hull_vertices)
 
 
 # ── atomicity after a failure part-way through a picture ─────────────────
 
 @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "overwrite"])
 def test_failure_mid_picture_leaves_no_partial_file(tmp_path, capsys, monkeypatch, existing):
-    fp = random_circle_map(0).apply_pair(gen_grid(12))
+    fp = random_circle_map(0).apply_pair(gen_grid(24))
     pair_path = write_fixture(tmp_path, fp)
     straight = tmp_path / "pic-straightened.svg"
     if existing:
         straight.write_bytes(b"<svg>old picture</svg>\n")
 
-    # the straightened picture formats its pixel table before its first
-    # leaf line, so fail it at the write of a line near its end, well after
-    # its first lines have reached the file
-    lines = []
-    _write_straightened(layout(fp), RenderOptions(), lines.append)
-    fail_at = len(lines) * 9 // 10
+    # fail the straightened picture at a line near its end, after its first
+    # chunk has reached the file
+    count = render_straightened_svg(layout(fp)).count("\n")
+    fail_at = count * 9 // 10
+    assert fail_at > _CHUNK
     error = NotInteriorError((7, 7))
     seen = {}
-    real = render._write_straightened
+    real = render._straightened_lines
 
-    def failing_writer(sd, opts, write):
-        written = []
-
-        def failing(line):
-            written.append(line)
-            if len(written) == fail_at:
+    def failing_lines(sd, canvas, at):
+        for k, line in enumerate(real(sd, canvas, at), 1):
+            if k == fail_at:
                 seen["temporary"] = [os.path.getsize(tmp_path / n) for n in leftovers(tmp_path)]
                 raise error
-            return write(line)
+            yield line
 
-        real(sd, opts, failing)
-
-    monkeypatch.setattr(render, "_write_straightened", failing_writer)
+    monkeypatch.setattr(render, "_straightened_lines", failing_lines)
     code, out, prefix = render_files(tmp_path, capsys, pair_path)
 
     assert code == 1
@@ -199,38 +238,73 @@ def test_failure_mid_picture_leaves_no_partial_file(tmp_path, capsys, monkeypatc
 def test_failure_in_the_first_picture_writes_neither(tmp_path, capsys, monkeypatch):
     fp = FIXTURES["grid-image"]()
     pair_path = write_fixture(tmp_path, fp)
-    calls = []
+    seen = {}
+    real = render._write
 
-    def failing(v):
-        calls.append(v)
-        if len(calls) == 5:
+    def failing_write(lines, write):
+        # the input picture is written first: its first chunk reaches the
+        # temporary file, then its write fails
+        def failing(chunk):
+            write(chunk)
+            seen["temporary"] = leftovers(tmp_path)
             raise NotInteriorError((0, 0))
-        return "%.12g" % v
 
-    monkeypatch.setattr(render, "_fmt", failing)
+        real(lines, failing)
+
+    monkeypatch.setattr(render, "_write", failing_write)
     code, out, _ = render_files(tmp_path, capsys, pair_path)
     assert code == 1
     assert out["error"] == "NotInteriorError"
+    assert len(seen["temporary"]) == 1
     assert sorted(os.listdir(tmp_path)) == ["pair.json"]
 
 
 # ── memory ───────────────────────────────────────────────────────────────
 
-def test_straightened_writer_holds_less_than_the_picture():
+@pytest.fixture(scope="module")
+def grid_120():
     # n = 120: on smaller grids the per-Z-point pixel table dominates the peak
     # whichever way the picture is emitted
-    sd = layout(random_circle_map(0).apply_pair(gen_grid(120)))
+    fp = random_circle_map(0).apply_pair(gen_grid(120))
+    return fp, layout(fp)
+
+
+def traced_write(lines_of):
+    """The bytes written and the peak memory traced while lines_of() builds
+    a picture's lines and they are written."""
     size = 0
 
-    def count(line):
+    def count(chunk):
         nonlocal size
-        size += len(line.encode("utf-8"))
+        size += len(chunk.encode("utf-8"))
 
     tracemalloc.start()
     try:
-        _write_straightened(sd, RenderOptions(), count)
+        _write(lines_of(), count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return size, peak
+
+
+def test_straightened_writer_holds_less_than_the_picture(grid_120):
+    _, sd = grid_120
+
+    def lines():
+        # the pixel table, which the CLI builds for both pictures, counts here
+        canvas = _Canvas(RenderOptions())
+        return _straightened_lines(sd, canvas, canvas.table(sd.layout))
+
+    size, peak = traced_write(lines)
     assert size > 4_000_000
     assert peak < 1.5 * size, (peak, size)
+
+
+def test_input_writer_holds_less_than_the_picture(grid_120):
+    fp, sd = grid_120
+    canvas = _Canvas(RenderOptions())
+    at = canvas.table(sd.layout)
+    size, peak = traced_write(lambda: _input_lines(fp, canvas, at))
+    assert size > 1_000_000
+    # a chunk of lines, joined and handed over: well under the picture
+    assert peak < size / 2, (peak, size)
