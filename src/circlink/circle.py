@@ -5,7 +5,8 @@ rationals, with a single point INF sitting between the largest and the
 smallest finite parameter. The positive direction runs through increasing
 finite parameters, through INF, and wraps around. All predicates are exact;
 floats appear only as the sort key of rank_table, whose ties are ordered
-exactly.
+exactly. Every number on the wire, a circle parameter or a wire rational,
+is read by one ASCII pattern into an integer pair, with no Fraction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ __all__ = [
 ]
 
 
-_PARAM_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# The one spelling of a number on the wire, after str.strip(): an optional
+# sign and ASCII digits forming an integer, p/q or a decimal (".5" and "1."
+# too). Fraction reads each alike on every Python version; a circle
+# parameter is never a decimal.
+_NUMBER_RE = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
 
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
@@ -89,17 +94,11 @@ class CirclePoint(Immutable):
         s = text.strip()
         if s.lower() == "inf":
             return INF
-        if not _PARAM_RE.match(s):
-            raise MalformedInputError("not a circle parameter: %r" % text)
-        a, _, b = s.partition("/")
-        try:
-            num, den = int(a), int(b or "1")
-        except ValueError:
-            # the pattern matched, so int() refused the digit count
-            raise MalformedInputError("circle parameter too long (%d characters)" % len(s)) from None
-        if den == 0:
-            raise MalformedInputError("zero denominator in %r" % text)
-        return cls(num, den)
+        ratio = _read_number(s, decimal=False)
+        if ratio is None:
+            # the spelling is cut to 40 characters, so the message stays short
+            raise MalformedInputError("not a circle parameter: %.40r" % text)
+        return cls(*ratio)
 
     def __str__(self) -> str:
         if self.den == 0:
@@ -152,6 +151,40 @@ _set_num = CirclePoint.num.__set__
 _set_den = CirclePoint.den.__set__
 
 INF = CirclePoint(1, 0)
+
+
+def _read_number(s: str, decimal: bool) -> tuple | None:
+    """The rational a stripped string s spells in _NUMBER_RE's grammar, as
+    (num, den) in lowest terms with den > 0, or None when s is malformed:
+    a decimal unless decimal is set, a zero denominator, or a run of digits
+    longer than int() converts, which Fraction refuses too."""
+    m = _NUMBER_RE.fullmatch(s)
+    if m is None or (m[4] is not None and not decimal):
+        return None
+    sign, whole, over, frac = m.groups()
+    try:
+        num = int(whole or "0")
+        den = int(over) if over else 10 ** len(frac or "")
+        if frac:
+            num = num * den + int(frac)
+    except ValueError:
+        return None
+    if not den:
+        return None
+    g = gcd(num, den)
+    return (-num // g if sign == "-" else num // g, den // g)
+
+
+def _parse_frac(s, where: str) -> tuple:
+    """The wire rational s spells, as (num, den) in lowest terms with den > 0:
+    an integer, p/q or a decimal in ASCII digits (_NUMBER_RE). No exponent,
+    underscore or non-ASCII digit is read, on any Python version."""
+    if not isinstance(s, str):
+        raise MalformedInputError("coordinate must be a rational string", where)
+    ratio = _read_number(s.strip(), decimal=True)
+    if ratio is None:
+        raise MalformedInputError("bad rational %.40r" % s, where)
+    return ratio
 
 
 def point(value) -> CirclePoint:

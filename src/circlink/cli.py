@@ -141,7 +141,7 @@ def _parse_point(text: str):
     try:
         return PlanePoint.from_json([p.strip() for p in parts], "--point")
     except MalformedInputError:
-        raise MalformedInputError("bad rational in point %r" % text, "--point") from None
+        raise MalformedInputError("bad rational in point %.40r" % text, "--point") from None
 
 
 def cmd_validate(args) -> int:
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     # values instead of option strings; the top-level parser hands every
     # argument after the command name to this one unclassified. A digit,
     # or a point and a digit, after the minus starts every wire rational
-    # (-3, -.5, -1_0/17), and no option of this parser
+    # (-3, -.5, -1/17), and no option of this parser
     p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=cmd_straighten)
 

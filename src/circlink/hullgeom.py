@@ -6,19 +6,17 @@ counterclockwise order. All predicates are exact and work on homogeneous
 integer triples (X, Y, D) standing for (X/D, Y/D): a PlanePoint stores its
 triple normalised to D > 0 and gcd(X, Y, D) = 1, and each vertex of a cell
 made from others is the integer meet of two lines. Wire rationals parse
-into integer pairs (_parse_frac), and integers and p/q without Fraction, so
-this module imports fractions only when a string needs Fraction's grammar,
-a PlanePoint is made from coordinates or a caller reads .x or .y.
+into integer pairs (circle._parse_frac), so this module imports fractions
+only when a PlanePoint is made from coordinates or a caller reads .x or .y.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from functools import cmp_to_key
 from math import gcd
 
-from .circle import CirclePoint, CircleSet
+from .circle import CirclePoint, CircleSet, _parse_frac
 from .circle import point as circle_point
 from .errors import (
     EmptyLinkedCellError,
@@ -38,39 +36,6 @@ __all__ = [
     "locate",
     "linked_cells",
 ]
-
-
-# An integer or p/q in ASCII digits, which Fraction reads alike on every
-# Python version
-_RATIO_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_frac(s, where: str) -> tuple:
-    """The rational a wire string spells, as (num, den) in lowest terms with
-    den > 0: whatever Fraction(s) reads, such as an integer, p/q or a decimal.
-
-    An exponent is refused, since Fraction would expand "1e999999999" into
-    a billion-digit integer. An integer or p/q in ASCII digits is read
-    without Fraction, so a command given only those imports no fractions.
-    """
-    if not isinstance(s, str):
-        raise MalformedInputError("coordinate must be a rational string", where)
-    if "e" in s or "E" in s:
-        raise MalformedInputError("exponent in rational %r" % s, where)
-    m = _RATIO_RE.fullmatch(s)
-    try:
-        if m is None:
-            import fractions
-
-            f = fractions.Fraction(s)
-            return (f.numerator, f.denominator)
-        num, den = int(m[1]), int(m[2] or "1")
-    except (ValueError, ZeroDivisionError):
-        den = 0
-    if not den:
-        raise MalformedInputError("bad rational %r" % s, where)
-    g = gcd(num, den)
-    return (num // g, den // g)
 
 
 def _over_lcm(ratios) -> tuple:

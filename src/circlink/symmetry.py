@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .circle import CirclePoint, CircleSet
+from .circle import CirclePoint, CircleSet, _parse_frac
 from .circle import point as circle_point
 from .errors import Frozen, Immutable, InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, validate
-from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _parse_frac, _point
+from .hullgeom import PlanePoint, _h_in_disc, _h_mean, _h_norm, _over_lcm, _point
 from .straighten import _collapse_test
 
 __all__ = ["CircleMap", "EquivarianceReport", "check_equivariance"]

@@ -97,6 +97,14 @@ def test_validate_schema_error_location(tmp_path, capsys):
         assert (err["error"], err["location"]) == ("malformed-input", "$.plus[0]")
 
 
+def test_zero_denominator_parameter_is_malformed(tmp_path, capsys):
+    path = write_pair(tmp_path, "zero.json", {"plus": [["1/0"]], "minus": [["3"]]})
+    code, out = run(capsys, "validate", path)
+    assert code == 2
+    err = json.loads(out)
+    assert (err["error"], err["location"]) == ("malformed-input", "$.plus[0]")
+
+
 @pytest.mark.parametrize("param", ["1" + "0" * 5000, "1/1" + "0" * 5000],
                          ids=["numerator", "denominator"])
 def test_oversized_parameter_is_malformed(tmp_path, capsys, param):
@@ -286,6 +294,15 @@ def test_exponent_rationals_are_malformed(tmp_path, where):
 
 
 # ── equivariance ─────────────────────────────────────────────────────────
+
+def test_map_of_json_numbers_is_malformed(tmp_path, capsys):
+    grid = write_pair(tmp_path, "grid.json", GRID2)
+    numbers = write_pair(tmp_path, "map.json", {"m": [[1, 0], [0, 1]]})
+    code, out = run(capsys, "equivariance", grid, "--map", numbers)
+    assert code == 2
+    err = json.loads(out)
+    assert (err["error"], err["location"]) == ("malformed-input", "$.m[0][0]")
+
 
 def test_equivariance_pass_and_fail(tmp_path, capsys):
     sym = write_pair(tmp_path, "sym.json", {"plus": [["-1", "1"]], "minus": [["0", "inf"]]})

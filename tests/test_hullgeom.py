@@ -38,13 +38,13 @@ from circlink import (
     validate,
 )
 from circlink import straighten, symmetry
+from circlink.circle import _parse_frac
 from circlink.generators import random_circle_map
 from circlink.hullgeom import (
     _cell_contains_h,
     _cell_from_h,
     _h_mean,
     _h_norm,
-    _parse_frac,
     _seg_seg,
 )
 from plane_oracle import fraction_mean, lcm_mean
@@ -393,13 +393,17 @@ wire_strings = st.text(alphabet=WIRE_CHARS, max_size=12) | shaped
 
 
 def fraction_reading(s):
-    """What the wire reads from s by Fraction: (num, den), or the message."""
-    if "e" in s or "E" in s:
-        return "exponent in rational %r" % s
+    """What the wire reads from s: Fraction's (num, den) when s, stripped,
+    spells a number in ASCII signs, digits, slashes and points (an integer,
+    p/q or a decimal, the grammar every Python's Fraction reads alike), and
+    the message for any other spelling."""
+    t = s.strip()
     try:
-        f = Fraction(s)
+        if not set(t) <= set("0123456789+-/."):
+            raise ValueError(t)
+        f = Fraction(t)
     except (ValueError, ZeroDivisionError):
-        return "bad rational %r" % s
+        return "bad rational %.40r" % s
     return (f.numerator, f.denominator)
 
 
@@ -413,7 +417,8 @@ def wire_reading(s, where):
 
 @settings(max_examples=300)
 @given(wire_strings, st.sampled_from(["$[0]", "$.m[1][0]", "--point"]))
-@example("1_000/3_0", "$[1]")
+@example("1_000/3_0", "$[1]")                         # Fraction reads it from 3.11 on
+@example("1 / 4", "$[1]")                             # and this from 3.12 on
 @example("-0/00", "$[1]")                             # a zero denominator
 @example(" -.5_0\u3000", "$[0]")
 @example("\u0663/\u0966", "$[0]")                      # Arabic-Indic 3 over Devanagari 0

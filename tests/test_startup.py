@@ -15,14 +15,14 @@ from childenv import SRC, child_env
 from circlink import nested_pair
 
 
-# Imported by no command given integers and p/q: dataclasses pulls in
-# inspect, ast, dis and tokenize; render escapes text itself instead of
-# importing html, and the file writers open their temporary files without
-# tempfile; fractions, which loads decimal, is imported only to read a wire
-# rational of Fraction's wider grammar (a decimal, say), where a caller hands
-# the library a Fraction or other non-integer, or where one is read back
-# (CirclePoint.frac, PlanePoint.x and .y). typing is not needed either: the
-# annotations are strings, written with | and collections.abc.
+# Imported by no command: dataclasses pulls in inspect, ast, dis and
+# tokenize; render escapes text itself instead of importing html, and the
+# file writers open their temporary files without tempfile; fractions, which
+# loads decimal, is imported only where a caller hands the library a
+# Fraction or other non-integer, or where one is read back (CirclePoint.frac,
+# PlanePoint.x and .y), never to read a number on the wire, decimals
+# included. typing is not needed either: the annotations are strings,
+# written with | and collections.abc.
 HEAVY = ("dataclasses", "inspect", "html", "tempfile", "fractions", "decimal", "typing")
 
 
@@ -54,19 +54,24 @@ def test_read_commands_load_only_their_modules(tmp_path):
     assert heavy == []
 
 
-@pytest.mark.parametrize("command", ["render", "equivariance", "straighten", "straighten-outside",
-                                     "gen", "quotient_check"])
+@pytest.mark.parametrize("command", ["render", "equivariance", "equivariance-decimal", "straighten",
+                                     "straighten-decimal", "straighten-outside", "gen",
+                                     "quotient_check"])
 def test_commands_load_no_heavy_module(tmp_path, command):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(nested_pair(3, 0).to_json()), encoding="utf-8")
     # the identity, spelled with unreduced fractions
     identity = tmp_path / "map.json"
     identity.write_text('{"m": [["1/2", "0"], ["0", "2/4"]]}', encoding="utf-8")
+    decimal = tmp_path / "decimal.json"
+    decimal.write_text('{"m": [["0.5", "0"], ["0", "1/2"]]}', encoding="utf-8")
     # command: (expected exit code, argv)
     argv = {
         "render": (0, ["render", str(pair), "--out", str(tmp_path / "pic")]),
         "equivariance": (0, ["equivariance", str(pair), "--map", str(identity)]),
+        "equivariance-decimal": (0, ["equivariance", str(pair), "--map", str(decimal)]),
         "straighten": (0, ["straighten", str(pair), "--point", "-1/3,1/4"]),
+        "straighten-decimal": (0, ["straighten", str(pair), "--point", "-.5,0.25"]),
         # the error message spells the point without fractions
         "straighten-outside": (1, ["straighten", str(pair), "--point", "2,0"]),
         "gen": (0, ["gen", "--kind", "nested", "--depth", "3"]),

@@ -36,6 +36,7 @@ from circlink.errors import (
     CirclinkError,
     EmptyLinkedCellError,
     FamilyValidationError,
+    Frozen,
     GroupOrderNotTotalError,
     InvariantViolation,
     MalformedInputError,
@@ -293,3 +294,43 @@ def test_errors_round_trip_with_their_fields(make):
         assert type(clone) is type(error)
         assert vars(clone) == vars(error)
         assert str(clone) == str(error) and clone.args == error.args
+
+
+# ── errors that no command raises ────────────────────────────────────────
+
+def _frozen_with_a_stray_default():
+    class Pair(Frozen, c=0):
+        __slots__ = ("a", "b")
+
+
+LIBRARY_ERRORS = [
+    (lambda: ConvexCell(3, [PlanePoint(0, 0)]), ValueError, "dim must be 0, 1, or 2"),
+    (lambda: GenSpec(kind="bogus").build(), ValueError, "unknown kind 'bogus'"),
+    (_frozen_with_a_stray_default, TypeError, "Pair has no field c"),
+    (lambda: point(object()), TypeError, "cannot make a CirclePoint from <object"),
+    (lambda: CircleSet([]), ValueError, "a CircleSet must be nonempty"),
+    (lambda: INF.frac, ValueError, "INF has no finite value"),
+    (lambda: PlanePoint.from_json(["1"]), MalformedInputError, "point must be a [x, y] pair"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_ERRORS, ids=range(len(LIBRARY_ERRORS)))
+def test_library_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
+def test_nesting_report_json():
+    separated = NestingEntry("plus", 1, point(2), point(7), True, 2)
+    unseparated = NestingEntry("minus", 0, point("15/2"), point("3/2"), False, None)
+    assert NestingReport((separated, unseparated)).to_json() == {
+        "entries": [
+            {"family": "plus", "element": 1, "interval": ["2", "7"], "separated": True,
+             "separator": 2},
+            {"family": "minus", "element": 0, "interval": ["15/2", "3/2"], "separated": False,
+             "separator": None},
+        ],
+        "defect_count": 1,
+    }
