@@ -81,6 +81,22 @@ class Frozen(Immutable):
                            ", ".join("%s=%r" % (n, getattr(self, n)) for n in self.__slots__))
 
 
+def _spell(value, limit: int = 60) -> str:
+    """str(value) for a message, cut to limit characters with "...".
+
+    A message spells each point or value through this, so it stays short
+    and is always made: str of an int with more digits than
+    sys.get_int_max_str_digits() raises ValueError, and a value holding one
+    is spelled by its type's name instead. The error's fields keep the value
+    itself.
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        text = "<%s too long to spell>" % type(value).__name__
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 class CirclinkError(Exception):
     """Base class for all library errors.
 
@@ -88,7 +104,8 @@ class CirclinkError(Exception):
     same names, and pickle and copy rebuild the error from them, so a copy
     has the same fields and message; notes and any other attribute come
     back as its state. Errors stay assignable, as add_note needs. A
-    message spells a Z-point with %s, so a z of any shape still makes one.
+    message spells each point, Z-point or count with _spell, so a z of any
+    shape still makes one, and a point too long to spell makes a short one.
     """
 
     def __reduce__(self):
@@ -104,7 +121,7 @@ class NotDisjointError(CirclinkError):
 
     def __init__(self, shared):
         self.shared = tuple(shared)
-        super().__init__("sets share points: %s" % (", ".join(str(p) for p in self.shared)))
+        super().__init__("sets share points: %s" % (", ".join(_spell(p) for p in self.shared)))
 
 
 class OutsideDiscError(CirclinkError):
@@ -113,7 +130,7 @@ class OutsideDiscError(CirclinkError):
     def __init__(self, point):
         self.point = point
         # str(point) spells x and y as str(Fraction) does, importing no fractions
-        super().__init__("point %s is outside the closed unit disc" % (point,))
+        super().__init__("point %s is outside the closed unit disc" % _spell(point))
 
 
 class NotInteriorError(CirclinkError):
@@ -121,7 +138,7 @@ class NotInteriorError(CirclinkError):
 
     def __init__(self, z):
         self.z = z
-        super().__init__("%s is not an interior Z-point" % (z,))
+        super().__init__("%s is not an interior Z-point" % _spell(z))
 
 
 class EmptyLinkedCellError(CirclinkError):
@@ -130,7 +147,7 @@ class EmptyLinkedCellError(CirclinkError):
 
     def __init__(self, z):
         self.z = z
-        super().__init__("linked pair %s has an empty cell" % (z,))
+        super().__init__("linked pair %s has an empty cell" % _spell(z))
 
 
 class GroupOrderNotTotalError(CirclinkError):
@@ -141,7 +158,7 @@ class GroupOrderNotTotalError(CirclinkError):
 
     def __init__(self, witness):
         self.witness = tuple(witness)
-        super().__init__("group members %s admit no separation chain" % (self.witness,))
+        super().__init__("group members %s admit no separation chain" % _spell(self.witness))
 
 
 class FamilyValidationError(CirclinkError):
@@ -167,8 +184,8 @@ class InvariantViolation(CirclinkError):
         self.invariant = invariant
         self.counts = tuple(counts)
         self.z = tuple(z) if z is not None else None
-        where = " at %s" % (self.z,) if self.z is not None else ""
-        super().__init__("invariant '%s' fails%s: %s" % (invariant, where, self.counts))
+        where = " at %s" % _spell(self.z) if self.z is not None else ""
+        super().__init__("invariant '%s' fails%s: %s" % (invariant, where, _spell(self.counts)))
 
 
 class MalformedInputError(CirclinkError):

@@ -36,6 +36,7 @@ from .errors import (
     InvariantViolation,
     MalformedInputError,
     NotInteriorError,
+    _spell,
 )
 
 __all__ = [
@@ -70,7 +71,7 @@ class Violation(Frozen, witness=()):
 
     def describe(self) -> str:
         if self.witness:
-            w = " witness " + ",".join(str(p) for p in self.witness)
+            w = " witness " + ",".join(_spell(p) for p in self.witness)
         else:
             w = ""
         return "%s(%s, %d, %d)%s" % (self.kind, self.family, self.i, self.j, w)
@@ -553,7 +554,13 @@ class LaminarForest(Frozen):
         third set, and that of two siblings only their parent, so no set
         separates neighbours.
         """
-        pa, pb = self.tree_parent(a), self.tree_parent(b)
+        # tree_parent of each, read in place
+        top = self.inf_owner
+        pa, pb = self.parent[a], self.parent[b]
+        if pa is None and a != top:
+            pa = top
+        if pb is None and b != top:
+            pb = top
         if pa == b or pb == a:
             return True
         return pa == pb and (pa is None or not rank_separates(sets[pa], sets[a], sets[b]))

@@ -209,7 +209,12 @@ def _h_line_cross(L: tuple, M: tuple) -> tuple:
     D = L[0] * M[1] - L[1] * M[0]
     if not D:
         raise InvariantViolation("parallel-lines", (L, M))
-    return _h_norm(X, Y, D)
+    g = gcd(X, Y, D)
+    if D < 0:
+        g = -g
+    if g != 1:
+        X, Y, D = X // g, Y // g, D // g
+    return (X, Y, D)
 
 
 def _h_from_param(u: CirclePoint) -> tuple:
@@ -282,7 +287,9 @@ class ConvexCell(Immutable):
             self.dim, "[" + ", ".join(str(v) for v in self.vertices) + "]")
 
     def barycenter(self) -> PlanePoint:
-        return _point(_h_mean(self._h))
+        # a point cell's barycenter is its vertex
+        hs = self._h
+        return _point(hs[0] if len(hs) == 1 else _h_mean(hs))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "vertices": [v.to_json() for v in self.vertices]}
@@ -605,7 +612,14 @@ def _jump_cell(a: tuple, b: tuple, n: int, la: tuple, lb: tuple, z: tuple) -> Co
         lo, hi = a
         if n != 2 or not (lo < b[0] < hi < b[1] or b[0] < lo < b[1] < hi):
             raise EmptyLinkedCellError(z)
-        return _cell(0, (_h_line_cross(la[0], lb[0]),))
+        # the point cell, with _cell's in-disc check
+        h = _h_line_cross(la[0], lb[0])
+        if not _h_in_disc(h):
+            raise OutsideDiscError(_point(h))
+        cell = object.__new__(ConvexCell)
+        _set_cell_dim(cell, 0)
+        _set_cell_h(cell, (h,))
+        return cell
     ca = start = bisect_left(a, b[0]) % m
     pairs = []
     for rounds in range(1, n + 1):

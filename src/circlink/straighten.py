@@ -9,7 +9,7 @@ missing singular point whenever a fiber straddles several sectors.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .circle import rank_separates
 from .errors import Frozen, GroupOrderNotTotalError, InvariantViolation
@@ -146,22 +146,27 @@ class LeafGraph(Frozen):
         return self.vertices + extra
 
     def is_tree(self) -> bool:
-        # V - 1 edges between the vertices that close no cycle (union-find)
+        # V - 1 edges between distinct vertices that close no cycle
+        # (union-find over the vertices' indices)
         verts = self.all_vertices()
         if len(self.edges) != max(len(verts) - 1, 0):
             return False
-        root = {v: v for v in verts}
+        index = {v: k for k, v in enumerate(verts)}
+        if len(index) != len(verts):
+            return False
+        root = list(range(len(verts)))
         for u, v in self.edges:
-            if u not in root or v not in root:
+            a, b = index.get(u), index.get(v)
+            if a is None or b is None:
                 return False
-            while root[u] != u:
-                u = root[u]
-            while root[v] != v:
-                v = root[v]
-            if u == v:
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a == b:
                 return False
             # on leaf_graph's edge order, each walk takes at most one step
-            root[v] = u
+            root[b] = a
         return True
 
     def to_json(self) -> dict:
@@ -191,6 +196,16 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     at b_I. From c's first rank the circle passes b's rank outside I before
     b_I, so c's first rank lies in another gap of b. Unlinked from b, a and
     c each lie in one gap of it.
+
+    A chord takes a closed form. Let the element's set be the chord
+    (lo, hi) and let no member share a rank with it: no member is a
+    boundary Z-point. Then each member is disjoint from the chord and links
+    it twice, so it has ranks in both gaps, (lo, hi) and the wrap gap. Its
+    signature is (0, 1), and its arc key is its first rank inside (lo, hi),
+    which is b[bisect_right(b, lo)] for its rank tuple b. So the leaf is
+    one chain, the fiber sorted by that rank, with no virtual vertex: the
+    tree the general rule builds, from one sort. A chord with a boundary
+    member, and every set of three or more ranks, takes the general rule.
     """
     fiber = fp.fiber(family, element)
     lam = fp.ranks(family)[element]
@@ -199,6 +214,18 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     opp_sets = fp.ranks("minus" if side else "plus")
     if not fiber:
         return LeafGraph(family, element, (), 0, ())
+    # the chain order needs a laminar opposite family, which its forest checks
+    fp.forest("minus" if side else "plus")
+
+    if len(lam) == 2 and fp.boundary.keys().isdisjoint(fiber):
+        lo = lam[0]
+        keyed = []
+        for z in fiber:
+            b = opp_sets[z[side]]
+            keyed.append((b[bisect_right(b, lo)], z))
+        keyed.sort()
+        chain = tuple([z for _, z in keyed])
+        return LeafGraph(family, element, chain, 0, tuple(zip(chain, chain[1:])))
 
     # one pass over each member's opposite ranks, in order, gives its sector
     # signature: the complementary intervals of lam that the opposite element
@@ -234,8 +261,6 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
         key = (tuple(sig),) if sig else ((), z)
         groups.setdefault(key, []).append((arc, z))
 
-    # the chain order needs a laminar opposite family, which its forest checks
-    fp.forest("minus" if side else "plus")
     chains = [[z for _, z in sorted(groups[key])] for key in sorted(groups)]
 
     vertices = tuple(z for chain in chains for z in chain)
@@ -450,7 +475,7 @@ def layout(fp: FamilyPair) -> StraightenedDisc:
         lay[(i, j)] = param_to_point(s)
     placed = {}
     for z, p in lay.items():
-        other = placed.setdefault(p.key(), z)
+        other = placed.setdefault(p._h, z)
         if other != z:
             raise InvariantViolation("layout-collision", other, z)
 

@@ -11,8 +11,9 @@ to 6. The points are the circle parameters 0, ..., n - 1, so the n
 rotations of a pair have the same circle order but other plane points.
 
 Run as a script, it checks the census at n: every pair validates and
-passes quotient_check, and a pair without a boundary Z-point lays out with
-no crossing under each of its n rotations. It reports how many of the
+passes quotient_check, every pair it lays out has the leaf trees, and the
+raises, of tests/leaf_oracle.py, and a pair without a boundary Z-point lays
+out with no crossing under each of its n rotations. It reports how many of the
 pairs with one raise or cross, pinning neither, then runs the command line
 on a seeded sample of the pairs and exits 1 on any failure:
 
@@ -28,8 +29,10 @@ import tempfile
 from functools import cache
 from itertools import combinations, product
 
+import leaf_oracle
 from circlink import especial_disc, layout, quotient_check, validate
 from circlink.errors import GroupOrderNotTotalError
+from circlink.straighten import leaf_graph
 
 
 def _noncrossing(seq):
@@ -88,9 +91,29 @@ def lay_out(fp):
         return None
 
 
-def census(n: int, lay=lay_out) -> dict:
+def _leaf_outcome(build, fp, family: str, element: int):
+    try:
+        return build(fp, family, element)
+    except GroupOrderNotTotalError as exc:
+        return (type(exc), exc.args)
+
+
+def lay_out_against_oracle(fp):
+    """lay_out(fp), once every leaf tree, or the error its builder raises,
+    equals leaf_oracle's; a mismatch raises AssertionError."""
+    for family in ("plus", "minus"):
+        for element in range(len(fp.family(family))):
+            got = _leaf_outcome(leaf_graph, fp, family, element)
+            if got != _leaf_outcome(leaf_oracle.leaf_graph, fp, family, element):
+                raise AssertionError("leaf tree of %s %d differs from leaf_oracle's on %r"
+                                     % (family, element, fp))
+    return lay_out(fp)
+
+
+def census(n: int, lay=lay_out_against_oracle) -> dict:
     """The checks and counts named in the module docstring, with lay in
-    place of lay_out; each failure is a line of the "failures" list."""
+    place of lay_out_against_oracle; each failure is a line of the
+    "failures" list, and an error lay raises propagates."""
     counts = {"pairs": 0, "with_boundary": 0, "raise": 0, "crossed": 0, "failures": []}
     for plus, minus in pairs(n):
         fp = validate(plus, minus)

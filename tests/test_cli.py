@@ -17,11 +17,14 @@ from circlink import (
     FamilyPair,
     IntersectingAt,
     MalformedInputError,
+    OutsideDiscError,
+    PlanePoint,
     RenderOptions,
     classify_pair,
     especial_disc,
     gen_grid,
     gen_tripod,
+    locate,
     nested_pair,
     random_family_pair,
     render_input_svg,
@@ -251,6 +254,25 @@ def test_straighten_outside_disc(tmp_path, capsys):
     code, out = run(capsys, "straighten", path, "--point", "2,0")
     assert code == 1
     assert json.loads(out)["error"] == "OutsideDiscError"
+
+
+def test_straighten_outside_disc_past_the_digit_limit(tmp_path, capsys):
+    # a 6 000-digit numerator: each run of digits reads, but the value has
+    # more digits than int converts to a string, so the message cannot
+    # spell the point in full
+    big = "2" * 3000 + "." + "1" * 3000
+    path = write_pair(tmp_path, "chords.json", {"plus": [["-1", "1"]], "minus": [["0", "inf"]]})
+    code, out = run(capsys, "straighten", path, "--point", big + ",0")
+    assert code == 1
+    assert json.loads(out)["error"] == "OutsideDiscError"
+    assert len(out) < 200
+    # the error keeps the exact point
+    fp = FamilyPair.from_json({"plus": [["-1", "1"]], "minus": [["0", "inf"]]})
+    p = PlanePoint.from_json([big, "0"])
+    with pytest.raises(OutsideDiscError) as info:
+        locate(fp, p)
+    assert info.value.point == p and info.value.point.key() == p.key()
+    assert len(str(info.value)) < 200
 
 
 def test_straighten_bad_point(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 straighten.leaf_graph reads each Z-point's sector signature and its chain
 key from one bisection per opposite rank, and checks no chain triple (its
-docstring proves that every one is ordered). leaf_oracle.leaf_graph is the
+docstring proves that every one is ordered); a chord leaf with no boundary
+member needs one bisection per member. leaf_oracle.leaf_graph is the
 builder it replaced, which recomputes the signatures with rank_gap and
 checks every triple; every case below must give an equal LeafGraph from
 both, or the same exception with the same arguments.
@@ -12,6 +13,7 @@ import cProfile
 import pstats
 import random
 
+import census
 import leaf_oracle
 from circlink import (
     INF,
@@ -114,6 +116,73 @@ def test_leaf_graph_makes_no_rank_gap_call():
     # no chain triple is checked, and a grid leaf has one chain, so no end
     assert ("circle.py", "rank_separates") not in calls
     assert ("circle.py", "rank_gap") not in calls
+
+
+# ── the chord closed form ────────────────────────────────────────────────
+
+def _closed_form_leaves(fp) -> int:
+    """The nonempty chord leaves of fp with no boundary member, the leaves
+    leaf_graph builds from one sort of the fiber."""
+    count = 0
+    for family in ("plus", "minus"):
+        for element, lam in enumerate(fp.ranks(family)):
+            fiber = fp.fiber(family, element)
+            count += len(lam) == 2 and bool(fiber) and fp.boundary.keys().isdisjoint(fiber)
+    return count
+
+
+def test_chord_images_match_oracle():
+    # every grid set and every nested set is a chord; the maps move the
+    # marked points and so the chords' ranks
+    closed = 0
+    for seed in range(10):
+        g = random_circle_map(seed)
+        for fp in (g.apply_pair(gen_grid(8)), g.apply_pair(nested_pair(3, seed)),
+                   g.apply_pair(nested_pair(4, seed))):
+            assert _same_leaves(fp, seed) == 0
+            closed += _closed_form_leaves(fp)
+    # all 16 leaves of each grid image, and some of the nested pairs'
+    assert closed > 10 * 16
+
+
+def test_chords_with_a_boundary_member_take_the_general_rule():
+    # on five points, a chord whose fiber holds a boundary Z-point
+    # can need a virtual vertex, which the closed form never has
+    leaves = virtual = 0
+    for plus, minus in census.pairs(5):
+        fp = validate(plus, minus)
+        for family in ("plus", "minus"):
+            for element, lam in enumerate(fp.ranks(family)):
+                fiber = fp.fiber(family, element)
+                if len(lam) != 2 or fp.boundary.keys().isdisjoint(fiber):
+                    continue
+                got = _outcome(straighten.leaf_graph, fp, family, element)
+                assert got == _outcome(leaf_oracle.leaf_graph, fp, family, element), \
+                    (plus, minus, family, element)
+                leaves += 1
+                virtual += not isinstance(got, tuple) and got.virtual_count
+    assert leaves == 4704
+    assert virtual
+
+
+def test_grid_leaf_trees_make_no_bisect_left_call():
+    fp = random_circle_map(3).apply_pair(gen_grid(6))
+    fp.disc
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        for element in range(6):
+            straighten.leaf_graph(fp, "plus", element)
+            straighten.leaf_graph(fp, "minus", element)
+    finally:
+        profiler.disable()
+    calls = {"left": 0, "right": 0}
+    for (_, _, name), value in pstats.Stats(profiler).stats.items():
+        for side in calls:
+            if name.endswith(".bisect_%s>" % side):
+                calls[side] += value[1]
+    # one bisect_right per member, to read its first rank inside the chord
+    assert calls == {"left": 0, "right": 2 * 36}
 
 
 # ── chains through the set holding INF ───────────────────────────────────
