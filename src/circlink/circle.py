@@ -104,8 +104,8 @@ class CirclePoint(Immutable):
         if self.den == 0:
             return "inf"
         if self.den == 1:
-            return str(self.num)
-        return "%d/%d" % (self.num, self.den)
+            return _digits(self.num)
+        return _digits(self.num) + "/" + _digits(self.den)
 
     def __repr__(self) -> str:
         return "CirclePoint(%s)" % self
@@ -143,6 +143,18 @@ class CirclePoint(Immutable):
         if isinstance(other, CirclePoint):
             return self.num * other.den <= other.num * self.den
         return NotImplemented
+
+
+def _digits(n: int) -> str:
+    """str(n), also for an int with more digits than str converts
+    (sys.get_int_max_str_digits()): such an int is split at a power of ten
+    into a high and a low part, each spelled alone."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20    # about half its digits: log10(2) > 3/10
+        high, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _digits(high) + _digits(low).zfill(k)
 
 
 # the slots' own setters, which Immutable's __setattr__ would refuse; a

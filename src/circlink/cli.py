@@ -6,7 +6,8 @@ malformed input (bad JSON, bad schema, bad argument syntax). All JSON output
 is key-sorted with a fixed layout, so identical inputs give identical bytes:
 those of json.dumps(obj, sort_keys=True, indent=2) and a newline.
 json.dumps writes every answer, in one write, but classify's and disc's,
-whose row lists _stream writes from per-shape templates.
+whose row lists _stream spells from per-shape templates. Those row lists
+and every file leave through _write, _CHUNK pieces to a write.
 """
 
 from __future__ import annotations
@@ -39,38 +40,50 @@ def _emit(obj) -> None:
     sys.stdout.write(_answer(obj))
 
 
-# the rows per write of a streamed row list: about 90 KB of classify's rows
+# the most pieces one write hands on: rows of a streamed answer or lines of
+# a picture, about 90 KB of classify's rows
 _CHUNK = 1024
+
+
+def _write(pieces, write) -> None:
+    """Hand the pieces to write, joined _CHUNK at a time: the whole is never
+    one string, and a long stream is not one write per piece, a system call
+    each under PYTHONUNBUFFERED=1."""
+    pieces = iter(pieces)
+    while chunk := "".join(islice(pieces, _CHUNK)):
+        write(chunk)
 
 
 def _row(fields: dict) -> str:
     """The %-template of a flat row in a list under the answer's top-level
-    dict, spelled as json.dumps(..., sort_keys=True, indent=2) spells it.
-    fields maps each key to its value's spelling, JSON text or a % field;
-    the fields take their values in the sorted order of the keys."""
-    return "{" + ",".join("\n      " + _json_str(k) + ": " + v
-                          for k, v in sorted(fields.items())) + "\n    }"
+    dict, spelled as json.dumps(..., sort_keys=True, indent=2) spells it and
+    led by the joint that follows the row before it. fields maps each key
+    to its value's spelling, JSON text or a % field; the fields take their
+    values in the sorted order of the keys."""
+    return ",\n    {" + ",".join("\n      " + _json_str(k) + ": " + v
+                                for k, v in sorted(fields.items())) + "\n    }"
 
 
-def _stream(answer: dict) -> None:
-    """Write answer to stdout with _emit's bytes. Its values are ints or
-    iterables of rows spelled from _row templates, which go out _CHUNK rows
-    to a write: the answer is never one string, and a long list is not one
-    write per row, a system call each under PYTHONUNBUFFERED=1."""
-    write = sys.stdout.write
-    text, joint = "{", "\n  "
+def _stream(answer: dict):
+    """The pieces of answer in _emit's bytes, one to a row. Its values are
+    ints or iterables of rows spelled from _row templates; a list's first
+    row swaps its leading comma for the bracket that opens the list."""
+    joint = "{\n  "
     for key, value in sorted(answer.items()):
-        text += joint + _json_str(key) + ": "
+        head = joint + _json_str(key) + ": "
         joint = ",\n  "
         if type(value) is int:
-            text += "%d" % value
+            yield head + "%d" % value
             continue
-        value, sep = iter(value), "["
-        while rows := list(islice(value, _CHUNK)):
-            write(text + sep + "\n    " + ",\n    ".join(rows))
-            text, sep = "", ","
-        text += "[]" if sep == "[" else "\n  ]"
-    write(text + "\n}\n")
+        rows = iter(value)
+        first = next(rows, None)
+        if first is None:
+            yield head + "[]"
+            continue
+        yield head + "[" + first[1:]
+        yield from rows
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _load_json(path: str):
@@ -99,9 +112,10 @@ def _load_pair(path: str) -> FamilyPair:
     return FamilyPair.from_json(_load_json(path))
 
 
-def _atomic_write(path: str, emit) -> None:
-    """Call emit with the write of a temporary file beside path, then rename
-    the file to path; if emit or the write raises, the file is removed.
+def _atomic_write(path: str, pieces) -> None:
+    """Write the pieces through _write to a temporary file beside path, then
+    rename the file to path; if a piece or the write raises, the file is
+    removed.
 
     The file gets the permission bits of the path it replaces, without its
     setuid, setgid and sticky bits, or, for a new path, the mode a plain
@@ -120,7 +134,7 @@ def _atomic_write(path: str, emit) -> None:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 if mode is not None:
                     os.fchmod(fd, mode)
-                emit(fh.write)
+                _write(pieces, fh.write)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -157,11 +171,11 @@ def cmd_classify(args) -> int:
     linked = _row({"class": '"linked"', "minus": "%d", "n": "%d", "plus": "%d"})
     unlinked = _row({"class": '"unlinked"', "minus": "%d", "plus": "%d"})
     meet = _row({"class": '"intersecting"', "minus": "%d", "plus": "%d", "point": "%s"})
-    _stream({"pairs": (
+    _write(_stream({"pairs": (
         linked % (j, interior[i, j], i) if (i, j) in interior
         else meet % (j, i, _json_str(str(boundary[i, j]))) if (i, j) in boundary
         else unlinked % (j, i)
-        for i in range(len(fp.plus)) for j in range(len(fp.minus)))})
+        for i in range(len(fp.plus)) for j in range(len(fp.minus)))}), sys.stdout.write)
     return 0
 
 
@@ -169,9 +183,9 @@ def cmd_disc(args) -> int:
     disc = especial_disc(_load_pair(args.file))
     meet = _row({"minus": "%d", "plus": "%d", "point": "%s"})
     link = _row({"link_number": "%d", "minus": "%d", "plus": "%d"})
-    _stream({"boundary": (meet % (j, i, _json_str(str(s))) for i, j, s in disc.boundary),
-             "interior": (link % (n, j, i) for i, j, n in disc.interior),
-             "n_minus": disc.n_minus, "n_plus": disc.n_plus})
+    _write(_stream({"boundary": (meet % (j, i, _json_str(str(s))) for i, j, s in disc.boundary),
+                    "interior": (link % (n, j, i) for i, j, n in disc.interior),
+                    "n_minus": disc.n_minus, "n_plus": disc.n_plus}), sys.stdout.write)
     return 0
 
 
@@ -184,7 +198,7 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import _Canvas, _input_lines, _straightened_lines, _write
+    from .render import _Canvas, _input_lines, _straightened_lines
     from .straighten import layout
 
     try:
@@ -201,8 +215,8 @@ def cmd_render(args) -> int:
     # its file in chunks of lines
     canvas = _Canvas(opts)
     at = canvas.table(sd.layout)
-    _atomic_write(input_path, lambda write: _write(_input_lines(fp, canvas, at), write))
-    _atomic_write(straight_path, lambda write: _write(_straightened_lines(sd, canvas, at), write))
+    _atomic_write(input_path, _input_lines(fp, canvas, at))
+    _atomic_write(straight_path, _straightened_lines(sd, canvas, at))
     _emit({"written": [input_path, straight_path]})
     return 0
 
@@ -225,8 +239,7 @@ def cmd_gen(args) -> int:
     spec = GenSpec(kind=args.kind, n=args.n, k=args.k, depth=args.depth, seed=args.seed)
     fp = spec.build()
     if args.map_out is not None:
-        text = _answer(gen_symmetric()[1].to_json())
-        _atomic_write(args.map_out, lambda write: write(text))
+        _atomic_write(args.map_out, (_answer(gen_symmetric()[1].to_json()),))
     _emit(fp.to_json())
     return 0
 

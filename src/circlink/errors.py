@@ -85,7 +85,8 @@ def _spell(value, limit: int = 60) -> str:
     """str(value) for a message, cut to limit characters with "...".
 
     A message spells each point or value through this, so it stays short
-    and is always made: str of an int with more digits than
+    and is always made. A point of the library spells an int of any length
+    (circle._digits), but str of a bare int with more digits than
     sys.get_int_max_str_digits() raises ValueError, and a value holding one
     is spelled by its type's name instead. The error's fields keep the value
     itself.

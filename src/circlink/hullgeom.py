@@ -237,16 +237,26 @@ class ConvexCell(Immutable):
     """Immutable convex cell of dimension 0, 1, or 2 with canonical vertex order.
 
     dim 2 vertices run counterclockwise starting at the lexicographically
-    smallest; dim 1 stores the lex-smaller endpoint first. The cell keeps
-    only the vertex triples; .vertices builds the PlanePoints on demand. A
-    wrong vertex count raises ValueError, a vertex outside the closed unit
-    disc OutsideDiscError.
+    smallest; dim 1 stores the lex-smaller endpoint first. The constructor
+    takes the vertices in any rotation, and a segment's in either order,
+    and stores them in that canonical order, so equal cells are equal. The
+    cell keeps only the vertex triples; .vertices builds the PlanePoints on
+    demand. A wrong vertex count raises ValueError, and so do the vertices
+    of dim 2 unless they are distinct and make a strictly convex
+    counterclockwise ring; a vertex outside the closed unit disc raises
+    OutsideDiscError.
     """
 
     __slots__ = ("dim", "_h")
 
     def __init__(self, dim: int, vertices):
-        self._set(dim, tuple(v._h for v in vertices))
+        hs = [v._h for v in vertices]
+        if dim in (1, 2):
+            hs = _ring_order(hs)
+        if dim == 2 and len(hs) > 2 and not _strictly_convex(hs):
+            raise ValueError("a cell of dim 2 has distinct vertices in strictly "
+                             "convex counterclockwise order")
+        self._set(dim, tuple(hs))
 
     def _set(self, dim: int, hs: tuple) -> None:
         n = len(hs)
@@ -357,20 +367,31 @@ def hull(a_set: CircleSet) -> ConvexCell:
     return _ring_cell([_h_from_param(u) for u in a_set.points])
 
 
-def _ring_cell(hs: list) -> ConvexCell:
-    """The canonical cell of distinct vertices in strictly convex position
-    and counterclockwise order."""
-    if len(hs) == 1:
-        return _cell(0, tuple(hs))
+def _ring_order(hs: list) -> list:
+    """A ring of vertices in canonical order: a pair lex-smaller first, and
+    three or more rotated to start at the lex-smallest."""
     if len(hs) == 2:
-        if _h_cmp(hs[0], hs[1]) > 0:
-            hs.reverse()
-        return _cell(1, tuple(hs))
+        return hs if _h_cmp(hs[0], hs[1]) <= 0 else hs[::-1]
     start = 0
     for k in range(1, len(hs)):
         if _h_cmp(hs[k], hs[start]) < 0:
             start = k
-    return _cell(2, tuple(hs[start:] + hs[:start]))
+    return hs[start:] + hs[:start]
+
+
+def _strictly_convex(hs: list) -> bool:
+    """Whether hs, a ring that starts at its lex-smallest vertex, holds
+    distinct vertices in strictly convex counterclockwise order: it turns
+    left at every vertex, and its first vertex sees the others in strictly
+    counterclockwise order, so the ring winds once."""
+    return (all(_orient(hs[k - 2], hs[k - 1], hs[k]) > 0 for k in range(len(hs)))
+            and all(_orient(hs[0], hs[k - 1], hs[k]) > 0 for k in range(2, len(hs))))
+
+
+def _ring_cell(hs: list) -> ConvexCell:
+    """The canonical cell of distinct vertices in strictly convex position
+    and counterclockwise order."""
+    return _cell(min(len(hs) - 1, 2), tuple(_ring_order(hs)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ Pictures are presentation only: every coordinate is the decimal expansion of
 an exact rational to 12 significant digits, and the element structure (ids,
 counts) is deterministic so renders can be snapshot-tested structurally.
 Each picture is made as a stream of lines, one SVG element to a line, filled
-in from per-kind templates and a pixel table of the Z-points; _write hands
-the lines to a file _CHUNK at a time.
+in from per-kind templates and a pixel table of the Z-points. This module
+only makes the lines: the command line's writer, cli._write, hands them to a
+file in chunks, and render_input_svg and render_straightened_svg join them.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .errors import Frozen, MalformedInputError
 
@@ -195,21 +194,6 @@ def _straightened_lines(sd: StraightenedDisc, canvas: _Canvas, at: dict):
             i, j = z
             yield _text_line(f"zlabel-{i}-{j}", at[z], f"({i},{j})", "#374151")
     yield "</svg>\n"
-
-
-# The most lines one write hands to a picture's file
-_CHUNK = 1024
-
-
-def _write(lines, write) -> None:
-    """Hand the lines to write, joined _CHUNK at a time, so that at most one
-    chunk of a picture is held at a time."""
-    lines = iter(lines)
-    while True:
-        chunk = "".join(islice(lines, _CHUNK))
-        if not chunk:
-            return
-        write(chunk)
 
 
 def render_input_svg(fp: FamilyPair, opts: RenderOptions = RenderOptions()) -> str:

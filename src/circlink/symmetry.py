@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .circle import CirclePoint, CircleSet, _parse_frac
+from .circle import CirclePoint, CircleSet, _digits, _parse_frac
 from .circle import point as circle_point
 from .errors import Frozen, Immutable, InvariantViolation, MalformedInputError, OutsideDiscError
 from .family import FamilyPair, especial_disc, validate
@@ -102,7 +102,7 @@ class CircleMap(Immutable):
         return _point(_h_norm(X2, Y2, D2))
 
     def to_json(self) -> dict:
-        return {"m": [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]}
+        return {"m": [[_digits(self.a), _digits(self.b)], [_digits(self.c), _digits(self.d)]]}
 
     @classmethod
     def from_json(cls, data) -> "CircleMap":

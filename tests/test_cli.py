@@ -341,6 +341,22 @@ def test_equivariance_pass_and_fail(tmp_path, capsys):
     assert report["failures"][0]["kind"] == "NotInvariant"
 
 
+def test_equivariance_answer_spells_numbers_past_the_digit_limit(tmp_path, capsys):
+    # D has 6 000 digits, though no run of them is past the reader's limit;
+    # the report spells plus 0's image, whose point 3 maps to 3 D, in full
+    d = "2" * 3000 + "." + "1" * 3000
+    grid = write_pair(tmp_path, "grid.json", GRID2)
+    scale = write_pair(tmp_path, "map.json", {"m": [[d, "0"], ["0", "1"]]})
+    code, out = run(capsys, "equivariance", grid, "--map", scale)
+    assert code == 1
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report["ok"] is False
+    failure = report["failures"][0]
+    assert (failure["kind"], failure["family"], failure["element"]) == ("NotInvariant", "plus", 0)
+    assert failure["image"] == ["0", "6" * 3000 + "3" * 3000 + "/1" + "0" * 3000]
+
+
 def test_equivariance_rejects_bad_map(tmp_path, capsys):
     grid = write_pair(tmp_path, "grid.json", GRID2)
     flip = write_pair(tmp_path, "flip.json", {"m": [["1", "0"], ["0", "-1"]]})

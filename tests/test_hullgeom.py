@@ -135,6 +135,34 @@ def test_hull_canonical_order():
         assert cross > 0
 
 
+def test_cell_constructor_stores_the_canonical_order():
+    a, b = pp(0, 0), pp(F(1, 2), 0)
+    assert ConvexCell(1, [b, a]).vertices == (a, b)
+    assert ConvexCell(1, [b, a]) == ConvexCell(1, [a, b])
+    square = hull(CircleSet([0, 1, 2, 3]))
+    ring = square.vertices
+    for k in range(len(ring)):
+        cell = ConvexCell(2, ring[k:] + ring[:k])
+        assert cell.vertices == ring
+        assert cell == square and hash(cell) == hash(square)
+
+
+def _refused_rings():
+    a, b, c = pp(0, 0), pp(F(1, 2), 0), pp(0, F(1, 3))
+    # five points on the circle, counterclockwise: the pentagram through
+    # them turns left at every vertex but winds twice
+    v = hull(CircleSet([0, 1, 2, 3, 4])).vertices
+    return {"repeated": [a, a, b], "repeated-ring": [a, b, c, a],
+            "collinear": [a, pp(F(1, 4), 0), b], "clockwise": [a, c, b],
+            "pentagram": [v[0], v[2], v[4], v[1], v[3]]}
+
+
+@pytest.mark.parametrize("name", sorted(_refused_rings()))
+def test_cell_constructor_refuses_a_ring_that_is_not_strictly_convex(name):
+    with pytest.raises(ValueError, match="strictly convex counterclockwise"):
+        ConvexCell(2, _refused_rings()[name])
+
+
 # ── intersections ────────────────────────────────────────────────────────
 
 def test_cell_intersection_examples():

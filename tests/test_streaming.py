@@ -34,11 +34,11 @@ from circlink import (
     render_straightened_svg,
     validate,
 )
-from circlink import render
-from circlink.cli import main
+from circlink import cli, render
+from circlink.cli import _CHUNK, _write, main
 from circlink.generators import random_circle_map
 from circlink.hullgeom import hull
-from circlink.render import _CHUNK, _Canvas, _input_lines, _straightened_lines, _write
+from circlink.render import _Canvas, _input_lines, _straightened_lines
 
 FIXTURES = {
     "tripod": gen_tripod,
@@ -161,7 +161,7 @@ def test_writes_hold_whole_lines_in_chunks(name, monkeypatch):
     fp = CHUNKED[name]()
     # at 7 lines a write, leaf groups and runs of dots split across writes
     for chunk_lines in (_CHUNK, 7):
-        monkeypatch.setattr(render, "_CHUNK", chunk_lines)
+        monkeypatch.setattr(cli, "_CHUNK", chunk_lines)
         for writes, whole in cli_writes(fp, RenderOptions(labels=True)):
             assert "".join(writes) == whole
             assert writes[0].startswith("<svg ") and writes[-1].endswith("</svg>\n")
@@ -239,7 +239,7 @@ def test_failure_in_the_first_picture_writes_neither(tmp_path, capsys, monkeypat
     fp = FIXTURES["grid-image"]()
     pair_path = write_fixture(tmp_path, fp)
     seen = {}
-    real = render._write
+    real = cli._write
 
     def failing_write(lines, write):
         # the input picture is written first: its first chunk reaches the
@@ -251,7 +251,7 @@ def test_failure_in_the_first_picture_writes_neither(tmp_path, capsys, monkeypat
 
         real(lines, failing)
 
-    monkeypatch.setattr(render, "_write", failing_write)
+    monkeypatch.setattr(cli, "_write", failing_write)
     code, out, _ = render_files(tmp_path, capsys, pair_path)
     assert code == 1
     assert out["error"] == "NotInteriorError"

@@ -223,6 +223,14 @@ def test_map_json_round_trip():
     assert CircleMap.from_json({"m": [["1/2", "-0.25"], ["0", "3"]]}) == CircleMap(2, -1, 0, 12)
 
 
+def test_map_json_spells_entries_past_the_digit_limit():
+    # an entry with more digits than str converts, as a map read from
+    # a long decimal has, is spelled in full
+    big = 10 ** 6000 - 7
+    assert CircleMap(big, 0, -big - 1, 1).to_json() == {
+        "m": [["9" * 5999 + "3", "0"], ["-" + "9" * 5999 + "4", "1"]]}
+
+
 def test_map_json_rejects_bad_input():
     with pytest.raises(MalformedInputError):
         CircleMap.from_json({"m": [["1", "0"]]})

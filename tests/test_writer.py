@@ -1,7 +1,8 @@
 """The JSON writer of the command line: json.dumps(obj, sort_keys=True,
 indent=2) byte for byte. json.dumps writes every answer but classify's and
 disc's row lists, which cli._stream spells from per-shape templates without
-the json module's pure-Python encoder and writes in bounded chunks."""
+the json module's pure-Python encoder and cli._write writes in bounded
+chunks."""
 
 import enum
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from childenv import child_env
 from circlink import FamilyPair, gen_grid, gen_star, nested_pair, random_family_pair
+from circlink import cli
 from circlink.cli import _emit, main
 from circlink.family import especial_disc
 from circlink.generators import random_circle_map
@@ -192,3 +194,39 @@ def test_row_lists_stream_in_bounded_chunks(command, tmp_path, monkeypatch):
     assert text == oracle(answer) + "\n"
     assert 2 <= len(out.parts) <= len(fp.plus) + 4
     assert max(map(len, out.parts)) < len(text) // 2
+
+
+def pieces(text):
+    """The pieces of a row list answer in text: a row but the first of its
+    list (which goes with its key), a key, a list's close and the answer's."""
+    return (text.count("\n    {") - text.count("[\n    {") + text.count('\n  "')
+            + text.count("\n  ]") + text.count("\n}\n"))
+
+
+# a grid, whose disc has an empty boundary list; a pair whose cross pairs
+# share points; a pair with no linked or meeting pair, whose disc lists
+# are both empty
+SMALL_CHUNKS = {"grid": lambda: gen_grid(6),
+                "shared-point": lambda: random_circle_map(0).apply_pair(shared_point_pair(1)),
+                "apart": lambda: wire([["0", "1"]], [["2", "3"]])}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CHUNKS))
+@pytest.mark.parametrize("command", ["classify", "disc"])
+def test_row_lists_go_out_in_whole_rows_chunk_pieces_a_write(command, name, tmp_path,
+                                                               monkeypatch):
+    fp = SMALL_CHUNKS[name]()
+    assert bool(fp.disc.boundary) == (name == "shared-point")
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(fp.to_json()), encoding="utf-8")
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    out = Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command, str(path)]) == 0
+    answer = classify_oracle(fp) if command == "classify" else especial_disc(fp).to_json()
+    assert "".join(out.parts) == oracle(answer) + "\n"
+    for k, part in enumerate(out.parts):
+        # each write starts and ends between rows, with 7 pieces but the last
+        assert part.startswith(("{\n", ",\n", "\n  ]", "\n}"))
+        assert part.endswith(("}", "]", "\n")) or part[-1].isdigit()
+        assert pieces(part) == 7 if k < len(out.parts) - 1 else 0 < pieces(part) <= 7
