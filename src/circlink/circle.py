@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from functools import cmp_to_key
 from math import gcd, inf
 
-from .errors import Immutable, MalformedInputError, NotDisjointError
+from .errors import Immutable, MalformedInputError, NotDisjointError, _digits
 
 __all__ = [
     "CirclePoint",
@@ -143,18 +143,6 @@ class CirclePoint(Immutable):
         if isinstance(other, CirclePoint):
             return self.num * other.den <= other.num * self.den
         return NotImplemented
-
-
-def _digits(n: int) -> str:
-    """str(n), also for an int with more digits than str converts
-    (sys.get_int_max_str_digits()): such an int is split at a power of ten
-    into a high and a low part, each spelled alone."""
-    try:
-        return str(n)
-    except ValueError:
-        k = n.bit_length() * 3 // 20    # about half its digits: log10(2) > 3/10
-        high, low = divmod(abs(n), 10 ** k)
-        return "-" * (n < 0) + _digits(high) + _digits(low).zfill(k)
 
 
 # the slots' own setters, which Immutable's __setattr__ would refuse; a

@@ -38,7 +38,8 @@ class Frozen(Immutable):
     one, equality compares field tuples within one class, and the hash is
     that of the field tuple. Field assignment and deletion raise
     AttributeError (see Immutable), and the repr, pickle and copy support
-    are the dataclass's.
+    are the dataclass's, with each int field of the repr spelled by
+    _digits.
     """
 
     __slots__ = ()
@@ -77,8 +78,23 @@ class Frozen(Immutable):
         return (self.__class__, tuple(getattr(self, n) for n in self.__slots__))
 
     def __repr__(self) -> str:
-        return "%s(%s)" % (self.__class__.__qualname__,
-                           ", ".join("%s=%r" % (n, getattr(self, n)) for n in self.__slots__))
+        # an int field, not a bool, is spelled past str's digit limit too
+        values = [getattr(self, n) for n in self.__slots__]
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%s" % (n, _digits(v) if type(v) is int else repr(v))
+            for n, v in zip(self.__slots__, values)))
+
+
+def _digits(n: int) -> str:
+    """str(n), also for an int with more digits than str converts
+    (sys.get_int_max_str_digits()): such an int is split at a power of ten
+    into a high and a low part, each spelled alone."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20    # about half its digits: log10(2) > 3/10
+        high, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _digits(high) + _digits(low).zfill(k)
 
 
 def _spell(value, limit: int = 60) -> str:
@@ -86,7 +102,7 @@ def _spell(value, limit: int = 60) -> str:
 
     A message spells each point or value through this, so it stays short
     and is always made. A point of the library spells an int of any length
-    (circle._digits), but str of a bare int with more digits than
+    (_digits), but str of a bare int with more digits than
     sys.get_int_max_str_digits() raises ValueError, and a value holding one
     is spelled by its type's name instead. The error's fields keep the value
     itself.

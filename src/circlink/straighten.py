@@ -184,28 +184,36 @@ class LeafGraph(Frozen):
 def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
     """Build the leaf tree over the fiber of one element.
 
-    Every predicate runs on the rank tuples of the pair. The members of
-    one sector signature S are chained in the order of their first ranks
-    in I, the gap S[0] of the element's set, read from I's start. A member
-    b separates each earlier one a from each later c, so no triple is
-    checked. The members are sets of the opposite family: disjoint and
-    unlinked. b has a rank outside I, in another gap when S has two or
-    more, else the one it shares with the element's set (a set in one gap
-    of it is unlinked and no Z-point). b has no rank between I's start and
-    b_I, its first rank in I, so a's first rank lies in the gap of b ending
-    at b_I. From c's first rank the circle passes b's rank outside I before
-    b_I, so c's first rank lies in another gap of b. Unlinked from b, a and
-    c each lie in one gap of it.
+    Every predicate runs on the rank tuples of the pair. Each rank r of a
+    member that is not on the element's set lam gets the key
+    (r - lam[0]) mod n, its distance from lam[0] along the circle of n
+    marked points. The cuts r - lam[0], r on lam, split the keys into lam's
+    gaps: gap t holds the keys between cuts t and t + 1, and the wrap gap,
+    the last, those past the last cut. A member's sector signature S is the
+    sorted set of its keys' gaps, and its arc key is its least key: its
+    first rank in I, the gap S[0], read from I's start. A member with no key
+    sits on lam alone and forms a group of its own. The members of one
+    signature are chained in arc-key order. A member b separates each
+    earlier one a from each later c, so no triple is checked. The members
+    are sets of the opposite family: disjoint and unlinked. b has a rank
+    outside I, in another gap when S has two or more, else the one it
+    shares with the element's set (a set in one gap of it is unlinked and
+    no Z-point). b has no rank between I's start and b_I, its first rank in
+    I, so a's first rank lies in the gap of b ending at b_I. From c's first
+    rank the circle passes b's rank outside I before b_I, so c's first rank
+    lies in another gap of b. Unlinked from b, a and c each lie in one gap
+    of it.
 
     A chord takes a closed form. Let the element's set be the chord
     (lo, hi) and let no member share a rank with it: no member is a
     boundary Z-point. Then each member is disjoint from the chord and links
     it twice, so it has ranks in both gaps, (lo, hi) and the wrap gap. Its
-    signature is (0, 1), and its arc key is its first rank inside (lo, hi),
-    which is b[bisect_right(b, lo)] for its rank tuple b. So the leaf is
-    one chain, the fiber sorted by that rank, with no virtual vertex: the
-    tree the general rule builds, from one sort. A chord with a boundary
-    member, and every set of three or more ranks, takes the general rule.
+    signature is (0, 1), and its arc key is the key of its first rank
+    inside (lo, hi), which is b[bisect_right(b, lo)] for its rank tuple b.
+    So the leaf is one chain, the fiber sorted by that rank, with no
+    virtual vertex: the tree the general rule builds, from one sort. A
+    chord with a boundary member, and every set of three or more ranks,
+    takes the general rule.
     """
     fiber = fp.fiber(family, element)
     lam = fp.ranks(family)[element]
@@ -227,39 +235,13 @@ def leaf_graph(fp: FamilyPair, family: str, element: int) -> LeafGraph:
         chain = tuple([z for _, z in keyed])
         return LeafGraph(family, element, chain, 0, tuple(zip(chain, chain[1:])))
 
-    # one pass over each member's opposite ranks, in order, gives its sector
-    # signature: the complementary intervals of lam that the opposite element
-    # meets (shared marked points sit on lam itself and don't count), and
-    # the arc key of its first rank in the first of them, counted from that
-    # interval's start lam[g0]. Interval t runs from lam[t] to lam[t + 1];
-    # the wrap interval, the last, holds the ranks before lam[0] and past
-    # lam[-1], and arc order there takes those past lam[-1] first.
-    m = len(lam)
+    n, on_lam = len(fp.points), set(lam)
+    cut = [r - lam[0] for r in lam]
     groups = {}
     for z in fiber:
-        sig = []
-        low = high = arc = None
-        for r in opp_sets[z[side]]:
-            i = bisect_left(lam, r)
-            if i == m:
-                high = r            # every later rank lies past lam[-1] too
-                break
-            if lam[i] == r:
-                continue
-            if i == 0:
-                if low is None:
-                    low = r
-            elif not sig:
-                sig.append(i - 1)
-                arc = (0, r)
-            elif sig[-1] != i - 1:
-                sig.append(i - 1)
-        if high is not None or low is not None:
-            if not sig:
-                arc = (0, high) if high is not None else (1, low)
-            sig.append(m - 1)
-        key = (tuple(sig),) if sig else ((), z)
-        groups.setdefault(key, []).append((arc, z))
+        keys = [(r - lam[0]) % n for r in opp_sets[z[side]] if r not in on_lam]
+        sig = tuple(sorted({bisect_right(cut, d) - 1 for d in keys}))
+        groups.setdefault((sig,) if sig else ((), z), []).append((min(keys, default=0), z))
 
     chains = [[z for _, z in sorted(groups[key])] for key in sorted(groups)]
 

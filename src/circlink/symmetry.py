@@ -66,7 +66,7 @@ class CircleMap(Immutable):
         return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self) -> str:
-        return "CircleMap(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
+        return "CircleMap(%s)" % ", ".join(map(_digits, (self.a, self.b, self.c, self.d)))
 
     def apply(self, x) -> CirclePoint:
         x = circle_point(x)

@@ -2,9 +2,11 @@
 
 It rebuilds each member's sector signature with one rank_gap call per
 opposite rank and finds a chain's order from those (gap, rank) pairs again.
-straighten.leaf_graph reads the same from one pass over the ranks; the tests
-require equal trees, or the same exception with the same arguments, from
-both.
+straighten.leaf_graph reads the same from each rank's distance from the
+element's first rank along the circle: its gap is where that distance falls
+among the element's own, and a chain's order is the least distance of each
+member. The tests require equal trees, or the same exception with the same
+arguments, from both.
 """
 
 from circlink.circle import rank_gap, rank_separates

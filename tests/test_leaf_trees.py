@@ -1,4 +1,4 @@
-"""Leaf trees from one pass over the opposite ranks.
+"""Leaf trees from each opposite rank's distance from the leaf's first rank.
 
 straighten.leaf_graph reads each Z-point's sector signature and its chain
 key from one bisection per opposite rank, and checks no chain triple (its
@@ -183,6 +183,39 @@ def test_grid_leaf_trees_make_no_bisect_left_call():
                 calls[side] += value[1]
     # one bisect_right per member, to read its first rank inside the chord
     assert calls == {"left": 0, "right": 2 * 36}
+
+
+def _fan(k: int):
+    """Plus {0, 4, ..., 4(k - 1)} against the k minus chords
+    {4i + 2, 4i + 5 mod 4k}, each around one plus point: the plus leaf takes
+    the general rule, with k one-member chains and one virtual vertex."""
+    return validate([[4 * i for i in range(k)]],
+                    [[4 * i + 2, (4 * i + 5) % (4 * k)] for i in range(k)])
+
+
+def _leaf_bisections(fp) -> int:
+    """bisect_left and bisect_right calls of one leaf_graph(fp, "plus", 0),
+    after a first call has built the fiber and the forest."""
+    straighten.leaf_graph(fp, "plus", 0)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        straighten.leaf_graph(fp, "plus", 0)
+    finally:
+        profiler.disable()
+    return sum(value[1] for (_, _, name), value in pstats.Stats(profiler).stats.items()
+               if name.endswith((".bisect_left>", ".bisect_right>")))
+
+
+def test_general_rule_bisections_grow_linearly_on_the_fan():
+    # only leaf_graph runs: the fan's layout is quadratic in its crossing
+    # certificate, not in its leaf trees
+    fp = _fan(250)
+    leaf = straighten.leaf_graph(fp, "plus", 0)
+    assert leaf == leaf_oracle.leaf_graph(fp, "plus", 0)
+    assert (len(leaf.vertices), leaf.virtual_count, len(leaf.edges)) == (250, 1, 250)
+    small, large = _leaf_bisections(fp), _leaf_bisections(_fan(500))
+    assert small and large <= 2.2 * small, (small, large)
 
 
 # ── chains through the set holding INF ───────────────────────────────────

@@ -285,6 +285,21 @@ def test_messages_of_int_pairs_keep_their_bytes():
     assert str(NotInteriorError((0, 1))) == "(0, 1) is not an interior Z-point"
 
 
+def test_reprs_spell_ints_past_the_digit_limit():
+    # str of an int with more digits than sys.get_int_max_str_digits()
+    # raises ValueError; a repr spells it in full
+    big = 10 ** 5000
+    assert repr(CircleMap(big, 0, 0, 1)) == "CircleMap(1%s, 0, 0, 1)" % ("0" * 5000)
+    assert repr(GenSpec(kind="grid", n=-big)) == (
+        "GenSpec(kind='grid', n=-1%s, k=3, depth=2, seed=0)" % ("0" * 5000))
+    # short reprs keep their bytes, and a bool field stays a bool
+    assert repr(CircleMap(2, -1, 0, 12)) == "CircleMap(2, -1, 0, 12)"
+    assert repr(GenSpec(kind="grid", n=3)) == "GenSpec(kind='grid', n=3, k=3, depth=2, seed=0)"
+    assert repr(NestingEntry("minus", 4, point(1), point(2), True, 3)) == (
+        "NestingEntry(family='minus', element=4, interval_start=CirclePoint(1), "
+        "interval_end=CirclePoint(2), separated=True, separator=3)")
+
+
 @pytest.mark.parametrize("make", ERRORS, ids=range(len(ERRORS)))
 def test_errors_round_trip_with_their_fields(make):
     error = make()
