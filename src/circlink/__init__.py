@@ -5,8 +5,10 @@ rationals) with exact arithmetic throughout: no floats enter any predicate.
 Top level API, roughly in dependency order:
 
 - circle: points, finite point sets, linking.
-- family: admissible family pairs, pair classification, the especial disc.
+- family: admissible family pairs and the especial disc.
 - hullgeom: convex hulls of marked points inside the closed unit disc.
+- analysis: what no command runs: one pair's classification, fibers,
+  prongs, separation chains, nesting reports and cell intersection.
 - straighten: the straightening map, leaf trees, quotient verification.
 - symmetry: projective circle maps and equivariance checking.
 - generators: deterministic and seeded example builders.
@@ -19,6 +21,11 @@ from importlib import import_module
 # Nothing is imported until a name is first read (PEP 562), so `import
 # circlink` loads no submodule and each command loads only what it uses.
 _EXPORTS = {
+    "analysis": (
+        "DisjointLinked", "DisjointUnlinked", "IntersectingAt", "NestingReport",
+        "cell_intersection", "classify_pair", "fiber_minus", "fiber_plus", "nesting_report",
+        "prong_count", "separation_interval",
+    ),
     "circle": (
         "CirclePoint", "CircleSet", "INF", "complementary_intervals", "link_number",
         "linked", "point", "separates",
@@ -28,19 +35,13 @@ _EXPORTS = {
         "GroupOrderNotTotalError", "InvariantViolation", "MalformedInputError",
         "NotDisjointError", "NotInteriorError", "OutsideDiscError",
     ),
-    "family": (
-        "DisjointLinked", "DisjointUnlinked", "EspecialDisc", "FamilyPair",
-        "IntersectingAt", "NestingReport", "classify_pair", "especial_disc",
-        "fiber_minus", "fiber_plus", "nesting_report", "prong_count",
-        "separation_interval", "validate",
-    ),
+    "family": ("EspecialDisc", "FamilyPair", "especial_disc", "validate"),
     "generators": (
         "GenSpec", "gen_figure", "gen_grid", "gen_nested", "gen_star", "gen_symmetric",
         "gen_tripod", "nested_pair", "random_family_pair",
     ),
     "hullgeom": (
-        "ConvexCell", "PlanePoint", "cell_intersection", "hull", "linked_cells",
-        "locate", "param_to_point",
+        "ConvexCell", "PlanePoint", "hull", "linked_cells", "locate", "param_to_point",
     ),
     "render": ("RenderOptions", "render_input_svg", "render_straightened_svg"),
     "straighten": (

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 # Each subcommand imports the modules it runs inside its function, so a
 # process pays only for those. render stays here: RenderOptions supplies the
-# argparse defaults.
+# argparse defaults, and render holds no drawing code, which is in svg.
 from .errors import CirclinkError, FamilyValidationError, MalformedInputError
 from .family import FamilyPair, especial_disc
 from .render import RenderOptions
@@ -198,7 +198,7 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import _Canvas, _input_lines, _straightened_lines
+    from .svg import _Canvas, _input_lines, _straightened_lines
     from .straighten import layout
 
     try:

@@ -1,4 +1,4 @@
-"""Exact planar realization: circle embedding, convex hulls, cell intersections.
+"""Exact planar realization: circle embedding, convex hulls, linked cells.
 
 Circle parameters land on the unit circle through the tangent half-angle map,
 so every marked point has rational coordinates and cyclic order becomes
@@ -8,12 +8,13 @@ triple normalised to D > 0 and gcd(X, Y, D) = 1, and each vertex of a cell
 made from others is the integer meet of two lines. Wire rationals parse
 into integer pairs (circle._parse_frac), so this module imports fractions
 only when a PlanePoint is made from coordinates or a caller reads .x or .y.
+The intersection of two cells by clipping, cell_intersection, is defined
+in analysis, since no command runs it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cmp_to_key
 from math import gcd
 
 from .circle import CirclePoint, CircleSet, _parse_frac
@@ -36,6 +37,25 @@ __all__ = [
     "locate",
     "linked_cells",
 ]
+
+# The clipping oracle's names, defined in analysis, which no command imports;
+# each still resolves here on its first read, and dir() lists it (PEP 562),
+# as circlink's do
+_ANALYSIS = frozenset(("cell_intersection", "_clip", "_seg_seg", "_cell_from_h",
+                       "_cell_contains_h", "_h_between"))
+
+
+def __getattr__(name):
+    if name not in _ANALYSIS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import analysis
+
+    value = globals()[name] = getattr(analysis, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _ANALYSIS)
 
 
 def _over_lcm(ratios) -> tuple:
@@ -189,12 +209,6 @@ def _orient(o: tuple, a: tuple, b: tuple) -> int:
     return (v > 0) - (v < 0)
 
 
-def _h_between(a: tuple, b: tuple, p: tuple) -> bool:
-    # p assumed collinear with a, b; lex order is monotone along a line
-    lo, hi = (a, b) if _h_cmp(a, b) <= 0 else (b, a)
-    return _h_cmp(lo, p) <= 0 and _h_cmp(p, hi) <= 0
-
-
 def _h_line(p: tuple, q: tuple) -> tuple:
     return (
         p[1] * q[2] - p[2] * q[1],
@@ -317,46 +331,6 @@ def _cell(dim: int, hs: tuple) -> ConvexCell:
     return cell
 
 
-def _cell_contains_h(cell: ConvexCell, h: tuple) -> bool:
-    hv = cell._h
-    if cell.dim == 0:
-        return hv[0] == h    # normalised triples are equal when the points are
-    if cell.dim == 1:
-        return _orient(hv[0], hv[1], h) == 0 and _h_between(hv[0], hv[1], h)
-    for k in range(len(hv)):
-        if _orient(hv[k], hv[(k + 1) % len(hv)], h) < 0:
-            return False
-    return True
-
-
-def _cell_from_h(hpts) -> ConvexCell | None:
-    """Canonical cell from a finite batch of normalised homogeneous points."""
-    uniq = list(dict.fromkeys(hpts))
-    if not uniq:
-        return None
-    if len(uniq) == 1:
-        return _cell(0, (uniq[0],))
-    pts = sorted(uniq, key=cmp_to_key(_h_cmp))
-    if len(pts) == 2:
-        return _cell(1, tuple(pts))
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _orient(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull_pts = lower[:-1] + upper[:-1]
-    if len(hull_pts) == 2:
-        return _cell(1, tuple(hull_pts))
-    # monotone chain emits counterclockwise order beginning at the lex minimum
-    return _cell(2, tuple(hull_pts))
-
-
 def hull(a_set: CircleSet) -> ConvexCell:
     """Convex hull of the embedded circle set.
 
@@ -392,66 +366,6 @@ def _ring_cell(hs: list) -> ConvexCell:
     """The canonical cell of distinct vertices in strictly convex position
     and counterclockwise order."""
     return _cell(min(len(hs) - 1, 2), tuple(_ring_order(hs)))
-
-
-# ---------------------------------------------------------------------------
-# intersections
-
-
-def _seg_seg(a: tuple, b: tuple, c: tuple, d: tuple) -> list:
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return [_h_line_cross(_h_line(a, b), _h_line(c, d))]
-    pts = []
-    if o1 == 0 and _h_between(a, b, c):
-        pts.append(c)
-    if o2 == 0 and _h_between(a, b, d):
-        pts.append(d)
-    if o3 == 0 and _h_between(c, d, a):
-        pts.append(a)
-    if o4 == 0 and _h_between(c, d, b):
-        pts.append(b)
-    return pts
-
-
-def _clip(P: ConvexCell, Q: ConvexCell) -> ConvexCell | None:
-    """P clipped edge by edge to the polygon Q (Sutherland-Hodgman).
-
-    P is a vertex ring; a segment is a ring of two. Each edge of Q keeps the
-    ring's vertices on or left of it and adds the crossing of every ring edge
-    whose ends lie strictly on opposite sides.
-    """
-    ring = P._h
-    qh = Q._h
-    for k in range(len(qh)):
-        p = qh[k - 1]
-        q = qh[k]
-        edge = _h_line(p, q)
-        sides = [_orient(p, q, v) for v in ring]
-        out = []
-        for t in range(len(ring)):
-            if sides[t - 1] * sides[t] < 0:
-                out.append(_h_line_cross(_h_line(ring[t - 1], ring[t]), edge))
-            if sides[t] >= 0:
-                out.append(ring[t])
-        if not out:
-            return None
-        ring = out
-    return _cell_from_h(ring)
-
-
-def cell_intersection(P: ConvexCell, Q: ConvexCell) -> ConvexCell | None:
-    """Exact intersection of two convex cells; None means empty."""
-    if P.dim > Q.dim:
-        P, Q = Q, P
-    if P.dim == 0:
-        return _cell(0, P._h) if _cell_contains_h(Q, P._h[0]) else None
-    if Q.dim == 1:
-        return _cell_from_h(_seg_seg(P._h[0], P._h[1], Q._h[0], Q._h[1]))
-    return _clip(P, Q)
 
 
 # ---------------------------------------------------------------------------

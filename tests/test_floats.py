@@ -36,13 +36,11 @@ INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm",
 ALLOWED = {
     ("circle", "_approx"):
         "rank_table's sort key: correctly rounded, so ties are re-sorted exactly",
-    ("render", "<module>"):
-        "the fixed stroke widths, radii and opacity, formatted once",
     ("render", "RenderOptions.__post_init__"):
         "refuses a size no float holds, since the picture is drawn in floats",
-    ("render", "_Canvas.__init__"):
+    ("svg", "_Canvas.__init__"):
         "the picture's centre and radius in pixels, for presentation only",
-    ("render", "_Canvas.xy"):
+    ("svg", "_Canvas.xy"):
         "pixel coordinates of an exact point, for presentation only",
 }
 

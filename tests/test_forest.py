@@ -36,7 +36,7 @@ from circlink import (
     separation_interval,
     validate,
 )
-from circlink import family
+from circlink import analysis, family
 from circlink.straighten import VIRTUAL
 from test_family import concentric_pair
 from test_locate import KINDS, drawn_pair, to_inf
@@ -288,13 +288,13 @@ def test_separation_corpus_covers_inf_and_long_chains():
 
 def test_separation_makes_one_call_per_chain_link(monkeypatch):
     calls = [0]
-    real = family.rank_separates
+    real = analysis.rank_separates
 
     def counted(barrier, first, second):
         calls[0] += 1
         return real(barrier, first, second)
 
-    monkeypatch.setattr(family, "rank_separates", counted)
+    monkeypatch.setattr(analysis, "rank_separates", counted)
     for fp in [concentric_pair()] + list(inf_nested_pairs([4])):
         for name in ("plus", "minus"):
             n = len(fp.family(name))

@@ -26,7 +26,6 @@ from circlink import (
     layout,
     quotient_check,
 )
-from circlink import render
 from circlink.generators import random_circle_map
 from circlink.render import RenderOptions, _Canvas, _fmt, render_input_svg, render_straightened_svg
 from circlink.straighten import LeafGraph
@@ -110,15 +109,15 @@ def test_int_division_is_the_fraction_float(num, den, shift):
 
 def test_render_formats_each_constant_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(render, "_fmt", lambda v: calls.append(v) or _fmt(v))
+    monkeypatch.setattr("circlink.svg._fmt", lambda v: calls.append(v) or _fmt(v))
     fp = random_circle_map(1).apply_pair(gen_grid(6))
     sd = layout(fp)
     # every end of a leaf edge is a Z-point or its leaf's virtual vertex
     points = {p._h for p in sd.layout.values()} | {p._h for p in sd.virtual_positions.values()}
     svg = render_straightened_svg(sd)
     # two coordinates per distinct point and the boundary circle's centre
-    # (two) and radius; widths, radii and opacities are formatted at import,
-    # not per element (60 leaf edges and 36 Z-points)
+    # (two) and radius; widths, radii and opacities are render's constant
+    # strings, not formatted per element (60 leaf edges and 36 Z-points)
     assert svg.count("<line") == 60 and svg.count("<circle") > 36
     assert len(calls) == 2 * len(points) + 3
     calls.clear()

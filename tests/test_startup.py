@@ -41,6 +41,24 @@ REPORT = ("import json, sys; print(json.dumps("
           "sorted(m for m in %r if m in sys.modules)]))" % (HEAVY,))
 
 
+# The circlink modules each command loads: the read commands' set and what
+# the others add to it. No command loads analysis, and only render loads svg
+READ = ("circle", "cli", "errors", "family", "render")
+LOADS = {
+    "render": READ + ("hullgeom", "straighten", "svg"),
+    "equivariance": READ + ("hullgeom", "straighten", "symmetry"),
+    "straighten": READ + ("hullgeom", "straighten"),
+    # generators imports symmetry at module level
+    "gen": READ + ("generators", "hullgeom", "straighten", "symmetry"),
+    # as bench/qcheck.py runs it, with no command line
+    "quotient_check": ("circle", "errors", "family", "hullgeom", "straighten"),
+}
+
+
+def _modules(names):
+    return sorted(["circlink"] + ["circlink." + name for name in names])
+
+
 def test_read_commands_load_only_their_modules(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(nested_pair(3, 0).to_json()), encoding="utf-8")
@@ -51,6 +69,7 @@ def test_read_commands_load_only_their_modules(tmp_path):
     loaded, heavy = _fresh(code, str(path))
     assert loaded == ["circlink", "circlink.circle", "circlink.cli", "circlink.errors",
                       "circlink.family", "circlink.render"]
+    assert loaded == _modules(READ)
     assert heavy == []
 
 
@@ -90,7 +109,7 @@ def test_commands_load_no_heavy_module(tmp_path, command):
         code = ("import sys\nfrom circlink import cli\n"
                 "assert cli.main(sys.argv[2:]) == int(sys.argv[1])\n" + REPORT)
         loaded, heavy = _fresh(code, str(expected), *args)
-    assert "circlink.hullgeom" in loaded
+    assert loaded == _modules(LOADS[command.split("-")[0]])
     assert heavy == []
 
 
@@ -200,3 +219,82 @@ def test_unknown_name_raises():
         circlink.no_such_name
     with pytest.raises(ImportError):
         exec("from circlink import no_such_name", {})
+
+
+# ── names defined where no command loads them ────────────────────────────
+
+# old module -> the names it resolves from the module that now defines them
+MOVED = {
+    "family": ("analysis", (
+        "IntersectingAt", "DisjointUnlinked", "DisjointLinked", "PairClass", "classify_pair",
+        "fiber_plus", "fiber_minus", "prong_count", "separation_interval", "NestingEntry",
+        "NestingReport", "nesting_report")),
+    "hullgeom": ("analysis", (
+        "cell_intersection", "_clip", "_seg_seg", "_cell_from_h", "_cell_contains_h",
+        "_h_between")),
+    "render": ("svg", (
+        "_fmt", "_Canvas", "_cell_line", "_text_line", "_input_lines", "_straightened_lines")),
+}
+
+
+@pytest.mark.parametrize("old", sorted(MOVED))
+def test_moved_names_resolve_at_their_old_path(old):
+    new, names = MOVED[old]
+    defining = importlib.import_module("circlink." + new)
+    for name in names:
+        ns = {}
+        exec("from circlink.%s import %s" % (old, name), ns)
+        assert ns[name] is defining.__dict__[name], name
+        assert getattr(importlib.import_module("circlink." + old), name) is ns[name], name
+
+
+@pytest.mark.parametrize("old", ["family", "hullgeom"])
+def test_star_imports_bind_the_moved_names(old):
+    from circlink import analysis
+
+    public = [name for name in MOVED[old][1] if name in circlink.__all__]
+    assert public
+    for source in ("circlink", "circlink." + old):
+        ns = {}
+        exec("from %s import *" % source, ns)
+        for name in public:
+            assert ns[name] is analysis.__dict__[name], (source, name)
+            assert getattr(circlink, name) is ns[name], name
+
+
+def test_moved_names_load_only_their_module():
+    loaded, _ = _fresh("from circlink.family import nesting_report\n" + REPORT)
+    assert loaded == _modules(("analysis", "circle", "errors", "family", "hullgeom"))
+    loaded, _ = _fresh("from circlink.render import _Canvas\n" + REPORT)
+    assert loaded == _modules(("errors", "render", "svg"))
+
+
+def test_dir_lists_the_moved_names_without_loading_them():
+    listed, loaded = _fresh(
+        "import json, sys\n"
+        "from circlink import family, hullgeom, render\n"
+        "print(json.dumps([dir(family) + dir(hullgeom) + dir(render),\n"
+        "                  sorted(m for m in sys.modules if m.startswith('circlink'))]))")
+    for _, names in MOVED.values():
+        assert set(names) <= set(listed)
+    assert loaded == _modules(("circle", "errors", "family", "hullgeom", "render"))
+
+
+def test_moved_values_pickle():
+    import pickle
+
+    from circlink.family import IntersectingAt, nesting_report
+
+    for value in (IntersectingAt(circlink.point("1/3")), nesting_report(nested_pair(3, 0))):
+        clone = pickle.loads(pickle.dumps(value))
+        assert clone == value and type(clone) is type(value)
+        assert type(clone).__module__ == "circlink.analysis"
+
+
+@pytest.mark.parametrize("old", sorted(MOVED))
+def test_unknown_name_on_a_module_with_moved_names_raises(old):
+    module = importlib.import_module("circlink." + old)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from circlink.%s import no_such_name" % old, {})

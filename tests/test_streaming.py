@@ -34,7 +34,7 @@ from circlink import (
     render_straightened_svg,
     validate,
 )
-from circlink import cli, render
+from circlink import cli, svg
 from circlink.cli import _CHUNK, _write, main
 from circlink.generators import random_circle_map
 from circlink.hullgeom import hull
@@ -181,7 +181,7 @@ def test_each_position_is_formatted_once(tmp_path, capsys, monkeypatch):
         calls.append(v)
         return "%.12g" % v
 
-    monkeypatch.setattr(render, "_fmt", counting)
+    monkeypatch.setattr(svg, "_fmt", counting)
     code, _, _ = render_files(tmp_path, capsys, write_fixture(tmp_path, fp))
     assert code == 0
     assert all(cell.dim == 0 for cell in fp.cells().values())
@@ -209,7 +209,7 @@ def test_failure_mid_picture_leaves_no_partial_file(tmp_path, capsys, monkeypatc
     assert fail_at > _CHUNK
     error = NotInteriorError((7, 7))
     seen = {}
-    real = render._straightened_lines
+    real = svg._straightened_lines
 
     def failing_lines(sd, canvas, at):
         for k, line in enumerate(real(sd, canvas, at), 1):
@@ -218,7 +218,7 @@ def test_failure_mid_picture_leaves_no_partial_file(tmp_path, capsys, monkeypatc
                 raise error
             yield line
 
-    monkeypatch.setattr(render, "_straightened_lines", failing_lines)
+    monkeypatch.setattr(svg, "_straightened_lines", failing_lines)
     code, out, prefix = render_files(tmp_path, capsys, pair_path)
 
     assert code == 1
